@@ -107,10 +107,6 @@ class BlockLedger:
         slots.sort(key=lambda r: (r.start, r.end, r.owner))
         return start
 
-    def busy_until(self, ap_id: str, block_index: int) -> float:
-        slots = self._held.get((ap_id, block_index), [])
-        return max((r.end for r in slots), default=0.0)
-
 
 class Engine:
     """Event loop plus batteries, energy ledger, block ledger and event log."""

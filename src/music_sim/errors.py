@@ -99,11 +99,11 @@ class AllClientsDropped(SessionAborted):
     """Every client of a round dropped out; nothing left to aggregate."""
 
 
-class ClientDropout(SimulationError):
-    """A client failed mid-protocol (battery or transmission); retriable."""
+class SessionStalled(SessionAborted):
+    """The event queue ran dry before the session recorded all its rounds."""
 
 
-class MissingD2dLink(SimulationError):
+class MissingD2dLink(ScenarioSchemaError):
     """Direct relaying requested between devices that share no single-hop link."""
 
 

@@ -62,22 +62,6 @@ class CutSpec:
 
 
 @dataclass
-class SmashedData:
-    """Cut-point activations (client output) on their way to the next segment."""
-
-    activations: np.ndarray          # (batch, cut width)
-    batch_indices: np.ndarray | None = None
-    labels: np.ndarray | None = None  # only on the path to the loss owner
-
-    @property
-    def payload_bits(self) -> int:
-        bits = 32 * self.activations.size
-        if self.labels is not None:
-            bits += 32 * int(np.asarray(self.labels).size)
-        return bits
-
-
-@dataclass
 class ParamDelta:
     """Full-model-shaped parameter gradient or update, with aggregation weight."""
 

@@ -4,8 +4,9 @@ Placement answers two questions before anything runs: which devices are fit
 to participate (threshold filters plus a deterministic ranking), and where
 a training task should execute (single server, one tier further down across
 children, or a device-layer protocol at an access point). Candidates are
-compared by a closed-form cost estimate built from the same primitives the
-runners charge with, under no-dropout, mean-gain assumptions, and the
+compared by a closed-form cost estimate that walks each protocol's leg
+sequence and prices every leg through the runners' own leg-cost model
+(`protocols.LegCosts`), under no-dropout, mean-gain assumptions; the
 cheapest feasible plan wins.
 """
 
@@ -16,7 +17,8 @@ from dataclasses import dataclass, field
 
 from . import costs
 from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError
-from .radio import AccessScheme, RadioEnv, SchemeKind
+from .protocols import LegCosts
+from .radio import AccessScheme, RadioEnv
 from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
 
 ROLES = ("server", "client", "relay", "master", "slave")
@@ -112,9 +114,6 @@ class CostEstimate:
     wall_latency: float
     breakdown: dict[str, dict[str, float]] = field(default_factory=dict)
 
-    def node_total(self, node: str) -> float:
-        return sum(self.breakdown.get(node, {}).values())
-
 
 # ---------------------------------------------------------------- #
 #                         pool selection                           #
@@ -154,45 +153,33 @@ def select_ue_pool(candidates: list[UeProfile], policy: SelectionPolicy,
 # ---------------------------------------------------------------- #
 
 class _Estimator:
-    """Closed-form mirror of the runners' leg sequences.
+    """Closed-form walk along the runners' leg sequences.
 
-    Tracks per-block busy windows so a client that makes two uplinks in one
-    iteration (labels, then a handoff) waits for its own earlier reservation
-    exactly as the executed schedule does. Cross-client block contention is
-    not modelled; plans meant for estimate/execution parity keep at least one
-    block per uplinking client.
+    Every leg is priced by the runners' own `LegCosts`; the estimator only
+    carries ready times along the schedule and sums energy per node and
+    phase. It books each orthogonal uplink on its block, so a client that
+    makes two uplinks in one iteration (labels, then a handoff) waits for its
+    own earlier reservation exactly as the executed schedule does.
+    Cross-client block contention is not modelled; plans meant for
+    estimate/execution parity keep at least one block per uplinking client.
     """
 
     def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv):
-        self.plan = plan
         self.task = plan.task
         self.topo = topo
         self.radio = radio
-        self.scheme = plan.ma_scheme
+        self.noma = plan.ma_scheme.kind.noma
+        self.legs = LegCosts(topo, radio, plan.ma_scheme, plan.task.cycles_per_mac)
         self.energy: dict[str, dict[str, float]] = {}
         self._block_free: dict[tuple[str, int], float] = {}
-        self._slots: dict[str, int] = {}
 
     def add(self, node: str, phase: str, joules: float) -> None:
         if joules > 0:
             bucket = self.energy.setdefault(node, {})
             bucket[phase] = bucket.get(phase, 0.0) + joules
 
-    def assign_slots(self, clients: list[str]) -> None:
-        for c in clients:
-            if c not in self._slots:
-                self._slots[c] = len(self._slots)
-
-    def _compute_params(self, node: str):
-        if node in self.topo.servers:
-            s = self.topo.servers[node]
-            return s.compute_rate, s.energy_per_cycle
-        u = self.topo.ues[node]
-        return u.compute_rate, u.energy_per_cycle
-
     def compute(self, node: str, macs: float) -> float:
-        latency, energy = costs.compute_cost(macs, self.task.cycles_per_mac,
-                                             *self._compute_params(node))
+        latency, energy = self.legs.compute(node, macs)
         self.add(node, "compute", energy)
         return latency
 
@@ -200,47 +187,38 @@ class _Estimator:
         """Uplink at mean gain; returns the completion time (with any wait on
         the client's own block)."""
         ue = self.topo.ues[ue_id]
-        ap = ue.attached_ap
         cluster = self.radio.cluster_of(ue_id)
-        if cluster is not None and self.scheme.kind.noma:
+        if cluster is not None and self.noma:
             gains = {m: self.topo.ues[m].channel_gain for m in cluster.member_ids()}
-            rate = self.radio.cluster_rates(cluster, gains)[ue_id]
-            power = cluster.power_of(ue_id)
-            from .radio import tx_cost
-            latency, energy = tx_cost(bits, rate, power, self.scheme)
+            latency, tx, rx = self.legs.noma_up(cluster, ue_id, bits,
+                                                self.radio.cluster_rates(cluster, gains))
             start = ready
         else:
-            block = self.radio.block_for(ap, self._slots.setdefault(ue_id, len(self._slots)))
-            rate = self.radio.oma_uplink_rate(block, ue.tx_power, ue.channel_gain)
-            from .radio import tx_cost
-            latency, energy = tx_cost(bits, rate, ue.tx_power, self.scheme)
-            key = (ap, block.index)
+            block, latency, tx, rx = self.legs.oma_up(ue_id, bits, ue.channel_gain)
+            key = (ue.attached_ap, block.index)
             start = max(ready, self._block_free.get(key, 0.0))
             self._block_free[key] = start + latency
-        self.add(ue_id, "tx", energy)
-        self.add(ap, "rx", self.radio.rx_energy_per_bit * bits)
+        self.add(ue_id, "tx", tx)
+        self.add(ue.attached_ap, "rx", rx)
         return start + latency
 
     def radio_down(self, ue_id: str, bits: int, ready: float) -> float:
-        ap = self.topo.ues[ue_id].attached_ap
-        self.add(ap, "tx", self.radio.downlink_energy_per_bit * bits)
-        self.add(ue_id, "rx", self.radio.rx_energy_per_bit * bits)
-        return ready + bits / self.radio.downlink_rate
+        latency, tx, rx = self.legs.down(bits)
+        self.add(self.topo.ues[ue_id].attached_ap, "tx", tx)
+        self.add(ue_id, "rx", rx)
+        return ready + latency
 
     def backhaul(self, src: str, dst: str, bits: int, ready: float) -> float:
-        link = self.topo.link_between(src, dst)
-        latency, energy = costs.link_cost(bits, link)
-        self.add(src, "tx", energy)
-        self.add(dst, "rx", self.radio.rx_energy_per_bit * bits)
+        latency, tx, rx = self.legs.backhaul(src, dst, bits)
+        self.add(src, "tx", tx)
+        self.add(dst, "rx", rx)
         return ready + latency
 
     def d2d(self, src: str, dst: str, bits: int, ready: float) -> float:
-        link = self.topo.d2d_link(src, dst)
-        if link is None:
-            raise ScenarioSchemaError(f"no D2D link between {src!r} and {dst!r}")
-        self.add(src, "tx", bits * link.energy_per_bit)
-        self.add(dst, "rx", self.radio.rx_energy_per_bit * bits)
-        return ready + bits / link.rate
+        latency, tx, rx = self.legs.d2d(src, dst, bits)
+        self.add(src, "tx", tx)
+        self.add(dst, "rx", rx)
+        return ready + latency
 
     def up_path(self, ue_id: str, server: str, bits: int, ready: float) -> float:
         ap = self.topo.ues[ue_id].attached_ap
@@ -279,26 +257,23 @@ def _estimate_centralized(plan, topo, radio) -> CostEstimate:
     return est.finish(t)
 
 
-def _estimate_fl(plan, topo, radio, clients: list[str] | None = None) -> CostEstimate:
-    est = _Estimator(plan, topo, radio)
-    task = plan.task
-    server = plan.server()
-    clients = clients if clients is not None else sorted(plan.nodes_with("client"))
-    est.assign_slots(clients)
+def _fl_rounds(est: _Estimator, server: str, clients: list[str], local) -> CostEstimate:
+    """FL rounds: each client downloads the model, trains through
+    `local(client, ready) -> done`, and uploads its delta; the round closes
+    at the slowest upload plus aggregation."""
+    task = est.task
+    est.legs.assign_slots(clients)
     model_bits = costs.model_bits(task.widths)
-    local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
     agg_macs = costs.aggregation_macs(len(clients), costs.param_count_of(task.widths))
     t = 0.0
     for rnd in range(task.rounds):
         slowest = t
         for c in clients:
-            if c in topo.ues:
-                done = est.down_path(server, c, model_bits, t)
-                done += est.compute(c, local_macs)
+            if c in est.topo.ues:
+                done = local(c, est.down_path(server, c, model_bits, t))
                 done = est.up_path(c, server, model_bits, done)
             else:
-                done = est.backhaul(server, c, model_bits, t)
-                done += est.compute(c, local_macs)
+                done = local(c, est.backhaul(server, c, model_bits, t))
                 done = est.backhaul(c, server, model_bits, done)
             slowest = max(slowest, done)
         t = slowest + est.compute(server, agg_macs)
@@ -306,42 +281,57 @@ def _estimate_fl(plan, topo, radio, clients: list[str] | None = None) -> CostEst
     return est.finish(t)
 
 
-def _estimate_sl_homogeneous(plan, topo, radio) -> CostEstimate:
+def _estimate_fl(plan, topo, radio, clients: list[str] | None = None) -> CostEstimate:
     est = _Estimator(plan, topo, radio)
     task = plan.task
-    server = plan.server()
-    clients = sorted(plan.nodes_with("client"))
-    est.assign_slots(clients)
+    clients = clients if clients is not None else sorted(plan.nodes_with("client"))
+    local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
+    return _fl_rounds(est, plan.server(), clients,
+                      lambda c, ready: ready + est.compute(c, local_macs))
+
+
+def _sl_homo_iterations(est: _Estimator, server: str, clients: list[str],
+                        iterations: int, t: float, up, down, evaluate: bool) -> float:
+    """Homogeneous SL iterations from ready time `t`; `up(ue, server, bits,
+    ready)` and `down(server, ue, bits, ready)` carry traffic between a
+    client and the server. Returns the time the last iteration ends."""
+    task = est.task
     widths = task.widths
-    num_layers = len(widths) - 1
     cut = task.cut_index
-    part_bits = costs.model_bits(widths[:cut + 1])
     batch = task.batch_size
+    part_bits = costs.model_bits(widths[:cut + 1])
     client_fwd = costs.forward_macs(widths, batch, 0, cut)
-    client_bwd = 2 * client_fwd
-    server_macs = 3 * costs.forward_macs(widths, batch, cut, num_layers)
+    server_macs = 3 * costs.forward_macs(widths, batch, cut, len(widths) - 1)
     smash_bits = costs.activation_bits(batch, widths[cut]) + costs.label_bits(batch)
     grad_bits = costs.activation_bits(batch, widths[cut])
-    t = 0.0
     holder = None
-    for i in range(task.total_iterations):
+    for i in range(iterations):
         active = clients[i % len(clients)]
         if holder is None:
-            t = est.down_path(server, active, part_bits, t)
+            t = down(server, active, part_bits, t)
         elif holder != active:
-            link = topo.d2d_link(holder, active)
-            if link is not None:
+            if est.topo.d2d_link(holder, active) is not None:
                 t = est.d2d(holder, active, part_bits, t)
             else:
-                t = est.up_path(holder, server, part_bits, t)
-                t = est.down_path(server, active, part_bits, t)
+                t = up(holder, server, part_bits, t)
+                t = down(server, active, part_bits, t)
         holder = active
         t += est.compute(active, client_fwd)
-        t = est.up_path(active, server, smash_bits, t)
+        t = up(active, server, smash_bits, t)
         t += est.compute(server, server_macs)
-        t = est.down_path(server, active, grad_bits, t)
-        t += est.compute(active, client_bwd)
-        t += est.eval_latency(server, i)
+        t = down(server, active, grad_bits, t)
+        t += est.compute(active, 2 * client_fwd)
+        if evaluate:
+            t += est.eval_latency(server, i)
+    return t
+
+
+def _estimate_sl_homogeneous(plan, topo, radio) -> CostEstimate:
+    est = _Estimator(plan, topo, radio)
+    clients = sorted(plan.nodes_with("client"))
+    est.legs.assign_slots(clients)
+    t = _sl_homo_iterations(est, plan.server(), clients, plan.task.total_iterations, 0.0,
+                            est.up_path, est.down_path, evaluate=True)
     return est.finish(t)
 
 
@@ -350,7 +340,7 @@ def _estimate_sl_heterogeneous(plan, topo, radio, order: list[str] | None = None
     task = plan.task
     server = plan.server()
     clients = order if order is not None else sorted(plan.nodes_with("client"))
-    est.assign_slots(clients)
+    est.legs.assign_slots(clients)
     widths = task.widths
     num_layers = len(widths) - 1
     edges = (0, *task.boundaries)
@@ -393,56 +383,22 @@ def _estimate_sl_heterogeneous(plan, topo, radio, order: list[str] | None = None
 
 
 def _estimate_fedsplit(plan, topo, radio) -> CostEstimate:
+    """FL over masters and plain clients; a master's local training is the
+    homogeneous SL sequence over its slaves, every hop a D2D hop."""
     est = _Estimator(plan, topo, radio)
     task = plan.task
-    server = plan.server()
     masters = sorted(plan.nodes_with("master"))
-    plain = sorted(plan.nodes_with("client"))
-    est.assign_slots(masters + plain)
-    widths = task.widths
-    num_layers = len(widths) - 1
-    cut = task.cut_index
-    batch = task.batch_size
-    model_bits = costs.model_bits(widths)
-    part_bits = costs.model_bits(widths[:cut + 1])
-    client_fwd = costs.forward_macs(widths, batch, 0, cut)
-    master_macs = 3 * costs.forward_macs(widths, batch, cut, num_layers)
-    smash_bits = costs.activation_bits(batch, widths[cut]) + costs.label_bits(batch)
-    grad_bits = costs.activation_bits(batch, widths[cut])
-    local_macs = task.local_iterations * costs.training_macs(widths, batch)
-    agg_macs = costs.aggregation_macs(len(masters) + len(plain),
-                                      costs.param_count_of(widths))
-    t = 0.0
-    for rnd in range(task.rounds):
-        slowest = t
-        for m in masters:
-            group = topo.group_containing(m)
-            slaves = [s for s in group.slaves if s in plan.roles]
-            done = est.down_path(server, m, model_bits, t)
-            holder = None
-            for i in range(task.local_iterations):
-                active = slaves[i % len(slaves)]
-                if holder is None:
-                    done = est.d2d(m, active, part_bits, done)
-                elif holder != active:
-                    done = est.d2d(holder, m, part_bits, done)
-                    done = est.d2d(m, active, part_bits, done)
-                holder = active
-                done += est.compute(active, client_fwd)
-                done = est.d2d(active, m, smash_bits, done)
-                done += est.compute(m, master_macs)
-                done = est.d2d(m, active, grad_bits, done)
-                done += est.compute(active, 2 * client_fwd)
-            done = est.up_path(m, server, model_bits, done)
-            slowest = max(slowest, done)
-        for c in plain:
-            done = est.down_path(server, c, model_bits, t)
-            done += est.compute(c, local_macs)
-            done = est.up_path(c, server, model_bits, done)
-            slowest = max(slowest, done)
-        t = slowest + est.compute(server, agg_macs)
-        t += est.eval_latency(server, rnd)
-    return est.finish(t)
+    local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
+
+    def local(c, ready):
+        if c not in masters:
+            return ready + est.compute(c, local_macs)
+        slaves = [s for s in topo.group_containing(c).slaves if s in plan.roles]
+        return _sl_homo_iterations(est, c, slaves, task.local_iterations, ready,
+                                   est.d2d, est.d2d, evaluate=False)
+
+    return _fl_rounds(est, plan.server(), masters + sorted(plan.nodes_with("client")),
+                      local)
 
 
 _ESTIMATORS = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,14 +28,10 @@ from .errors import (
     NestedServerMismatch,
     ScenarioSchemaError,
     SessionAborted,
+    SessionStalled,
 )
-from .radio import AccessScheme, RadioEnv, draw_channel_gain, tx_cost
+from .radio import AccessScheme, NomaCluster, RadioEnv, draw_channel_gain, tx_cost
 from .topology import NetworkTopology
-
-# payload vocabulary; every scheduled transmission names one of these
-PAYLOAD_KINDS = ("model", "delta", "client_part", "smashed+labels", "smashed",
-                 "smashed_grad", "labels")
-
 
 @dataclass
 class TrainingConfig:
@@ -182,6 +178,74 @@ class MetricsTrace:
 
 # ====================================================================== #
 
+class LegCosts:
+    """Latency and energy of every leg kind, priced in one place.
+
+    The runners charge what these methods return, and the placement
+    estimator adds the same numbers up in closed form, so a plan's estimate
+    and the executed cost of its schedule come from one set of formulas.
+    Transmission legs return (latency, sender joules, receiver joules); the
+    orthogonal uplink also names the block it rides on.
+    """
+
+    def __init__(self, topo: NetworkTopology, radio_env: RadioEnv,
+                 scheme: AccessScheme, cycles_per_mac: float):
+        self.topo = topo
+        self.radio = radio_env
+        self.scheme = scheme
+        self.cycles_per_mac = cycles_per_mac
+        self._slot: dict[str, int] = {}
+
+    def assign_slots(self, ues) -> None:
+        """Pin each device to a stable uplink block slot (first come, first
+        served), so block choice never depends on event timing."""
+        for ue_id in ues:
+            self.slot_of(ue_id)
+
+    def slot_of(self, ue_id: str) -> int:
+        return self._slot.setdefault(ue_id, len(self._slot))
+
+    def compute(self, node: str, macs: float) -> tuple[float, float]:
+        spec = self.topo.servers.get(node)
+        if spec is None:
+            spec = self.topo.ues[node]
+        return costs.compute_cost(macs, self.cycles_per_mac, spec.compute_rate,
+                                  spec.energy_per_cycle)
+
+    def rx(self, bits: int) -> float:
+        return self.radio.rx_energy_per_bit * bits
+
+    def oma_up(self, ue_id: str, bits: int, gain: float):
+        """(block, latency, tx, rx) of one orthogonal uplink at channel `gain`."""
+        ue = self.topo.ues[ue_id]
+        block = self.radio.block_for(ue.attached_ap, self.slot_of(ue_id))
+        rate = self.radio.oma_uplink_rate(block, ue.tx_power, gain)
+        latency, energy = tx_cost(bits, rate, ue.tx_power, self.scheme)
+        return block, latency, energy, self.rx(bits)
+
+    def noma_up(self, cluster: NomaCluster, ue_id: str, bits: int,
+                rates: dict[str, float]) -> tuple[float, float, float]:
+        latency, energy = tx_cost(bits, rates[ue_id], cluster.power_of(ue_id), self.scheme)
+        return latency, energy, self.rx(bits)
+
+    def down(self, bits: int) -> tuple[float, float, float]:
+        """Access point -> device at the fixed downlink rate."""
+        latency, energy = costs.pipe_cost(bits, self.radio.downlink_rate,
+                                          self.radio.downlink_energy_per_bit)
+        return latency, energy, self.rx(bits)
+
+    def backhaul(self, src: str, dst: str, bits: int) -> tuple[float, float, float]:
+        latency, energy = costs.link_cost(bits, self.topo.link_between(src, dst))
+        return latency, energy, self.rx(bits)
+
+    def d2d(self, src: str, dst: str, bits: int) -> tuple[float, float, float]:
+        link = self.topo.d2d_link(src, dst)
+        if link is None:
+            raise MissingD2dLink(f"no D2D link between {src!r} and {dst!r}")
+        latency, energy = costs.pipe_cost(bits, link.rate, link.energy_per_bit)
+        return latency, energy, self.rx(bits)
+
+
 class _RunnerBase:
     """Transmission/computation legs shared by all protocol runners.
 
@@ -190,52 +254,58 @@ class _RunnerBase:
     batteries. Battery sufficiency is checked when a leg starts: a device
     that cannot afford a leg refuses it and drops out at the current clock,
     spending nothing.
+
+    A runner records one entry per round (or iteration) of `rounds`; each
+    protocol supplies `_begin(index)`, which starts that round and schedules
+    the next one when it closes.
     """
 
-    def __init__(self, protocol: str, topo: NetworkTopology, radio_env: RadioEnv,
-                 eng: Engine, scheme: AccessScheme, config: TrainingConfig,
-                 dropout_slope: float):
-        self.protocol = protocol
+    def __init__(self, protocol: str, session, topo: NetworkTopology,
+                 radio_env: RadioEnv, eng: Engine, rounds: int):
+        self.session = session
         self.topo = topo
         self.radio = radio_env
         self.eng = eng
-        self.scheme = scheme
-        self.config = config
-        self.dropout_slope = dropout_slope
+        self.config = session.config
+        self.rounds = rounds
+        self.model = session.model
+        self.trace = MetricsTrace(protocol=protocol)
+        self.legs = LegCosts(topo, radio_env, session.scheme, session.config.cycles_per_mac)
+        self.legs.assign_slots(session.clients)
         self.bytes_up = 0
         self.bytes_down = 0
-        self._block_slot: dict[str, int] = {}
         self._cluster_rate_cache: dict[tuple, dict[str, float]] = {}
 
-    # ---- node parameters ----
-
-    def _compute_params(self, node: str) -> tuple[float, float]:
-        if node in self.topo.servers:
-            s = self.topo.servers[node]
-            return s.compute_rate, s.energy_per_cycle
-        u = self.topo.ues[node]
-        return u.compute_rate, u.energy_per_cycle
+    def run(self) -> MetricsTrace:
+        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: self._begin(0),
+                          node=self.session.server, detail="session start")
+        try:
+            self.eng.run()
+            if len(self.trace.records) < self.rounds:
+                raise SessionStalled(
+                    f"no event left to run after {len(self.trace.records)} of "
+                    f"{self.rounds} records")
+        except SessionAborted as exc:
+            self.trace.status = f"aborted: {exc.reason}"
+            exc.trace = self.trace
+            raise
+        finally:
+            self.trace.final_model = self.model
+        return self.trace
 
     def _ap_of(self, ue_id: str) -> str:
         return self.topo.ues[ue_id].attached_ap
 
-    def assign_block_slots(self, clients: list[str]) -> None:
-        """Pin each client to a stable uplink block slot (list order), so block
-        choice never depends on event timing."""
-        for c in clients:
-            if c not in self._block_slot:
-                self._block_slot[c] = len(self._block_slot)
-
-    def _block_slot_of(self, ue_id: str) -> int:
-        if ue_id not in self._block_slot:
-            self._block_slot[ue_id] = len(self._block_slot)
-        return self._block_slot[ue_id]
-
     # ---- failure plumbing ----
 
     def _refuse(self, node: str, reason: str, fail) -> None:
-        """Node cannot run a leg: drop it at the current clock, then `fail`."""
-        self.eng.mark_dropped(node, reason, callback=fail)
+        """Node cannot run a leg: drop it at the current clock, then `fail`
+        (also when it had already dropped, so the refusal is never lost)."""
+        if node in self.eng.dropped:
+            self.eng.schedule(self.eng.clock, EventKind.DROPOUT, fail, node=node,
+                              detail=reason)
+        else:
+            self.eng.mark_dropped(node, reason, callback=fail)
 
     def _battery_ok(self, node: str, joules: float, fail) -> bool:
         if node in self.eng.dropped:
@@ -250,9 +320,10 @@ class _RunnerBase:
         """Per-transmission channel outage draw; static channels never fail
         and consume no randomness."""
         ue = self.topo.ues[ue_id]
-        if self.dropout_slope <= 0.0 or ue.channel_variance <= 0.0:
+        slope = self.session.dropout_slope
+        if slope <= 0.0 or ue.channel_variance <= 0.0:
             return False
-        p = min(1.0, self.dropout_slope * ue.channel_variance)
+        p = min(1.0, slope * ue.channel_variance)
         draw = self.eng.rng.stream(f"drop:{ue_id}:{context}").uniform()
         if draw >= p:
             return False
@@ -262,8 +333,7 @@ class _RunnerBase:
     # ---- legs ----
 
     def leg_compute(self, node: str, macs: float, what: str, done, fail=None) -> None:
-        rate, epc = self._compute_params(node)
-        latency, energy = costs.compute_cost(macs, self.config.cycles_per_mac, rate, epc)
+        latency, energy = self.legs.compute(node, macs)
         if node in self.topo.ues and not self._battery_ok(node, energy, fail or done):
             return
         def finish():
@@ -273,35 +343,34 @@ class _RunnerBase:
         self.eng.schedule_after(latency, EventKind.COMPUTE_DONE, finish,
                                 node=node, detail=what)
 
-    def _uplink_rate_power(self, ue_id: str, context: str) -> tuple[float, float, list, str | None]:
-        """(rate, tx_power, blocks, shared_tag) for one uplink transmission."""
-        ue = self.topo.ues[ue_id]
-        ap = ue.attached_ap
-        cluster = self.radio.cluster_of(ue_id)
-        if cluster is not None and self.scheme.kind.noma:
-            key = (cluster.member_ids(), context.split(":")[0])
-            rates = self._cluster_rate_cache.get(key)
-            if rates is None:
-                gains = {m: draw_channel_gain(self.topo.ues[m],
-                                              self.eng.rng.stream(f"gain:{m}:{key[1]}"))
-                         for m in cluster.member_ids()}
-                rates = self.radio.cluster_rates(cluster, gains)
-                self._cluster_rate_cache[key] = rates
-            tag = "cluster:" + "+".join(cluster.member_ids())
-            return rates[ue_id], cluster.power_of(ue_id), list(cluster.blocks), tag
-        gain = draw_channel_gain(ue, self.eng.rng.stream(f"gain:{ue_id}:{context}"))
-        block = self.radio.block_for(ap, self._block_slot_of(ue_id))
-        rate = self.radio.oma_uplink_rate(block, ue.tx_power, gain)
-        return rate, ue.tx_power, [block], None
+    def _cluster_rates(self, cluster: NomaCluster, context: str) -> dict[str, float]:
+        """Per-member NOMA rates; each member's gain is drawn once per cluster
+        and payload round, and shared by the members' uplinks in it."""
+        key = (cluster.member_ids(), context.split(":")[0])
+        rates = self._cluster_rate_cache.get(key)
+        if rates is None:
+            gains = {m: draw_channel_gain(self.topo.ues[m],
+                                          self.eng.rng.stream(f"gain:{m}:{key[1]}"))
+                     for m in key[0]}
+            rates = self._cluster_rate_cache[key] = self.radio.cluster_rates(cluster, gains)
+        return rates
 
     def leg_radio_up(self, ue_id: str, bits: int, payload: str, context: str,
                      done, fail) -> None:
         """One uplink transmission UE -> its access point."""
         if self._outage(ue_id, context, fail):
             return
-        rate, power, blocks, tag = self._uplink_rate_power(ue_id, context)
-        latency, energy = tx_cost(bits, rate, power, self.scheme)
-        if not self._battery_ok(ue_id, energy, fail):
+        cluster = self.radio.cluster_of(ue_id)
+        if cluster is not None and self.session.scheme.kind.noma:
+            latency, tx, rx = self.legs.noma_up(cluster, ue_id, bits,
+                                                self._cluster_rates(cluster, context))
+            blocks, tag = cluster.blocks, "cluster:" + "+".join(cluster.member_ids())
+        else:
+            gain = draw_channel_gain(self.topo.ues[ue_id],
+                                     self.eng.rng.stream(f"gain:{ue_id}:{context}"))
+            block, latency, tx, rx = self.legs.oma_up(ue_id, bits, gain)
+            blocks, tag = (block,), None
+        if not self._battery_ok(ue_id, tx, fail):
             return
         ap = self._ap_of(ue_id)
         start = self.eng.clock
@@ -309,9 +378,8 @@ class _RunnerBase:
             start = max(start, self.eng.blocks.reserve(
                 ap, block.index, self.eng.clock, latency, owner=ue_id, shared_tag=tag))
         def finish():
-            self.eng.charge(ue_id, "tx", energy)
-            self.eng.debit_battery(ue_id, energy)
-            rx = self.radio.rx_energy_per_bit * bits
+            self.eng.charge(ue_id, "tx", tx)
+            self.eng.debit_battery(ue_id, tx)
             if rx > 0:
                 self.eng.charge(ap, "rx", rx)
             self.bytes_up += bits // 8
@@ -322,12 +390,10 @@ class _RunnerBase:
     def leg_radio_down(self, ue_id: str, bits: int, payload: str, done, fail) -> None:
         """One downlink transmission: access point -> UE at the fixed rate."""
         ap = self._ap_of(ue_id)
-        latency = bits / self.radio.downlink_rate
-        rx = self.radio.rx_energy_per_bit * bits
+        latency, tx, rx = self.legs.down(bits)
         if not self._battery_ok(ue_id, rx, fail):
             return
         def finish():
-            tx = self.radio.downlink_energy_per_bit * bits
             if tx > 0:
                 self.eng.charge(ap, "tx", tx)
             if rx > 0:
@@ -340,12 +406,10 @@ class _RunnerBase:
 
     def leg_backhaul(self, src: str, dst: str, bits: int, payload: str, done) -> None:
         """Server-to-server hop over a configured wired pipe."""
-        link = self.topo.link_between(src, dst)
-        latency, energy = costs.link_cost(bits, link)
+        latency, tx, rx = self.legs.backhaul(src, dst, bits)
         def finish():
-            if energy > 0:
-                self.eng.charge(src, "tx", energy)
-            rx = self.radio.rx_energy_per_bit * bits
+            if tx > 0:
+                self.eng.charge(src, "tx", tx)
             if rx > 0:
                 self.eng.charge(dst, "rx", rx)
             done()
@@ -354,12 +418,7 @@ class _RunnerBase:
 
     def leg_d2d(self, src: str, dst: str, bits: int, payload: str, done, fail) -> None:
         """Direct device-to-device hop; no access delay, no radio scheduler."""
-        link = self.topo.d2d_link(src, dst)
-        if link is None:
-            raise MissingD2dLink(f"no D2D link between {src!r} and {dst!r}")
-        latency = bits / link.rate
-        tx = bits * link.energy_per_bit
-        rx = self.radio.rx_energy_per_bit * bits
+        latency, tx, rx = self.legs.d2d(src, dst, bits)
         if not self._battery_ok(src, tx, fail):
             return
         if not self._battery_ok(dst, rx, fail):
@@ -380,12 +439,9 @@ class _RunnerBase:
         """UE -> server: radio uplink plus a backhaul hop when the server is
         not the UE's own access point."""
         ap = self._ap_of(ue_id)
-        if server == ap:
-            self.leg_radio_up(ue_id, bits, payload, context, done, fail)
-        else:
-            self.leg_radio_up(ue_id, bits, payload, context,
-                              lambda: self.leg_backhaul(ap, server, bits, payload, done),
-                              fail)
+        arrived = done if server == ap else (
+            lambda: self.leg_backhaul(ap, server, bits, payload, done))
+        self.leg_radio_up(ue_id, bits, payload, context, arrived, fail)
 
     def downlink_path(self, server: str, ue_id: str, bits: int, payload: str,
                       done, fail) -> None:
@@ -433,20 +489,10 @@ class _RunnerBase:
             done(None)
             return
         macs = costs.forward_macs(model.widths, data.test_x.shape[0])
-        result = {}
-        def finish():
-            done(result["acc"])
         def run_eval():
             _, acc = mlp.evaluate(model, data.test_x, data.test_labels)
-            result["acc"] = acc
-            finish()
+            done(acc)
         self.leg_compute(owner, macs, "eval", run_eval)
-
-
-def _abort(exc: SessionAborted, trace: MetricsTrace) -> SessionAborted:
-    trace.status = f"aborted: {exc.reason}"
-    exc.trace = trace
-    return exc
 
 
 # ====================================================================== #
@@ -456,18 +502,14 @@ def _abort(exc: SessionAborted, trace: MetricsTrace) -> SessionAborted:
 class _FlRunner(_RunnerBase):
     def __init__(self, session: FlSession, topo, radio_env, eng,
                  protocol_name: str = "fl"):
-        super().__init__(protocol_name, topo, radio_env, eng, session.scheme,
-                         session.config, session.dropout_slope)
-        self.session = session
-        self.trace = MetricsTrace(protocol=protocol_name)
-        self.global_model = session.model
+        super().__init__(protocol_name, session, topo, radio_env, eng,
+                         session.global_rounds)
         self.busy_until: dict[str, float] = {}
-        self.assign_block_slots(session.clients)
 
     # one client's whole round: download, train locally, upload the delta
     def _client_round(self, client: str, rnd: int, arrive, fail) -> None:
         sess = self.session
-        bits = self.global_model.payload_bits
+        bits = self.model.payload_bits
         ctx = f"fl{rnd}"
 
         def after_download():
@@ -485,7 +527,7 @@ class _FlRunner(_RunnerBase):
         """The actual numpy training a client performs this round."""
         sess = self.session
         shard = sess.data.shard_of(client)
-        model = self.global_model
+        model = self.model
         losses = []
         for it in range(sess.local_iterations):
             x, labels = shard.batch(rnd * sess.local_iterations + it,
@@ -494,17 +536,14 @@ class _FlRunner(_RunnerBase):
             losses.append(mlp.batch_loss(model, cache, labels))
             grads = mlp.backward(model, cache, labels)
             model = mlp.sgd_step(model, grads, self.config.lr)
-        delta = mlp.model_delta(model, self.global_model, sample_count=shard.size)
+        delta = mlp.model_delta(model, self.model, sample_count=shard.size)
         macs = sess.local_iterations * costs.training_macs(
             model.widths, self.config.batch_size)
         return {"delta": delta, "losses": losses, "macs": macs, "n": shard.size}
 
-    def delta_sample_count(self, client: str) -> int:
-        return self.session.data.shard_of(client).size
-
-    def _begin_round(self, rnd: int) -> None:
+    def _begin(self, rnd: int) -> None:
         sess = self.session
-        if rnd >= sess.global_rounds:
+        if rnd >= self.rounds:
             return
         participants = [c for c in sess.clients if c not in self.eng.dropped]
         if not participants:
@@ -523,11 +562,8 @@ class _FlRunner(_RunnerBase):
             self.busy_until[client] = self.eng.clock
             if state["closed"]:
                 return  # past the round deadline; late delta discarded
-            if self.eng.clock > state["start"] + sess.round_deadline:
-                state["pending"].discard(client)
-                self._maybe_close(state, rnd)
-                return
-            state["arrivals"].append((client, staged))
+            if self.eng.clock <= state["start"] + sess.round_deadline:
+                state["arrivals"].append((client, staged))
             state["pending"].discard(client)
             self._maybe_close(state, rnd)
 
@@ -563,12 +599,12 @@ class _FlRunner(_RunnerBase):
     def _aggregate(self, state, rnd) -> None:
         sess = self.session
         deltas = [staged["delta"] for _, staged in state["arrivals"]]
-        macs = costs.aggregation_macs(len(deltas), self.global_model.param_count)
+        macs = costs.aggregation_macs(len(deltas), self.model.param_count)
 
         def after_agg():
             merged = mlp.fed_avg(deltas)
-            self.global_model = mlp.apply_delta(self.global_model, merged)
-            self.maybe_eval(sess.server, self.global_model, sess.data, rnd,
+            self.model = mlp.apply_delta(self.model, merged)
+            self.maybe_eval(sess.server, self.model, sess.data, rnd,
                             lambda acc: close_round(acc))
 
         def close_round(accuracy):
@@ -579,22 +615,10 @@ class _FlRunner(_RunnerBase):
                 rnd, state["start"], state["before"], loss, accuracy,
                 state["dropouts"], state["bytes"]))
             self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                    lambda: self._begin_round(rnd + 1),
+                                    lambda: self._begin(rnd + 1),
                                     node=sess.server, detail=f"round {rnd} done")
 
         self.leg_compute(sess.server, macs, f"aggregate:r{rnd}", after_agg)
-
-    def run(self) -> MetricsTrace:
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY,
-                          lambda: self._begin_round(0),
-                          node=self.session.server, detail="session start")
-        try:
-            self.eng.run()
-        except SessionAborted as exc:
-            self.trace.final_model = self.global_model
-            raise _abort(exc, self.trace)
-        self.trace.final_model = self.global_model
-        return self.trace
 
 
 def run_fl(session: FlSession, topo: NetworkTopology, radio_env: RadioEnv,
@@ -612,47 +636,28 @@ class _SlHomoRunner(_RunnerBase):
     directly over D2D when a link exists, otherwise via the server."""
 
     def __init__(self, session: SlSession, topo, radio_env, eng,
-                 protocol_name: str = "sl_homogeneous",
-                 transport_override=None):
-        super().__init__(protocol_name, topo, radio_env, eng, session.scheme,
-                         session.config, session.dropout_slope)
-        self.session = session
-        self.trace = MetricsTrace(protocol=protocol_name)
-        self.model = session.model
+                 protocol_name: str = "sl_homogeneous"):
+        super().__init__(protocol_name, session, topo, radio_env, eng, session.iterations)
         self.cut = session.cut_index
         self.holder: str | None = None  # who physically has the client part
         self.consecutive_failures = 0
-        self.nested_transport = transport_override  # D2D hub mode (FedSplit)
-        widths = self.model.widths
-        self.client_part_bits = costs.model_bits(widths[:self.cut + 1])
-        self.assign_block_slots(session.clients)
+        self.client_part_bits = costs.model_bits(self.model.widths[:self.cut + 1])
 
-    # transport selection: in nested mode every hop is a D2D hop to/from the
-    # master; otherwise radio uplink/downlink to the AP-side server
+    # transport between a client and the SL server: radio uplink/downlink
     def _up(self, ue, bits, payload, ctx, done, fail):
-        if self.nested_transport:
-            self.leg_d2d(ue, self.session.server, bits, payload, done, fail)
-        else:
-            self.uplink_path(ue, self.session.server, bits, payload, ctx, done, fail)
+        self.uplink_path(ue, self.session.server, bits, payload, ctx, done, fail)
 
     def _down(self, ue, bits, payload, done, fail):
-        if self.nested_transport:
-            self.leg_d2d(self.session.server, ue, bits, payload, done, fail)
-        else:
-            self.downlink_path(self.session.server, ue, bits, payload, done, fail)
-
-    def _alive_clients(self) -> list[str]:
-        return [c for c in self.session.clients if c not in self.eng.dropped]
+        self.downlink_path(self.session.server, ue, bits, payload, done, fail)
 
     def _client_for(self, iteration: int) -> str:
-        alive = self._alive_clients()
+        alive = [c for c in self.session.clients if c not in self.eng.dropped]
         if not alive:
             raise AllClientsDropped(f"iteration {iteration}: no clients left")
         return alive[iteration % len(alive)]
 
-    def _begin_iteration(self, iteration: int) -> None:
-        sess = self.session
-        if iteration >= sess.iterations:
+    def _begin(self, iteration: int) -> None:
+        if iteration >= self.rounds:
             return
         active = self._client_for(iteration)
         state = {
@@ -750,15 +755,12 @@ class _SlHomoRunner(_RunnerBase):
             state["drops"], state["bytes"]))
         nxt = state["it"] + 1
         self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                lambda: self._begin_iteration(nxt),
+                                lambda: self._begin(nxt),
                                 node=self.session.server, detail=f"iter {state['it']} done")
 
     def _next_after(self, client: str) -> str | None:
         order = self.session.clients
-        if client in order:
-            pivot = order.index(client)
-        else:
-            pivot = -1
+        pivot = order.index(client) if client in order else -1
         for step in range(1, len(order) + 1):
             candidate = order[(pivot + step) % len(order)]
             if candidate not in self.eng.dropped:
@@ -786,18 +788,6 @@ class _SlHomoRunner(_RunnerBase):
         fail = lambda: self._iteration_failed(retry_state)
         self._deliver_client_part(retry_state["client"], retry_state, fail)
 
-    def run(self) -> MetricsTrace:
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY,
-                          lambda: self._begin_iteration(0),
-                          node=self.session.server, detail="session start")
-        try:
-            self.eng.run()
-        except SessionAborted as exc:
-            self.trace.final_model = self.model
-            raise _abort(exc, self.trace)
-        self.trace.final_model = self.model
-        return self.trace
-
 
 def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,
                        radio_env: RadioEnv, eng: Engine) -> MetricsTrace:
@@ -819,15 +809,11 @@ class _SlHeteroRunner(_RunnerBase):
     """
 
     def __init__(self, session: SlSession, topo, radio_env, eng):
-        super().__init__("sl_heterogeneous", topo, radio_env, eng, session.scheme,
-                         session.config, session.dropout_slope)
-        self.session = session
-        self.trace = MetricsTrace(protocol="sl_heterogeneous")
-        self.model = session.model
+        super().__init__("sl_heterogeneous", session, topo, radio_env, eng,
+                         session.iterations)
         self.assignment = list(session.clients)  # segment k -> client id
         self._iter_drops: list[str] = []
         self._check_relay_links()
-        self.assign_block_slots(session.clients)
 
     def _check_relay_links(self) -> None:
         if self.session.relay != "d2d":
@@ -852,9 +838,9 @@ class _SlHeteroRunner(_RunnerBase):
                                                         payload, done, fail),
                              fail)
 
-    def _begin_iteration(self, iteration: int) -> None:
+    def _begin(self, iteration: int) -> None:
         sess = self.session
-        if iteration >= sess.iterations:
+        if iteration >= self.rounds:
             return
         state = {
             "start": self.eng.clock,
@@ -967,7 +953,7 @@ class _SlHeteroRunner(_RunnerBase):
             drops, state["bytes"]))
         nxt = state["it"] + 1
         self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                lambda: self._begin_iteration(nxt),
+                                lambda: self._begin(nxt),
                                 node=self.session.server, detail=f"iter {state['it']} done")
 
     def _iteration_failed(self, state) -> None:
@@ -984,21 +970,9 @@ class _SlHeteroRunner(_RunnerBase):
         self.assignment = survivors[:len(self.session.boundaries)]
         self._check_relay_links()
         self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                lambda: self._begin_iteration(state["it"]),
+                                lambda: self._begin(state["it"]),
                                 node=self.session.server,
                                 detail=f"iter {state['it']} rerun")
-
-    def run(self) -> MetricsTrace:
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY,
-                          lambda: self._begin_iteration(0),
-                          node=self.session.server, detail="session start")
-        try:
-            self.eng.run()
-        except SessionAborted as exc:
-            self.trace.final_model = self.model
-            raise _abort(exc, self.trace)
-        self.trace.final_model = self.model
-        return self.trace
 
 
 def run_sl_heterogeneous(session: SlSession, topo: NetworkTopology,
@@ -1034,9 +1008,7 @@ class _FedSplitRunner(_FlRunner):
                     f"nested clients {sorted(stray)} are not slaves of {master!r}")
 
     def delta_sample_count(self, master: str) -> int:
-        sub = self.nested.get(master)
-        if sub is None:
-            return super().delta_sample_count(master)
+        sub = self.nested[master]
         return sum(sub.data.shard_of(s).size for s in sub.clients)
 
     def _client_round(self, client: str, rnd: int, arrive, fail) -> None:
@@ -1044,7 +1016,7 @@ class _FedSplitRunner(_FlRunner):
             super()._client_round(client, rnd, arrive, fail)
             return
         sess = self.session
-        bits = self.global_model.payload_bits
+        bits = self.model.payload_bits
         sub_template = self.nested[client]
 
         def after_download():
@@ -1053,7 +1025,7 @@ class _FedSplitRunner(_FlRunner):
         def after_nested(local_model, losses):
             n = self.delta_sample_count(client)
             staged = {
-                "delta": mlp.model_delta(local_model, self.global_model, sample_count=n),
+                "delta": mlp.model_delta(local_model, self.model, sample_count=n),
                 "losses": losses,
                 "n": n,
             }
@@ -1068,60 +1040,45 @@ class _FedSplitRunner(_FlRunner):
         """Run the master's local iterations as homogeneous SL over its slaves,
         sharing this engine and clock. Accuracy is evaluated at the FL level,
         so the nested run never evaluates on its own."""
-        sub = SlSession(
-            server=master,
-            clients=list(template.clients),
-            variant="homogeneous",
-            iterations=self.session.local_iterations,
-            model=mlp.clone(self.global_model),
-            scheme=template.scheme,
-            config=TrainingConfig(lr=template.config.lr,
-                                  batch_size=template.config.batch_size,
-                                  cycles_per_mac=template.config.cycles_per_mac,
-                                  eval_every=0),
-            data=template.data,
-            cut_index=template.cut_index,
-            dropout_slope=template.dropout_slope,
-        )
-        inner = _SlHomoRunner(sub, self.topo, self.radio, self.eng,
-                              protocol_name="fedsplit_nested",
-                              transport_override="d2d")
-        inner.trace = _NullTrace()  # the master's work reports through the FL trace
-        finished = {"flag": False}
-
-        # completion is detected when the final iteration's record lands;
-        # a nested abort takes the master itself out of the FL session
-        original_finish = inner._finish_iteration
-
-        def patched_finish(state, accuracy):
-            original_finish(state, accuracy)
-            if not finished["flag"] and state["it"] + 1 >= sub.iterations:
-                finished["flag"] = True
-                done(inner.model, [r.loss for r in inner.trace.records])
-
-        def patched_failure(state):
-            try:
-                _SlHomoRunner._iteration_failed(inner, state)
-            except SessionAborted as exc:
-                if not finished["flag"]:
-                    finished["flag"] = True
-                    self.eng.mark_dropped(master, f"nested split aborted: {exc.reason}",
-                                          callback=fail)
-
-        inner._finish_iteration = patched_finish
-        inner._iteration_failed = patched_failure
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY,
-                          lambda: inner._begin_iteration(0),
+        sub = replace(template, clients=list(template.clients), variant="homogeneous",
+                      iterations=self.session.local_iterations,
+                      model=mlp.clone(self.model),
+                      config=replace(template.config, eval_every=0),
+                      boundaries=(), relay="via_server")
+        inner = _NestedSlRunner(sub, self.topo, self.radio, self.eng, done, fail)
+        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: inner._begin(0),
                           node=master, detail=f"nested r{rnd} start")
 
 
-class _NullTrace:
-    """Record sink for nested runs; keeps losses, stays out of the artifacts."""
+class _NestedSlRunner(_SlHomoRunner):
+    """A FedSplit master's local iterations: homogeneous SL over its slaves,
+    every hop a D2D hop to or from the master. It keeps its records to
+    itself (the master's work reports through the FL trace) and hands the
+    trained model and its losses to `done` after the last iteration; an
+    abort takes the master itself out of the FL session through `fail`."""
 
-    def __init__(self):
-        self.records = []
-        self.status = "completed"
-        self.final_model = None
+    def __init__(self, session: SlSession, topo, radio_env, eng, done, fail):
+        super().__init__(session, topo, radio_env, eng, protocol_name="fedsplit_nested")
+        self.done = done
+        self.fail = fail
+
+    def _up(self, ue, bits, payload, ctx, done, fail):
+        self.leg_d2d(ue, self.session.server, bits, payload, done, fail)
+
+    def _down(self, ue, bits, payload, done, fail):
+        self.leg_d2d(self.session.server, ue, bits, payload, done, fail)
+
+    def _finish_iteration(self, state, accuracy) -> None:
+        super()._finish_iteration(state, accuracy)
+        if state["it"] + 1 == self.rounds:
+            self.done(self.model, [r.loss for r in self.trace.records])
+
+    def _iteration_failed(self, state) -> None:
+        try:
+            super()._iteration_failed(state)
+        except SessionAborted as exc:
+            self._refuse(self.session.server, f"nested split aborted: {exc.reason}",
+                         self.fail)
 
 
 def run_fedsplit_nested(fl_session: FlSession, nested: dict[str, SlSession],

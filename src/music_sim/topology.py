@@ -168,9 +168,6 @@ class NetworkTopology:
     def node_count(self) -> int:
         return len(self.servers) + len(self.ues)
 
-    def all_node_ids(self) -> tuple[str, ...]:
-        return tuple(self.servers) + tuple(self.ues)
-
 
 # ---------------- construction ---------------- #
 

@@ -256,9 +256,3 @@ def test_evaluate_accuracy_hand_case():
 def test_one_hot():
     out = mlp.one_hot(np.array([0, 2, 1]), 3)
     assert np.array_equal(out, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
-
-
-def test_smashed_data_payload_bits():
-    smashed = mlp.SmashedData(activations=np.zeros((8, 5)),
-                              labels=np.zeros(8))
-    assert smashed.payload_bits == 32 * (40 + 8)

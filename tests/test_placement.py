@@ -34,7 +34,7 @@ from music_sim.protocols import (
     run_sl_heterogeneous,
     run_sl_homogeneous,
 )
-from music_sim.radio import AccessScheme, SchemeKind
+from music_sim.radio import AccessScheme, NomaCluster, SchemeKind
 from music_sim.topology import UeProfile, validate_layer_span
 
 from conftest import blob_data, simple_radio, star_topology
@@ -131,20 +131,28 @@ def _assert_parity(est: CostEstimate, eng: Engine, rel=1e-9):
     assert est.total_energy == pytest.approx(energy, rel=rel)
 
 
-def test_estimate_matches_executed_fl():
+@pytest.mark.parametrize("kind", ["oma_grant_based", "noma_grant_based",
+                                  "noma_grant_free"])
+def test_estimate_matches_executed_fl(kind):
+    """ue0 and ue1 form a NOMA cluster on blocks 0-1 (used by the NOMA
+    schemes only); ue2 keeps block 2 to itself either way."""
     topo = star_topology(3)
-    radio = simple_radio()
+    blocks = simple_radio().cells["ap0"]
+    radio = simple_radio(clusters=[NomaCluster(members=(("ue0", 0.2), ("ue1", 0.1)),
+                                               blocks=blocks[:2])])
+    kind = SchemeKind(kind)
+    scheme = AccessScheme(kind=kind, signalling_delay=0.0 if kind.grant_free else 0.01)
     data = blob_data(3, test_size=32)
     model = mlp.init_model(list(WIDTHS), "ce", seed=3)
     sess = FlSession(server="ap0", clients=["ue0", "ue1", "ue2"],
                      local_iterations=2, global_rounds=3, model=model,
-                     scheme=SCHEME, config=_config(eval_every=2), data=data)
+                     scheme=scheme, config=_config(eval_every=2), data=data)
     eng = Engine(seed=0)
     run_fl(sess, topo, radio, eng)
 
     plan = TrainingPlan(task=_task("fl", rounds=3, local_iters=2, eval_every=2),
                         roles={"ap0": "server", "ue0": "client", "ue1": "client",
-                               "ue2": "client"}, ma_scheme=SCHEME)
+                               "ue2": "client"}, ma_scheme=scheme)
     _assert_parity(estimate_cost(plan, topo, radio), eng)
 
 

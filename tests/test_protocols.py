@@ -1,27 +1,41 @@
 """End-to-end protocol behavior on small star networks: latency composition,
 failure handling, transport selection, and the metrics trace."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import music_sim
 from music_sim import costs, mlp
 from music_sim.data import make_blobs
 from music_sim.engine import Engine
-from music_sim.errors import AllClientsDropped, MissingD2dLink, SessionAborted
+from music_sim.errors import (
+    AllClientsDropped,
+    MissingD2dLink,
+    SessionAborted,
+    SessionStalled,
+)
 from music_sim.protocols import (
     FlSession,
     SlSession,
     TrainingConfig,
+    _FlRunner,
     run_fedsplit_nested,
     run_fl,
     run_sl_heterogeneous,
     run_sl_homogeneous,
 )
 from music_sim.radio import AccessScheme, SchemeKind, draw_channel_gain
+from music_sim.scenario import assemble, parse_config
 
 from conftest import blob_data, model_rel_err, simple_radio, star_doc, star_topology
 
 WIDTHS = [8, 16, 12, 4]
+SCENARIO_DIR = Path(music_sim.__file__).parent / "scenarios"
 
 
 def _config(**kw):
@@ -437,3 +451,100 @@ def test_fedsplit_bytes_exclude_d2d_traffic():
     per_round = fl.model.payload_bits // 8
     assert trace.records[0].bytes_up == per_round    # the master's delta only
     assert trace.records[0].bytes_down == per_round  # the model broadcast only
+
+
+# ---------------------------------------------------------- liveness ---- #
+
+def test_refusal_by_an_already_dropped_device_still_fails_its_leg():
+    """A device drained by an earlier leg's debit drops silently; the next
+    leg it refuses must still reach its session through `fail`."""
+    topo = star_topology(1)
+    sess = _fl_session(["ue0"], blob_data(1), rounds=1, local_iters=1)
+    eng = Engine(seed=0)
+    eng.mark_dropped("ue0", "drained earlier")
+    runner = _FlRunner(sess, topo, simple_radio(), eng)
+    calls = []
+    runner.leg_compute("ue0", 1000, "work", lambda: calls.append("done"),
+                       lambda: calls.append("fail"))
+    eng.run()
+    assert calls == ["fail"]
+
+
+def test_a_drained_event_queue_is_a_stall_not_a_completion():
+    class IdleRunner(_FlRunner):
+        def _begin(self, rnd):
+            pass  # never schedules a round
+
+    sess = _fl_session(["ue0"], blob_data(1), rounds=2, local_iters=1)
+    runner = IdleRunner(sess, star_topology(1), simple_radio(), Engine(seed=0))
+    with pytest.raises(SessionStalled) as info:
+        runner.run()
+    assert info.value.trace is runner.trace
+    assert info.value.trace.status.startswith("aborted: ")
+    assert info.value.trace.records == []
+
+
+def _run_bundled(name: str, batteries: dict[str, float]):
+    """(runtime, trace) of a bundled scenario with some device batteries
+    replaced; the trace is the partial one when the session aborts."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    for ue in doc["nodes"]["ue"]:
+        ue["battery"] = batteries.get(ue["id"], ue["battery"])
+    runtime = assemble(parse_config(doc))
+    try:
+        return runtime, runtime.execute()
+    except SessionAborted as exc:
+        assert exc.trace is not None
+        assert exc.trace.status == f"aborted: {exc.reason}"
+        return runtime, exc.trace
+
+
+def _assert_live(runtime, trace, records: int) -> None:
+    """Completed with every record, or aborted with fewer; either way the
+    event log reproduces the ledger."""
+    if trace.status == "completed":
+        assert len(trace.records) == records
+    else:
+        assert len(trace.records) < records
+    assert runtime.engine.recount_from_log() == runtime.engine.energy_ledger
+
+
+@pytest.mark.parametrize("name, device, battery, records", [
+    ("sl_heterogeneous_d2d", "ue1", 2.2094e-05, 24),
+    ("fedsplit_nested", "ue0", 3.794e-06, 8),
+])
+def test_bundled_scenario_with_a_drained_device_does_not_stall(
+        name, device, battery, records):
+    """Batteries that once ended these runs `completed` with zero records."""
+    runtime, trace = _run_bundled(name, {device: battery})
+    _assert_live(runtime, trace, records)
+
+
+_FULL_RUN_SPEND: dict[str, tuple[int, dict[str, float]]] = {}
+
+
+def _full_run_spend(name: str) -> tuple[int, dict[str, float]]:
+    """Record count and per-device energy of the unconstrained run."""
+    if name not in _FULL_RUN_SPEND:
+        runtime, trace = _run_bundled(name, {})
+        spent = {ue: runtime.engine.ledger_total(ue) for ue in runtime.cfg.topo.ues}
+        _FULL_RUN_SPEND[name] = (len(trace.records), spent)
+    return _FULL_RUN_SPEND[name]
+
+
+@pytest.mark.parametrize("name", ["fl_edge", "sl_homogeneous", "sl_heterogeneous_d2d",
+                                  "fedsplit_nested"])
+@settings(max_examples=12, deadline=None)
+@given(fractions=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=6,
+                          max_size=6))
+def test_any_battery_vector_completes_or_aborts(name, fractions):
+    """Each device gets a share of what it spends in a full run: the run
+    records every iteration or aborts with a partial trace, and a rerun is
+    byte-identical."""
+    records, spent = _full_run_spend(name)
+    batteries = {ue: f * spent[ue] for ue, f in zip(sorted(spent), fractions)}
+    runtime, trace = _run_bundled(name, batteries)
+    _assert_live(runtime, trace, records)
+    again, trace_again = _run_bundled(name, batteries)
+    assert trace_again.csv_rows() == trace.csv_rows()
+    assert again.engine.event_log == runtime.engine.event_log
