@@ -12,12 +12,14 @@ reproduce the ledger exactly, which makes silent double-charging detectable.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -70,12 +72,7 @@ class RngStreams:
         return gen
 
 
-@dataclass
-class _Reservation:
-    start: float
-    end: float
-    owner: str
-    shared_tag: str | None
+_start_of = itemgetter(0)
 
 
 class BlockLedger:
@@ -83,28 +80,45 @@ class BlockLedger:
 
     A block serves one owner at a time, except reservations carrying the same
     shared tag (a power-multiplexed cluster), which may overlap each other.
+
+    Requests arrive in non-decreasing `earliest` order (the engine clock), so
+    a reservation that ended at or before a request can never overlap a later
+    one and is dropped. Each block keeps its live reservations as
+    (start, end, shared_tag) sorted by start.
     """
 
     def __init__(self):
-        self._held: dict[tuple[str, int], list[_Reservation]] = {}
+        self._held: dict[tuple[str, int], list[tuple[float, float, str | None]]] = {}
+        self._last_request = float("-inf")
 
     def reserve(self, ap_id: str, block_index: int, earliest: float, duration: float,
                 owner: str, shared_tag: str | None = None) -> float:
         """Book the block for `duration` at the first free instant >= earliest;
-        returns the granted start time."""
-        slots = self._held.setdefault((ap_id, block_index), [])
+        returns the granted start time. `owner` names the holder for error
+        messages only."""
+        if earliest < self._last_request:
+            raise TimestampInPast(
+                f"{owner!r} asked for block {block_index} of {ap_id!r} from {earliest} "
+                f"after a request from {self._last_request}")
+        self._last_request = earliest
+        live = self._held.setdefault((ap_id, block_index), [])
         start = earliest
-        moved = True
-        while moved:
-            moved = False
-            for r in slots:
-                if shared_tag is not None and r.shared_tag == shared_tag:
-                    continue
-                if r.start < start + duration and start < r.end:
-                    start = r.end
-                    moved = True
-        slots.append(_Reservation(start, start + duration, owner, shared_tag))
-        slots.sort(key=lambda r: (r.start, r.end, r.owner))
+        kept = []
+        scanned = len(live)
+        for i, held in enumerate(live):
+            held_start, held_end, tag = held
+            if held_start >= start + duration:
+                # sorted by start: neither this nor any later one overlaps
+                scanned = i
+                break
+            if held_end <= earliest:
+                continue  # finished
+            kept.append(held)
+            if start < held_end and (shared_tag is None or tag != shared_tag):
+                start = held_end
+        if len(kept) != scanned:
+            live[:scanned] = kept
+        bisect.insort_right(live, (start, start + duration, shared_tag), key=_start_of)
         return start
 
 

@@ -7,6 +7,10 @@ routes are coded independently on purpose: the segment path is what the
 distributed protocols execute, the monolithic path is the reference they
 are checked against.
 
+`sgd_clients` trains many clients at once from one model, as stacked
+(clients, batch, width) arrays; each client's slice equals its own
+forward / backward / sgd_step chain bit for bit.
+
 Hidden layers use ReLU. The output layer is linear under squared error and
 softmax under cross-entropy. Losses are mean-reduced over the batch:
 squared error is 0.5/B * sum of squared residuals, cross-entropy is the
@@ -123,36 +127,52 @@ def _check_batch(x: np.ndarray, expected_dim: int):
         raise ShapeMismatch(f"expected {expected_dim} features, got {x.shape[1]}")
 
 
+# The loss math below works on the last two axes, (batch, classes), so the
+# single-model passes and the stacked `sgd_clients` share it.
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _targets_for(model: MlpModel, labels: np.ndarray, batch: int) -> np.ndarray:
+def _targets_for(model: MlpModel, labels: np.ndarray, logits: np.ndarray) -> np.ndarray:
     """Labels as the loss expects them: class ids (ce) or one-hot rows (mse)."""
     labels = np.asarray(labels)
+    rows = logits.shape[:-1]
     if model.loss == "ce":
-        flat = labels.astype(int).reshape(-1)
-        if flat.shape[0] != batch:
-            raise LengthMismatch(f"{flat.shape[0]} labels for batch of {batch}")
-        return flat
-    if labels.ndim == 1:
-        return one_hot(labels, model.widths[-1])
-    if labels.shape != (batch, model.widths[-1]):
-        raise ShapeMismatch(f"targets {labels.shape} for batch of {batch}")
+        ids = labels.astype(int).reshape(labels.shape[:len(rows) - 1] + (-1,))
+        if ids.shape != rows:
+            raise LengthMismatch(f"{ids.shape[-1]} labels for batch of {rows[-1]}")
+        return ids
+    if labels.shape == rows:
+        return one_hot(labels.reshape(-1), model.widths[-1]).reshape(logits.shape)
+    if labels.shape != logits.shape:
+        raise ShapeMismatch(f"targets {labels.shape} for batch of {rows[-1]}")
     return labels
 
 
-def _output_grad(model: MlpModel, logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _output_grad(model: MlpModel, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """dLoss/d(final pre-activation) for the mean-reduced losses."""
-    batch = logits.shape[0]
-    targets = _targets_for(model, labels, batch)
+    batch = logits.shape[-2]
     if model.loss == "ce":
-        grad = _softmax(logits)
-        grad[np.arange(batch), targets] -= 1.0
-        return grad / batch
+        # subtracting the 0/1 mask is exact: p - 0.0 == p
+        hit = targets[..., None] == np.arange(logits.shape[-1])
+        return (_softmax(logits) - hit) / batch
     return (logits - targets) / batch
+
+
+def _loss(model: MlpModel, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Mean-reduced loss over the batch axis; one value per leading index."""
+    batch = logits.shape[-2]
+    if model.loss == "ce":
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
+        return -np.mean(picked, axis=-1)
+    residual = logits - targets
+    squares = residual * residual
+    return 0.5 * squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1) / batch
 
 
 def batch_loss(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> float:
@@ -160,14 +180,7 @@ def batch_loss(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> floa
     if cache.segment.end != model.num_layers:
         raise StaleCache("loss needs a cache that reaches the output layer")
     logits = cache.pre_activations[-1]
-    batch = logits.shape[0]
-    targets = _targets_for(model, labels, batch)
-    if model.loss == "ce":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return float(-np.mean(log_probs[np.arange(batch), targets]))
-    residual = logits - targets
-    return float(0.5 * np.sum(residual * residual) / batch)
+    return float(_loss(model, logits, _targets_for(model, labels, logits)))
 
 
 # ---------------- monolithic pass ---------------- #
@@ -205,7 +218,8 @@ def backward(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> ParamD
     last = model.num_layers - 1
     grad_w: list = [None] * model.num_layers
     grad_b: list = [None] * model.num_layers
-    dz = _output_grad(model, cache.pre_activations[last], labels)
+    logits = cache.pre_activations[last]
+    dz = _output_grad(model, logits, _targets_for(model, labels, logits))
     for l in range(last, -1, -1):
         if l < last:
             dz = da * (cache.pre_activations[l] > 0.0)
@@ -273,7 +287,8 @@ def split_backward_server(model: MlpModel, server_cache: ForwardCache,
         raise StaleCache("cache was built for a different set of parameters")
     if server_cache.segment.end != model.num_layers:
         raise StaleCache("the loss-owning segment must reach the output layer")
-    dz_top = _output_grad(model, server_cache.pre_activations[-1], labels)
+    logits = server_cache.pre_activations[-1]
+    dz_top = _output_grad(model, logits, _targets_for(model, labels, logits))
     return _segment_backprop(model, server_cache, dz_top)
 
 
@@ -327,6 +342,55 @@ def sgd_step(model: MlpModel, grads: ParamDelta, lr: float) -> MlpModel:
     return MlpModel(widths=model.widths, loss=model.loss,
                     weights=[w - lr * g for w, g in zip(model.weights, grads.weights)],
                     biases=[b - lr * g for b, g in zip(model.biases, grads.biases)])
+
+
+def sgd_clients(model: MlpModel, steps, lr: float):
+    """Plain SGD for K clients at once, every one starting from `model`.
+
+    `steps` holds one (x, labels) pair per local step: x of shape (K, B, in)
+    and labels of shape (K, B), or (K, B, out) targets under squared error.
+    Returns (weights, biases, losses): weights[l] of shape (K, in, out),
+    biases[l] of shape (K, out), and losses of shape (K, steps), each the
+    batch loss before that step. Client k's slice is bit-identical to its own
+    chain of forward -> batch_loss -> backward -> sgd_step: every stacked
+    matmul runs the same 2-D product per client, and every reduction runs
+    over the same axis in the same order.
+    """
+    if lr <= 0:
+        raise ValueError(f"learning rate must be > 0, got {lr!r}")
+    if not steps:
+        raise EmptyInput("no local steps to run")
+    clients = steps[0][0].shape[0]
+    weights = [np.broadcast_to(w, (clients,) + w.shape) for w in model.weights]
+    biases = [np.broadcast_to(b, (clients, 1) + b.shape) for b in model.biases]
+    last = model.num_layers - 1
+    losses = []
+    for x, labels in steps:
+        if x.ndim != 3 or x.shape[0] != clients:
+            raise ShapeMismatch(f"expected a ({clients}, batch, features) array, "
+                                f"got shape {x.shape}")
+        _check_batch(x[0], model.widths[0])
+        layer_inputs, pre_activations = [], []
+        a = x
+        for l in range(model.num_layers):
+            layer_inputs.append(a)
+            z = a @ weights[l] + biases[l]
+            pre_activations.append(z)
+            if l < last:
+                a = np.maximum(z, 0.0)
+        targets = _targets_for(model, labels, z)
+        losses.append(_loss(model, z, targets))
+        dz = _output_grad(model, z, targets)
+        for l in range(last, -1, -1):
+            if l < last:
+                dz = da * (pre_activations[l] > 0.0)
+            grad_w = np.swapaxes(layer_inputs[l], -1, -2) @ dz
+            grad_b = dz.sum(axis=-2, keepdims=True)
+            if l > 0:
+                da = dz @ np.swapaxes(weights[l], -1, -2)
+            weights[l] = weights[l] - lr * grad_w
+            biases[l] = biases[l] - lr * grad_b
+    return weights, [b[:, 0] for b in biases], np.stack(losses, axis=1)
 
 
 def fed_avg(deltas: list[ParamDelta]) -> ParamDelta:

@@ -33,6 +33,11 @@ from .errors import (
 from .radio import AccessScheme, NomaCluster, RadioEnv, draw_channel_gain, tx_cost
 from .topology import NetworkTopology
 
+# FL clients trained per stacked numpy pass: large enough to amortise the
+# per-call overhead, small enough to keep the stacked activations small
+_TRAIN_GROUP = 32
+
+
 @dataclass
 class TrainingConfig:
     lr: float
@@ -505,6 +510,8 @@ class _FlRunner(_RunnerBase):
         super().__init__(protocol_name, session, topo, radio_env, eng,
                          session.global_rounds)
         self.busy_until: dict[str, float] = {}
+        # this round's local training, done at its first download
+        self._trained = {"round": None, "clients": [], "model": None, "staged": {}}
 
     # one client's whole round: download, train locally, upload the delta
     def _client_round(self, client: str, rnd: int, arrive, fail) -> None:
@@ -524,22 +531,55 @@ class _FlRunner(_RunnerBase):
         self.downlink_path(sess.server, client, bits, "model", after_download, fail)
 
     def _local_training(self, client: str, rnd: int) -> dict:
-        """The actual numpy training a client performs this round."""
+        """The actual numpy training a client performs this round, from the
+        global model it just downloaded.
+
+        The round's first download trains every participant of the round at
+        once from that model; later downloads take their result from there.
+        A client without a result from the current model (one that downloads
+        after the model was replaced) trains alone.
+        """
+        trained = self._trained
+        if trained["round"] == rnd and trained["model"] is None:
+            trained["model"] = self.model
+            trained["staged"] = self._train_clients(trained["clients"], rnd)
+        staged = None
+        if trained["round"] == rnd and trained["model"] is self.model:
+            staged = trained["staged"].pop(client, None)
+        if staged is None:
+            staged = self._train_clients([client], rnd)[client]
+        return staged
+
+    def _train_clients(self, clients: list[str], rnd: int) -> dict[str, dict]:
+        """Local SGD from the current global model for each client, stacked
+        _TRAIN_GROUP clients at a time."""
         sess = self.session
-        shard = sess.data.shard_of(client)
         model = self.model
-        losses = []
-        for it in range(sess.local_iterations):
-            x, labels = shard.batch(rnd * sess.local_iterations + it,
-                                    self.config.batch_size)
-            _, cache = mlp.forward(model, x)
-            losses.append(mlp.batch_loss(model, cache, labels))
-            grads = mlp.backward(model, cache, labels)
-            model = mlp.sgd_step(model, grads, self.config.lr)
-        delta = mlp.model_delta(model, self.model, sample_count=shard.size)
         macs = sess.local_iterations * costs.training_macs(
             model.widths, self.config.batch_size)
-        return {"delta": delta, "losses": losses, "macs": macs, "n": shard.size}
+        out = {}
+        for first in range(0, len(clients), _TRAIN_GROUP):
+            group = clients[first:first + _TRAIN_GROUP]
+            shards = [sess.data.shard_of(c) for c in group]
+            steps = []
+            for it in range(sess.local_iterations):
+                batches = [shard.batch(rnd * sess.local_iterations + it,
+                                       self.config.batch_size) for shard in shards]
+                steps.append((np.stack([x for x, _ in batches]),
+                              np.stack([labels for _, labels in batches])))
+            weights, biases, losses = mlp.sgd_clients(model, steps, self.config.lr)
+            dw = [w - w0 for w, w0 in zip(weights, model.weights)]
+            db = [b - b0 for b, b0 in zip(biases, model.biases)]
+            for k, (client, shard) in enumerate(zip(group, shards)):
+                delta = mlp.ParamDelta(widths=model.widths, weights=[d[k] for d in dw],
+                                       biases=[d[k] for d in db], sample_count=shard.size)
+                out[client] = {"delta": delta, "losses": losses[k].tolist(),
+                               "macs": macs, "n": shard.size}
+        return out
+
+    def _local_trainers(self, participants: list[str]) -> list[str]:
+        """The participants whose round runs `_local_training`."""
+        return participants
 
     def _begin(self, rnd: int) -> None:
         sess = self.session
@@ -548,6 +588,8 @@ class _FlRunner(_RunnerBase):
         participants = [c for c in sess.clients if c not in self.eng.dropped]
         if not participants:
             raise AllClientsDropped(f"round {rnd}: no clients left")
+        self._trained = {"round": rnd, "clients": self._local_trainers(participants),
+                         "model": None, "staged": {}}
         state = {
             "pending": set(participants),
             "arrivals": [],   # (client, staged)
@@ -811,19 +853,13 @@ class _SlHeteroRunner(_RunnerBase):
     def __init__(self, session: SlSession, topo, radio_env, eng):
         super().__init__("sl_heterogeneous", session, topo, radio_env, eng,
                          session.iterations)
-        self.assignment = list(session.clients)  # segment k -> client id
-        self._iter_drops: list[str] = []
-        self._check_relay_links()
-
-    def _check_relay_links(self) -> None:
-        if self.session.relay != "d2d":
-            return
-        for a, b in zip(self.assignment, self.assignment[1:]):
-            if self.topo.d2d_link(a, b) is None:
-                raise MissingD2dLink(f"relay=d2d needs a D2D link {a!r} <-> {b!r}")
+        if session.relay == "d2d":
+            for a, b in zip(session.clients, session.clients[1:]):
+                if topo.d2d_link(a, b) is None:
+                    raise MissingD2dLink(f"relay=d2d needs a D2D link {a!r} <-> {b!r}")
 
     def _segments(self) -> list[mlp.CutSpec]:
-        return mlp.contiguous_cuts(self.model.num_layers, self.session.boundaries)[:]
+        return mlp.contiguous_cuts(self.model.num_layers, self.session.boundaries)
 
     def _server_segment(self) -> mlp.CutSpec:
         return mlp.CutSpec(self.session.boundaries[-1], self.model.num_layers)
@@ -852,7 +888,7 @@ class _SlHeteroRunner(_RunnerBase):
             "labels_done": False,
             "chain_out": None,     # smashed activations at the server's door
         }
-        entry = self.assignment[0]
+        entry = sess.clients[0]
         x, labels = sess.data.shard_of(entry).batch(iteration, self.config.batch_size)
         state["x"], state["labels"] = x, labels
         fail = lambda: self._iteration_failed(state)
@@ -867,7 +903,7 @@ class _SlHeteroRunner(_RunnerBase):
         self._forward_segment(0, x, state, fail)
 
     def _forward_segment(self, k: int, activations, state, fail) -> None:
-        client = self.assignment[k]
+        client = self.session.clients[k]
         seg = self._segments()[k]
         batch = activations.shape[0]
         macs = costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
@@ -877,8 +913,8 @@ class _SlHeteroRunner(_RunnerBase):
             state["caches"][k] = cache
             bits = costs.activation_bits(batch, self.model.widths[seg.end])
             ctx = f"slx{state['it']}"
-            if k + 1 < len(self.assignment):
-                nxt = self.assignment[k + 1]
+            if k + 1 < len(self.session.clients):
+                nxt = self.session.clients[k + 1]
                 self._handoff(client, nxt, bits, "smashed", ctx,
                               lambda: self._forward_segment(k + 1, out, state, fail),
                               fail)
@@ -908,17 +944,17 @@ class _SlHeteroRunner(_RunnerBase):
             server_grads, smash_grad = mlp.split_backward_server(
                 self.model, server_cache, state["labels"])
             state["staged"].append(server_grads)
-            last = self.assignment[-1]
+            last = sess.clients[-1]
             bits = costs.activation_bits(batch, self.model.widths[seg.start])
             self.downlink_path(sess.server, last, bits, "smashed_grad",
-                               lambda: self._backward_segment(len(self.assignment) - 1,
+                               lambda: self._backward_segment(len(sess.clients) - 1,
                                                              smash_grad, state, fail),
                                fail)
 
         self.leg_compute(sess.server, macs, f"srv:i{state['it']}", after_compute, fail)
 
     def _backward_segment(self, k: int, upstream, state, fail) -> None:
-        client = self.assignment[k]
+        client = self.session.clients[k]
         seg = self._segments()[k]
         batch = state["x"].shape[0]
         macs = 2 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
@@ -931,7 +967,7 @@ class _SlHeteroRunner(_RunnerBase):
                 self._commit(state)
                 return
             bits = costs.activation_bits(batch, self.model.widths[seg.start])
-            prev = self.assignment[k - 1]
+            prev = self.session.clients[k - 1]
             self._handoff(client, prev, bits, "smashed_grad", f"slx{state['it']}:bwd",
                           lambda: self._backward_segment(k - 1, downstream, state, fail),
                           fail)
@@ -947,32 +983,21 @@ class _SlHeteroRunner(_RunnerBase):
                         state["it"], lambda acc: self._finish(state, acc))
 
     def _finish(self, state, accuracy) -> None:
-        drops, self._iter_drops = self._iter_drops, []
         self.trace.records.append(self.make_record(
             state["it"], state["start"], state["before"], state["loss"], accuracy,
-            drops, state["bytes"]))
+            [], state["bytes"]))
         nxt = state["it"] + 1
         self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
                                 lambda: self._begin(nxt),
                                 node=self.session.server, detail=f"iter {state['it']} done")
 
     def _iteration_failed(self, state) -> None:
-        """A segment owner died: the whole iteration is discarded, the pool is
-        re-formed from surviving clients, and the iteration re-runs."""
-        for c in self.assignment:
-            if c in self.eng.dropped and c not in self._iter_drops:
-                self._iter_drops.append(c)
+        """A segment owner died. Every client owns exactly one segment, so no
+        spare can take its place: the session aborts."""
         survivors = [c for c in self.session.clients if c not in self.eng.dropped]
-        if len(survivors) < len(self.session.boundaries):
-            raise SessionAborted(
-                f"iteration {state['it']}: {len(survivors)} clients left for "
-                f"{len(self.session.boundaries)} segments")
-        self.assignment = survivors[:len(self.session.boundaries)]
-        self._check_relay_links()
-        self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                lambda: self._begin(state["it"]),
-                                node=self.session.server,
-                                detail=f"iter {state['it']} rerun")
+        raise SessionAborted(
+            f"iteration {state['it']}: {len(survivors)} clients left for "
+            f"{len(self.session.boundaries)} segments")
 
 
 def run_sl_heterogeneous(session: SlSession, topo: NetworkTopology,
@@ -1006,6 +1031,9 @@ class _FedSplitRunner(_FlRunner):
             if stray:
                 raise NestedServerMismatch(
                     f"nested clients {sorted(stray)} are not slaves of {master!r}")
+
+    def _local_trainers(self, participants: list[str]) -> list[str]:
+        return [c for c in participants if c not in self.nested]
 
     def delta_sample_count(self, master: str) -> int:
         sub = self.nested[master]

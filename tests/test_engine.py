@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from music_sim.engine import BlockLedger, Engine, EventKind, RngStreams
 from music_sim.errors import TimestampInPast
@@ -176,3 +178,65 @@ def test_block_ledger_shared_tag_overlaps():
     assert s1 == s2 == 0.0
     # an untagged transmission still has to wait
     assert ledger.reserve("ap0", 0, 0.0, 1.0, owner="ue2") == 2.0
+
+
+def test_block_ledger_rejects_request_before_an_earlier_one():
+    ledger = BlockLedger()
+    ledger.reserve("ap0", 0, 1.0, 0.5, owner="ue0")
+    assert ledger.reserve("ap0", 1, 1.0, 0.5, owner="ue1") == 1.0  # equal is fine
+    with pytest.raises(TimestampInPast):
+        ledger.reserve("ap0", 2, 0.5, 0.5, owner="ue2")
+
+
+def test_block_ledger_drops_finished_reservations():
+    ledger = BlockLedger()
+    ledger.reserve("ap0", 0, 0.0, 1.0, owner="ue0")
+    ledger.reserve("ap0", 0, 0.0, 1.0, owner="ue1")  # 1.0 .. 2.0
+    assert ledger.reserve("ap0", 0, 1.5, 1.0, owner="ue2") == 2.0
+    assert ledger._held[("ap0", 0)] == [(1.0, 2.0, None), (2.0, 3.0, None)]
+
+
+class _FixedPointLedger:
+    """The ledger before pruning: every reservation ever made is rescanned
+    until the candidate start stops moving, and the list is re-sorted after
+    each booking."""
+
+    def __init__(self):
+        self.held = {}
+
+    def reserve(self, ap_id, block_index, earliest, duration, owner, shared_tag=None):
+        slots = self.held.setdefault((ap_id, block_index), [])
+        start = earliest
+        moved = True
+        while moved:
+            moved = False
+            for r_start, r_end, _, r_tag in slots:
+                if shared_tag is not None and r_tag == shared_tag:
+                    continue
+                if r_start < start + duration and start < r_end:
+                    start = r_end
+                    moved = True
+        slots.append((start, start + duration, owner, shared_tag))
+        slots.sort(key=lambda r: (r[0], r[1], r[2]))
+        return start
+
+
+_times = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                   st.floats(min_value=0.0, max_value=4.0))
+_requests = st.lists(
+    st.tuples(_times,                                  # gap after the previous request
+              st.integers(min_value=0, max_value=2),   # block
+              _times,                                  # duration
+              st.sampled_from([None, None, "cluster:a", "cluster:b"])),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(requests=_requests, blocks=st.integers(min_value=1, max_value=3))
+def test_block_ledger_grants_the_fixed_point_scans_start(requests, blocks):
+    ledger, reference = BlockLedger(), _FixedPointLedger()
+    clock = 0.0
+    for i, (gap, block, duration, tag) in enumerate(requests):
+        clock += gap
+        args = ("ap0", block % blocks, clock, duration, f"ue{i}", tag)
+        assert ledger.reserve(*args) == reference.reserve(*args)

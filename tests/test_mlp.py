@@ -1,10 +1,20 @@
-"""Model math: initialization, forward/backward, split training, aggregation."""
+"""Model math: initialization, forward/backward, split training, aggregation,
+and stacked local training of many clients at once."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
-from music_sim import mlp
+from music_sim import mlp, protocols
+from music_sim.data import Shard, make_blobs
+from music_sim.engine import Engine
 from music_sim.errors import EmptyWidths, ShapeMismatch, StaleCache
+from music_sim.protocols import FlSession, TrainingConfig, run_fl
+from music_sim.radio import AccessScheme, SchemeKind
+from music_sim.topology import build_topology
+
+from conftest import blob_data, simple_radio, star_doc, star_topology
 
 
 def _data(batch=8, dim=4, classes=3, seed=0):
@@ -256,3 +266,130 @@ def test_evaluate_accuracy_hand_case():
 def test_one_hot():
     out = mlp.one_hot(np.array([0, 2, 1]), 3)
     assert np.array_equal(out, np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=float))
+
+
+# ---------------- stacked local training ---------------- #
+
+def _looped_sgd(model, batches, lr):
+    """One client's local steps as the single-model chain runs them."""
+    losses = []
+    for x, labels in batches:
+        _, cache = mlp.forward(model, x)
+        losses.append(mlp.batch_loss(model, cache, labels))
+        model = mlp.sgd_step(model, mlp.backward(model, cache, labels), lr)
+    return model, losses
+
+
+def _uneven_shards(clients, dim=6, classes=3, seed=0):
+    """Shards of different sizes, some smaller than a batch, so the cyclic
+    batches wrap at different points."""
+    rng = np.random.default_rng(seed)
+    shards = []
+    for k in range(clients):
+        n = 5 + 7 * (k % 5)
+        shards.append(Shard(owner=f"ue{k}", x=rng.standard_normal((n, dim)),
+                            labels=rng.integers(0, classes, n)))
+    return shards
+
+
+@pytest.mark.parametrize("loss", ["ce", "mse"])
+@pytest.mark.parametrize("clients", [1, 3, protocols._TRAIN_GROUP + 1])
+@pytest.mark.parametrize("local_steps", [1, 3])
+def test_sgd_clients_matches_looped_sgd_bit_for_bit(loss, clients, local_steps):
+    model = mlp.init_model((6, 9, 5, 3), loss, seed=4)
+    shards = _uneven_shards(clients)
+    per_client = [[shard.batch(it, 8) for it in range(local_steps)] for shard in shards]
+    steps = [(np.stack([b[it][0] for b in per_client]),
+              np.stack([b[it][1] for b in per_client])) for it in range(local_steps)]
+    weights, biases, losses = mlp.sgd_clients(model, steps, 0.1)
+
+    assert losses.shape == (clients, local_steps)
+    for k, batches in enumerate(per_client):
+        expected, expected_losses = _looped_sgd(model, batches, 0.1)
+        for l in range(model.num_layers):
+            assert np.array_equal(weights[l][k], expected.weights[l])
+            assert np.array_equal(biases[l][k], expected.biases[l])
+        assert np.array_equal(losses[k], expected_losses)
+
+
+def test_sgd_clients_leaves_model_untouched_and_validates():
+    model = mlp.init_model((4, 5, 3), "ce", seed=0)
+    before = mlp.flatten_params(model).copy()
+    x, labels = np.ones((2, 4, 4)), np.zeros((2, 4), dtype=int)
+    mlp.sgd_clients(model, [(x, labels)], 0.1)
+    assert np.array_equal(mlp.flatten_params(model), before)
+    with pytest.raises(ValueError):
+        mlp.sgd_clients(model, [(x, labels)], 0.0)
+    with pytest.raises(ShapeMismatch):
+        mlp.sgd_clients(model, [(x, labels), (x[:1], labels[:1])], 0.1)
+    with pytest.raises(ShapeMismatch):
+        mlp.sgd_clients(model, [(np.ones((2, 4, 5)), labels)], 0.1)
+
+
+def test_fl_round_trains_every_client_as_its_own_loop(monkeypatch):
+    """A round's first download trains all its clients in groups; a client
+    downloading after the global model changed trains alone from the new one."""
+    n = protocols._TRAIN_GROUP + 1
+    clients = [f"ue{i}" for i in range(n)]
+    data = make_blobs(8, 4, {c: 10 + 3 * i for i, c in enumerate(clients)},
+                      test_size=8, seed=2)
+    sess = FlSession(server="ap0", clients=clients, local_iterations=2, global_rounds=1,
+                     model=mlp.init_model([8, 16, 12, 4], "ce", seed=3),
+                     scheme=AccessScheme(SchemeKind.OMA_GRANT_BASED, 0.01),
+                     config=TrainingConfig(lr=0.05, batch_size=16, eval_every=0),
+                     data=data)
+    runner = protocols._FlRunner(sess, star_topology(n), simple_radio(), Engine(seed=0))
+    sizes = []
+    real = mlp.sgd_clients
+    monkeypatch.setattr(mlp, "sgd_clients",
+                        lambda model, steps, lr: sizes.append(len(steps[0][0]))
+                        or real(model, steps, lr))
+    runner._begin(0)
+
+    def check(client, staged, model):
+        shard = data.shard_of(client)
+        expected, losses = _looped_sgd(model, [shard.batch(it, 16) for it in range(2)],
+                                       0.05)
+        delta = mlp.model_delta(expected, model, sample_count=shard.size)
+        assert staged["losses"] == losses and staged["n"] == shard.size
+        assert staged["delta"].sample_count == delta.sample_count
+        for got, want in zip(staged["delta"].weights + staged["delta"].biases,
+                             delta.weights + delta.biases):
+            assert np.array_equal(got, want)
+
+    for client in clients[:-1]:
+        check(client, runner._local_training(client, 0), sess.model)
+    assert sizes == [protocols._TRAIN_GROUP, 1]
+    replaced = mlp.init_model([8, 16, 12, 4], "ce", seed=9)
+    runner.model = replaced
+    check(clients[-1], runner._local_training(clients[-1], 0), replaced)
+    assert sizes == [protocols._TRAIN_GROUP, 1, 1]
+
+
+def test_fl_straggler_rejoining_after_deadline_keeps_final_model(monkeypatch):
+    """Two rounds closed by a deadline. ue0 computes too slowly to make round
+    0 and rejoins in round 1. ue3 sits behind a slow backhaul: its round-0
+    download lands after round 1 began and its round-1 download after the
+    model was replaced, so each time it trains alone."""
+    doc = star_doc(4, second_cell=True)
+    doc["nodes"]["ue"][0]["compute_rate"] = 1e5
+    doc["nodes"]["ue"][3]["attached_ap"] = "ap1"
+    doc["links"][2]["latency"] = 0.3  # fog0 -> ap1
+    sess = FlSession(server="fog0", clients=["ue0", "ue1", "ue2", "ue3"],
+                     local_iterations=2, global_rounds=2,
+                     model=mlp.init_model([8, 16, 12, 4], "ce", seed=3),
+                     scheme=AccessScheme(SchemeKind.OMA_GRANT_BASED, 0.01),
+                     config=TrainingConfig(lr=0.05, batch_size=16, eval_every=0),
+                     data=blob_data(4), round_deadline=0.2)
+    sizes = []
+    real = mlp.sgd_clients
+    monkeypatch.setattr(mlp, "sgd_clients",
+                        lambda model, steps, lr: sizes.append(len(steps[0][0]))
+                        or real(model, steps, lr))
+    trace = run_fl(sess, build_topology(doc), simple_radio(aps=("ap0", "ap1")),
+                   Engine(seed=0))
+
+    assert trace.status == "completed" and len(trace.records) == 2
+    assert sizes == [4, 4, 1, 1]  # round 0, round 1, then ue3 alone twice
+    digest = hashlib.sha256(mlp.flatten_params(trace.final_model).tobytes()).hexdigest()
+    assert digest == "8d4ee52956658ea4739850f932be4572069a5e8ed640600a6c2e989f9b9ba007"
