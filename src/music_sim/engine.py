@@ -44,10 +44,6 @@ class Event:
     node: str | None
     detail: str
     callback: Callable[[], None] = field(repr=False)
-    cancelled: bool = False
-
-    def cancel(self):
-        self.cancelled = True
 
 
 class RngStreams:
@@ -156,8 +152,6 @@ class Engine:
         """Dispatch events until the heap is empty."""
         while self._heap:
             _, _, _, event = heapq.heappop(self._heap)
-            if event.cancelled:
-                continue
             self.clock = event.time
             record = {"time": event.time, "kind": event.kind.name, "node": event.node,
                       "detail": event.detail, "charges": []}
@@ -210,8 +204,7 @@ class Engine:
     def can_afford(self, node: str, joules: float) -> bool:
         return node not in self.dropped and self.battery_of(node) >= joules
 
-    def debit_battery(self, node: str, joules: float,
-                      on_dropout: Callable[[], None] | None = None) -> float:
+    def debit_battery(self, node: str, joules: float) -> float:
         """Take energy out of a device battery, flooring at zero; returns the
         remaining charge.
 
@@ -227,11 +220,8 @@ class Engine:
             return self.batteries[node]
         remaining = self.batteries[node] - joules
         self.batteries[node] = max(0.0, remaining)
-        if remaining <= 0.0 and node not in self.dropped:
-            self.dropped.add(node)
-            self.schedule(self.clock, EventKind.DROPOUT,
-                          on_dropout if on_dropout is not None else (lambda: None),
-                          node=node, detail="battery exhausted")
+        if remaining <= 0.0:
+            self.mark_dropped(node, "battery exhausted")
         return self.batteries[node]
 
     def mark_dropped(self, node: str, reason: str,

@@ -123,6 +123,20 @@ class IterationRecord:
         return sum(getattr(self, which + "_energy").values())
 
 
+@dataclass
+class _Round:
+    """A round (or iteration) in flight, with the clock, energy ledger and
+    byte counters as they stood when it opened; `_RunnerBase._end` turns it
+    into an IterationRecord. Each runner extends it with its own state."""
+    index: int
+    start: float
+    before: dict[str, dict[str, float]]
+    bytes_up: int
+    bytes_down: int
+    dropouts: list[str] = field(default_factory=list)
+    loss: float = 0.0
+
+
 CSV_COLUMNS = ("protocol", "iteration", "wall_latency_s", "total_compute_J",
                "total_tx_J", "total_rx_J", "bytes_up", "bytes_down", "loss",
                "accuracy", "dropouts")
@@ -261,8 +275,8 @@ class _RunnerBase:
     spending nothing.
 
     A runner records one entry per round (or iteration) of `rounds`; each
-    protocol supplies `_begin(index)`, which starts that round and schedules
-    the next one when it closes.
+    protocol supplies `_begin(index)`, which opens that round's `_Round`
+    with `_open` and starts it. `_end` records the round and begins the next.
     """
 
     def __init__(self, protocol: str, session, topo: NetworkTopology,
@@ -459,8 +473,10 @@ class _RunnerBase:
 
     # ---- metrics plumbing ----
 
-    def _snapshot(self) -> dict:
-        return copy.deepcopy(self.eng.energy_ledger)
+    def _open(self, round_type: type[_Round], index: int, **state) -> _Round:
+        """A round of `round_type` whose books start now."""
+        return round_type(index, self.eng.clock, copy.deepcopy(self.eng.energy_ledger),
+                          self.bytes_up, self.bytes_down, **state)
 
     def _category_diff(self, before: dict, category: str) -> dict[str, float]:
         out = {}
@@ -470,21 +486,23 @@ class _RunnerBase:
                 out[node] = delta
         return out
 
-    def make_record(self, index: int, start_time: float, before: dict, loss: float,
-                    accuracy: float | None, dropouts: list[str],
-                    bytes_before: tuple[int, int]) -> IterationRecord:
-        return IterationRecord(
-            index=index,
-            wall_latency=self.eng.clock - start_time,
-            compute_energy=self._category_diff(before, "compute"),
-            tx_energy=self._category_diff(before, "tx"),
-            rx_energy=self._category_diff(before, "rx"),
-            bytes_up=self.bytes_up - bytes_before[0],
-            bytes_down=self.bytes_down - bytes_before[1],
-            loss=loss,
+    def _end(self, state: _Round, accuracy: float | None, what: str) -> None:
+        """Record the round, then begin the next one."""
+        self.trace.records.append(IterationRecord(
+            index=state.index,
+            wall_latency=self.eng.clock - state.start,
+            compute_energy=self._category_diff(state.before, "compute"),
+            tx_energy=self._category_diff(state.before, "tx"),
+            rx_energy=self._category_diff(state.before, "rx"),
+            bytes_up=self.bytes_up - state.bytes_up,
+            bytes_down=self.bytes_down - state.bytes_down,
+            loss=state.loss,
             accuracy=accuracy,
-            dropouts=dropouts,
-        )
+            dropouts=state.dropouts,
+        ))
+        nxt = state.index + 1
+        self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY, lambda: self._begin(nxt),
+                                node=self.session.server, detail=f"{what} {state.index} done")
 
     def maybe_eval(self, owner: str, model: mlp.MlpModel, data: DataBundle,
                    global_iter: int, done) -> None:
@@ -504,51 +522,81 @@ class _RunnerBase:
 #                              federated                                 #
 # ====================================================================== #
 
+@dataclass
+class _FlRound(_Round):
+    pending: set[str] = field(default_factory=set)   # participants not back yet
+    trainers: list[str] = field(default_factory=list)
+    staged: dict[str, dict] | None = None  # local training, done at the first download
+    arrivals: list[tuple[str, dict]] = field(default_factory=list)
+    closed: bool = False
+
+
 class _FlRunner(_RunnerBase):
+    """Federated averaging. In each round every participant runs one chain:
+    download the global model, train through `_local_step`, upload the
+    delta. The round closes when every participant is back or has dropped,
+    or at its deadline.
+
+    Stragglers: a chain looks at its round after the download, after the
+    local step and after the upload, and stops there once the round has
+    closed; its delta never counts. A client whose chain is still running
+    when a round begins is not started with the others: it joins that round
+    when the chain stops, if the round is still open, and the next round
+    otherwise. So no client trains two rounds at once, and every local step
+    starts from the model of the round it belongs to.
+    """
+
     def __init__(self, session: FlSession, topo, radio_env, eng,
                  protocol_name: str = "fl"):
         super().__init__(protocol_name, session, topo, radio_env, eng,
                          session.global_rounds)
-        self.busy_until: dict[str, float] = {}
-        # this round's local training, done at its first download
-        self._trained = {"round": None, "clients": [], "model": None, "staged": {}}
+        self._round: _FlRound | None = None
 
-    # one client's whole round: download, train locally, upload the delta
-    def _client_round(self, client: str, rnd: int, arrive, fail) -> None:
+    def _client_round(self, client: str, state: _FlRound) -> None:
+        """One client's chain: download the model, train, upload the delta."""
         sess = self.session
         bits = self.model.payload_bits
-        ctx = f"fl{rnd}"
 
-        def after_download():
-            staged = self._local_training(client, rnd)
-            self.leg_compute(client, staged["macs"], f"local:r{rnd}",
-                             lambda: after_compute(staged), fail)
+        def step(then):
+            """`then`, unless the round closed while the last leg ran."""
+            def go(*args):
+                if state.closed:
+                    self._rejoin(client)
+                else:
+                    then(*args)
+            return go
 
-        def after_compute(staged):
-            self.uplink_path(client, sess.server, bits, "delta", f"{ctx}:{client}:ul",
-                             lambda: arrive(client, staged), fail)
+        def arrived(staged):
+            state.arrivals.append((client, staged))
+            state.pending.discard(client)
+            self._maybe_close(state)
 
-        self.downlink_path(sess.server, client, bits, "model", after_download, fail)
+        def upload(staged, tag):
+            self.uplink_path(client, sess.server, bits, "delta",
+                             f"{tag}{state.index}:{client}:ul",
+                             step(lambda: arrived(staged)), fail)
+
+        fail = step(lambda: self._sweep(state))
+        self.downlink_path(
+            sess.server, client, bits, "model",
+            step(lambda: self._local_step(client, state.index, step(upload), fail)), fail)
+
+    def _local_step(self, client: str, rnd: int, done, fail) -> None:
+        """Train `client` locally, then `done(staged, tag)`: `staged` holds
+        the delta, its pre-step losses and its sample count, and `tag`
+        prefixes the upload's random-stream context."""
+        staged = self._local_training(client, rnd)
+        self.leg_compute(client, staged["macs"], f"local:r{rnd}",
+                         lambda: done(staged, "fl"), fail)
 
     def _local_training(self, client: str, rnd: int) -> dict:
-        """The actual numpy training a client performs this round, from the
-        global model it just downloaded.
-
-        The round's first download trains every participant of the round at
-        once from that model; later downloads take their result from there.
-        A client without a result from the current model (one that downloads
-        after the model was replaced) trains alone.
-        """
-        trained = self._trained
-        if trained["round"] == rnd and trained["model"] is None:
-            trained["model"] = self.model
-            trained["staged"] = self._train_clients(trained["clients"], rnd)
-        staged = None
-        if trained["round"] == rnd and trained["model"] is self.model:
-            staged = trained["staged"].pop(client, None)
-        if staged is None:
-            staged = self._train_clients([client], rnd)[client]
-        return staged
+        """The actual numpy training `client` performs in round `rnd`, the
+        round now open, from the global model it just downloaded. The
+        round's first download trains all of the round's trainers at once."""
+        state = self._round
+        if state.staged is None:
+            state.staged = self._train_clients(state.trainers, rnd)
+        return state.staged.pop(client)
 
     def _train_clients(self, clients: list[str], rnd: int) -> dict[str, dict]:
         """Local SGD from the current global model for each client, stacked
@@ -588,79 +636,67 @@ class _FlRunner(_RunnerBase):
         participants = [c for c in sess.clients if c not in self.eng.dropped]
         if not participants:
             raise AllClientsDropped(f"round {rnd}: no clients left")
-        self._trained = {"round": rnd, "clients": self._local_trainers(participants),
-                         "model": None, "staged": {}}
-        state = {
-            "pending": set(participants),
-            "arrivals": [],   # (client, staged)
-            "dropouts": [],
-            "start": self.eng.clock,
-            "before": self._snapshot(),
-            "bytes": (self.bytes_up, self.bytes_down),
-            "closed": False,
-        }
-
-        def arrive(client, staged):
-            self.busy_until[client] = self.eng.clock
-            if state["closed"]:
-                return  # past the round deadline; late delta discarded
-            if self.eng.clock <= state["start"] + sess.round_deadline:
-                state["arrivals"].append((client, staged))
-            state["pending"].discard(client)
-            self._maybe_close(state, rnd)
-
-        def fail():
-            # invoked from the dropout event of whichever client just died
-            for c in list(state["pending"]):
-                if c in self.eng.dropped:
-                    state["pending"].discard(c)
-                    state["dropouts"].append(c)
-            self._maybe_close(state, rnd)
-
+        # whoever the last round still waits for has a chain running
+        running = self._round.pending if self._round is not None else set()
+        state = self._round = self._open(_FlRound, rnd, pending=set(participants),
+                                         trainers=self._local_trainers(participants))
         for client in participants:
-            ready = max(self.eng.clock, self.busy_until.get(client, 0.0))
-            self.eng.schedule(ready, EventKind.ROUND_BOUNDARY,
-                              (lambda c=client: self._client_round(c, rnd, arrive, fail)),
-                              node=client, detail=f"round {rnd} start")
+            if client not in running:
+                self._start(client, state)
         if sess.round_deadline != float("inf"):
-            self.eng.schedule(state["start"] + sess.round_deadline,
+            self.eng.schedule(state.start + sess.round_deadline,
                               EventKind.ROUND_BOUNDARY,
-                              lambda: self._maybe_close(state, rnd, deadline=True),
+                              lambda: self._maybe_close(state, deadline=True),
                               node=sess.server, detail=f"round {rnd} deadline")
 
-    def _maybe_close(self, state, rnd, deadline=False) -> None:
-        if state["closed"]:
-            return
-        if state["pending"] and not deadline:
-            return
-        state["closed"] = True
-        if not state["arrivals"]:
-            raise AllClientsDropped(f"round {rnd}: zero surviving uploads")
-        self._aggregate(state, rnd)
+    def _start(self, client: str, state: _FlRound) -> None:
+        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY,
+                          lambda: self._client_round(client, state),
+                          node=client, detail=f"round {state.index} start")
 
-    def _aggregate(self, state, rnd) -> None:
+    def _rejoin(self, client: str) -> None:
+        """`client`'s chain stopped after its round closed: it joins the
+        round now open, or is free for the next `_begin`."""
+        state = self._round
+        if client not in state.pending:
+            return
+        if state.closed:
+            state.pending.discard(client)
+        elif client in self.eng.dropped:
+            self._sweep(state)
+        else:
+            self._start(client, state)
+
+    def _sweep(self, state: _FlRound) -> None:
+        """A chain failed: every pending participant that has dropped is out."""
+        for c in list(state.pending):
+            if c in self.eng.dropped:
+                state.pending.discard(c)
+                state.dropouts.append(c)
+        self._maybe_close(state)
+
+    def _maybe_close(self, state: _FlRound, deadline=False) -> None:
+        """Close the round once nobody is pending (or at its deadline) and
+        aggregate the deltas that arrived."""
+        if state.closed or (state.pending and not deadline):
+            return
+        state.closed = True
+        if not state.arrivals:
+            raise AllClientsDropped(f"round {state.index}: zero surviving uploads")
         sess = self.session
-        deltas = [staged["delta"] for _, staged in state["arrivals"]]
-        macs = costs.aggregation_macs(len(deltas), self.model.param_count)
+        deltas = [staged["delta"] for _, staged in state.arrivals]
+        total_n = sum(staged["n"] for _, staged in state.arrivals)
+        state.loss = sum(staged["n"] * float(np.mean(staged["losses"]))
+                         for _, staged in state.arrivals) / total_n
 
         def after_agg():
-            merged = mlp.fed_avg(deltas)
-            self.model = mlp.apply_delta(self.model, merged)
-            self.maybe_eval(sess.server, self.model, sess.data, rnd,
-                            lambda acc: close_round(acc))
+            self.model = mlp.apply_delta(self.model, mlp.fed_avg(deltas))
+            self.maybe_eval(sess.server, self.model, sess.data, state.index,
+                            lambda acc: self._end(state, acc, "round"))
 
-        def close_round(accuracy):
-            total_n = sum(staged["n"] for _, staged in state["arrivals"])
-            loss = sum(staged["n"] * float(np.mean(staged["losses"]))
-                       for _, staged in state["arrivals"]) / total_n
-            self.trace.records.append(self.make_record(
-                rnd, state["start"], state["before"], loss, accuracy,
-                state["dropouts"], state["bytes"]))
-            self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                    lambda: self._begin(rnd + 1),
-                                    node=sess.server, detail=f"round {rnd} done")
-
-        self.leg_compute(sess.server, macs, f"aggregate:r{rnd}", after_agg)
+        self.leg_compute(sess.server,
+                         costs.aggregation_macs(len(deltas), self.model.param_count),
+                         f"aggregate:r{state.index}", after_agg)
 
 
 def run_fl(session: FlSession, topo: NetworkTopology, radio_env: RadioEnv,
@@ -671,6 +707,15 @@ def run_fl(session: FlSession, topo: NetworkTopology, radio_env: RadioEnv,
 # ====================================================================== #
 #                          homogeneous split                             #
 # ====================================================================== #
+
+@dataclass
+class _SlHomoRound(_Round):
+    client: str = ""
+    labels: np.ndarray | None = None
+    client_cache: object = None
+    smashed: np.ndarray | None = None
+    server_grads: mlp.ParamDelta | None = None
+
 
 class _SlHomoRunner(_RunnerBase):
     """Sequential split learning: one active client per iteration; the
@@ -702,20 +747,13 @@ class _SlHomoRunner(_RunnerBase):
         if iteration >= self.rounds:
             return
         active = self._client_for(iteration)
-        state = {
-            "start": self.eng.clock,
-            "before": self._snapshot(),
-            "bytes": (self.bytes_up, self.bytes_down),
-            "it": iteration,
-            "client": active,
-            "drops": [],
-        }
+        state = self._open(_SlHomoRound, iteration, client=active)
         fail = lambda: self._iteration_failed(state)
         self._deliver_client_part(active, state, fail)
 
     def _deliver_client_part(self, client: str, state, fail) -> None:
         bits = self.client_part_bits
-        ctx = f"slh{state['it']}"
+        ctx = f"slh{state.index}"
         done = lambda: self._client_forward(client, state, fail)
         if self.holder is None or self.holder == client:
             # first iteration seeds the part from the server; repeats keep it
@@ -739,66 +777,56 @@ class _SlHomoRunner(_RunnerBase):
         self.holder = client
         sess = self.session
         shard = sess.data.shard_of(client)
-        x, labels = shard.batch(state["it"], self.config.batch_size)
-        state["x"], state["labels"] = x, labels
+        x, state.labels = shard.batch(state.index, self.config.batch_size)
         macs = costs.forward_macs(self.model.widths, x.shape[0], 0, self.cut)
 
         def after_compute():
             smashed, client_cache = mlp.split_forward(
                 self.model, mlp.CutSpec(0, self.cut), x)
-            state["client_cache"] = client_cache
-            state["smashed"] = smashed
+            state.client_cache = client_cache
+            state.smashed = smashed
             bits = costs.activation_bits(x.shape[0], self.model.widths[self.cut]) \
                 + costs.label_bits(x.shape[0])
-            self._up(client, bits, "smashed+labels", f"slh{state['it']}:{client}:up",
+            self._up(client, bits, "smashed+labels", f"slh{state.index}:{client}:up",
                      lambda: self._server_turn(client, state, fail), fail)
 
-        self.leg_compute(client, macs, f"fwd:i{state['it']}", after_compute, fail)
+        self.leg_compute(client, macs, f"fwd:i{state.index}", after_compute, fail)
 
     def _server_turn(self, client: str, state, fail) -> None:
         sess = self.session
         widths = self.model.widths
-        batch = state["x"].shape[0]
+        batch = state.labels.shape[0]
         macs = 3 * costs.forward_macs(widths, batch, self.cut, self.model.num_layers)
 
         def after_compute():
             _, server_cache = mlp.split_forward(
                 self.model, mlp.CutSpec(self.cut, self.model.num_layers),
-                state["smashed"])
-            state["loss"] = mlp.batch_loss(self.model, server_cache, state["labels"])
+                state.smashed)
+            state.loss = mlp.batch_loss(self.model, server_cache, state.labels)
             server_grads, smash_grad = mlp.split_backward_server(
-                self.model, server_cache, state["labels"])
-            state["server_grads"] = server_grads
+                self.model, server_cache, state.labels)
+            state.server_grads = server_grads
             bits = costs.activation_bits(batch, widths[self.cut])
             self._down(client, bits, "smashed_grad",
                        lambda: self._client_backward(client, state, smash_grad, fail),
                        fail)
 
         # the SL server can itself be a battery device (a master UE)
-        self.leg_compute(sess.server, macs, f"srv:i{state['it']}", after_compute, fail)
+        self.leg_compute(sess.server, macs, f"srv:i{state.index}", after_compute, fail)
 
     def _client_backward(self, client: str, state, smash_grad, fail) -> None:
-        macs = 2 * costs.forward_macs(self.model.widths, state["x"].shape[0], 0, self.cut)
+        macs = 2 * costs.forward_macs(self.model.widths, state.labels.shape[0], 0, self.cut)
 
         def after_compute():
             client_grads, _ = mlp.split_backward_client(
-                self.model, state["client_cache"], smash_grad)
-            combined = mlp.add_deltas(state["server_grads"], client_grads)
+                self.model, state.client_cache, smash_grad)
+            combined = mlp.add_deltas(state.server_grads, client_grads)
             self.model = mlp.sgd_step(self.model, combined, self.config.lr)
             self.consecutive_failures = 0
             self.maybe_eval(self.session.server, self.model, self.session.data,
-                            state["it"], lambda acc: self._finish_iteration(state, acc))
+                            state.index, lambda acc: self._end(state, acc, "iter"))
 
-        self.leg_compute(client, macs, f"bwd:i{state['it']}", after_compute, fail)
-
-    def _finish_iteration(self, state, accuracy) -> None:
-        self.trace.records.append(self.make_record(
-            state["it"], state["start"], state["before"], state["loss"], accuracy,
-            state["drops"], state["bytes"]))
-        nxt = state["it"] + 1
-        self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                lambda: self._begin(nxt),
-                                node=self.session.server, detail=f"iter {state['it']} done")
+        self.leg_compute(client, macs, f"bwd:i{state.index}", after_compute, fail)
 
     def _next_after(self, client: str) -> str | None:
         order = self.session.clients
@@ -816,19 +844,15 @@ class _SlHomoRunner(_RunnerBase):
         self.consecutive_failures += 1
         if self.consecutive_failures >= 2:
             raise SessionAborted("two consecutive client failures")
-        retry_client = self._next_after(state["client"])
+        retry_client = self._next_after(state.client)
         if retry_client is None:
-            raise AllClientsDropped(f"iteration {state['it']}: no clients left")
-        drops = list(state["drops"])
-        if state["client"] in self.eng.dropped and state["client"] not in drops:
-            drops.append(state["client"])
-        retry_state = {
-            "start": state["start"], "before": state["before"],
-            "bytes": state["bytes"], "it": state["it"],
-            "client": retry_client, "drops": drops,
-        }
+            raise AllClientsDropped(f"iteration {state.index}: no clients left")
+        drops = list(state.dropouts)
+        if state.client in self.eng.dropped and state.client not in drops:
+            drops.append(state.client)
+        retry_state = replace(state, client=retry_client, dropouts=drops)
         fail = lambda: self._iteration_failed(retry_state)
-        self._deliver_client_part(retry_state["client"], retry_state, fail)
+        self._deliver_client_part(retry_client, retry_state, fail)
 
 
 def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,
@@ -841,6 +865,15 @@ def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,
 # ====================================================================== #
 #                         heterogeneous split                            #
 # ====================================================================== #
+
+@dataclass
+class _SlHeteroRound(_Round):
+    labels: np.ndarray | None = None
+    staged: list[mlp.ParamDelta] = field(default_factory=list)  # combined at commit
+    caches: dict[int, object] = field(default_factory=dict)     # segment -> ForwardCache
+    labels_done: bool = False
+    chain_out: np.ndarray | None = None  # smashed activations at the server's door
+
 
 class _SlHeteroRunner(_RunnerBase):
     """Chained split learning: each client owns one contiguous segment, the
@@ -878,24 +911,14 @@ class _SlHeteroRunner(_RunnerBase):
         sess = self.session
         if iteration >= self.rounds:
             return
-        state = {
-            "start": self.eng.clock,
-            "before": self._snapshot(),
-            "bytes": (self.bytes_up, self.bytes_down),
-            "it": iteration,
-            "staged": [],          # ParamDeltas to combine at commit
-            "caches": {},          # client -> ForwardCache
-            "labels_done": False,
-            "chain_out": None,     # smashed activations at the server's door
-        }
         entry = sess.clients[0]
         x, labels = sess.data.shard_of(entry).batch(iteration, self.config.batch_size)
-        state["x"], state["labels"] = x, labels
+        state = self._open(_SlHeteroRound, iteration, labels=labels)
         fail = lambda: self._iteration_failed(state)
 
         # labels go straight to the loss owner while the chain runs
         def labels_arrived():
-            state["labels_done"] = True
+            state.labels_done = True
             self._maybe_server_turn(state, fail)
         self.uplink_path(entry, sess.server, costs.label_bits(x.shape[0]), "labels",
                          f"slx{iteration}:{entry}:labels", labels_arrived, fail)
@@ -910,9 +933,9 @@ class _SlHeteroRunner(_RunnerBase):
 
         def after_compute():
             out, cache = mlp.split_forward(self.model, seg, activations)
-            state["caches"][k] = cache
+            state.caches[k] = cache
             bits = costs.activation_bits(batch, self.model.widths[seg.end])
-            ctx = f"slx{state['it']}"
+            ctx = f"slx{state.index}"
             if k + 1 < len(self.session.clients):
                 nxt = self.session.clients[k + 1]
                 self._handoff(client, nxt, bits, "smashed", ctx,
@@ -924,26 +947,26 @@ class _SlHeteroRunner(_RunnerBase):
                                  f"{ctx}:{client}:up",
                                  lambda: self._chain_arrived(out, state, fail), fail)
 
-        self.leg_compute(client, macs, f"fwd{k}:i{state['it']}", after_compute, fail)
+        self.leg_compute(client, macs, f"fwd{k}:i{state.index}", after_compute, fail)
 
     def _chain_arrived(self, out, state, fail) -> None:
-        state["chain_out"] = out
+        state.chain_out = out
         self._maybe_server_turn(state, fail)
 
     def _maybe_server_turn(self, state, fail) -> None:
-        if not state["labels_done"] or state["chain_out"] is None:
+        if not state.labels_done or state.chain_out is None:
             return
         sess = self.session
         seg = self._server_segment()
-        batch = state["x"].shape[0]
+        batch = state.labels.shape[0]
         macs = 3 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
 
         def after_compute():
-            _, server_cache = mlp.split_forward(self.model, seg, state["chain_out"])
-            state["loss"] = mlp.batch_loss(self.model, server_cache, state["labels"])
+            _, server_cache = mlp.split_forward(self.model, seg, state.chain_out)
+            state.loss = mlp.batch_loss(self.model, server_cache, state.labels)
             server_grads, smash_grad = mlp.split_backward_server(
-                self.model, server_cache, state["labels"])
-            state["staged"].append(server_grads)
+                self.model, server_cache, state.labels)
+            state.staged.append(server_grads)
             last = sess.clients[-1]
             bits = costs.activation_bits(batch, self.model.widths[seg.start])
             self.downlink_path(sess.server, last, bits, "smashed_grad",
@@ -951,52 +974,43 @@ class _SlHeteroRunner(_RunnerBase):
                                                              smash_grad, state, fail),
                                fail)
 
-        self.leg_compute(sess.server, macs, f"srv:i{state['it']}", after_compute, fail)
+        self.leg_compute(sess.server, macs, f"srv:i{state.index}", after_compute, fail)
 
     def _backward_segment(self, k: int, upstream, state, fail) -> None:
         client = self.session.clients[k]
         seg = self._segments()[k]
-        batch = state["x"].shape[0]
+        batch = state.labels.shape[0]
         macs = 2 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
 
         def after_compute():
             grads, downstream = mlp.split_backward_client(
-                self.model, state["caches"][k], upstream)
-            state["staged"].append(grads)
+                self.model, state.caches[k], upstream)
+            state.staged.append(grads)
             if k == 0:
                 self._commit(state)
                 return
             bits = costs.activation_bits(batch, self.model.widths[seg.start])
             prev = self.session.clients[k - 1]
-            self._handoff(client, prev, bits, "smashed_grad", f"slx{state['it']}:bwd",
+            self._handoff(client, prev, bits, "smashed_grad", f"slx{state.index}:bwd",
                           lambda: self._backward_segment(k - 1, downstream, state, fail),
                           fail)
 
-        self.leg_compute(client, macs, f"bwd{k}:i{state['it']}", after_compute, fail)
+        self.leg_compute(client, macs, f"bwd{k}:i{state.index}", after_compute, fail)
 
     def _commit(self, state) -> None:
-        combined = state["staged"][0]
-        for extra in state["staged"][1:]:
+        combined = state.staged[0]
+        for extra in state.staged[1:]:
             combined = mlp.add_deltas(combined, extra)
         self.model = mlp.sgd_step(self.model, combined, self.config.lr)
         self.maybe_eval(self.session.server, self.model, self.session.data,
-                        state["it"], lambda acc: self._finish(state, acc))
-
-    def _finish(self, state, accuracy) -> None:
-        self.trace.records.append(self.make_record(
-            state["it"], state["start"], state["before"], state["loss"], accuracy,
-            [], state["bytes"]))
-        nxt = state["it"] + 1
-        self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY,
-                                lambda: self._begin(nxt),
-                                node=self.session.server, detail=f"iter {state['it']} done")
+                        state.index, lambda acc: self._end(state, acc, "iter"))
 
     def _iteration_failed(self, state) -> None:
         """A segment owner died. Every client owns exactly one segment, so no
         spare can take its place: the session aborts."""
         survivors = [c for c in self.session.clients if c not in self.eng.dropped]
         raise SessionAborted(
-            f"iteration {state['it']}: {len(survivors)} clients left for "
+            f"iteration {state.index}: {len(survivors)} clients left for "
             f"{len(self.session.boundaries)} segments")
 
 
@@ -1039,43 +1053,28 @@ class _FedSplitRunner(_FlRunner):
         sub = self.nested[master]
         return sum(sub.data.shard_of(s).size for s in sub.clients)
 
-    def _client_round(self, client: str, rnd: int, arrive, fail) -> None:
+    def _local_step(self, client: str, rnd: int, done, fail) -> None:
+        """A master's local step runs its local iterations as homogeneous SL
+        over its slaves, sharing this engine and clock. Accuracy is evaluated
+        at the FL level, so the nested run never evaluates on its own."""
         if client not in self.nested:
-            super()._client_round(client, rnd, arrive, fail)
+            super()._local_step(client, rnd, done, fail)
             return
-        sess = self.session
-        bits = self.model.payload_bits
-        sub_template = self.nested[client]
-
-        def after_download():
-            self._nested_phase(client, rnd, sub_template, after_nested, fail)
-
-        def after_nested(local_model, losses):
-            n = self.delta_sample_count(client)
-            staged = {
-                "delta": mlp.model_delta(local_model, self.model, sample_count=n),
-                "losses": losses,
-                "n": n,
-            }
-            self.uplink_path(client, sess.server, bits, "delta",
-                             f"fs{rnd}:{client}:ul",
-                             lambda: arrive(client, staged), fail)
-
-        self.downlink_path(sess.server, client, bits, "model", after_download, fail)
-
-    def _nested_phase(self, master: str, rnd: int, template: SlSession,
-                      done, fail) -> None:
-        """Run the master's local iterations as homogeneous SL over its slaves,
-        sharing this engine and clock. Accuracy is evaluated at the FL level,
-        so the nested run never evaluates on its own."""
+        template = self.nested[client]
         sub = replace(template, clients=list(template.clients), variant="homogeneous",
                       iterations=self.session.local_iterations,
                       model=mlp.clone(self.model),
                       config=replace(template.config, eval_every=0),
                       boundaries=(), relay="via_server")
-        inner = _NestedSlRunner(sub, self.topo, self.radio, self.eng, done, fail)
+
+        def trained(local_model, losses):
+            n = self.delta_sample_count(client)
+            done({"delta": mlp.model_delta(local_model, self.model, sample_count=n),
+                  "losses": losses, "n": n}, "fs")
+
+        inner = _NestedSlRunner(sub, self.topo, self.radio, self.eng, trained, fail)
         self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: inner._begin(0),
-                          node=master, detail=f"nested r{rnd} start")
+                          node=client, detail=f"nested r{rnd} start")
 
 
 class _NestedSlRunner(_SlHomoRunner):
@@ -1096,9 +1095,9 @@ class _NestedSlRunner(_SlHomoRunner):
     def _down(self, ue, bits, payload, done, fail):
         self.leg_d2d(self.session.server, ue, bits, payload, done, fail)
 
-    def _finish_iteration(self, state, accuracy) -> None:
-        super()._finish_iteration(state, accuracy)
-        if state["it"] + 1 == self.rounds:
+    def _end(self, state, accuracy, what) -> None:
+        super()._end(state, accuracy, what)
+        if state.index + 1 == self.rounds:
             self.done(self.model, [r.loss for r in self.trace.records])
 
     def _iteration_failed(self, state) -> None:

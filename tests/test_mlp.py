@@ -327,8 +327,8 @@ def test_sgd_clients_leaves_model_untouched_and_validates():
 
 
 def test_fl_round_trains_every_client_as_its_own_loop(monkeypatch):
-    """A round's first download trains all its clients in groups; a client
-    downloading after the global model changed trains alone from the new one."""
+    """A round's first download trains all its clients in groups, each one
+    bit-identical to training it alone."""
     n = protocols._TRAIN_GROUP + 1
     clients = [f"ue{i}" for i in range(n)]
     data = make_blobs(8, 4, {c: 10 + 3 * i for i, c in enumerate(clients)},
@@ -357,20 +357,14 @@ def test_fl_round_trains_every_client_as_its_own_loop(monkeypatch):
                              delta.weights + delta.biases):
             assert np.array_equal(got, want)
 
-    for client in clients[:-1]:
+    for client in clients:
         check(client, runner._local_training(client, 0), sess.model)
     assert sizes == [protocols._TRAIN_GROUP, 1]
-    replaced = mlp.init_model([8, 16, 12, 4], "ce", seed=9)
-    runner.model = replaced
-    check(clients[-1], runner._local_training(clients[-1], 0), replaced)
-    assert sizes == [protocols._TRAIN_GROUP, 1, 1]
 
 
-def test_fl_straggler_rejoining_after_deadline_keeps_final_model(monkeypatch):
-    """Two rounds closed by a deadline. ue0 computes too slowly to make round
-    0 and rejoins in round 1. ue3 sits behind a slow backhaul: its round-0
-    download lands after round 1 began and its round-1 download after the
-    model was replaced, so each time it trains alone."""
+def _straggler_run() -> tuple[protocols.MetricsTrace, Engine]:
+    """Two FL rounds closed by a 0.2 s deadline. ue0 computes too slowly to
+    make either round; ue3 sits behind a 0.3 s backhaul."""
     doc = star_doc(4, second_cell=True)
     doc["nodes"]["ue"][0]["compute_rate"] = 1e5
     doc["nodes"]["ue"][3]["attached_ap"] = "ap1"
@@ -381,15 +375,40 @@ def test_fl_straggler_rejoining_after_deadline_keeps_final_model(monkeypatch):
                      scheme=AccessScheme(SchemeKind.OMA_GRANT_BASED, 0.01),
                      config=TrainingConfig(lr=0.05, batch_size=16, eval_every=0),
                      data=blob_data(4), round_deadline=0.2)
+    eng = Engine(seed=0)
+    trace = run_fl(sess, build_topology(doc), simple_radio(aps=("ap0", "ap1")), eng)
+    return trace, eng
+
+
+def _legs(eng, node: str, prefix: str) -> list[float]:
+    return [r["time"] for r in eng.event_log
+            if r["node"] == node and r["detail"].startswith(prefix)]
+
+
+def test_fl_straggler_rejoining_after_deadline_keeps_final_model(monkeypatch):
+    """Stragglers stop at the first leg boundary after their round closes:
+    ue0 misses round 0 in its compute and rejoins round 1 when that compute
+    ends; ue3's downloads land after each round closed, so it never trains.
+    Each round trains its four participants in one stacked pass."""
     sizes = []
     real = mlp.sgd_clients
     monkeypatch.setattr(mlp, "sgd_clients",
                         lambda model, steps, lr: sizes.append(len(steps[0][0]))
                         or real(model, steps, lr))
-    trace = run_fl(sess, build_topology(doc), simple_radio(aps=("ap0", "ap1")),
-                   Engine(seed=0))
+    trace, eng = _straggler_run()
 
     assert trace.status == "completed" and len(trace.records) == 2
-    assert sizes == [4, 4, 1, 1]  # round 0, round 1, then ue3 alone twice
+    assert sizes == [4, 4]
+    assert _legs(eng, "ue3", "local:") == []
+    assert _legs(eng, "ue0", "ul:delta") == []
     digest = hashlib.sha256(mlp.flatten_params(trace.final_model).tobytes()).hexdigest()
     assert digest == "8d4ee52956658ea4739850f932be4572069a5e8ed640600a6c2e989f9b9ba007"
+
+
+def test_fl_straggler_starts_a_round_only_after_its_stale_leg_ends():
+    """ue0's round-0 compute outlives round 0; its round-1 download starts
+    only when that compute is done, so it never trains two rounds at once."""
+    _, eng = _straggler_run()
+    (local_r0,) = _legs(eng, "ue0", "local:r0")
+    downloads = _legs(eng, "ue0", "dl:model")
+    assert len(downloads) == 2 and downloads[1] > local_r0

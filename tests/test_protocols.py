@@ -1,12 +1,15 @@
 """End-to-end protocol behavior on small star networks: latency composition,
 failure handling, transport selection, and the metrics trace."""
 
+import functools
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import music_sim
@@ -484,12 +487,14 @@ def test_a_drained_event_queue_is_a_stall_not_a_completion():
     assert info.value.trace.records == []
 
 
-def _run_bundled(name: str, batteries: dict[str, float]):
-    """(runtime, trace) of a bundled scenario with some device batteries
-    replaced; the trace is the partial one when the session aborts."""
+def _run_bundled(name: str, batteries: dict[str, float], **protocol):
+    """(runtime, trace) of a bundled scenario with some device batteries and
+    protocol settings replaced; the trace is the partial one when the
+    session aborts."""
     doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
     for ue in doc["nodes"]["ue"]:
         ue["battery"] = batteries.get(ue["id"], ue["battery"])
+    doc["protocol"].update(protocol)
     runtime = assemble(parse_config(doc))
     try:
         return runtime, runtime.execute()
@@ -546,5 +551,36 @@ def test_any_battery_vector_completes_or_aborts(name, fractions):
     runtime, trace = _run_bundled(name, batteries)
     _assert_live(runtime, trace, records)
     again, trace_again = _run_bundled(name, batteries)
+    assert trace_again.csv_rows() == trace.csv_rows()
+    assert again.engine.event_log == runtime.engine.event_log
+
+
+@functools.cache
+def _full_run_rounds(name: str) -> tuple[int, float]:
+    """Record count and slowest round latency of the unconstrained run."""
+    _, trace = _run_bundled(name, {})
+    return len(trace.records), max(r.wall_latency for r in trace.records)
+
+
+@pytest.mark.parametrize("name", ["fl_edge", "fedsplit_nested"])
+@settings(max_examples=12, deadline=None)
+@given(fraction=st.floats(min_value=0.0, max_value=1.2) | st.just(math.inf))
+@example(fraction=0.8)  # stragglers stop and rejoin in both scenarios
+def test_any_round_deadline_completes_or_aborts(name, fraction):
+    """Rounds close at a deadline drawn as a share of the full run's slowest
+    round: the run records every round or aborts with a partial trace, no
+    client runs two rounds' legs at once, and a rerun is byte-identical."""
+    records, slowest = _full_run_rounds(name)
+    deadline = fraction * slowest
+    runtime, trace = _run_bundled(name, {}, round_deadline=deadline)
+    _assert_live(runtime, trace, records)
+    # per client: download, then local training and upload unless the chain stopped
+    letters = {"dl:model": "D", "local:": "L", "ul:delta": "U"}
+    for client in runtime.cfg.protocol.clients:
+        legs = "".join(letter for r in runtime.engine.event_log if r["node"] == client
+                       for prefix, letter in letters.items()
+                       if r["detail"].startswith(prefix))
+        assert re.fullmatch("(DL?U?)*", legs), (client, legs)
+    again, trace_again = _run_bundled(name, {}, round_deadline=deadline)
     assert trace_again.csv_rows() == trace.csv_rows()
     assert again.engine.event_log == runtime.engine.event_log
