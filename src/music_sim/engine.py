@@ -236,9 +236,11 @@ class Engine:
     # ---- log output ----
 
     def write_event_log(self, path, meta: dict | None = None) -> None:
+        """One JSON object per line, keys sorted: the bytes of
+        `json.dumps(record, sort_keys=True)`, from one encoder."""
+        encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w") as fh:
             if meta is not None:
-                fh.write(json.dumps({"kind": "META", "charges": [], **meta},
-                                    sort_keys=True) + "\n")
+                fh.write(encode({"kind": "META", "charges": [], **meta}) + "\n")
             for record in self.event_log:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(encode(record) + "\n")

@@ -262,8 +262,9 @@ def _segment_backprop(model: MlpModel, cache: ForwardCache,
     dLoss/d(segment input). Returns a full-model-shaped delta with zeros
     outside the segment."""
     segment = cache.segment
-    grad_w = [np.zeros_like(w) for w in model.weights]
-    grad_b = [np.zeros_like(b) for b in model.biases]
+    inside = range(segment.start, segment.end)
+    grad_w = [None if l in inside else np.zeros_like(w) for l, w in enumerate(model.weights)]
+    grad_b = [None if l in inside else np.zeros_like(b) for l, b in enumerate(model.biases)]
     dz = dz_top
     for offset in range(segment.num_layers - 1, -1, -1):
         l = segment.start + offset

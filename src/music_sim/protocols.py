@@ -13,7 +13,6 @@ held-out evaluation at the loss-owning node, charged as compute there.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field, replace
 
@@ -368,11 +367,17 @@ class _RunnerBase:
         key = (cluster.member_ids(), context.split(":")[0])
         rates = self._cluster_rate_cache.get(key)
         if rates is None:
-            gains = {m: draw_channel_gain(self.topo.ues[m],
-                                          self.eng.rng.stream(f"gain:{m}:{key[1]}"))
-                     for m in key[0]}
+            gains = {m: self._gain(m, key[1]) for m in key[0]}
             rates = self._cluster_rate_cache[key] = self.radio.cluster_rates(cluster, gains)
         return rates
+
+    def _gain(self, ue_id: str, context: str) -> float:
+        """Channel gain of one uplink. The `gain:` stream is built only for a
+        varying channel: a static one draws nothing from it."""
+        ue = self.topo.ues[ue_id]
+        rng = (self.eng.rng.stream(f"gain:{ue_id}:{context}")
+               if ue.channel_variance != 0.0 else None)
+        return draw_channel_gain(ue, rng)
 
     def leg_radio_up(self, ue_id: str, bits: int, payload: str, context: str,
                      done, fail) -> None:
@@ -385,9 +390,8 @@ class _RunnerBase:
                                                 self._cluster_rates(cluster, context))
             blocks, tag = cluster.blocks, "cluster:" + "+".join(cluster.member_ids())
         else:
-            gain = draw_channel_gain(self.topo.ues[ue_id],
-                                     self.eng.rng.stream(f"gain:{ue_id}:{context}"))
-            block, latency, tx, rx = self.legs.oma_up(ue_id, bits, gain)
+            block, latency, tx, rx = self.legs.oma_up(ue_id, bits,
+                                                      self._gain(ue_id, context))
             blocks, tag = (block,), None
         if not self._battery_ok(ue_id, tx, fail):
             return
@@ -475,8 +479,9 @@ class _RunnerBase:
 
     def _open(self, round_type: type[_Round], index: int, **state) -> _Round:
         """A round of `round_type` whose books start now."""
-        return round_type(index, self.eng.clock, copy.deepcopy(self.eng.energy_ledger),
-                          self.bytes_up, self.bytes_down, **state)
+        before = {node: dict(cats) for node, cats in self.eng.energy_ledger.items()}
+        return round_type(index, self.eng.clock, before, self.bytes_up, self.bytes_down,
+                          **state)
 
     def _category_diff(self, before: dict, category: str) -> dict[str, float]:
         out = {}
@@ -556,15 +561,7 @@ class _FlRunner(_RunnerBase):
         """One client's chain: download the model, train, upload the delta."""
         sess = self.session
         bits = self.model.payload_bits
-
-        def step(then):
-            """`then`, unless the round closed while the last leg ran."""
-            def go(*args):
-                if state.closed:
-                    self._rejoin(client)
-                else:
-                    then(*args)
-            return go
+        step = lambda then: self._step(client, state, then)
 
         def arrived(staged):
             state.arrivals.append((client, staged))
@@ -579,14 +576,24 @@ class _FlRunner(_RunnerBase):
         fail = step(lambda: self._sweep(state))
         self.downlink_path(
             sess.server, client, bits, "model",
-            step(lambda: self._local_step(client, state.index, step(upload), fail)), fail)
+            step(lambda: self._local_step(client, state, step(upload), fail)), fail)
 
-    def _local_step(self, client: str, rnd: int, done, fail) -> None:
+    def _step(self, client: str, state: _FlRound, then):
+        """`then`, unless `state` closed while the last leg of `client`'s
+        chain ran: then the chain stops and the client rejoins."""
+        def go(*args):
+            if state.closed:
+                self._rejoin(client)
+            else:
+                then(*args)
+        return go
+
+    def _local_step(self, client: str, state: _FlRound, done, fail) -> None:
         """Train `client` locally, then `done(staged, tag)`: `staged` holds
         the delta, its pre-step losses and its sample count, and `tag`
         prefixes the upload's random-stream context."""
-        staged = self._local_training(client, rnd)
-        self.leg_compute(client, staged["macs"], f"local:r{rnd}",
+        staged = self._local_training(client, state.index)
+        self.leg_compute(client, staged["macs"], f"local:r{state.index}",
                          lambda: done(staged, "fl"), fail)
 
     def _local_training(self, client: str, rnd: int) -> dict:
@@ -890,12 +897,8 @@ class _SlHeteroRunner(_RunnerBase):
             for a, b in zip(session.clients, session.clients[1:]):
                 if topo.d2d_link(a, b) is None:
                     raise MissingD2dLink(f"relay=d2d needs a D2D link {a!r} <-> {b!r}")
-
-    def _segments(self) -> list[mlp.CutSpec]:
-        return mlp.contiguous_cuts(self.model.num_layers, self.session.boundaries)
-
-    def _server_segment(self) -> mlp.CutSpec:
-        return mlp.CutSpec(self.session.boundaries[-1], self.model.num_layers)
+        # one segment per client, then the server's
+        self.segments = mlp.contiguous_cuts(self.model.num_layers, session.boundaries)
 
     def _handoff(self, src: str, dst: str, bits: int, payload: str, ctx: str,
                  done, fail) -> None:
@@ -927,7 +930,7 @@ class _SlHeteroRunner(_RunnerBase):
 
     def _forward_segment(self, k: int, activations, state, fail) -> None:
         client = self.session.clients[k]
-        seg = self._segments()[k]
+        seg = self.segments[k]
         batch = activations.shape[0]
         macs = costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
 
@@ -957,7 +960,7 @@ class _SlHeteroRunner(_RunnerBase):
         if not state.labels_done or state.chain_out is None:
             return
         sess = self.session
-        seg = self._server_segment()
+        seg = self.segments[-1]
         batch = state.labels.shape[0]
         macs = 3 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
 
@@ -978,7 +981,7 @@ class _SlHeteroRunner(_RunnerBase):
 
     def _backward_segment(self, k: int, upstream, state, fail) -> None:
         client = self.session.clients[k]
-        seg = self._segments()[k]
+        seg = self.segments[k]
         batch = state.labels.shape[0]
         macs = 2 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
 
@@ -1053,12 +1056,14 @@ class _FedSplitRunner(_FlRunner):
         sub = self.nested[master]
         return sum(sub.data.shard_of(s).size for s in sub.clients)
 
-    def _local_step(self, client: str, rnd: int, done, fail) -> None:
+    def _local_step(self, client: str, state: _FlRound, done, fail) -> None:
         """A master's local step runs its local iterations as homogeneous SL
         over its slaves, sharing this engine and clock. Accuracy is evaluated
-        at the FL level, so the nested run never evaluates on its own."""
+        at the FL level, so the nested run never evaluates on its own. Like
+        any chain step, the nested run stops at its next leg boundary once
+        the FL round has closed."""
         if client not in self.nested:
-            super()._local_step(client, rnd, done, fail)
+            super()._local_step(client, state, done, fail)
             return
         template = self.nested[client]
         sub = replace(template, clients=list(template.clients), variant="homogeneous",
@@ -1072,9 +1077,10 @@ class _FedSplitRunner(_FlRunner):
             done({"delta": mlp.model_delta(local_model, self.model, sample_count=n),
                   "losses": losses, "n": n}, "fs")
 
-        inner = _NestedSlRunner(sub, self.topo, self.radio, self.eng, trained, fail)
+        inner = _NestedSlRunner(sub, self.topo, self.radio, self.eng, trained, fail,
+                                lambda then: self._step(client, state, then))
         self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: inner._begin(0),
-                          node=client, detail=f"nested r{rnd} start")
+                          node=client, detail=f"nested r{state.index} start")
 
 
 class _NestedSlRunner(_SlHomoRunner):
@@ -1082,12 +1088,28 @@ class _NestedSlRunner(_SlHomoRunner):
     every hop a D2D hop to or from the master. It keeps its records to
     itself (the master's work reports through the FL trace) and hands the
     trained model and its losses to `done` after the last iteration; an
-    abort takes the master itself out of the FL session through `fail`."""
+    abort takes the master itself out of the FL session through `fail`.
 
-    def __init__(self, session: SlSession, topo, radio_env, eng, done, fail):
+    Every leg ends, and every iteration begins, through `step`, the master's
+    FL chain check: once the master's FL round has closed, the run stops
+    there and the master rejoins FL, so at most the leg in flight when the
+    round closed still completes."""
+
+    def __init__(self, session: SlSession, topo, radio_env, eng, done, fail, step):
         super().__init__(session, topo, radio_env, eng, protocol_name="fedsplit_nested")
         self.done = done
         self.fail = fail
+        self.step = step
+
+    def leg_compute(self, node, macs, what, done, fail=None):
+        super().leg_compute(node, macs, what, self.step(done), fail and self.step(fail))
+
+    def leg_d2d(self, src, dst, bits, payload, done, fail):
+        super().leg_d2d(src, dst, bits, payload, self.step(done), self.step(fail))
+
+    def _begin(self, iteration: int) -> None:
+        if iteration < self.rounds:
+            self.step(super()._begin)(iteration)
 
     def _up(self, ue, bits, payload, ctx, done, fail):
         self.leg_d2d(ue, self.session.server, bits, payload, done, fail)

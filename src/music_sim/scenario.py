@@ -4,12 +4,14 @@ A scenario is one JSON document with sections `nodes`, `links`, `d2d_groups`,
 `radio`, `ml`, `protocol`, `seeds` and the optional `placement` and `output`.
 Parsing is strict — an unknown key anywhere is an error, so typos surface
 instead of silently meaning nothing. Every run artifact embeds the sha256
-hash of the effective (post-override) document plus the root seed.
+hash of the effective (post-override) document plus the root seed; the hash
+is computed the first time it is read, not while validating.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -179,7 +181,6 @@ class ProtocolSettings:
 @dataclass
 class ScenarioConfig:
     doc: dict
-    hash: str
     topo: NetworkTopology
     radio_env: RadioEnv
     ml: MlSettings
@@ -188,6 +189,14 @@ class ScenarioConfig:
     policy: SelectionPolicy = field(default_factory=SelectionPolicy)
     latency_deadline: float = math.inf
     out_dir: str | None = None
+
+    @functools.cached_property
+    def hash(self) -> str:
+        """`config_hash(doc)`, computed the first time a run or a plan reads
+        it, so validation alone never hashes. `doc` must not change after
+        parsing (nothing changes it), or the hash would describe an older
+        document."""
+        return config_hash(self.doc)
 
 
 def _parse_ml(section: dict) -> MlSettings:
@@ -289,9 +298,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
     policy, deadline = (_parse_placement(doc["placement"])
                         if "placement" in doc else (SelectionPolicy(), math.inf))
     cfg = ScenarioConfig(
-        doc=doc, hash=config_hash(doc), topo=topo, radio_env=radio_env,
-        ml=ml_settings, protocol=proto, seeds=seeds, policy=policy,
-        latency_deadline=deadline,
+        doc=doc, topo=topo, radio_env=radio_env, ml=ml_settings, protocol=proto,
+        seeds=seeds, policy=policy, latency_deadline=deadline,
         out_dir=doc.get("output", {}).get("dir"),
     )
     _check_cross_references(cfg)

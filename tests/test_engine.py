@@ -125,6 +125,23 @@ def test_event_log_roundtrip_with_meta(tmp_path):
     assert json.loads(lines[1])["detail"] == "ul:model"
 
 
+def test_event_log_lines_are_json_dumps_of_each_record(tmp_path):
+    """One encoder writes the same bytes as `json.dumps(sort_keys=True)` per
+    record, escapes included."""
+    eng = Engine(seed=0)
+    eng.charge("gerät-0", "compute", 0.25)  # out of band: its own CHARGE record
+    eng.schedule(1.0, EventKind.TX_DONE, lambda: eng.charge("gerät-0", "tx", 1e-9),
+                 node="gerät-0", detail="ul:Δ")
+    eng.run()
+    path = tmp_path / "events.jsonl"
+    meta = {"config_hash": "abc", "seed": 3}
+    eng.write_event_log(path, meta=meta)
+    expected = [json.dumps({"kind": "META", "charges": [], **meta}, sort_keys=True)]
+    expected += [json.dumps(record, sort_keys=True) for record in eng.event_log]
+    assert [r["kind"] for r in eng.event_log] == ["CHARGE", "TX_DONE"]
+    assert path.read_text().splitlines() == expected
+
+
 def test_identical_seeds_produce_identical_logs():
     def run_once():
         eng = Engine(seed=11)

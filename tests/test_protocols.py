@@ -27,6 +27,8 @@ from music_sim.protocols import (
     SlSession,
     TrainingConfig,
     _FlRunner,
+    _Round,
+    _SlHomoRunner,
     run_fedsplit_nested,
     run_fl,
     run_sl_heterogeneous,
@@ -215,6 +217,23 @@ def _homo_session(clients, data, *, iterations=3, cut=2, server="ap0",
     return SlSession(server=server, clients=list(clients), variant="homogeneous",
                      iterations=iterations, model=model, scheme=scheme or _scheme(),
                      config=config or _config(), data=data, cut_index=cut, **kw)
+
+
+def test_round_snapshot_is_not_the_live_ledger():
+    """A round's `before` books stay as they were when it opened, however
+    the live ledger is charged afterwards."""
+    topo = star_topology(2)
+    eng = Engine(seed=0)
+    runner = _SlHomoRunner(_homo_session(["ue0", "ue1"], blob_data(2)), topo,
+                           simple_radio(), eng)
+    eng.charge("ue0", "compute", 1.0)
+    state = runner._open(_Round, 0)
+    eng.charge("ue0", "compute", 2.0)
+    eng.charge("ue0", "tx", 0.5)
+    eng.charge("ue1", "rx", 0.25)
+    assert state.before == {"ue0": {"compute": 1.0}}
+    assert runner._category_diff(state.before, "compute") == {"ue0": 2.0}
+    assert runner._category_diff(state.before, "rx") == {"ue1": 0.25}
 
 
 def test_homo_rotates_one_active_client_per_iteration():
@@ -555,6 +574,16 @@ def test_any_battery_vector_completes_or_aborts(name, fractions):
     assert again.engine.event_log == runtime.engine.event_log
 
 
+@pytest.mark.parametrize("name", ["fl_edge", "sl_homogeneous", "sl_heterogeneous_d2d",
+                                  "fedsplit_nested"])
+def test_static_channels_build_no_gain_streams(name):
+    """Every bundled device has a static channel, which draws no gain, so no
+    `gain:` stream is ever built."""
+    runtime, trace = _run_bundled(name, {})
+    assert trace.status == "completed"
+    assert not [s for s in runtime.engine.rng._streams if s.startswith("gain:")]
+
+
 @functools.cache
 def _full_run_rounds(name: str) -> tuple[int, float]:
     """Record count and slowest round latency of the unconstrained run."""
@@ -584,3 +613,26 @@ def test_any_round_deadline_completes_or_aborts(name, fraction):
     again, trace_again = _run_bundled(name, {}, round_deadline=deadline)
     assert trace_again.csv_rows() == trace.csv_rows()
     assert again.engine.event_log == runtime.engine.event_log
+
+
+@pytest.mark.parametrize("fraction", [0.66, 0.68, 0.75])
+def test_fedsplit_nested_phase_stops_once_its_round_closes(fraction):
+    """A master whose FL round closes at its deadline while it runs its
+    nested split learning stops at the next nested leg boundary: after each
+    closed round's deadline, at most the one nested leg then in flight
+    completes. The scenario has one master, ue0."""
+    records, slowest = _full_run_rounds("fedsplit_nested")
+    runtime, trace = _run_bundled("fedsplit_nested", {},
+                                  round_deadline=fraction * slowest)
+    _assert_live(runtime, trace, records)
+    nested_round, deadlines, late = None, set(), {}
+    for record in runtime.engine.event_log:
+        detail = record["detail"]
+        if m := re.fullmatch(r"nested r(\d+) start", detail):
+            nested_round = int(m.group(1))
+        elif m := re.fullmatch(r"round (\d+) deadline", detail):
+            deadlines.add(int(m.group(1)))
+        elif nested_round in deadlines and re.match(r"(fwd|srv|bwd|d2d):", detail):
+            late[nested_round] = late.get(nested_round, 0) + 1
+    assert late, "no round closed during the master's nested phase"
+    assert max(late.values()) <= 1, late

@@ -121,6 +121,15 @@ def test_overrides_are_hash_visible():
     assert config_hash(apply_overrides(doc)) == config_hash(doc)
 
 
+def test_config_hash_is_computed_when_first_read():
+    doc = full_doc()
+    assert validate_document(doc).ok
+    cfg = parse_config(doc)
+    assert "hash" not in vars(cfg)  # parsing alone does not hash
+    assert cfg.hash == config_hash(doc)
+    assert vars(cfg)["hash"] == cfg.hash
+
+
 def test_protocol_override_aliases():
     doc = apply_overrides(full_doc(), protocol="sl-homo")
     assert doc["protocol"]["kind"] == "sl_homogeneous"
