@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
             for line in report.lines():
                 print(line, file=sys.stderr)
             return EXIT_INVALID
-        cfg = parse_config(doc)
+        cfg = report.config
         runtime = assemble(cfg)
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -218,7 +218,7 @@ def cmd_sweep(args) -> int:
             if not report.ok:
                 detail = "; ".join(report.lines())
                 raise SimulationError(f"{args.axis}={raw}: {detail}")
-            runs.append((raw, parse_config(doc)))
+            runs.append((raw, report.config))
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

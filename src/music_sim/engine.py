@@ -77,10 +77,10 @@ class BlockLedger:
     A block serves one owner at a time, except reservations carrying the same
     shared tag (a power-multiplexed cluster), which may overlap each other.
 
-    Requests arrive in non-decreasing `earliest` order (the engine clock), so
-    a reservation that ended at or before a request can never overlap a later
-    one and is dropped. Each block keeps its live reservations as
-    (start, end, shared_tag) sorted by start.
+    Requests arrive in non-decreasing `earliest` order (the engine clock, or
+    the placement estimator's ready times), so a reservation that ended at or
+    before a request can never overlap a later one and is dropped. Each block
+    keeps its live reservations as (start, end, shared_tag) sorted by start.
     """
 
     def __init__(self):
@@ -115,6 +115,16 @@ class BlockLedger:
         if len(kept) != scanned:
             live[:scanned] = kept
         bisect.insort_right(live, (start, start + duration, shared_tag), key=_start_of)
+        return start
+
+    def book(self, ap_id: str, blocks, earliest: float, duration: float, owner: str,
+             shared_tag: str | None = None) -> float:
+        """Reserve each of `blocks` for one transmission; it starts once every
+        block is free, at the returned time."""
+        start = earliest
+        for block in blocks:
+            start = max(start, self.reserve(ap_id, block.index, earliest, duration,
+                                            owner, shared_tag))
         return start
 
 
@@ -181,11 +191,6 @@ class Engine:
             record["charges"].append([node, category, joules])
         else:
             self._active_record["charges"].append([node, category, joules])
-
-    def ledger_total(self, node: str | None = None) -> float:
-        if node is not None:
-            return sum(self.energy_ledger.get(node, {}).values())
-        return sum(sum(b.values()) for b in self.energy_ledger.values())
 
     def recount_from_log(self) -> dict[str, dict[str, float]]:
         """Rebuild the energy ledger purely from the event log."""

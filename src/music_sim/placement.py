@@ -13,9 +13,10 @@ cheapest feasible plan wins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import costs
+from .engine import BlockLedger
 from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError
 from .protocols import LegCosts
 from .radio import AccessScheme, RadioEnv
@@ -157,21 +158,20 @@ class _Estimator:
 
     Every leg is priced by the runners' own `LegCosts`; the estimator only
     carries ready times along the schedule and sums energy per node and
-    phase. It books each orthogonal uplink on its block, so a client that
-    makes two uplinks in one iteration (labels, then a handoff) waits for its
-    own earlier reservation exactly as the executed schedule does.
-    Cross-client block contention is not modelled; plans meant for
-    estimate/execution parity keep at least one block per uplinking client.
+    phase. Uplinks book their blocks on a `BlockLedger`, as the runners do,
+    so callers must request them in the order the engine would: by ready
+    time, ties in client order. `clients` is the session's client order,
+    which fixes each device's block slot.
     """
 
-    def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv):
+    def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
+                 clients: list[str]):
         self.task = plan.task
         self.topo = topo
-        self.radio = radio
-        self.noma = plan.ma_scheme.kind.noma
         self.legs = LegCosts(topo, radio, plan.ma_scheme, plan.task.cycles_per_mac)
+        self.legs.assign_slots(clients)
+        self.blocks = BlockLedger()
         self.energy: dict[str, dict[str, float]] = {}
-        self._block_free: dict[tuple[str, int], float] = {}
 
     def add(self, node: str, phase: str, joules: float) -> None:
         if joules > 0:
@@ -184,22 +184,14 @@ class _Estimator:
         return latency
 
     def radio_up(self, ue_id: str, bits: int, ready: float) -> float:
-        """Uplink at mean gain; returns the completion time (with any wait on
-        the client's own block)."""
-        ue = self.topo.ues[ue_id]
-        cluster = self.radio.cluster_of(ue_id)
-        if cluster is not None and self.noma:
-            gains = {m: self.topo.ues[m].channel_gain for m in cluster.member_ids()}
-            latency, tx, rx = self.legs.noma_up(cluster, ue_id, bits,
-                                                self.radio.cluster_rates(cluster, gains))
-            start = ready
-        else:
-            block, latency, tx, rx = self.legs.oma_up(ue_id, bits, ue.channel_gain)
-            key = (ue.attached_ap, block.index)
-            start = max(ready, self._block_free.get(key, 0.0))
-            self._block_free[key] = start + latency
+        """Uplink at mean gain; returns the completion time, after any wait
+        for its blocks. Every uplink shares one context, so each NOMA
+        cluster's rates are computed once per estimate."""
+        blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, "")
+        ap = self.topo.ues[ue_id].attached_ap
+        start = self.blocks.book(ap, blocks, ready, latency, ue_id, tag)
         self.add(ue_id, "tx", tx)
-        self.add(ue.attached_ap, "rx", rx)
+        self.add(ap, "rx", rx)
         return start + latency
 
     def radio_down(self, ue_id: str, bits: int, ready: float) -> float:
@@ -245,8 +237,8 @@ class _Estimator:
                             breakdown=self.energy)
 
 
-def _estimate_centralized(plan, topo, radio) -> CostEstimate:
-    est = _Estimator(plan, topo, radio)
+def _estimate_centralized(plan, topo, radio, clients: list[str]) -> CostEstimate:
+    est = _Estimator(plan, topo, radio, clients)
     task = plan.task
     server = plan.server()
     t = 0.0
@@ -260,31 +252,29 @@ def _estimate_centralized(plan, topo, radio) -> CostEstimate:
 def _fl_rounds(est: _Estimator, server: str, clients: list[str], local) -> CostEstimate:
     """FL rounds: each client downloads the model, trains through
     `local(client, ready) -> done`, and uploads its delta; the round closes
-    at the slowest upload plus aggregation."""
+    at the slowest upload plus aggregation. Uploads are made in the order
+    the engine dispatches them: by ready time, ties in client order."""
     task = est.task
-    est.legs.assign_slots(clients)
     model_bits = costs.model_bits(task.widths)
     agg_macs = costs.aggregation_macs(len(clients), costs.param_count_of(task.widths))
     t = 0.0
     for rnd in range(task.rounds):
+        ready = [local(c, est.down_path(server, c, model_bits, t) if c in est.topo.ues
+                       else est.backhaul(server, c, model_bits, t))
+                 for c in clients]
         slowest = t
-        for c in clients:
-            if c in est.topo.ues:
-                done = local(c, est.down_path(server, c, model_bits, t))
-                done = est.up_path(c, server, model_bits, done)
-            else:
-                done = local(c, est.backhaul(server, c, model_bits, t))
-                done = est.backhaul(c, server, model_bits, done)
-            slowest = max(slowest, done)
+        for i in sorted(range(len(clients)), key=ready.__getitem__):
+            c = clients[i]
+            up = est.up_path if c in est.topo.ues else est.backhaul
+            slowest = max(slowest, up(c, server, model_bits, ready[i]))
         t = slowest + est.compute(server, agg_macs)
         t += est.eval_latency(server, rnd)
     return est.finish(t)
 
 
-def _estimate_fl(plan, topo, radio, clients: list[str] | None = None) -> CostEstimate:
-    est = _Estimator(plan, topo, radio)
+def _estimate_fl(plan, topo, radio, clients: list[str]) -> CostEstimate:
+    est = _Estimator(plan, topo, radio, clients)
     task = plan.task
-    clients = clients if clients is not None else sorted(plan.nodes_with("client"))
     local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
     return _fl_rounds(est, plan.server(), clients,
                       lambda c, ready: ready + est.compute(c, local_macs))
@@ -326,21 +316,17 @@ def _sl_homo_iterations(est: _Estimator, server: str, clients: list[str],
     return t
 
 
-def _estimate_sl_homogeneous(plan, topo, radio) -> CostEstimate:
-    est = _Estimator(plan, topo, radio)
-    clients = sorted(plan.nodes_with("client"))
-    est.legs.assign_slots(clients)
+def _estimate_sl_homogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
+    est = _Estimator(plan, topo, radio, clients)
     t = _sl_homo_iterations(est, plan.server(), clients, plan.task.total_iterations, 0.0,
                             est.up_path, est.down_path, evaluate=True)
     return est.finish(t)
 
 
-def _estimate_sl_heterogeneous(plan, topo, radio, order: list[str] | None = None) -> CostEstimate:
-    est = _Estimator(plan, topo, radio)
+def _estimate_sl_heterogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
+    est = _Estimator(plan, topo, radio, clients)
     task = plan.task
     server = plan.server()
-    clients = order if order is not None else sorted(plan.nodes_with("client"))
-    est.legs.assign_slots(clients)
     widths = task.widths
     num_layers = len(widths) - 1
     edges = (0, *task.boundaries)
@@ -382,23 +368,21 @@ def _estimate_sl_heterogeneous(plan, topo, radio, order: list[str] | None = None
     return est.finish(t)
 
 
-def _estimate_fedsplit(plan, topo, radio) -> CostEstimate:
+def _estimate_fedsplit(plan, topo, radio, clients: list[str]) -> CostEstimate:
     """FL over masters and plain clients; a master's local training is the
     homogeneous SL sequence over its slaves, every hop a D2D hop."""
-    est = _Estimator(plan, topo, radio)
+    est = _Estimator(plan, topo, radio, clients)
     task = plan.task
-    masters = sorted(plan.nodes_with("master"))
     local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
 
     def local(c, ready):
-        if c not in masters:
+        if plan.roles[c] != "master":
             return ready + est.compute(c, local_macs)
         slaves = [s for s in topo.group_containing(c).slaves if s in plan.roles]
         return _sl_homo_iterations(est, c, slaves, task.local_iterations, ready,
                                    est.d2d, est.d2d, evaluate=False)
 
-    return _fl_rounds(est, plan.server(), masters + sorted(plan.nodes_with("client")),
-                      local)
+    return _fl_rounds(est, plan.server(), clients, local)
 
 
 _ESTIMATORS = {
@@ -414,17 +398,18 @@ def estimate_cost(plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
                   client_order: list[str] | None = None) -> CostEstimate:
     """A-priori (no dropouts, mean gains) cost of executing a plan.
 
-    `client_order` pins the client sequence when it matters (session order
-    for split learning); by default clients are taken in sorted-id order.
+    `client_order` is the session's client sequence (FedSplit: its FL
+    participants, masters included); by default masters, then clients, each
+    in sorted-id order.
     """
     kind = plan.task.protocol
     try:
         fn = _ESTIMATORS[kind]
     except KeyError:
         raise ScenarioSchemaError(f"no estimator for protocol {kind!r}") from None
-    if client_order is not None and kind in ("fl", "sl_heterogeneous"):
-        return fn(plan, topo, radio, client_order)
-    return fn(plan, topo, radio)
+    if client_order is None:
+        client_order = sorted(plan.nodes_with("master")) + sorted(plan.nodes_with("client"))
+    return fn(plan, topo, radio, client_order)
 
 
 # ---------------------------------------------------------------- #
@@ -444,7 +429,7 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
 
     for server_id in sorted(topo.servers):
         solo = TrainingPlan(
-            task=_with_protocol(task, "centralized"),
+            task=replace(task, protocol="centralized"),
             roles={server_id: "server"}, ma_scheme=scheme)
         plans.append(solo)
 
@@ -456,7 +441,7 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
             continue
         roles = {server_id: "server"}
         roles.update({c: "client" for c in children})
-        plans.append(TrainingPlan(task=_with_protocol(task, "fl"),
+        plans.append(TrainingPlan(task=replace(task, protocol="fl"),
                                   roles=roles, ma_scheme=scheme))
 
     if task.protocol in UE_PROTOCOLS:
@@ -475,18 +460,6 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
             if plan is not None:
                 plans.append(plan)
     return plans
-
-
-def _with_protocol(task: TrainingTask, protocol: str) -> TrainingTask:
-    if task.protocol == protocol:
-        return task
-    return TrainingTask(protocol=protocol, widths=task.widths, rounds=task.rounds,
-                        local_iterations=task.local_iterations,
-                        batch_size=task.batch_size,
-                        latency_deadline=task.latency_deadline,
-                        cycles_per_mac=task.cycles_per_mac,
-                        eval_every=task.eval_every, test_size=task.test_size,
-                        cut_index=task.cut_index, boundaries=task.boundaries)
 
 
 def _device_layer_plan(task: TrainingTask, topo: NetworkTopology, ap_id: str,

@@ -203,16 +203,22 @@ class LegCosts:
     estimator adds the same numbers up in closed form, so a plan's estimate
     and the executed cost of its schedule come from one set of formulas.
     Transmission legs return (latency, sender joules, receiver joules); the
-    orthogonal uplink also names the block it rides on.
+    uplink also names the blocks it books and their shared tag.
+
+    `gain(ue_id, context)` is the channel gain of one uplink; by default the
+    device's mean gain, which is what the estimator prices.
     """
 
     def __init__(self, topo: NetworkTopology, radio_env: RadioEnv,
-                 scheme: AccessScheme, cycles_per_mac: float):
+                 scheme: AccessScheme, cycles_per_mac: float, gain=None):
         self.topo = topo
         self.radio = radio_env
         self.scheme = scheme
         self.cycles_per_mac = cycles_per_mac
+        self.gain = gain or (lambda ue_id, context: topo.ues[ue_id].channel_gain)
+        self._noma = scheme.kind.noma
         self._slot: dict[str, int] = {}
+        self._cluster_rates: dict[tuple, dict[str, float]] = {}
 
     def assign_slots(self, ues) -> None:
         """Pin each device to a stable uplink block slot (first come, first
@@ -233,18 +239,34 @@ class LegCosts:
     def rx(self, bits: int) -> float:
         return self.radio.rx_energy_per_bit * bits
 
-    def oma_up(self, ue_id: str, bits: int, gain: float):
-        """(block, latency, tx, rx) of one orthogonal uplink at channel `gain`."""
+    def up(self, ue_id: str, bits: int, context: str):
+        """(blocks, shared_tag, latency, tx, rx) of one uplink UE -> its access
+        point. Under a NOMA scheme a cluster member shares the cluster's
+        blocks, tagged by the cluster, at its cancellation rate; any other
+        device rides its orthogonal block slot alone."""
         ue = self.topo.ues[ue_id]
-        block = self.radio.block_for(ue.attached_ap, self.slot_of(ue_id))
-        rate = self.radio.oma_uplink_rate(block, ue.tx_power, gain)
-        latency, energy = tx_cost(bits, rate, ue.tx_power, self.scheme)
-        return block, latency, energy, self.rx(bits)
+        cluster = self.radio.cluster_of(ue_id) if self._noma else None
+        if cluster is not None:
+            blocks, tag = cluster.blocks, "cluster:" + "+".join(cluster.member_ids())
+            rate = self._rates(cluster, context)[ue_id]
+            power = cluster.power_of(ue_id)
+        else:
+            block = self.radio.block_for(ue.attached_ap, self.slot_of(ue_id))
+            blocks, tag = (block,), None
+            rate = self.radio.oma_uplink_rate(block, ue.tx_power, self.gain(ue_id, context))
+            power = ue.tx_power
+        latency, energy = tx_cost(bits, rate, power, self.scheme)
+        return blocks, tag, latency, energy, self.rx(bits)
 
-    def noma_up(self, cluster: NomaCluster, ue_id: str, bits: int,
-                rates: dict[str, float]) -> tuple[float, float, float]:
-        latency, energy = tx_cost(bits, rates[ue_id], cluster.power_of(ue_id), self.scheme)
-        return latency, energy, self.rx(bits)
+    def _rates(self, cluster: NomaCluster, context: str) -> dict[str, float]:
+        """Per-member NOMA rates; each member's gain is drawn once per cluster
+        and payload round, and shared by the members' uplinks in it."""
+        key = (cluster.member_ids(), context.split(":")[0])
+        rates = self._cluster_rates.get(key)
+        if rates is None:
+            gains = {m: self.gain(m, key[1]) for m in key[0]}
+            rates = self._cluster_rates[key] = self.radio.cluster_rates(cluster, gains)
+        return rates
 
     def down(self, bits: int) -> tuple[float, float, float]:
         """Access point -> device at the fixed downlink rate."""
@@ -288,11 +310,11 @@ class _RunnerBase:
         self.rounds = rounds
         self.model = session.model
         self.trace = MetricsTrace(protocol=protocol)
-        self.legs = LegCosts(topo, radio_env, session.scheme, session.config.cycles_per_mac)
+        self.legs = LegCosts(topo, radio_env, session.scheme, session.config.cycles_per_mac,
+                             gain=self._gain)
         self.legs.assign_slots(session.clients)
         self.bytes_up = 0
         self.bytes_down = 0
-        self._cluster_rate_cache: dict[tuple, dict[str, float]] = {}
 
     def run(self) -> MetricsTrace:
         self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: self._begin(0),
@@ -361,16 +383,6 @@ class _RunnerBase:
         self.eng.schedule_after(latency, EventKind.COMPUTE_DONE, finish,
                                 node=node, detail=what)
 
-    def _cluster_rates(self, cluster: NomaCluster, context: str) -> dict[str, float]:
-        """Per-member NOMA rates; each member's gain is drawn once per cluster
-        and payload round, and shared by the members' uplinks in it."""
-        key = (cluster.member_ids(), context.split(":")[0])
-        rates = self._cluster_rate_cache.get(key)
-        if rates is None:
-            gains = {m: self._gain(m, key[1]) for m in key[0]}
-            rates = self._cluster_rate_cache[key] = self.radio.cluster_rates(cluster, gains)
-        return rates
-
     def _gain(self, ue_id: str, context: str) -> float:
         """Channel gain of one uplink. The `gain:` stream is built only for a
         varying channel: a static one draws nothing from it."""
@@ -384,22 +396,11 @@ class _RunnerBase:
         """One uplink transmission UE -> its access point."""
         if self._outage(ue_id, context, fail):
             return
-        cluster = self.radio.cluster_of(ue_id)
-        if cluster is not None and self.session.scheme.kind.noma:
-            latency, tx, rx = self.legs.noma_up(cluster, ue_id, bits,
-                                                self._cluster_rates(cluster, context))
-            blocks, tag = cluster.blocks, "cluster:" + "+".join(cluster.member_ids())
-        else:
-            block, latency, tx, rx = self.legs.oma_up(ue_id, bits,
-                                                      self._gain(ue_id, context))
-            blocks, tag = (block,), None
+        blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, context)
         if not self._battery_ok(ue_id, tx, fail):
             return
         ap = self._ap_of(ue_id)
-        start = self.eng.clock
-        for block in blocks:
-            start = max(start, self.eng.blocks.reserve(
-                ap, block.index, self.eng.clock, latency, owner=ue_id, shared_tag=tag))
+        start = self.eng.blocks.book(ap, blocks, self.eng.clock, latency, ue_id, tag)
         def finish():
             self.eng.charge(ue_id, "tx", tx)
             self.eng.debit_battery(ue_id, tx)

@@ -358,6 +358,7 @@ def load_scenario(path) -> ScenarioConfig:
 class ValidationReport:
     errors: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[tuple[str, str]] = field(default_factory=list)
+    config: ScenarioConfig | None = None  # None when the document did not parse
 
     @property
     def ok(self) -> bool:
@@ -420,7 +421,8 @@ def task_of(cfg: ScenarioConfig) -> TrainingTask:
 
 
 def validate_document(doc_or_text) -> ValidationReport:
-    """Full schema + topology + plan validation with named constraints."""
+    """Full schema + topology + plan validation with named constraints. The
+    report carries the configuration it parsed, so callers parse once."""
     report = ValidationReport()
     try:
         doc = (parse_scenario_text(doc_or_text) if isinstance(doc_or_text, str)
@@ -430,6 +432,7 @@ def validate_document(doc_or_text) -> ValidationReport:
         report.errors.append((_constraint_name(exc), str(exc)))
         return report
 
+    report.config = cfg
     plan = plan_of(cfg)
     violation = validate_layer_span(plan, cfg.topo)
     if violation is not None:

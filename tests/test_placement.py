@@ -9,6 +9,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from music_sim import costs, mlp
 from music_sim.engine import Engine
@@ -35,9 +37,9 @@ from music_sim.protocols import (
     run_sl_homogeneous,
 )
 from music_sim.radio import AccessScheme, NomaCluster, SchemeKind
-from music_sim.topology import UeProfile, validate_layer_span
+from music_sim.topology import UeProfile, build_topology, validate_layer_span
 
-from conftest import blob_data, simple_radio, star_topology
+from conftest import blob_data, simple_radio, star_doc, star_topology
 
 WIDTHS = (8, 16, 12, 4)
 SCHEME = AccessScheme(kind=SchemeKind.OMA_GRANT_BASED, signalling_delay=0.01)
@@ -216,6 +218,112 @@ def test_estimate_matches_executed_fedsplit():
                                "ue2": "slave", "ue3": "client", "ue4": "client"},
                         ma_scheme=SCHEME)
     _assert_parity(estimate_cost(plan, topo, radio), eng)
+
+
+DEEP = (8, 16, 12, 10, 4)
+
+
+def _parity_case(protocol, clients, blocks, rounds, local_iters, server, kind, relay,
+                 eval_every, pair, rotate):
+    """(estimate, engine after the executed run) of one static-channel plan.
+
+    `clients` counts the session's uplinking clients (FedSplit's FL
+    participants; its master ue0 always has slaves ue1 and ue2). Session
+    order is sorted ids rotated by `rotate`, except heterogeneous SL's chain
+    ue1-ue0-ue2, which is what its D2D links allow. `relay` is the
+    heterogeneous relay; under the other protocols "d2d" gives ue0 a D2D
+    group (SL handoffs then ride it). The first two session clients by id
+    form a NOMA pair on the blocks `pair` names (modulo the cell's block
+    count; none when empty), used by the NOMA schemes only.
+    """
+    hetero = protocol == "sl_heterogeneous"
+    fedsplit = protocol == "fedsplit_nested"
+    n_ue = 3 if hetero else clients + 2 * fedsplit
+    doc = star_doc(n_ue, d2d=fedsplit or (relay == "d2d" and n_ue > 1))
+    if fedsplit:
+        doc["d2d_groups"][0]["slaves"] = ["ue1", "ue2"]
+    topo = build_topology(doc)
+    if hetero:
+        session = ["ue1", "ue0", "ue2"][:clients]
+    else:
+        ids = [f"ue{i}" for i in range(n_ue) if not (fedsplit and i in (1, 2))]
+        k = rotate % len(ids)
+        session = ids[k:] + ids[:k]
+    members = sorted(session)[:2]
+    indices = sorted({i % blocks for i in pair})
+    cells = simple_radio(blocks).cells["ap0"]
+    clusters = [NomaCluster(members=((members[0], 0.2), (members[1], 0.1)),
+                            blocks=tuple(cells[i] for i in indices))] \
+        if indices and len(members) == 2 else []
+    radio = simple_radio(blocks, clusters=clusters)
+    kind = SchemeKind(kind)
+    scheme = AccessScheme(kind=kind, signalling_delay=0.0 if kind.grant_free else 0.01)
+
+    data = blob_data(n_ue, test_size=32)
+    model = mlp.init_model(list(DEEP), "ce", seed=3)
+    config = _config(eval_every=eval_every)
+    eng = Engine(seed=0)
+    roles = {server: "server"}
+    roles.update({c: "client" for c in session})
+    if protocol in ("fl", "fedsplit_nested"):
+        task = TrainingTask(protocol=protocol, widths=DEEP, rounds=rounds,
+                            local_iterations=local_iters, batch_size=16,
+                            eval_every=eval_every, test_size=32, cut_index=2)
+        fl = FlSession(server=server, clients=session, local_iterations=local_iters,
+                       global_rounds=rounds, model=model, scheme=scheme, config=config,
+                       data=data)
+        if fedsplit:
+            roles.update({"ue0": "master", "ue1": "slave", "ue2": "slave"})
+            nested = {"ue0": SlSession(server="ue0", clients=["ue1", "ue2"],
+                                       variant="homogeneous", iterations=1, model=model,
+                                       scheme=scheme, config=config, data=data,
+                                       cut_index=2)}
+            run_fedsplit_nested(fl, nested, topo, radio, eng)
+        else:
+            run_fl(fl, topo, radio, eng)
+    else:
+        iterations = rounds * local_iters
+        bounds = tuple(range(1, clients + 1)) if hetero else ()
+        task = TrainingTask(protocol=protocol, widths=DEEP, rounds=1,
+                            local_iterations=iterations, batch_size=16,
+                            eval_every=eval_every, test_size=32,
+                            cut_index=None if hetero else 2, boundaries=bounds)
+        sl = SlSession(server=server, clients=session,
+                       variant="heterogeneous" if hetero else "homogeneous",
+                       iterations=iterations, model=model, scheme=scheme, config=config,
+                       data=data, cut_index=None if hetero else 2, boundaries=bounds,
+                       relay=relay if hetero else "via_server")
+        (run_sl_heterogeneous if hetero else run_sl_homogeneous)(sl, topo, radio, eng)
+    plan = TrainingPlan(task=task, roles=roles, ma_scheme=scheme,
+                        relay=relay if hetero else "via_server")
+    return estimate_cost(plan, topo, radio, client_order=session), eng
+
+
+@settings(max_examples=60, deadline=None)
+@given(protocol=st.sampled_from(["fl", "sl_homogeneous", "sl_heterogeneous",
+                                 "fedsplit_nested"]),
+       clients=st.integers(1, 9), blocks=st.integers(1, 4), rounds=st.integers(1, 2),
+       local_iters=st.integers(1, 2), server=st.sampled_from(["ap0", "fog0"]),
+       kind=st.sampled_from([k.value for k in SchemeKind]),
+       relay=st.sampled_from(["via_server", "d2d"]), eval_every=st.integers(0, 2),
+       pair=st.lists(st.integers(0, 3), max_size=2, unique=True),
+       rotate=st.integers(0, 8))
+# the worst latency errors of the estimate before it booked blocks on a ledger:
+# +17.8% (upload walked in list order), -47.4% and -33.9% (a NOMA pair ignored
+# the orthogonal client sharing its block)
+@example("fl", 5, 4, 1, 2, "ap0", "oma_grant_free", "via_server", 0, [], 0)
+@example("fl", 9, 1, 2, 1, "ap0", "noma_grant_based", "via_server", 0, [0], 0)
+@example("sl_heterogeneous", 3, 1, 2, 2, "ap0", "noma_grant_based", "d2d", 0, [0], 0)
+def test_estimate_equals_the_run_under_block_contention(
+        protocol, clients, blocks, rounds, local_iters, server, kind, relay,
+        eval_every, pair, rotate):
+    """Parity holds with more uplinking clients than blocks, with a NOMA pair
+    whose blocks orthogonal clients may share, and in any session order."""
+    if protocol == "sl_heterogeneous":
+        clients = min(clients, 3)
+    est, eng = _parity_case(protocol, clients, blocks, rounds, local_iters, server,
+                            kind, relay, eval_every, pair, rotate)
+    _assert_parity(est, eng)
 
 
 def test_centralized_estimate_closed_form():

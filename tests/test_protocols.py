@@ -551,7 +551,8 @@ def _full_run_spend(name: str) -> tuple[int, dict[str, float]]:
     """Record count and per-device energy of the unconstrained run."""
     if name not in _FULL_RUN_SPEND:
         runtime, trace = _run_bundled(name, {})
-        spent = {ue: runtime.engine.ledger_total(ue) for ue in runtime.cfg.topo.ues}
+        spent = {ue: sum(runtime.engine.energy_ledger.get(ue, {}).values())
+                 for ue in runtime.cfg.topo.ues}
         _FULL_RUN_SPEND[name] = (len(trace.records), spent)
     return _FULL_RUN_SPEND[name]
 

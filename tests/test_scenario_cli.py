@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import music_sim
+from music_sim import scenario as scenario_module
 from music_sim.cli import EXIT_ABORT, EXIT_INVALID, EXIT_OK, main
 from music_sim.errors import ScenarioParseError, ScenarioSchemaError
 from music_sim.scenario import (
@@ -232,6 +233,17 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert head["kind"] == "META"
     assert head["config_hash"] == summary["config_hash"]
     assert all("time" in json.loads(line) for line in events[1:])
+
+
+def test_run_builds_the_topology_once(tmp_path, monkeypatch):
+    """`run` executes the configuration its validation parsed."""
+    built = []
+    build = scenario_module.build_topology
+    monkeypatch.setattr(scenario_module, "build_topology",
+                        lambda doc: built.append(doc) or build(doc))
+    assert main(["run", "--scenario", str(SCENARIO_DIR / "fl_edge.json"),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    assert len(built) == 1
 
 
 def test_run_is_byte_identical_per_seed(tmp_path):
