@@ -17,7 +17,6 @@ import hashlib
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
 from enum import IntEnum
 from operator import itemgetter
 from typing import Callable
@@ -34,16 +33,6 @@ class EventKind(IntEnum):
     TX_DONE = 1
     COMPUTE_DONE = 2
     ROUND_BOUNDARY = 3
-
-
-@dataclass
-class Event:
-    time: float
-    kind: EventKind
-    seq: int
-    node: str | None
-    detail: str
-    callback: Callable[[], None] = field(repr=False)
 
 
 class RngStreams:
@@ -139,36 +128,34 @@ class Engine:
         self.dropped: set[str] = set()
         self.energy_ledger: dict[str, dict[str, float]] = {}
         self.event_log: list[dict] = []
-        self._heap: list[tuple[float, int, int, Event]] = []
+        # (time, kind, seq, node, detail, callback); seq makes every key unique
+        self._heap: list[tuple] = []
         self._seq = itertools.count()
         self._active_record: dict | None = None
 
     # ---- scheduling ----
 
     def schedule(self, at: float, kind: EventKind, callback: Callable[[], None],
-                 node: str | None = None, detail: str = "") -> Event:
+                 node: str | None = None, detail: str = "") -> None:
         if at < self.clock:
             raise TimestampInPast(f"cannot schedule {detail!r} at {at} (clock is {self.clock})")
-        event = Event(time=at, kind=kind, seq=next(self._seq), node=node,
-                      detail=detail, callback=callback)
-        heapq.heappush(self._heap, (at, int(kind), event.seq, event))
-        return event
+        heapq.heappush(self._heap, (at, kind, next(self._seq), node, detail, callback))
 
     def schedule_after(self, delay: float, kind: EventKind, callback: Callable[[], None],
-                       node: str | None = None, detail: str = "") -> Event:
-        return self.schedule(self.clock + delay, kind, callback, node=node, detail=detail)
+                       node: str | None = None, detail: str = "") -> None:
+        self.schedule(self.clock + delay, kind, callback, node=node, detail=detail)
 
     def run(self) -> None:
         """Dispatch events until the heap is empty."""
         while self._heap:
-            _, _, _, event = heapq.heappop(self._heap)
-            self.clock = event.time
-            record = {"time": event.time, "kind": event.kind.name, "node": event.node,
-                      "detail": event.detail, "charges": []}
+            at, kind, _, node, detail, callback = heapq.heappop(self._heap)
+            self.clock = at
+            record = {"time": at, "kind": kind.name, "node": node, "detail": detail,
+                      "charges": []}
             self.event_log.append(record)
             self._active_record = record
             try:
-                event.callback()
+                callback()
             finally:
                 self._active_record = None
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 
 import numpy as np
 
@@ -286,8 +287,78 @@ class LegCosts:
         return latency, energy, self.rx(bits)
 
 
+class _Refused(Exception):
+    """Thrown into a process when a node refuses its leg (the node dropped)."""
+
+
+def _sequence(*legs):
+    """A process that runs `legs` one after another."""
+    yield from legs
+
+
+class _Process:
+    """Drives a process: a generator that yields legs. A leg is a callable
+    `(done, fail)` that starts one leg, or a tuple of processes that run
+    side by side. The process resumes inside the event that completes its
+    leg, and `_Refused` is thrown into it inside the DROPOUT event of a
+    refusal. `done(value)` receives what it returns; `fail()` runs when a
+    refusal escapes it (without `fail`, the refusal propagates). `guard()`
+    is asked before every resume: once it answers true, the process stops
+    there. Legs hold this object's bound methods and nothing it holds points
+    back at it, so it is freed once its last leg has run."""
+
+    __slots__ = ("gen", "done", "fail", "guard")
+
+    def __init__(self, gen, done, fail, guard):
+        self.gen, self.done, self.fail, self.guard = gen, done, fail, guard
+
+    def resume(self, value=None, error=None) -> None:
+        if self.guard is not None and self.guard():
+            return
+        try:
+            leg = self.gen.send(value) if error is None else self.gen.throw(error)
+        except StopIteration as stop:
+            if self.done is not None:
+                self.done(stop.value)
+            return
+        except _Refused:
+            if self.fail is None:
+                raise
+            self.fail()
+            return
+        if type(leg) is tuple:
+            _join(leg, self.resume, self.refused)
+        else:
+            leg(self.resume, self.refused)
+
+    def refused(self) -> None:
+        self.resume(None, _Refused())
+
+
+def _join(processes: tuple, done, fail) -> None:
+    """Run `processes` side by side: `done(results)` once all have
+    returned, or `fail()` when the first refusal escapes one of them."""
+    results = [None] * len(processes)
+    left = [len(processes)]
+
+    def returned(k, value):
+        results[k] = value
+        left[0] -= 1
+        if left[0] == 0:
+            done(tuple(results))
+
+    def failed():
+        if left[0] > 0:
+            left[0] = -1  # the others finish unheard
+            fail()
+
+    for k, process in enumerate(processes):
+        _Process(process, partial(returned, k), failed, None).resume()
+
+
 class _RunnerBase:
-    """Transmission/computation legs shared by all protocol runners.
+    """Transmission/computation legs shared by all protocol runners, and the
+    driver that runs a protocol's legs in order.
 
     Every leg is scheduled on the engine and calls `done()` (or `fail()`)
     from inside the completion event, after charging energy and debiting
@@ -295,9 +366,13 @@ class _RunnerBase:
     that cannot afford a leg refuses it and drops out at the current clock,
     spending nothing.
 
-    A runner records one entry per round (or iteration) of `rounds`; each
-    protocol supplies `_begin(index)`, which opens that round's `_Round`
-    with `_open` and starts it. `_end` records the round and begins the next.
+    Each protocol writes its legs top-down as processes (see `_Process`)
+    that `_drive` runs.
+
+    A runner records one entry per round (or iteration) of `rounds`.
+    `_begin(index)` starts round `index` (by default the process
+    `_round(index)`, which opens its `_Round` with `_open`); `_end` records
+    the round and begins the next.
     """
 
     def __init__(self, protocol: str, session, topo: NetworkTopology,
@@ -317,8 +392,7 @@ class _RunnerBase:
         self.bytes_down = 0
 
     def run(self) -> MetricsTrace:
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: self._begin(0),
-                          node=self.session.server, detail="session start")
+        self._boundary(self.session.server, "session start", partial(self._begin, 0))
         try:
             self.eng.run()
             if len(self.trace.records) < self.rounds:
@@ -335,6 +409,21 @@ class _RunnerBase:
 
     def _ap_of(self, ue_id: str) -> str:
         return self.topo.ues[ue_id].attached_ap
+
+    # ---- processes ----
+
+    def _drive(self, process, guard=None) -> None:
+        """Run `process` to its end, or until `guard()` answers true."""
+        _Process(process, None, None, guard).resume()
+
+    def _boundary(self, node: str, detail: str, done, fail=None) -> None:
+        """A zero-delay ROUND_BOUNDARY leg; nothing refuses it."""
+        self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY, done, node=node,
+                                detail=detail)
+
+    def _begin(self, index: int) -> None:
+        if index < self.rounds:
+            self._drive(self._round(index))
 
     # ---- failure plumbing ----
 
@@ -492,8 +581,9 @@ class _RunnerBase:
                 out[node] = delta
         return out
 
-    def _end(self, state: _Round, accuracy: float | None, what: str) -> None:
-        """Record the round, then begin the next one."""
+    def _end(self, state: _Round, what: str):
+        """Process: evaluate when due, record the round, begin the next."""
+        accuracy = yield from self._eval(state.index)
         self.trace.records.append(IterationRecord(
             index=state.index,
             wall_latency=self.eng.clock - state.start,
@@ -506,22 +596,19 @@ class _RunnerBase:
             accuracy=accuracy,
             dropouts=state.dropouts,
         ))
-        nxt = state.index + 1
-        self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY, lambda: self._begin(nxt),
-                                node=self.session.server, detail=f"{what} {state.index} done")
+        yield partial(self._boundary, self.session.server, f"{what} {state.index} done")
+        self._begin(state.index + 1)
 
-    def maybe_eval(self, owner: str, model: mlp.MlpModel, data: DataBundle,
-                   global_iter: int, done) -> None:
-        """Held-out evaluation at the loss owner, charged as compute there."""
+    def _eval(self, global_iter: int):
+        """Process: held-out evaluation at the loss owner, charged as compute
+        there (and run even if refused); the accuracy, or None if not due."""
         every = self.config.eval_every
         if every <= 0 or (global_iter + 1) % every != 0:
-            done(None)
-            return
-        macs = costs.forward_macs(model.widths, data.test_x.shape[0])
-        def run_eval():
-            _, acc = mlp.evaluate(model, data.test_x, data.test_labels)
-            done(acc)
-        self.leg_compute(owner, macs, "eval", run_eval)
+            return None
+        data = self.session.data
+        macs = costs.forward_macs(self.model.widths, data.test_x.shape[0])
+        yield lambda done, fail: self.leg_compute(self.session.server, macs, "eval", done)
+        return mlp.evaluate(self.model, data.test_x, data.test_labels)[1]
 
 
 # ====================================================================== #
@@ -543,65 +630,58 @@ class _FlRunner(_RunnerBase):
     delta. The round closes when every participant is back or has dropped,
     or at its deadline.
 
-    Stragglers: a chain looks at its round after the download, after the
-    local step and after the upload, and stops there once the round has
-    closed; its delta never counts. A client whose chain is still running
-    when a round begins is not started with the others: it joins that round
-    when the chain stops, if the round is still open, and the next round
-    otherwise. So no client trains two rounds at once, and every local step
-    starts from the model of the round it belongs to.
+    Stragglers: a chain's guard looks at its round whenever the chain
+    resumes, and stops the chain there once the round has closed; its delta
+    never counts. A client whose chain is still running when a round begins
+    is not started with the others: it joins that round when the chain
+    stops, if the round is still open, and the next round otherwise. So no
+    client trains two rounds at once, and every local step starts from the
+    model of the round it belongs to.
     """
 
     def __init__(self, session: FlSession, topo, radio_env, eng,
                  protocol_name: str = "fl"):
         super().__init__(protocol_name, session, topo, radio_env, eng,
                          session.global_rounds)
-        self._round: _FlRound | None = None
+        self._current: _FlRound | None = None
 
-    def _client_round(self, client: str, state: _FlRound) -> None:
-        """One client's chain: download the model, train, upload the delta."""
+    def _chain(self, client: str, state: _FlRound):
+        """`client`'s round: download the model, train, upload the delta."""
         sess = self.session
         bits = self.model.payload_bits
-        step = lambda then: self._step(client, state, then)
+        yield partial(self._boundary, client, f"round {state.index} start")
+        try:
+            yield partial(self.downlink_path, sess.server, client, bits, "model")
+            staged, tag = yield from self._local_step(client, state)
+            yield partial(self.uplink_path, client, sess.server, bits, "delta",
+                          f"{tag}{state.index}:{client}:ul")
+        except _Refused:
+            self._sweep(state)
+            return
+        state.arrivals.append((client, staged))
+        state.pending.discard(client)
+        self._maybe_close(state)
 
-        def arrived(staged):
-            state.arrivals.append((client, staged))
-            state.pending.discard(client)
-            self._maybe_close(state)
+    def _closed(self, client: str, state: _FlRound) -> bool:
+        """Guard of `client`'s chain: once `state` has closed, the chain
+        stops and the client rejoins."""
+        if state.closed:
+            self._rejoin(client)
+        return state.closed
 
-        def upload(staged, tag):
-            self.uplink_path(client, sess.server, bits, "delta",
-                             f"{tag}{state.index}:{client}:ul",
-                             step(lambda: arrived(staged)), fail)
-
-        fail = step(lambda: self._sweep(state))
-        self.downlink_path(
-            sess.server, client, bits, "model",
-            step(lambda: self._local_step(client, state, step(upload), fail)), fail)
-
-    def _step(self, client: str, state: _FlRound, then):
-        """`then`, unless `state` closed while the last leg of `client`'s
-        chain ran: then the chain stops and the client rejoins."""
-        def go(*args):
-            if state.closed:
-                self._rejoin(client)
-            else:
-                then(*args)
-        return go
-
-    def _local_step(self, client: str, state: _FlRound, done, fail) -> None:
-        """Train `client` locally, then `done(staged, tag)`: `staged` holds
-        the delta, its pre-step losses and its sample count, and `tag`
+    def _local_step(self, client: str, state: _FlRound):
+        """Process: train `client` locally. Returns (staged, tag): `staged`
+        holds the delta, its pre-step losses and its sample count, and `tag`
         prefixes the upload's random-stream context."""
         staged = self._local_training(client, state.index)
-        self.leg_compute(client, staged["macs"], f"local:r{state.index}",
-                         lambda: done(staged, "fl"), fail)
+        yield partial(self.leg_compute, client, staged["macs"], f"local:r{state.index}")
+        return staged, "fl"
 
     def _local_training(self, client: str, rnd: int) -> dict:
         """The actual numpy training `client` performs in round `rnd`, the
         round now open, from the global model it just downloaded. The
         round's first download trains all of the round's trainers at once."""
-        state = self._round
+        state = self._current
         if state.staged is None:
             state.staged = self._train_clients(state.trainers, rnd)
         return state.staged.pop(client)
@@ -645,8 +725,8 @@ class _FlRunner(_RunnerBase):
         if not participants:
             raise AllClientsDropped(f"round {rnd}: no clients left")
         # whoever the last round still waits for has a chain running
-        running = self._round.pending if self._round is not None else set()
-        state = self._round = self._open(_FlRound, rnd, pending=set(participants),
+        running = self._current.pending if self._current is not None else set()
+        state = self._current = self._open(_FlRound, rnd, pending=set(participants),
                                          trainers=self._local_trainers(participants))
         for client in participants:
             if client not in running:
@@ -658,14 +738,12 @@ class _FlRunner(_RunnerBase):
                               node=sess.server, detail=f"round {rnd} deadline")
 
     def _start(self, client: str, state: _FlRound) -> None:
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY,
-                          lambda: self._client_round(client, state),
-                          node=client, detail=f"round {state.index} start")
+        self._drive(self._chain(client, state), guard=partial(self._closed, client, state))
 
     def _rejoin(self, client: str) -> None:
         """`client`'s chain stopped after its round closed: it joins the
         round now open, or is free for the next `_begin`."""
-        state = self._round
+        state = self._current
         if client not in state.pending:
             return
         if state.closed:
@@ -691,20 +769,18 @@ class _FlRunner(_RunnerBase):
         state.closed = True
         if not state.arrivals:
             raise AllClientsDropped(f"round {state.index}: zero surviving uploads")
-        sess = self.session
+        self._drive(self._aggregate(state))
+
+    def _aggregate(self, state: _FlRound):
         deltas = [staged["delta"] for _, staged in state.arrivals]
         total_n = sum(staged["n"] for _, staged in state.arrivals)
         state.loss = sum(staged["n"] * float(np.mean(staged["losses"]))
                          for _, staged in state.arrivals) / total_n
-
-        def after_agg():
-            self.model = mlp.apply_delta(self.model, mlp.fed_avg(deltas))
-            self.maybe_eval(sess.server, self.model, sess.data, state.index,
-                            lambda acc: self._end(state, acc, "round"))
-
-        self.leg_compute(sess.server,
-                         costs.aggregation_macs(len(deltas), self.model.param_count),
-                         f"aggregate:r{state.index}", after_agg)
+        macs = costs.aggregation_macs(len(deltas), self.model.param_count)
+        yield lambda done, fail: self.leg_compute(self.session.server, macs,
+                                                  f"aggregate:r{state.index}", done)
+        self.model = mlp.apply_delta(self.model, mlp.fed_avg(deltas))
+        yield from self._end(state, "round")
 
 
 def run_fl(session: FlSession, topo: NetworkTopology, radio_env: RadioEnv,
@@ -716,34 +792,30 @@ def run_fl(session: FlSession, topo: NetworkTopology, radio_env: RadioEnv,
 #                          homogeneous split                             #
 # ====================================================================== #
 
-@dataclass
-class _SlHomoRound(_Round):
-    client: str = ""
-    labels: np.ndarray | None = None
-    client_cache: object = None
-    smashed: np.ndarray | None = None
-    server_grads: mlp.ParamDelta | None = None
-
-
 class _SlHomoRunner(_RunnerBase):
     """Sequential split learning: one active client per iteration; the
     client-side parameters hop to the next client between iterations,
     directly over D2D when a link exists, otherwise via the server."""
 
     def __init__(self, session: SlSession, topo, radio_env, eng,
-                 protocol_name: str = "sl_homogeneous"):
+                 protocol_name: str = "sl_homogeneous", over_d2d: bool = False):
         super().__init__(protocol_name, session, topo, radio_env, eng, session.iterations)
         self.cut = session.cut_index
+        self.over_d2d = over_d2d
         self.holder: str | None = None  # who physically has the client part
-        self.consecutive_failures = 0
         self.client_part_bits = costs.model_bits(self.model.widths[:self.cut + 1])
 
-    # transport between a client and the SL server: radio uplink/downlink
-    def _up(self, ue, bits, payload, ctx, done, fail):
-        self.uplink_path(ue, self.session.server, bits, payload, ctx, done, fail)
+    # transport between a client and the SL server; `over_d2d` for a
+    # FedSplit master, whose every hop to or from a slave is a D2D hop
+    def _up(self, ue, bits, payload, ctx):
+        if self.over_d2d:
+            return partial(self.leg_d2d, ue, self.session.server, bits, payload)
+        return partial(self.uplink_path, ue, self.session.server, bits, payload, ctx)
 
-    def _down(self, ue, bits, payload, done, fail):
-        self.downlink_path(self.session.server, ue, bits, payload, done, fail)
+    def _down(self, ue, bits, payload):
+        if self.over_d2d:
+            return partial(self.leg_d2d, self.session.server, ue, bits, payload)
+        return partial(self.downlink_path, self.session.server, ue, bits, payload)
 
     def _client_for(self, iteration: int) -> str:
         alive = [c for c in self.session.clients if c not in self.eng.dropped]
@@ -751,90 +823,68 @@ class _SlHomoRunner(_RunnerBase):
             raise AllClientsDropped(f"iteration {iteration}: no clients left")
         return alive[iteration % len(alive)]
 
-    def _begin(self, iteration: int) -> None:
-        if iteration >= self.rounds:
-            return
-        active = self._client_for(iteration)
-        state = self._open(_SlHomoRound, iteration, client=active)
-        fail = lambda: self._iteration_failed(state)
-        self._deliver_client_part(active, state, fail)
+    def _round(self, index: int):
+        client = self._client_for(index)
+        state = self._open(_Round, index)
+        state.loss = yield from self._iteration(client, index, state.dropouts)
+        yield from self._end(state, "iter")
 
-    def _deliver_client_part(self, client: str, state, fail) -> None:
+    def _iteration(self, client: str, index: int, dropouts: list[str]):
+        """Process: iteration `index` on `client`; returns its loss. After a
+        refused leg the staged work is discarded and the iteration retried
+        once with the next surviving client; a second failure aborts."""
+        for retry in (False, True):
+            try:
+                return (yield from self._attempt(client, index))
+            except _Refused:
+                if retry:
+                    raise SessionAborted("two consecutive client failures")
+            nxt = self._next_after(client)
+            if nxt is None:
+                raise AllClientsDropped(f"iteration {index}: no clients left")
+            if client in self.eng.dropped and client not in dropouts:
+                dropouts.append(client)
+            client = nxt
+
+    def _attempt(self, client: str, index: int):
+        """Deliver the client part, forward, smashed activations up, the
+        server's turn, gradient down, backward; returns the loss."""
         bits = self.client_part_bits
-        ctx = f"slh{state.index}"
-        done = lambda: self._client_forward(client, state, fail)
-        if self.holder is None or self.holder == client:
-            # first iteration seeds the part from the server; repeats keep it
-            if self.holder is None:
-                self._down(client, bits, "client_part", done, fail)
-            else:
-                done()
-            return
         prev = self.holder
-        if prev in self.eng.dropped:
-            # committed state is recovered from the server's copy
-            self._down(client, bits, "client_part", done, fail)
-        elif self.topo.d2d_link(prev, client) is not None:
-            self.leg_d2d(prev, client, bits, "client_part", done, fail)
-        else:
-            self._up(prev, bits, "client_part", f"{ctx}:{prev}:handoff",
-                     lambda: self._down(client, bits, "client_part", done, fail),
-                     fail)
-
-    def _client_forward(self, client: str, state, fail) -> None:
+        if prev is None or (prev != client and prev in self.eng.dropped):
+            # seeded by the server, which keeps a dropped holder's committed copy
+            yield self._down(client, bits, "client_part")
+        elif prev != client:
+            if self.topo.d2d_link(prev, client) is not None:
+                yield partial(self.leg_d2d, prev, client, bits, "client_part")
+            else:
+                yield self._up(prev, bits, "client_part", f"slh{index}:{prev}:handoff")
+                yield self._down(client, bits, "client_part")
         self.holder = client
         sess = self.session
-        shard = sess.data.shard_of(client)
-        x, state.labels = shard.batch(state.index, self.config.batch_size)
-        macs = costs.forward_macs(self.model.widths, x.shape[0], 0, self.cut)
-
-        def after_compute():
-            smashed, client_cache = mlp.split_forward(
-                self.model, mlp.CutSpec(0, self.cut), x)
-            state.client_cache = client_cache
-            state.smashed = smashed
-            bits = costs.activation_bits(x.shape[0], self.model.widths[self.cut]) \
-                + costs.label_bits(x.shape[0])
-            self._up(client, bits, "smashed+labels", f"slh{state.index}:{client}:up",
-                     lambda: self._server_turn(client, state, fail), fail)
-
-        self.leg_compute(client, macs, f"fwd:i{state.index}", after_compute, fail)
-
-    def _server_turn(self, client: str, state, fail) -> None:
-        sess = self.session
-        widths = self.model.widths
-        batch = state.labels.shape[0]
-        macs = 3 * costs.forward_macs(widths, batch, self.cut, self.model.num_layers)
-
-        def after_compute():
-            _, server_cache = mlp.split_forward(
-                self.model, mlp.CutSpec(self.cut, self.model.num_layers),
-                state.smashed)
-            state.loss = mlp.batch_loss(self.model, server_cache, state.labels)
-            server_grads, smash_grad = mlp.split_backward_server(
-                self.model, server_cache, state.labels)
-            state.server_grads = server_grads
-            bits = costs.activation_bits(batch, widths[self.cut])
-            self._down(client, bits, "smashed_grad",
-                       lambda: self._client_backward(client, state, smash_grad, fail),
-                       fail)
-
+        cut, layers, widths = self.cut, self.model.num_layers, self.model.widths
+        x, labels = sess.data.shard_of(client).batch(index, self.config.batch_size)
+        batch = x.shape[0]
+        yield partial(self.leg_compute, client, costs.forward_macs(widths, batch, 0, cut),
+                      f"fwd:i{index}")
+        smashed, client_cache = mlp.split_forward(self.model, mlp.CutSpec(0, cut), x)
+        yield self._up(client, costs.activation_bits(batch, widths[cut])
+                       + costs.label_bits(batch), "smashed+labels",
+                       f"slh{index}:{client}:up")
         # the SL server can itself be a battery device (a master UE)
-        self.leg_compute(sess.server, macs, f"srv:i{state.index}", after_compute, fail)
-
-    def _client_backward(self, client: str, state, smash_grad, fail) -> None:
-        macs = 2 * costs.forward_macs(self.model.widths, state.labels.shape[0], 0, self.cut)
-
-        def after_compute():
-            client_grads, _ = mlp.split_backward_client(
-                self.model, state.client_cache, smash_grad)
-            combined = mlp.add_deltas(state.server_grads, client_grads)
-            self.model = mlp.sgd_step(self.model, combined, self.config.lr)
-            self.consecutive_failures = 0
-            self.maybe_eval(self.session.server, self.model, self.session.data,
-                            state.index, lambda acc: self._end(state, acc, "iter"))
-
-        self.leg_compute(client, macs, f"bwd:i{state.index}", after_compute, fail)
+        yield partial(self.leg_compute, sess.server,
+                      3 * costs.forward_macs(widths, batch, cut, layers), f"srv:i{index}")
+        _, server_cache = mlp.split_forward(self.model, mlp.CutSpec(cut, layers), smashed)
+        loss = mlp.batch_loss(self.model, server_cache, labels)
+        server_grads, smash_grad = mlp.split_backward_server(self.model, server_cache,
+                                                             labels)
+        yield self._down(client, costs.activation_bits(batch, widths[cut]), "smashed_grad")
+        yield partial(self.leg_compute, client,
+                      2 * costs.forward_macs(widths, batch, 0, cut), f"bwd:i{index}")
+        client_grads, _ = mlp.split_backward_client(self.model, client_cache, smash_grad)
+        combined = mlp.add_deltas(server_grads, client_grads)
+        self.model = mlp.sgd_step(self.model, combined, self.config.lr)
+        return loss
 
     def _next_after(self, client: str) -> str | None:
         order = self.session.clients
@@ -844,23 +894,6 @@ class _SlHomoRunner(_RunnerBase):
             if candidate not in self.eng.dropped:
                 return candidate
         return None
-
-    def _iteration_failed(self, state) -> None:
-        """The iteration lost a participant mid-flight: discard all staged
-        work and retry once with the next surviving client in sequence; a
-        second consecutive failure aborts the session."""
-        self.consecutive_failures += 1
-        if self.consecutive_failures >= 2:
-            raise SessionAborted("two consecutive client failures")
-        retry_client = self._next_after(state.client)
-        if retry_client is None:
-            raise AllClientsDropped(f"iteration {state.index}: no clients left")
-        drops = list(state.dropouts)
-        if state.client in self.eng.dropped and state.client not in drops:
-            drops.append(state.client)
-        retry_state = replace(state, client=retry_client, dropouts=drops)
-        fail = lambda: self._iteration_failed(retry_state)
-        self._deliver_client_part(retry_client, retry_state, fail)
 
 
 def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,
@@ -873,15 +906,6 @@ def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,
 # ====================================================================== #
 #                         heterogeneous split                            #
 # ====================================================================== #
-
-@dataclass
-class _SlHeteroRound(_Round):
-    labels: np.ndarray | None = None
-    staged: list[mlp.ParamDelta] = field(default_factory=list)  # combined at commit
-    caches: dict[int, object] = field(default_factory=dict)     # segment -> ForwardCache
-    labels_done: bool = False
-    chain_out: np.ndarray | None = None  # smashed activations at the server's door
-
 
 class _SlHeteroRunner(_RunnerBase):
     """Chained split learning: each client owns one contiguous segment, the
@@ -901,121 +925,78 @@ class _SlHeteroRunner(_RunnerBase):
         # one segment per client, then the server's
         self.segments = mlp.contiguous_cuts(self.model.num_layers, session.boundaries)
 
-    def _handoff(self, src: str, dst: str, bits: int, payload: str, ctx: str,
-                 done, fail) -> None:
+    def _handoff(self, src: str, dst: str, bits: int, payload: str, ctx: str):
         if self.session.relay == "d2d":
-            self.leg_d2d(src, dst, bits, payload, done, fail)
+            yield partial(self.leg_d2d, src, dst, bits, payload)
         else:
-            self.uplink_path(src, self.session.server, bits, payload, f"{ctx}:{src}",
-                             lambda: self.downlink_path(self.session.server, dst, bits,
-                                                        payload, done, fail),
-                             fail)
+            yield partial(self.uplink_path, src, self.session.server, bits, payload,
+                          f"{ctx}:{src}")
+            yield partial(self.downlink_path, self.session.server, dst, bits, payload)
 
-    def _begin(self, iteration: int) -> None:
+    def _round(self, index: int):
         sess = self.session
-        if iteration >= self.rounds:
-            return
-        entry = sess.clients[0]
-        x, labels = sess.data.shard_of(entry).batch(iteration, self.config.batch_size)
-        state = self._open(_SlHeteroRound, iteration, labels=labels)
-        fail = lambda: self._iteration_failed(state)
-
-        # labels go straight to the loss owner while the chain runs
-        def labels_arrived():
-            state.labels_done = True
-            self._maybe_server_turn(state, fail)
-        self.uplink_path(entry, sess.server, costs.label_bits(x.shape[0]), "labels",
-                         f"slx{iteration}:{entry}:labels", labels_arrived, fail)
-
-        self._forward_segment(0, x, state, fail)
-
-    def _forward_segment(self, k: int, activations, state, fail) -> None:
-        client = self.session.clients[k]
-        seg = self.segments[k]
-        batch = activations.shape[0]
-        macs = costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
-
-        def after_compute():
-            out, cache = mlp.split_forward(self.model, seg, activations)
-            state.caches[k] = cache
-            bits = costs.activation_bits(batch, self.model.widths[seg.end])
-            ctx = f"slx{state.index}"
-            if k + 1 < len(self.session.clients):
-                nxt = self.session.clients[k + 1]
-                self._handoff(client, nxt, bits, "smashed", ctx,
-                              lambda: self._forward_segment(k + 1, out, state, fail),
-                              fail)
-            else:
-                # last client segment feeds the server's segment
-                self.uplink_path(client, self.session.server, bits, "smashed",
-                                 f"{ctx}:{client}:up",
-                                 lambda: self._chain_arrived(out, state, fail), fail)
-
-        self.leg_compute(client, macs, f"fwd{k}:i{state.index}", after_compute, fail)
-
-    def _chain_arrived(self, out, state, fail) -> None:
-        state.chain_out = out
-        self._maybe_server_turn(state, fail)
-
-    def _maybe_server_turn(self, state, fail) -> None:
-        if not state.labels_done or state.chain_out is None:
-            return
-        sess = self.session
-        seg = self.segments[-1]
-        batch = state.labels.shape[0]
-        macs = 3 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
-
-        def after_compute():
-            _, server_cache = mlp.split_forward(self.model, seg, state.chain_out)
-            state.loss = mlp.batch_loss(self.model, server_cache, state.labels)
-            server_grads, smash_grad = mlp.split_backward_server(
-                self.model, server_cache, state.labels)
-            state.staged.append(server_grads)
-            last = sess.clients[-1]
-            bits = costs.activation_bits(batch, self.model.widths[seg.start])
-            self.downlink_path(sess.server, last, bits, "smashed_grad",
-                               lambda: self._backward_segment(len(sess.clients) - 1,
-                                                             smash_grad, state, fail),
-                               fail)
-
-        self.leg_compute(sess.server, macs, f"srv:i{state.index}", after_compute, fail)
-
-    def _backward_segment(self, k: int, upstream, state, fail) -> None:
-        client = self.session.clients[k]
-        seg = self.segments[k]
-        batch = state.labels.shape[0]
-        macs = 2 * costs.forward_macs(self.model.widths, batch, seg.start, seg.end)
-
-        def after_compute():
-            grads, downstream = mlp.split_backward_client(
-                self.model, state.caches[k], upstream)
-            state.staged.append(grads)
-            if k == 0:
-                self._commit(state)
-                return
-            bits = costs.activation_bits(batch, self.model.widths[seg.start])
-            prev = self.session.clients[k - 1]
-            self._handoff(client, prev, bits, "smashed_grad", f"slx{state.index}:bwd",
-                          lambda: self._backward_segment(k - 1, downstream, state, fail),
-                          fail)
-
-        self.leg_compute(client, macs, f"bwd{k}:i{state.index}", after_compute, fail)
-
-    def _commit(self, state) -> None:
-        combined = state.staged[0]
-        for extra in state.staged[1:]:
-            combined = mlp.add_deltas(combined, extra)
+        clients, widths = sess.clients, self.model.widths
+        x, labels = sess.data.shard_of(clients[0]).batch(index, self.config.batch_size)
+        batch = x.shape[0]
+        state = self._open(_Round, index)
+        caches = {}
+        try:
+            # labels go straight to the loss owner while the forward chain runs
+            labels_up = partial(self.uplink_path, clients[0], sess.server,
+                                costs.label_bits(batch), "labels",
+                                f"slx{index}:{clients[0]}:labels")
+            _, out = yield (_sequence(labels_up), self._forward(x, caches, index))
+            seg = self.segments[-1]
+            yield partial(self.leg_compute, sess.server,
+                          3 * costs.forward_macs(widths, batch, seg.start, seg.end),
+                          f"srv:i{index}")
+            _, server_cache = mlp.split_forward(self.model, seg, out)
+            state.loss = mlp.batch_loss(self.model, server_cache, labels)
+            grads, upstream = mlp.split_backward_server(self.model, server_cache, labels)
+            staged = [grads]
+            yield partial(self.downlink_path, sess.server, clients[-1],
+                          costs.activation_bits(batch, widths[seg.start]), "smashed_grad")
+            for k in reversed(range(len(clients))):
+                seg = self.segments[k]
+                yield partial(self.leg_compute, clients[k],
+                              2 * costs.forward_macs(widths, batch, seg.start, seg.end),
+                              f"bwd{k}:i{index}")
+                grads, upstream = mlp.split_backward_client(self.model, caches[k], upstream)
+                staged.append(grads)
+                if k:
+                    yield from self._handoff(clients[k], clients[k - 1],
+                                             costs.activation_bits(batch, widths[seg.start]),
+                                             "smashed_grad", f"slx{index}:bwd")
+        except _Refused:
+            # every client owns exactly one segment, so no spare can take its place
+            survivors = [c for c in clients if c not in self.eng.dropped]
+            raise SessionAborted(
+                f"iteration {index}: {len(survivors)} clients left for "
+                f"{len(sess.boundaries)} segments")
+        combined = reduce(mlp.add_deltas, staged)
         self.model = mlp.sgd_step(self.model, combined, self.config.lr)
-        self.maybe_eval(self.session.server, self.model, self.session.data,
-                        state.index, lambda acc: self._end(state, acc, "iter"))
+        yield from self._end(state, "iter")
 
-    def _iteration_failed(self, state) -> None:
-        """A segment owner died. Every client owns exactly one segment, so no
-        spare can take its place: the session aborts."""
-        survivors = [c for c in self.session.clients if c not in self.eng.dropped]
-        raise SessionAborted(
-            f"iteration {state.index}: {len(survivors)} clients left for "
-            f"{len(self.session.boundaries)} segments")
+    def _forward(self, x, caches: dict, index: int):
+        """Process: the clients' forward chain, each segment's cache kept in
+        `caches`; returns the activations at the server's door."""
+        clients, widths = self.session.clients, self.model.widths
+        batch = x.shape[0]
+        for k, client in enumerate(clients):
+            seg = self.segments[k]
+            yield partial(self.leg_compute, client,
+                          costs.forward_macs(widths, batch, seg.start, seg.end),
+                          f"fwd{k}:i{index}")
+            x, caches[k] = mlp.split_forward(self.model, seg, x)
+            bits = costs.activation_bits(batch, widths[seg.end])
+            if k + 1 < len(clients):
+                yield from self._handoff(client, clients[k + 1], bits, "smashed",
+                                         f"slx{index}")
+            else:
+                # the last client segment feeds the server's segment
+                yield partial(self.uplink_path, client, self.session.server, bits,
+                              "smashed", f"slx{index}:{client}:up")
+        return x
 
 
 def run_sl_heterogeneous(session: SlSession, topo: NetworkTopology,
@@ -1057,78 +1038,37 @@ class _FedSplitRunner(_FlRunner):
         sub = self.nested[master]
         return sum(sub.data.shard_of(s).size for s in sub.clients)
 
-    def _local_step(self, client: str, state: _FlRound, done, fail) -> None:
+    def _local_step(self, client: str, state: _FlRound):
         """A master's local step runs its local iterations as homogeneous SL
-        over its slaves, sharing this engine and clock. Accuracy is evaluated
-        at the FL level, so the nested run never evaluates on its own. Like
-        any chain step, the nested run stops at its next leg boundary once
-        the FL round has closed."""
+        over its slaves, sharing this engine and clock; its records stay out
+        of the FL trace, and it never evaluates. The phase is part of the
+        master's FL chain, so the chain's guard stops it at its next leg
+        boundary once the FL round has closed. A nested abort drops the
+        master from the FL round."""
         if client not in self.nested:
-            super()._local_step(client, state, done, fail)
-            return
-        template = self.nested[client]
-        sub = replace(template, clients=list(template.clients), variant="homogeneous",
-                      iterations=self.session.local_iterations,
-                      model=mlp.clone(self.model),
-                      config=replace(template.config, eval_every=0),
-                      boundaries=(), relay="via_server")
-
-        def trained(local_model, losses):
-            n = self.delta_sample_count(client)
-            done({"delta": mlp.model_delta(local_model, self.model, sample_count=n),
-                  "losses": losses, "n": n}, "fs")
-
-        inner = _NestedSlRunner(sub, self.topo, self.radio, self.eng, trained, fail,
-                                lambda then: self._step(client, state, then))
-        self.eng.schedule(self.eng.clock, EventKind.ROUND_BOUNDARY, lambda: inner._begin(0),
-                          node=client, detail=f"nested r{state.index} start")
-
-
-class _NestedSlRunner(_SlHomoRunner):
-    """A FedSplit master's local iterations: homogeneous SL over its slaves,
-    every hop a D2D hop to or from the master. It keeps its records to
-    itself (the master's work reports through the FL trace) and hands the
-    trained model and its losses to `done` after the last iteration; an
-    abort takes the master itself out of the FL session through `fail`.
-
-    Every leg ends, and every iteration begins, through `step`, the master's
-    FL chain check: once the master's FL round has closed, the run stops
-    there and the master rejoins FL, so at most the leg in flight when the
-    round closed still completes."""
-
-    def __init__(self, session: SlSession, topo, radio_env, eng, done, fail, step):
-        super().__init__(session, topo, radio_env, eng, protocol_name="fedsplit_nested")
-        self.done = done
-        self.fail = fail
-        self.step = step
-
-    def leg_compute(self, node, macs, what, done, fail=None):
-        super().leg_compute(node, macs, what, self.step(done), fail and self.step(fail))
-
-    def leg_d2d(self, src, dst, bits, payload, done, fail):
-        super().leg_d2d(src, dst, bits, payload, self.step(done), self.step(fail))
-
-    def _begin(self, iteration: int) -> None:
-        if iteration < self.rounds:
-            self.step(super()._begin)(iteration)
-
-    def _up(self, ue, bits, payload, ctx, done, fail):
-        self.leg_d2d(ue, self.session.server, bits, payload, done, fail)
-
-    def _down(self, ue, bits, payload, done, fail):
-        self.leg_d2d(self.session.server, ue, bits, payload, done, fail)
-
-    def _end(self, state, accuracy, what) -> None:
-        super()._end(state, accuracy, what)
-        if state.index + 1 == self.rounds:
-            self.done(self.model, [r.loss for r in self.trace.records])
-
-    def _iteration_failed(self, state) -> None:
-        try:
-            super()._iteration_failed(state)
-        except SessionAborted as exc:
-            self._refuse(self.session.server, f"nested split aborted: {exc.reason}",
-                         self.fail)
+            return (yield from super()._local_step(client, state))
+        inner = _SlHomoRunner(
+            replace(self.nested[client], iterations=self.session.local_iterations,
+                    model=mlp.clone(self.model)),
+            self.topo, self.radio, self.eng, "fedsplit_nested", over_d2d=True)
+        yield partial(self._boundary, client, f"nested r{state.index} start")
+        losses = []
+        for i in range(inner.rounds):
+            slave = inner._client_for(i)
+            try:
+                losses.append((yield from inner._iteration(slave, i, [])))
+            except SessionAborted as exc:
+                reason = f"nested split aborted: {exc.reason}"
+                yield lambda done, fail: self._refuse(client, reason, fail)
+            if i + 1 < inner.rounds:
+                yield partial(self._boundary, client, f"iter {i} done")
+            else:
+                # not waited on: the upload starts in the event that ended
+                # the last nested leg
+                self._boundary(client, f"iter {i} done", lambda: None)
+        n = self.delta_sample_count(client)
+        return {"delta": mlp.model_delta(inner.model, self.model, sample_count=n),
+                "losses": losses, "n": n}, "fs"
 
 
 def run_fedsplit_nested(fl_session: FlSession, nested: dict[str, SlSession],

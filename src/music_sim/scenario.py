@@ -315,11 +315,10 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
             raise UnknownNodeReference(f"protocol client {c!r} does not exist")
     if len(set(proto.clients)) != len(proto.clients):
         raise ScenarioSchemaError("protocol.clients contains duplicates")
-    if proto.kind != "fl":
-        non_ue = [c for c in proto.clients if c not in topo.ues]
-        if non_ue:
-            raise ScenarioSchemaError(
-                f"{proto.kind}: clients must be devices, got {non_ue}")
+    # every protocol trains on device radios and data shards, which servers lack
+    non_ue = [c for c in proto.clients if c not in topo.ues]
+    if non_ue:
+        raise ScenarioSchemaError(f"{proto.kind}: clients must be devices, got {non_ue}")
     num_layers = len(cfg.ml.widths) - 1
     if proto.cut_index is not None and not 1 <= proto.cut_index <= num_layers - 1:
         raise ScenarioSchemaError(
@@ -334,8 +333,7 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
             raise ScenarioSchemaError(
                 "fedsplit_nested needs at least one client mastering a d2d group")
     for c in proto.clients:
-        if c in topo.ues and cfg.topo.ues[c].dataset_size < 1 \
-                and not _master_group(topo, c):
+        if topo.ues[c].dataset_size < 1 and not _master_group(topo, c):
             raise ScenarioSchemaError(f"client {c!r} has no local data")
 
 

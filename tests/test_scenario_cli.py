@@ -277,6 +277,21 @@ def test_run_invalid_scenario_exits_one(tmp_path, capsys):
     assert "error [layer-span]" in capsys.readouterr().err
 
 
+def test_fl_clients_must_be_devices(tmp_path, capsys):
+    """Servers have neither a radio nor a data shard, so an FL session over
+    access points is refused up front instead of failing mid-run."""
+    doc = full_doc(server="fog0", clients=["ap0", "ap1"])
+    second = star_doc(2, second_cell=True)
+    doc["nodes"], doc["links"] = second["nodes"], second["links"]
+    doc["radio"]["cells"]["ap1"] = dict(doc["radio"]["cells"]["ap0"])
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == EXIT_INVALID
+    assert "error [schema]" in capsys.readouterr().out
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error [schema]: fl: clients must be devices") and "Traceback" not in err
+
+
 def test_run_abort_exits_two_with_partial_artifacts(tmp_path, capsys):
     doc = full_doc()
     for ue in doc["nodes"]["ue"]:
