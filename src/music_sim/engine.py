@@ -77,8 +77,10 @@ class BlockLedger:
         self._last_request = float("-inf")
 
     def reserve(self, ap_id: str, block_index: int, earliest: float, duration: float,
-                owner: str, shared_tag: str | None = None) -> float:
-        """Book the block for `duration` at the first free instant >= earliest;
+                owner: str, shared_tag: str | None = None,
+                not_before: float | None = None) -> float:
+        """Book the block for `duration` at its first free instant >=
+        `not_before` (by default `earliest`, the time of the request);
         returns the granted start time. `owner` names the holder for error
         messages only."""
         if earliest < self._last_request:
@@ -87,7 +89,7 @@ class BlockLedger:
                 f"after a request from {self._last_request}")
         self._last_request = earliest
         live = self._held.setdefault((ap_id, block_index), [])
-        start = earliest
+        start = earliest if not_before is None else not_before
         kept = []
         scanned = len(live)
         for i, held in enumerate(live):
@@ -108,12 +110,31 @@ class BlockLedger:
 
     def book(self, ap_id: str, blocks, earliest: float, duration: float, owner: str,
              shared_tag: str | None = None) -> float:
-        """Reserve each of `blocks` for one transmission; it starts once every
-        block is free, at the returned time."""
+        """Reserve all of `blocks` over one interval for one transmission,
+        from the first instant >= earliest when every block is free; returns
+        that start. Over several blocks, first-fit runs on each block in turn
+        until the start stops moving."""
         start = earliest
+        moved = len(blocks) > 1
+        while moved:
+            moved = False
+            for block in blocks:
+                fit = self._first_free(ap_id, block.index, start, duration, shared_tag)
+                moved = moved or fit != start
+                start = fit
         for block in blocks:
-            start = max(start, self.reserve(ap_id, block.index, earliest, duration,
-                                            owner, shared_tag))
+            start = self.reserve(ap_id, block.index, earliest, duration, owner, shared_tag,
+                                 not_before=start)
+        return start
+
+    def _first_free(self, ap_id: str, block_index: int, start: float, duration: float,
+                    shared_tag: str | None) -> float:
+        """The block's first free instant >= start, booking nothing."""
+        for held_start, held_end, tag in self._held.get((ap_id, block_index), ()):
+            if held_start >= start + duration:
+                break
+            if start < held_end and (shared_tag is None or tag != shared_tag):
+                start = held_end
         return start
 
 

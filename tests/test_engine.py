@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from music_sim.engine import BlockLedger, Engine, EventKind, RngStreams
 from music_sim.errors import TimestampInPast
+from music_sim.radio import ResourceBlock
 
 
 def test_same_timestamp_fifo():
@@ -202,6 +203,31 @@ def test_block_ledger_drops_finished_reservations():
     ledger.reserve("ap0", 0, 0.0, 1.0, owner="ue1")  # 1.0 .. 2.0
     assert ledger.reserve("ap0", 0, 1.5, 1.0, owner="ue2") == 2.0
     assert ledger._held[("ap0", 0)] == [(1.0, 2.0, None), (2.0, 3.0, None)]
+
+
+def test_multi_block_booking_holds_every_block_over_the_common_interval():
+    """A cluster on blocks 0 and 1 starts once both are free, and block 0,
+    free early, is held over that same interval: an orthogonal uplink is
+    not granted it while the cluster transmits."""
+    ledger = BlockLedger()
+    block0, block1 = ResourceBlock(0, 180e3), ResourceBlock(1, 180e3)
+    ledger.reserve("ap0", 1, 0.0, 5.0, owner="ue3")
+    start = ledger.book("ap0", (block0, block1), 0.0, 3.0, "ue0", "cluster:ue0+ue1")
+    assert start == 5.0
+    assert ledger.reserve("ap0", 0, 3.0, 4.0, owner="ue2") == 8.0
+
+
+def test_multi_block_booking_repeats_first_fit_until_the_start_settles():
+    """Each block's first fit can push the start past a later reservation on
+    a block already scanned; the booking starts where all are free."""
+    ledger = BlockLedger()
+    blocks = (ResourceBlock(0, 180e3), ResourceBlock(1, 180e3))
+    ledger.reserve("ap0", 0, 0.0, 1.0, owner="a")                 # block 0: [0, 1]
+    ledger.reserve("ap0", 0, 0.0, 1.0, owner="b", not_before=2.0)  # block 0: [2, 3]
+    ledger.reserve("ap0", 1, 0.0, 2.0, owner="c")                 # block 1: [0, 2]
+    assert ledger.book("ap0", blocks, 0.0, 1.0, "ue0", "cluster:x") == 3.0
+    assert ledger._held[("ap0", 0)][-1] == ledger._held[("ap0", 1)][-1] == (3.0, 4.0,
+                                                                            "cluster:x")
 
 
 class _FixedPointLedger:

@@ -23,9 +23,9 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 DIGESTS = {
     "fl_wide": {
-        "trace.csv": "1b8e52b5c078cefd20b0d5f36a061bd02b90a1c7e861c70c3750f683261098e3",
-        "summary.json": "32a2455465df8bdc856bf435fb3722cdd05fbc41d9e2c014b61e6e7f37342f37",
-        "events.jsonl": "6c8e94ec6adebe1f5e8de7cf7da0b609e8a01cc56124c7e7fa4dad0291af943a",
+        "trace.csv": "0e7f72d8e277dca208ec866e5155ff3556c8c8c3efaf98e03c99497522eaab24",
+        "summary.json": "b50c7162ea0c254a97f7df3a47405bb64b7ad19c7e940f006069f42e6543f53a",
+        "events.jsonl": "de5ad5212bbdcfada2acd941971da5bb4a48f6bd16c13ce7b7f60917b4d5c817",
     },
     "split_long": {
         "trace.csv": "127bd1eb28a375d4bb4048f73589ffb146729b68441ef477fd7fc44ecb20264c",
