@@ -797,9 +797,8 @@ class _SlHomoRunner(_RunnerBase):
     client-side parameters hop to the next client between iterations,
     directly over D2D when a link exists, otherwise via the server."""
 
-    def __init__(self, session: SlSession, topo, radio_env, eng,
-                 protocol_name: str = "sl_homogeneous", over_d2d: bool = False):
-        super().__init__(protocol_name, session, topo, radio_env, eng, session.iterations)
+    def __init__(self, session: SlSession, topo, radio_env, eng, over_d2d: bool = False):
+        super().__init__("sl_homogeneous", session, topo, radio_env, eng, session.iterations)
         self.cut = session.cut_index
         self.over_d2d = over_d2d
         self.holder: str | None = None  # who physically has the client part
@@ -1050,7 +1049,7 @@ class _FedSplitRunner(_FlRunner):
         inner = _SlHomoRunner(
             replace(self.nested[client], iterations=self.session.local_iterations,
                     model=mlp.clone(self.model)),
-            self.topo, self.radio, self.eng, "fedsplit_nested", over_d2d=True)
+            self.topo, self.radio, self.eng, over_d2d=True)
         yield partial(self._boundary, client, f"nested r{state.index} start")
         losses = []
         for i in range(inner.rounds):
