@@ -18,6 +18,7 @@ import heapq
 import itertools
 import json
 from enum import IntEnum
+from math import isfinite
 from operator import itemgetter
 from typing import Callable
 
@@ -250,10 +251,42 @@ class Engine:
 
     def write_event_log(self, path, meta: dict | None = None) -> None:
         """One JSON object per line, keys sorted: the bytes of
-        `json.dumps(record, sort_keys=True)`, from one encoder."""
+        `json.dumps(record, sort_keys=True)`. A record `_dispatch_line`
+        cannot format goes through the encoder."""
         encode = json.JSONEncoder(sort_keys=True).encode
         with open(path, "w") as fh:
             if meta is not None:
                 fh.write(encode({"kind": "META", "charges": [], **meta}) + "\n")
             for record in self.event_log:
-                fh.write(encode(record) + "\n")
+                line = _dispatch_line(record)
+                fh.write((encode(record) if line is None else line) + "\n")
+
+
+_DISPATCH_KEYS = frozenset(("time", "kind", "node", "detail", "charges"))
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _dispatch_line(record: dict) -> str | None:
+    """`json.dumps(record, sort_keys=True)` without an encoder call, for a
+    record of exactly the dispatch keys with str kind, node and detail, a
+    finite float time and [str, str, finite float] charges; None for any
+    other. It escapes and prints with what json uses: `encode_basestring_ascii`
+    and `float.__repr__`."""
+    if record.keys() != _DISPATCH_KEYS:
+        return None
+    time, kind, node, detail = record["time"], record["kind"], record["node"], record["detail"]
+    if not (type(time) is float and isfinite(time) and type(kind) is str and type(node) is str
+            and type(detail) is str and type(record["charges"]) is list):
+        return None
+    charges = []
+    for charge in record["charges"]:
+        if type(charge) is not list or len(charge) != 3:
+            return None
+        who, category, joules = charge
+        if not (type(who) is str and type(category) is str
+                and type(joules) is float and isfinite(joules)):
+            return None
+        charges.append(f"[{_json_str(who)}, {_json_str(category)}, {float.__repr__(joules)}]")
+    return (f'{{"charges": [{", ".join(charges)}], "detail": {_json_str(detail)}, '
+            f'"kind": {_json_str(kind)}, "node": {_json_str(node)}, '
+            f'"time": {float.__repr__(time)}}}')

@@ -256,33 +256,39 @@ def split_forward(model: MlpModel, segment: CutSpec,
     return a, cache
 
 
-def _segment_backprop(model: MlpModel, cache: ForwardCache,
-                      dz_top: np.ndarray) -> tuple[ParamDelta, np.ndarray]:
+def _segment_backprop(model: MlpModel, cache: ForwardCache, dz_top: np.ndarray,
+                      into: ParamDelta | None = None) -> tuple[ParamDelta, np.ndarray]:
     """Shared inner loop: from dLoss/dz of the segment's top layer down to
-    dLoss/d(segment input). Returns a full-model-shaped delta with zeros
+    dLoss/d(segment input). Writes the segment's layers into `into` and
+    returns it; without `into`, returns a full-model-shaped delta with zeros
     outside the segment."""
     segment = cache.segment
-    inside = range(segment.start, segment.end)
-    grad_w = [None if l in inside else np.zeros_like(w) for l, w in enumerate(model.weights)]
-    grad_b = [None if l in inside else np.zeros_like(b) for l, b in enumerate(model.biases)]
+    if into is None:
+        inside = range(segment.start, segment.end)
+        into = ParamDelta(
+            widths=model.widths,
+            weights=[None if l in inside else np.zeros_like(w)
+                     for l, w in enumerate(model.weights)],
+            biases=[None if l in inside else np.zeros_like(b)
+                    for l, b in enumerate(model.biases)])
     dz = dz_top
     for offset in range(segment.num_layers - 1, -1, -1):
         l = segment.start + offset
         if offset < segment.num_layers - 1:
             dz = da * (cache.pre_activations[offset] > 0.0)
-        grad_w[l] = cache.layer_inputs[offset].T @ dz
-        grad_b[l] = dz.sum(axis=0)
+        into.weights[l] = cache.layer_inputs[offset].T @ dz
+        into.biases[l] = dz.sum(axis=0)
         da = dz @ model.weights[l].T
-    delta = ParamDelta(widths=model.widths, weights=grad_w, biases=grad_b)
-    return delta, da
+    return into, da
 
 
-def split_backward_server(model: MlpModel, server_cache: ForwardCache,
-                          labels: np.ndarray) -> tuple[ParamDelta, np.ndarray]:
+def split_backward_server(model: MlpModel, server_cache: ForwardCache, labels: np.ndarray,
+                          into: ParamDelta | None = None) -> tuple[ParamDelta, np.ndarray]:
     """Backward through the loss-owning (final) segment.
 
-    Returns the segment's parameter gradients (full-model-shaped, zeros
-    elsewhere) and the gradient w.r.t. the received cut activations.
+    Returns the segment's parameter gradients (written into `into`, or
+    full-model-shaped with zeros elsewhere) and the gradient w.r.t. the
+    received cut activations.
     """
     if server_cache.model_ref is not model:
         raise StaleCache("cache was built for a different set of parameters")
@@ -290,14 +296,15 @@ def split_backward_server(model: MlpModel, server_cache: ForwardCache,
         raise StaleCache("the loss-owning segment must reach the output layer")
     logits = server_cache.pre_activations[-1]
     dz_top = _output_grad(model, logits, _targets_for(model, labels, logits))
-    return _segment_backprop(model, server_cache, dz_top)
+    return _segment_backprop(model, server_cache, dz_top, into)
 
 
-def split_backward_client(model: MlpModel, cache: ForwardCache,
-                          upstream_grad: np.ndarray) -> tuple[ParamDelta, np.ndarray]:
+def split_backward_client(model: MlpModel, cache: ForwardCache, upstream_grad: np.ndarray,
+                          into: ParamDelta | None = None) -> tuple[ParamDelta, np.ndarray]:
     """Backward through a non-final segment given dLoss/d(its output activation).
 
-    Returns the segment gradients and dLoss/d(segment input) for the segment
+    Returns the segment gradients (written into `into`, as for
+    `split_backward_server`) and dLoss/d(segment input) for the segment
     below (zero-size interest at the entry segment, where the input is data).
     """
     if cache.model_ref is not model:
@@ -306,7 +313,7 @@ def split_backward_client(model: MlpModel, cache: ForwardCache,
         raise StaleCache("final segment must backprop from labels, not upstream grads")
     # top layer of a non-final segment always feeds a ReLU
     dz_top = upstream_grad * (cache.pre_activations[-1] > 0.0)
-    return _segment_backprop(model, cache, dz_top)
+    return _segment_backprop(model, cache, dz_top, into)
 
 
 def contiguous_cuts(num_layers: int, boundaries) -> list[CutSpec]:

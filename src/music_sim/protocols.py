@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +84,8 @@ class SlSession:
     def __post_init__(self):
         if not self.clients:
             raise ScenarioSchemaError("an SL session needs at least one client")
+        if self.iterations < 1:
+            raise ScenarioSchemaError("iteration counts must be >= 1")
         num_layers = self.model.num_layers
         if self.variant == "homogeneous":
             if self.cut_index is None or not 1 <= self.cut_index <= num_layers - 1:
@@ -875,14 +877,14 @@ class _SlHomoRunner(_RunnerBase):
                       3 * costs.forward_macs(widths, batch, cut, layers), f"srv:i{index}")
         _, server_cache = mlp.split_forward(self.model, mlp.CutSpec(cut, layers), smashed)
         loss = mlp.batch_loss(self.model, server_cache, labels)
-        server_grads, smash_grad = mlp.split_backward_server(self.model, server_cache,
-                                                             labels)
+        # one delta per iteration; each segment's backward pass fills its layers
+        grads = mlp.ParamDelta(widths=widths, weights=[None] * layers, biases=[None] * layers)
+        _, smash_grad = mlp.split_backward_server(self.model, server_cache, labels, grads)
         yield self._down(client, costs.activation_bits(batch, widths[cut]), "smashed_grad")
         yield partial(self.leg_compute, client,
                       2 * costs.forward_macs(widths, batch, 0, cut), f"bwd:i{index}")
-        client_grads, _ = mlp.split_backward_client(self.model, client_cache, smash_grad)
-        combined = mlp.add_deltas(server_grads, client_grads)
-        self.model = mlp.sgd_step(self.model, combined, self.config.lr)
+        mlp.split_backward_client(self.model, client_cache, smash_grad, grads)
+        self.model = mlp.sgd_step(self.model, grads, self.config.lr)
         return loss
 
     def _next_after(self, client: str) -> str | None:
@@ -951,8 +953,10 @@ class _SlHeteroRunner(_RunnerBase):
                           f"srv:i{index}")
             _, server_cache = mlp.split_forward(self.model, seg, out)
             state.loss = mlp.batch_loss(self.model, server_cache, labels)
-            grads, upstream = mlp.split_backward_server(self.model, server_cache, labels)
-            staged = [grads]
+            layers = self.model.num_layers
+            grads = mlp.ParamDelta(widths=widths, weights=[None] * layers,
+                                   biases=[None] * layers)
+            _, upstream = mlp.split_backward_server(self.model, server_cache, labels, grads)
             yield partial(self.downlink_path, sess.server, clients[-1],
                           costs.activation_bits(batch, widths[seg.start]), "smashed_grad")
             for k in reversed(range(len(clients))):
@@ -960,8 +964,7 @@ class _SlHeteroRunner(_RunnerBase):
                 yield partial(self.leg_compute, clients[k],
                               2 * costs.forward_macs(widths, batch, seg.start, seg.end),
                               f"bwd{k}:i{index}")
-                grads, upstream = mlp.split_backward_client(self.model, caches[k], upstream)
-                staged.append(grads)
+                _, upstream = mlp.split_backward_client(self.model, caches[k], upstream, grads)
                 if k:
                     yield from self._handoff(clients[k], clients[k - 1],
                                              costs.activation_bits(batch, widths[seg.start]),
@@ -972,8 +975,7 @@ class _SlHeteroRunner(_RunnerBase):
             raise SessionAborted(
                 f"iteration {index}: {len(survivors)} clients left for "
                 f"{len(sess.boundaries)} segments")
-        combined = reduce(mlp.add_deltas, staged)
-        self.model = mlp.sgd_step(self.model, combined, self.config.lr)
+        self.model = mlp.sgd_step(self.model, grads, self.config.lr)
         yield from self._end(state, "iter")
 
     def _forward(self, x, caches: dict, index: int):

@@ -258,6 +258,10 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
     )
     if not settings.clients:
         raise ScenarioSchemaError("protocol.clients must not be empty")
+    for key in ("rounds", "local_iterations", "iterations"):
+        count = getattr(settings, key)
+        if count < 1:
+            raise ScenarioSchemaError(f"protocol.{key} must be >= 1, got {count}")
     if kind in ("fl", "fedsplit_nested"):
         for key in ("rounds", "local_iterations"):
             if key not in section:

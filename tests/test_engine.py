@@ -1,7 +1,9 @@
 """Event loop determinism, battery semantics, ledgers, and seeded streams."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,42 @@ def test_event_log_lines_are_json_dumps_of_each_record(tmp_path):
     expected += [json.dumps(record, sort_keys=True) for record in eng.event_log]
     assert [r["kind"] for r in eng.event_log] == ["CHARGE", "TX_DONE"]
     assert path.read_text().splitlines() == expected
+
+
+_log_text = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "gerät-0", "ul:Δ", "\u2028", "\ud800", "😀"])
+_log_number = (st.floats() | st.integers()
+               | st.sampled_from([-0.0, 5e-324, 1e16, math.inf, -math.inf, math.nan])
+               | st.floats().map(np.float64))
+_log_records = st.fixed_dictionaries({
+    "time": _log_number,
+    "kind": st.sampled_from([k.name for k in EventKind]) | _log_text,
+    "node": st.none() | _log_text,
+    "detail": _log_text,
+    "charges": st.lists(st.tuples(st.none() | _log_text, _log_text, _log_number).map(list),
+                        max_size=3),
+})
+# the ledger sums these, so finite ones stay far from overflow
+_joules = st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([math.inf, math.nan])
+_out_of_band = st.tuples(_log_text, _log_text, _joules | _joules.map(np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(_log_records | _out_of_band, max_size=6))
+def test_every_event_log_line_is_json_dumps_of_its_record(tmp_path_factory, records):
+    """Records the writer formats itself and records it hands to the encoder
+    both come out as `json.dumps(record, sort_keys=True)`."""
+    eng = Engine(seed=0)
+    for record in records:
+        if isinstance(record, tuple):
+            eng.charge(*record)  # out of band: its own CHARGE record
+        else:
+            eng.event_log.append(record)
+    path = tmp_path_factory.mktemp("log") / "events.jsonl"
+    eng.write_event_log(path)
+    lines = path.read_text().split("\n")
+    assert lines.pop() == ""
+    assert lines == [json.dumps(record, sort_keys=True) for record in eng.event_log]
 
 
 def test_identical_seeds_produce_identical_logs():

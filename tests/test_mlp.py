@@ -5,6 +5,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from music_sim import mlp, protocols
 from music_sim.data import Shard, make_blobs
@@ -140,6 +142,39 @@ def test_split_composition_matches_monolithic():
     for l in range(4):
         assert np.allclose(total.weights[l], reference.weights[l], atol=1e-12)
         assert np.allclose(total.biases[l], reference.biases[l], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(min_value=1, max_value=7), min_size=3, max_size=6),
+       loss=st.sampled_from(mlp.LOSSES), data=st.data())
+def test_filled_delta_steps_like_the_added_deltas(widths, loss, data):
+    """Segments writing into one delta give the same weights, bit for bit, as
+    adding their zero-padded full-model deltas, and leave no layer unset."""
+    layers = len(widths) - 1
+    cuts = data.draw(st.lists(st.integers(min_value=1, max_value=layers - 1),
+                              min_size=1, unique=True))
+    seed = data.draw(st.integers(min_value=0, max_value=2**16))
+    model = mlp.init_model(widths, loss, seed=seed)
+    x, y = _data(batch=5, dim=widths[0], classes=widths[-1], seed=seed)
+    acts, caches = x, []
+    for seg in mlp.contiguous_cuts(layers, cuts):
+        acts, cache = mlp.split_forward(model, seg, acts)
+        caches.append(cache)
+
+    added, grad = mlp.split_backward_server(model, caches[-1], y)
+    filled = mlp.ParamDelta(widths=model.widths, weights=[None] * layers,
+                            biases=[None] * layers)
+    _, filled_grad = mlp.split_backward_server(model, caches[-1], y, filled)
+    for cache in reversed(caches[:-1]):
+        delta, grad = mlp.split_backward_client(model, cache, grad)
+        added = mlp.add_deltas(added, delta)
+        _, filled_grad = mlp.split_backward_client(model, cache, filled_grad, filled)
+
+    assert all(p is not None for p in filled.weights + filled.biases)
+    want = mlp.sgd_step(model, added, 0.05)
+    got = mlp.sgd_step(model, filled, 0.05)
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(a, b)
 
 
 def test_split_forward_equals_monolithic_prediction():

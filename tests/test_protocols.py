@@ -19,6 +19,7 @@ from music_sim.engine import Engine
 from music_sim.errors import (
     AllClientsDropped,
     MissingD2dLink,
+    ScenarioSchemaError,
     SessionAborted,
     SessionStalled,
 )
@@ -326,6 +327,13 @@ def _hetero_session(clients, data, *, iterations=4, boundaries=(1, 2),
                      boundaries=tuple(boundaries), relay=relay)
 
 
+@pytest.mark.parametrize("session", [_homo_session, _hetero_session])
+def test_sl_session_needs_an_iteration(session):
+    """Zero iterations would run nothing and still report `completed`."""
+    with pytest.raises(ScenarioSchemaError, match="iteration counts must be >= 1"):
+        session(["ue0", "ue1"], blob_data(2), iterations=0)
+
+
 def test_hetero_d2d_relay_faster_same_losses():
     data = blob_data(3)
     results = {}
@@ -583,6 +591,19 @@ def test_static_channels_build_no_gain_streams(name):
     runtime, trace = _run_bundled(name, {})
     assert trace.status == "completed"
     assert not [s for s in runtime.engine.rng._streams if s.startswith("gain:")]
+
+
+@pytest.mark.parametrize("name", ["sl_homogeneous", "sl_heterogeneous_d2d",
+                                  "fedsplit_nested"])
+def test_split_learning_fills_one_delta_without_adding_deltas(name, monkeypatch):
+    """Each segment's backward pass writes its layers into the iteration's one
+    delta, so no split-learning run composes gradients with `add_deltas`."""
+    calls = []
+    add = mlp.add_deltas
+    monkeypatch.setattr(mlp, "add_deltas", lambda a, b: calls.append(1) or add(a, b))
+    _, trace = _run_bundled(name, {})
+    assert trace.status == "completed"
+    assert calls == []
 
 
 @functools.cache

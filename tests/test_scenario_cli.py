@@ -292,6 +292,26 @@ def test_fl_clients_must_be_devices(tmp_path, capsys):
     assert err.startswith("error [schema]: fl: clients must be devices") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, key", [
+    ("fl_edge", "rounds"),
+    ("fl_edge", "local_iterations"),
+    ("fedsplit_nested", "rounds"),
+    ("fedsplit_nested", "local_iterations"),
+    ("sl_homogeneous", "iterations"),
+    ("sl_heterogeneous_d2d", "iterations"),
+])
+def test_zero_iteration_counts_are_rejected_up_front(tmp_path, capsys, name, key):
+    """A count below 1 is a schema error, not a run that fails later or one
+    that reports `completed` with no records."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    doc["protocol"][key] = 0
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == EXIT_INVALID
+    assert f"error [schema]: protocol.{key} must be >= 1" in capsys.readouterr().out
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert main(["plan", "--scenario", path]) == EXIT_INVALID
+
+
 def test_run_abort_exits_two_with_partial_artifacts(tmp_path, capsys):
     doc = full_doc()
     for ue in doc["nodes"]["ue"]:
