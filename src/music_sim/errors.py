@@ -107,6 +107,10 @@ class MissingD2dLink(ScenarioSchemaError):
     """Direct relaying requested between devices that share no single-hop link."""
 
 
+class MissingBackhaulLink(ScenarioSchemaError):
+    """A hop between two server nodes that no configured link joins."""
+
+
 class NestedServerMismatch(SimulationError):
     """A nested sub-session is not anchored on the aggregating client itself."""
 

@@ -162,6 +162,10 @@ class _Estimator:
     so callers must request them in the order the engine would: by ready
     time, ties in client order. `clients` is the session's client order,
     which fixes each device's block slot.
+
+    Its `LegCosts` prices at mean gain, so every leg the walk repeats (each
+    round's uplinks included) is priced once per estimate and looked up
+    after that; only the block bookings and the sums are redone per leg.
     """
 
     def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
@@ -328,42 +332,42 @@ def _estimate_sl_heterogeneous(plan, topo, radio, clients: list[str]) -> CostEst
     task = plan.task
     server = plan.server()
     widths = task.widths
-    num_layers = len(widths) - 1
     edges = (0, *task.boundaries)
     segments = list(zip(edges, edges[1:]))
     batch = task.batch_size
     label_bits = costs.label_bits(batch)
+    # per segment: forward MACs, and the activations leaving and entering it
+    fwd = [costs.forward_macs(widths, batch, a, b) for a, b in segments]
+    out_bits = [costs.activation_bits(batch, widths[b]) for _, b in segments]
+    in_bits = [costs.activation_bits(batch, widths[a]) for a, _ in segments]
+    server_macs = 3 * costs.forward_macs(widths, batch, task.boundaries[-1], len(widths) - 1)
+    grad_bits = costs.activation_bits(batch, widths[task.boundaries[-1]])
     use_d2d = plan.relay == "d2d"
     t = 0.0
     for i in range(task.total_iterations):
         labels_done = est.up_path(clients[0], server, label_bits, t)
         chain = t
-        for k, (a, b) in enumerate(segments):
-            chain += est.compute(clients[k], costs.forward_macs(widths, batch, a, b))
-            bits = costs.activation_bits(batch, widths[b])
+        for k in range(len(segments)):
+            chain += est.compute(clients[k], fwd[k])
             if k + 1 < len(clients):
                 if use_d2d:
-                    chain = est.d2d(clients[k], clients[k + 1], bits, chain)
+                    chain = est.d2d(clients[k], clients[k + 1], out_bits[k], chain)
                 else:
-                    chain = est.up_path(clients[k], server, bits, chain)
-                    chain = est.down_path(server, clients[k + 1], bits, chain)
+                    chain = est.up_path(clients[k], server, out_bits[k], chain)
+                    chain = est.down_path(server, clients[k + 1], out_bits[k], chain)
             else:
-                chain = est.up_path(clients[k], server, bits, chain)
+                chain = est.up_path(clients[k], server, out_bits[k], chain)
         t = max(labels_done, chain)
-        t += est.compute(server, 3 * costs.forward_macs(widths, batch,
-                                                        task.boundaries[-1], num_layers))
-        grad_bits = costs.activation_bits(batch, widths[task.boundaries[-1]])
+        t += est.compute(server, server_macs)
         t = est.down_path(server, clients[-1], grad_bits, t)
         for k in range(len(segments) - 1, -1, -1):
-            a, b = segments[k]
-            t += est.compute(clients[k], 2 * costs.forward_macs(widths, batch, a, b))
+            t += est.compute(clients[k], 2 * fwd[k])
             if k > 0:
-                bits = costs.activation_bits(batch, widths[a])
                 if use_d2d:
-                    t = est.d2d(clients[k], clients[k - 1], bits, t)
+                    t = est.d2d(clients[k], clients[k - 1], in_bits[k], t)
                 else:
-                    t = est.up_path(clients[k], server, bits, t)
-                    t = est.down_path(server, clients[k - 1], bits, t)
+                    t = est.up_path(clients[k], server, in_bits[k], t)
+                    t = est.down_path(server, clients[k - 1], in_bits[k], t)
         t += est.eval_latency(server, i)
     return est.finish(t)
 

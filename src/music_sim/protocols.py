@@ -24,6 +24,7 @@ from .data import DataBundle
 from .engine import Engine, EventKind
 from .errors import (
     AllClientsDropped,
+    MissingBackhaulLink,
     MissingD2dLink,
     NestedServerMismatch,
     ScenarioSchemaError,
@@ -210,6 +211,14 @@ class LegCosts:
 
     `gain(ue_id, context)` is the channel gain of one uplink; by default the
     device's mean gain, which is what the estimator prices.
+
+    Each instance prices a distinct leg once: `compute`, `down`, `backhaul`
+    and `d2d` depend only on their arguments and the static topology and
+    radio, so their price tuples are kept by argument and handed out again.
+    An uplink is kept by `(ue_id, bits)` only at mean gain. A runner passes
+    its own `gain`, which draws a fresh fading sample per context, so every
+    runner uplink is priced anew. A leg that cannot be priced raises, and
+    nothing is kept for it.
     """
 
     def __init__(self, topo: NetworkTopology, radio_env: RadioEnv,
@@ -222,6 +231,11 @@ class LegCosts:
         self._noma = scheme.kind.noma
         self._slot: dict[str, int] = {}
         self._cluster_rates: dict[tuple, dict[str, float]] = {}
+        self._compute: dict[tuple, tuple] = {}
+        self._down: dict[int, tuple] = {}
+        self._backhaul: dict[tuple, tuple] = {}
+        self._d2d: dict[tuple, tuple] = {}
+        self._up: dict[tuple, tuple] | None = {} if gain is None else None
 
     def assign_slots(self, ues) -> None:
         """Pin each device to a stable uplink block slot (first come, first
@@ -233,11 +247,14 @@ class LegCosts:
         return self._slot.setdefault(ue_id, len(self._slot))
 
     def compute(self, node: str, macs: float) -> tuple[float, float]:
-        spec = self.topo.servers.get(node)
-        if spec is None:
-            spec = self.topo.ues[node]
-        return costs.compute_cost(macs, self.cycles_per_mac, spec.compute_rate,
-                                  spec.energy_per_cycle)
+        price = self._compute.get((node, macs))
+        if price is None:
+            spec = self.topo.servers.get(node)
+            if spec is None:
+                spec = self.topo.ues[node]
+            price = self._compute[node, macs] = costs.compute_cost(
+                macs, self.cycles_per_mac, spec.compute_rate, spec.energy_per_cycle)
+        return price
 
     def rx(self, bits: int) -> float:
         return self.radio.rx_energy_per_bit * bits
@@ -247,6 +264,14 @@ class LegCosts:
         point. Under a NOMA scheme a cluster member shares the cluster's
         blocks, tagged by the cluster, at its cancellation rate; any other
         device rides its orthogonal block slot alone."""
+        if self._up is None:
+            return self._price_up(ue_id, bits, context)
+        price = self._up.get((ue_id, bits))
+        if price is None:
+            price = self._up[ue_id, bits] = self._price_up(ue_id, bits, context)
+        return price
+
+    def _price_up(self, ue_id: str, bits: int, context: str):
         ue = self.topo.ues[ue_id]
         cluster = self.radio.cluster_of(ue_id) if self._noma else None
         if cluster is not None:
@@ -273,20 +298,32 @@ class LegCosts:
 
     def down(self, bits: int) -> tuple[float, float, float]:
         """Access point -> device at the fixed downlink rate."""
-        latency, energy = costs.pipe_cost(bits, self.radio.downlink_rate,
-                                          self.radio.downlink_energy_per_bit)
-        return latency, energy, self.rx(bits)
+        price = self._down.get(bits)
+        if price is None:
+            latency, energy = costs.pipe_cost(bits, self.radio.downlink_rate,
+                                              self.radio.downlink_energy_per_bit)
+            price = self._down[bits] = (latency, energy, self.rx(bits))
+        return price
 
     def backhaul(self, src: str, dst: str, bits: int) -> tuple[float, float, float]:
-        latency, energy = costs.link_cost(bits, self.topo.link_between(src, dst))
-        return latency, energy, self.rx(bits)
+        price = self._backhaul.get((src, dst, bits))
+        if price is None:
+            link = self.topo.link_between(src, dst)
+            if link is None:
+                raise MissingBackhaulLink(f"no backhaul link between {src!r} and {dst!r}")
+            latency, energy = costs.link_cost(bits, link)
+            price = self._backhaul[src, dst, bits] = (latency, energy, self.rx(bits))
+        return price
 
     def d2d(self, src: str, dst: str, bits: int) -> tuple[float, float, float]:
-        link = self.topo.d2d_link(src, dst)
-        if link is None:
-            raise MissingD2dLink(f"no D2D link between {src!r} and {dst!r}")
-        latency, energy = costs.pipe_cost(bits, link.rate, link.energy_per_bit)
-        return latency, energy, self.rx(bits)
+        price = self._d2d.get((src, dst, bits))
+        if price is None:
+            link = self.topo.d2d_link(src, dst)
+            if link is None:
+                raise MissingD2dLink(f"no D2D link between {src!r} and {dst!r}")
+            latency, energy = costs.pipe_cost(bits, link.rate, link.energy_per_bit)
+            price = self._d2d[src, dst, bits] = (latency, energy, self.rx(bits))
+        return price
 
 
 class _Refused(Exception):

@@ -442,12 +442,15 @@ def validate_document(doc_or_text) -> ValidationReport:
         report.errors.append(
             ("layer-span", f"plan touches {len(violation.tiers)} layers ({tiers}); "
                            "at most 3 allowed"))
-    if not _edge_restriction_ok(plan, cfg.topo):
+    edge_ok = _edge_restriction_ok(plan, cfg.topo)
+    if not edge_ok:
         report.errors.append(
             ("edge-restriction",
              f"device clients may only run FL/SL/FedSplit under an edge or fog "
              f"server; server {plan.server()!r} is at tier "
              f"{cfg.topo.tier_of(plan.server()).label}"))
+    # a server already refused for its tier is not also checked hop by hop
+    report.errors += _access_errors(cfg, check_backhaul=edge_ok)
     if cfg.protocol.relay == "d2d" and cfg.protocol.kind == "sl_heterogeneous":
         clients = list(cfg.protocol.clients)
         for a, b in zip(clients, clients[1:]):
@@ -464,6 +467,27 @@ def validate_document(doc_or_text) -> ValidationReport:
     for w in cfg.topo.warnings:
         report.warnings.append(("compute-monotonic", w))
     return report
+
+
+def _access_errors(cfg: ScenarioConfig, check_backhaul: bool) -> list[tuple[str, str]]:
+    """Named errors for the access points the protocol's clients reach the
+    server through: each needs a radio cell for the clients' uplinks and,
+    unless it is the server itself, a backhaul link to the server."""
+    proto, topo = cfg.protocol, cfg.topo
+    served: dict[str, list[str]] = {}
+    for c in proto.clients:
+        served.setdefault(topo.ues[c].attached_ap, []).append(c)
+    errors = []
+    for ap, clients in served.items():
+        if ap not in cfg.radio_env.cells:
+            errors.append(("radio-cell", f"clients {clients} upload through {ap!r}, "
+                                         "which has no radio.cells entry"))
+        if check_backhaul and ap != proto.server \
+                and topo.link_between(proto.server, ap) is None:
+            errors.append(("backhaul", f"server {proto.server!r} reaches clients {clients} "
+                                       f"through {ap!r}, but no link joins "
+                                       f"{proto.server!r} and {ap!r}"))
+    return errors
 
 
 def validate_path(path) -> ValidationReport:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from music_sim import costs, mlp
+from music_sim import costs, mlp, protocols
 from music_sim.engine import Engine
 from music_sim.errors import EmptyPool, NoFeasiblePlan
 from music_sim.placement import (
@@ -324,6 +324,28 @@ def test_estimate_equals_the_run_under_block_contention(
     est, eng = _parity_case(protocol, clients, blocks, rounds, local_iters, server,
                             kind, relay, eval_every, pair, rotate)
     _assert_parity(est, eng)
+
+
+@pytest.mark.parametrize("kind", ["oma_grant_based", "noma_grant_free"])
+@pytest.mark.parametrize("rounds", [1, 3, 8])
+def test_fl_estimate_prices_each_distinct_uplink_once(kind, rounds, monkeypatch):
+    """At mean gain an uplink's price depends only on its device and bits, so
+    an estimate prices each distinct uplink once, however many rounds repeat
+    it: three clients upload one model size, so three `tx_cost` calls."""
+    calls = []
+    tx_cost = protocols.tx_cost
+    monkeypatch.setattr(protocols, "tx_cost",
+                        lambda *args: calls.append(args[0]) or tx_cost(*args))
+    topo = star_topology(3)
+    radio = simple_radio(clusters=[NomaCluster(members=(("ue0", 0.2), ("ue1", 0.1)),
+                                               blocks=simple_radio().cells["ap0"][:2])])
+    kind = SchemeKind(kind)
+    scheme = AccessScheme(kind=kind, signalling_delay=0.0 if kind.grant_free else 0.01)
+    plan = TrainingPlan(task=_task("fl", rounds=rounds, local_iters=2),
+                        roles={"fog0": "server", "ue0": "client", "ue1": "client",
+                               "ue2": "client"}, ma_scheme=scheme)
+    estimate_cost(plan, topo, radio)
+    assert calls == [costs.model_bits(WIDTHS)] * 3
 
 
 def test_centralized_estimate_closed_form():

@@ -18,6 +18,7 @@ from music_sim.data import make_blobs
 from music_sim.engine import Engine
 from music_sim.errors import (
     AllClientsDropped,
+    MissingBackhaulLink,
     MissingD2dLink,
     ScenarioSchemaError,
     SessionAborted,
@@ -25,6 +26,7 @@ from music_sim.errors import (
 )
 from music_sim.protocols import (
     FlSession,
+    LegCosts,
     SlSession,
     TrainingConfig,
     _FlRunner,
@@ -35,8 +37,9 @@ from music_sim.protocols import (
     run_sl_heterogeneous,
     run_sl_homogeneous,
 )
-from music_sim.radio import AccessScheme, SchemeKind, draw_channel_gain
+from music_sim.radio import AccessScheme, NomaCluster, SchemeKind, draw_channel_gain
 from music_sim.scenario import assemble, parse_config
+from music_sim.topology import build_topology
 
 from conftest import blob_data, model_rel_err, simple_radio, star_doc, star_topology
 
@@ -117,7 +120,6 @@ def test_fl_round_latency_composition_single_client():
 
 
 def test_fl_round_deadline_discards_stragglers():
-    from music_sim.topology import build_topology
     # ue0 is orders of magnitude slower than its peers; the deadline
     # closes the round before its delta can arrive
     doc = star_doc(3)
@@ -658,3 +660,86 @@ def test_fedsplit_nested_phase_stops_once_its_round_closes(fraction):
             late[nested_round] = late.get(nested_round, 0) + 1
     assert late, "no round closed during the master's nested phase"
     assert max(late.values()) <= 1, late
+
+
+# -------------------------------------------------------- leg prices ---- #
+
+_LEG_SERVERS = ["cloud0", "fog0", "ap0", "ap1"]
+_LEG_UES = ["ue0", "ue1", "ue2", "ue3"]
+
+
+def _leg_costs(kind: SchemeKind, gain=None) -> LegCosts:
+    """Prices over two cells: D2D groups ue0-ue1 and ue2-ue3 at different
+    rates, a NOMA pair ue1+ue2 on ap0's blocks 1-2, and no backhaul link
+    from ap1 to ap0 or the cloud."""
+    doc = star_doc(4, second_cell=True)
+    doc["d2d_groups"] = [{"master": "ue0", "slaves": ["ue1"], "link_rate": 8e6},
+                         {"master": "ue2", "slaves": ["ue3"], "link_rate": 5e6,
+                          "link_energy_per_bit": 3e-10}]
+    topo = build_topology(doc)
+    cells = simple_radio(aps=("ap0", "ap1")).cells
+    radio = simple_radio(aps=("ap0", "ap1"), clusters=[
+        NomaCluster(members=(("ue1", 0.2), ("ue2", 0.1)), blocks=cells["ap0"][1:3])])
+    legs = LegCosts(topo, radio, _scheme(kind), 1.5, gain=gain)
+    legs.assign_slots(_LEG_UES)
+    return legs
+
+
+def _price(legs: LegCosts, leg: str, a: int, b: int, amount):
+    if leg == "compute":
+        return legs.compute((_LEG_SERVERS + _LEG_UES)[a], amount)
+    if leg == "up":
+        return legs.up(_LEG_UES[a % 4], int(amount), f"r{b}:x")
+    if leg == "down":
+        return legs.down(int(amount))
+    if leg == "backhaul":
+        return legs.backhaul(_LEG_SERVERS[a % 4], _LEG_SERVERS[b % 4], int(amount))
+    return legs.d2d(_LEG_UES[a % 4], _LEG_UES[b % 4], int(amount))
+
+
+def _price_or_error(legs, *leg):
+    try:
+        return _price(legs, *leg)
+    except (MissingBackhaulLink, MissingD2dLink) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)),
+       legs=st.lists(st.tuples(st.sampled_from(["compute", "up", "down", "backhaul", "d2d"]),
+                               st.integers(0, 7), st.integers(0, 3),
+                               st.sampled_from([0, 1, 4096, 4096.0, 2.5e11, 10**12 + 7])),
+                     min_size=1, max_size=24))
+def test_leg_cost_memo_returns_the_fresh_price(kind, legs):
+    """An instance hands out, on the first call and on every repeat, the very
+    price a fresh instance computes; a leg with no link raises every time."""
+    memo = _leg_costs(kind)
+    for leg in legs + legs:
+        want = _price_or_error(_leg_costs(kind), *leg)
+        got = _price_or_error(memo, *leg)
+        assert got == want and repr(got) == repr(want), leg
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_leg_costs_with_a_gain_price_every_uplink_anew(kind):
+    """Given a gain function (the runners' fading draw), an uplink is never
+    kept: each orthogonal uplink calls it, and a NOMA pair calls it once per
+    member and context prefix (one fading draw per cluster and payload
+    round)."""
+    calls = []
+
+    def gain(ue_id, context):
+        calls.append((ue_id, context))
+        return 1e-7 * len(calls)
+
+    legs = _leg_costs(kind, gain=gain)
+    prices = [legs.up("ue0", 4096, "r0:ul") for _ in range(3)]
+    assert calls == [("ue0", "r0:ul")] * 3
+    assert len({p[2] for p in prices}) == 3
+    calls.clear()
+    for context in ("r0:a", "r0:b", "r1:a"):
+        legs.up("ue1", 4096, context)
+    if kind.noma:
+        assert calls == [("ue1", "r0"), ("ue2", "r0"), ("ue1", "r1"), ("ue2", "r1")]
+    else:
+        assert calls == [("ue1", "r0:a"), ("ue1", "r0:b"), ("ue1", "r1:a")]

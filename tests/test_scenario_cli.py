@@ -312,6 +312,42 @@ def test_zero_iteration_counts_are_rejected_up_front(tmp_path, capsys, name, key
     assert main(["plan", "--scenario", path]) == EXIT_INVALID
 
 
+def _fog_server_without_its_ap_link(doc):
+    doc["protocol"]["server"] = "fog0"
+    doc["links"] = [link for link in doc["links"] if link["dst"] != "ap0"]
+
+
+def _ap1_serving_ap0s_devices(doc):
+    doc["protocol"]["server"] = "ap1"
+
+
+def _no_cell_for_the_clients_ap(doc):
+    del doc["radio"]["cells"]["ap0"]
+    doc["radio"]["noma_clusters"] = []  # they would name ap0's blocks
+
+
+@pytest.mark.parametrize("mutate, name", [
+    (_fog_server_without_its_ap_link, "backhaul"),
+    (_ap1_serving_ap0s_devices, "backhaul"),
+    (_no_cell_for_the_clients_ap, "radio-cell"),
+])
+def test_legs_that_cannot_be_priced_are_rejected_up_front(tmp_path, capsys, mutate, name):
+    """A client must reach the server over a configured backhaul link and
+    upload through a cell with blocks. Otherwise `validate` names the gap,
+    and `run` and `sweep` return EXIT_INVALID instead of a traceback."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    mutate(doc)
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == EXIT_INVALID
+    assert f"error [{name}]: " in capsys.readouterr().out
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert f"error [{name}]: " in err and "Traceback" not in err
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path / "s"),
+                 "--axis", "learning_rate", "--values", "0.05"]) == EXIT_INVALID
+    assert f"error [{name}]: " in capsys.readouterr().err
+
+
 def test_run_abort_exits_two_with_partial_artifacts(tmp_path, capsys):
     doc = full_doc()
     for ue in doc["nodes"]["ue"]:

@@ -7,6 +7,7 @@ orderings that the bundled scenarios do not. Scenario documents come from
 `perfbench/workloads.py`, which is only imported here.
 """
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -17,6 +18,7 @@ import pytest
 
 from music_sim import placement
 from music_sim.cli import EXIT_OK, main
+from music_sim.errors import ScenarioSchemaError
 from music_sim.scenario import parse_config, task_of
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -34,6 +36,12 @@ DIGESTS = {
     },
 }
 PLAN_WIDE_DIGEST = "dba884a43f936f4d5408300d612956436c4c5a9ebf8ce9ae94964f7ea63288eb"
+# the chosen plans' per-node, per-phase energy
+PLAN_WIDE_BREAKDOWN_DIGEST = "7ee9eb37f3fc3ccc53312dcb3736a1b1c0576ee448e94f90f6a505abdb90845b"
+# every candidate's plan document and breakdown: at seed 1 all 24 chosen
+# plans train alone on one server, so only this digest sees the device-layer
+# estimates (FL, SL and FedSplit over each cell's pool)
+PLAN_WIDE_CANDIDATES_DIGEST = "d91c4c069aabf7e6aa263d47816fe5ccfe21cf7c5d4e834d6cba259218624184"
 
 
 def _workloads():
@@ -60,13 +68,45 @@ def test_run_workload_artifacts_are_byte_identical(name, tmp_path):
     assert got == DIGESTS[name]
 
 
-def test_plan_wide_plans_are_byte_identical():
+@functools.cache
+def _plan_wide_configs():
     w = _workloads()
-    docs = []
-    for doc in w.plan_wide_docs(1, w.FULL["plan_wide"]):
-        cfg = parse_config(doc)
-        plan, estimate = placement.choose_placement(
-            task_of(cfg), cfg.topo, cfg.radio_env, cfg.policy,
-            cfg.radio_env.scheme(cfg.protocol.scheme))
-        docs.append(plan.to_doc(cfg.topo, estimate))
+    return [parse_config(doc) for doc in w.plan_wide_docs(1, w.FULL["plan_wide"])]
+
+
+@functools.cache
+def _plan_wide_choices():
+    return [placement.choose_placement(task_of(cfg), cfg.topo, cfg.radio_env, cfg.policy,
+                                       cfg.radio_env.scheme(cfg.protocol.scheme))
+            for cfg in _plan_wide_configs()]
+
+
+def test_plan_wide_plans_are_byte_identical():
+    docs = [plan.to_doc(cfg.topo, estimate)
+            for cfg, (plan, estimate) in zip(_plan_wide_configs(), _plan_wide_choices())]
     assert _sha256(json.dumps(docs, sort_keys=True).encode()) == PLAN_WIDE_DIGEST
+
+
+def test_plan_wide_breakdowns_are_byte_identical():
+    """Energy cannot move between the nodes or phases of a chosen plan while
+    its total stays put."""
+    breakdowns = [estimate.breakdown for _, estimate in _plan_wide_choices()]
+    text = json.dumps(breakdowns, sort_keys=True)
+    assert _sha256(text.encode()) == PLAN_WIDE_BREAKDOWN_DIGEST
+
+
+def test_plan_wide_candidate_estimates_are_byte_identical():
+    """The estimate of every candidate, chosen or not, with its breakdown."""
+    out = []
+    for cfg in _plan_wide_configs():
+        scheme = cfg.radio_env.scheme(cfg.protocol.scheme)
+        for plan in placement.enumerate_candidate_plans(task_of(cfg), cfg.topo, cfg.radio_env,
+                                                        cfg.policy, scheme):
+            try:
+                estimate = placement.estimate_cost(plan, cfg.topo, cfg.radio_env)
+            except ScenarioSchemaError as exc:
+                out.append(type(exc).__name__)
+                continue
+            out.append([plan.to_doc(cfg.topo, estimate), estimate.breakdown])
+    assert len(out) == 1008
+    assert _sha256(json.dumps(out, sort_keys=True).encode()) == PLAN_WIDE_CANDIDATES_DIGEST
