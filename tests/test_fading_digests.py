@@ -31,6 +31,15 @@ FADING = {
         "trace.csv": "78ac8acd30710622b1e5521bb1454a7493342dec8c713d6dc05564c0924bdc9a",
         "events.jsonl": "3b0dc21fde16dc8d8a8e6afc69a4570579b67a429941715145fc7876a580cb70",
     }),
+    # ue2 and ue3 drop on outages, so the retry and the server's reseed run
+    "sl_homogeneous": (EXIT_OK, 24, 54, {
+        "trace.csv": "bb55d6c2356fdc8a2e71c4d90eb624183872d6f9444387ffe462cb5070237be1",
+        "events.jsonl": "4192ffddbe4db668de4900572a39f7ff4cd9a81213f1f306a2815d473c8ffafa",
+    }),
+    "fedsplit_nested": (EXIT_OK, 8, 48, {
+        "trace.csv": "6cc115716f73e8ebf1788d5cc0c8cd6cc43d5e8021e8f9f92fc9f9d4bbc193ac",
+        "events.jsonl": "c503f261fd1fb556941dd82356951c0c91c334aa979ce9172a47f9694da87f09",
+    }),
 }
 
 
