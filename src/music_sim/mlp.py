@@ -316,6 +316,26 @@ def split_backward_client(model: MlpModel, cache: ForwardCache, upstream_grad: n
     return _segment_backprop(model, cache, dz_top, into)
 
 
+def split_step(model: MlpModel, segments: list[CutSpec], x: np.ndarray, labels: np.ndarray,
+               lr: float) -> tuple[MlpModel, float]:
+    """One SGD step run segment by segment, the last segment owning the loss.
+
+    Returns (stepped model, batch loss before the step); the weights are the
+    same, bit for bit, as forward -> backward -> sgd_step on the whole model.
+    """
+    caches = []
+    for segment in segments:
+        x, cache = split_forward(model, segment, x)
+        caches.append(cache)
+    loss = batch_loss(model, caches[-1], labels)
+    layers = model.num_layers
+    grads = ParamDelta(widths=model.widths, weights=[None] * layers, biases=[None] * layers)
+    _, upstream = split_backward_server(model, caches[-1], labels, grads)
+    for cache in reversed(caches[:-1]):
+        _, upstream = split_backward_client(model, cache, upstream, grads)
+    return sgd_step(model, grads, lr), loss
+
+
 def contiguous_cuts(num_layers: int, boundaries) -> list[CutSpec]:
     """Split `num_layers` weight layers at the given interior boundaries.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import costs
 from .engine import BlockLedger
 from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError
-from .protocols import LegCosts
+from .protocols import LegCosts, SlHomoLegs, sl_hetero_legs
 from .radio import AccessScheme, RadioEnv
 from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
 
@@ -179,30 +179,15 @@ class _Estimator:
 
     def add(self, node: str, phase: str, joules: float) -> None:
         if joules > 0:
-            bucket = self.energy.setdefault(node, {})
+            bucket = self.energy.get(node)
+            if bucket is None:
+                bucket = self.energy[node] = {}
             bucket[phase] = bucket.get(phase, 0.0) + joules
 
     def compute(self, node: str, macs: float) -> float:
         latency, energy = self.legs.compute(node, macs)
         self.add(node, "compute", energy)
         return latency
-
-    def radio_up(self, ue_id: str, bits: int, ready: float) -> float:
-        """Uplink at mean gain; returns the completion time, after any wait
-        for its blocks. Every uplink shares one context, so each NOMA
-        cluster's rates are computed once per estimate."""
-        blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, "")
-        ap = self.topo.ues[ue_id].attached_ap
-        start = self.blocks.book(ap, blocks, ready, latency, ue_id, tag)
-        self.add(ue_id, "tx", tx)
-        self.add(ap, "rx", rx)
-        return start + latency
-
-    def radio_down(self, ue_id: str, bits: int, ready: float) -> float:
-        latency, tx, rx = self.legs.down(bits)
-        self.add(self.topo.ues[ue_id].attached_ap, "tx", tx)
-        self.add(ue_id, "rx", rx)
-        return ready + latency
 
     def backhaul(self, src: str, dst: str, bits: int, ready: float) -> float:
         latency, tx, rx = self.legs.backhaul(src, dst, bits)
@@ -217,18 +202,41 @@ class _Estimator:
         return ready + latency
 
     def up_path(self, ue_id: str, server: str, bits: int, ready: float) -> float:
+        """Uplink at mean gain, then backhaul unless the server is the access
+        point; returns the arrival time, after any wait for blocks. Uplinks
+        share one context, so NOMA rates are computed once per estimate."""
+        blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, "")
         ap = self.topo.ues[ue_id].attached_ap
-        t = self.radio_up(ue_id, bits, ready)
+        t = self.blocks.book(ap, blocks, ready, latency, ue_id, tag) + latency
+        self.add(ue_id, "tx", tx)
+        self.add(ap, "rx", rx)
         if server != ap:
             t = self.backhaul(ap, server, bits, t)
         return t
 
     def down_path(self, server: str, ue_id: str, bits: int, ready: float) -> float:
         ap = self.topo.ues[ue_id].attached_ap
-        t = ready
         if server != ap:
-            t = self.backhaul(server, ap, bits, t)
-        return self.radio_down(ue_id, bits, t)
+            ready = self.backhaul(server, ap, bits, ready)
+        latency, tx, rx = self.legs.down(bits)
+        self.add(ap, "tx", tx)
+        self.add(ue_id, "rx", rx)
+        return ready + latency
+
+    def walk(self, legs: tuple, t: float) -> float:
+        """Carry ready time `t` through split-learning leg tuples (see
+        `protocols.SlHomoLegs`); returns the time the last one ends."""
+        for leg in legs:
+            kind = leg[0]
+            if kind == "compute":
+                t += self.compute(leg[1], leg[2])
+            elif kind == "up":
+                t = self.up_path(leg[1], leg[2], leg[3], t)
+            elif kind == "down":
+                t = self.down_path(leg[1], leg[2], leg[3], t)
+            else:
+                t = self.d2d(leg[1], leg[2], leg[3], t)
+        return t
 
     def eval_latency(self, owner: str, global_iter: int) -> float:
         if self.task.eval_every <= 0 or (global_iter + 1) % self.task.eval_every != 0:
@@ -285,36 +293,17 @@ def _estimate_fl(plan, topo, radio, clients: list[str]) -> CostEstimate:
 
 
 def _sl_homo_iterations(est: _Estimator, server: str, clients: list[str],
-                        iterations: int, t: float, up, down, evaluate: bool) -> float:
-    """Homogeneous SL iterations from ready time `t`; `up(ue, server, bits,
-    ready)` and `down(server, ue, bits, ready)` carry traffic between a
-    client and the server. Returns the time the last iteration ends."""
+                        iterations: int, t: float, evaluate: bool) -> float:
+    """Homogeneous SL iterations from ready time `t`; returns the time the
+    last iteration ends."""
     task = est.task
-    widths = task.widths
-    cut = task.cut_index
-    batch = task.batch_size
-    part_bits = costs.model_bits(widths[:cut + 1])
-    client_fwd = costs.forward_macs(widths, batch, 0, cut)
-    server_macs = 3 * costs.forward_macs(widths, batch, cut, len(widths) - 1)
-    smash_bits = costs.activation_bits(batch, widths[cut]) + costs.label_bits(batch)
-    grad_bits = costs.activation_bits(batch, widths[cut])
+    legs = SlHomoLegs(est.topo, server, task.widths, task.cut_index, task.batch_size)
     holder = None
     for i in range(iterations):
         active = clients[i % len(clients)]
-        if holder is None:
-            t = down(server, active, part_bits, t)
-        elif holder != active:
-            if est.topo.d2d_link(holder, active) is not None:
-                t = est.d2d(holder, active, part_bits, t)
-            else:
-                t = up(holder, server, part_bits, t)
-                t = down(server, active, part_bits, t)
+        t = est.walk(legs.handoff(holder, active), t)
+        t = est.walk(legs.body(active), t)
         holder = active
-        t += est.compute(active, client_fwd)
-        t = up(active, server, smash_bits, t)
-        t += est.compute(server, server_macs)
-        t = down(server, active, grad_bits, t)
-        t += est.compute(active, 2 * client_fwd)
         if evaluate:
             t += est.eval_latency(server, i)
     return t
@@ -323,7 +312,7 @@ def _sl_homo_iterations(est: _Estimator, server: str, clients: list[str],
 def _estimate_sl_homogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
     est = _Estimator(plan, topo, radio, clients)
     t = _sl_homo_iterations(est, plan.server(), clients, plan.task.total_iterations, 0.0,
-                            est.up_path, est.down_path, evaluate=True)
+                            evaluate=True)
     return est.finish(t)
 
 
@@ -331,43 +320,13 @@ def _estimate_sl_heterogeneous(plan, topo, radio, clients: list[str]) -> CostEst
     est = _Estimator(plan, topo, radio, clients)
     task = plan.task
     server = plan.server()
-    widths = task.widths
-    edges = (0, *task.boundaries)
-    segments = list(zip(edges, edges[1:]))
-    batch = task.batch_size
-    label_bits = costs.label_bits(batch)
-    # per segment: forward MACs, and the activations leaving and entering it
-    fwd = [costs.forward_macs(widths, batch, a, b) for a, b in segments]
-    out_bits = [costs.activation_bits(batch, widths[b]) for _, b in segments]
-    in_bits = [costs.activation_bits(batch, widths[a]) for a, _ in segments]
-    server_macs = 3 * costs.forward_macs(widths, batch, task.boundaries[-1], len(widths) - 1)
-    grad_bits = costs.activation_bits(batch, widths[task.boundaries[-1]])
-    use_d2d = plan.relay == "d2d"
+    labels, forward, back = sl_hetero_legs(server, clients, task.widths, task.boundaries,
+                                           task.batch_size, plan.relay)
     t = 0.0
     for i in range(task.total_iterations):
-        labels_done = est.up_path(clients[0], server, label_bits, t)
-        chain = t
-        for k in range(len(segments)):
-            chain += est.compute(clients[k], fwd[k])
-            if k + 1 < len(clients):
-                if use_d2d:
-                    chain = est.d2d(clients[k], clients[k + 1], out_bits[k], chain)
-                else:
-                    chain = est.up_path(clients[k], server, out_bits[k], chain)
-                    chain = est.down_path(server, clients[k + 1], out_bits[k], chain)
-            else:
-                chain = est.up_path(clients[k], server, out_bits[k], chain)
-        t = max(labels_done, chain)
-        t += est.compute(server, server_macs)
-        t = est.down_path(server, clients[-1], grad_bits, t)
-        for k in range(len(segments) - 1, -1, -1):
-            t += est.compute(clients[k], 2 * fwd[k])
-            if k > 0:
-                if use_d2d:
-                    t = est.d2d(clients[k], clients[k - 1], in_bits[k], t)
-                else:
-                    t = est.up_path(clients[k], server, in_bits[k], t)
-                    t = est.down_path(server, clients[k - 1], in_bits[k], t)
+        labels_done = est.walk(labels, t)
+        chain_done = est.walk(forward, t)
+        t = est.walk(back, max(labels_done, chain_done))
         t += est.eval_latency(server, i)
     return est.finish(t)
 
@@ -384,7 +343,7 @@ def _estimate_fedsplit(plan, topo, radio, clients: list[str]) -> CostEstimate:
             return ready + est.compute(c, local_macs)
         slaves = [s for s in topo.group_containing(c).slaves if s in plan.roles]
         return _sl_homo_iterations(est, c, slaves, task.local_iterations, ready,
-                                   est.d2d, est.d2d, evaluate=False)
+                                   evaluate=False)
 
     return _fl_rounds(est, plan.server(), clients, local)
 

@@ -326,13 +326,106 @@ class LegCosts:
         return price
 
 
+# Split-learning legs are written once, as plain tuples without an iteration
+# index: ("compute", node, macs, what), ("up", ue, server, bits, payload, ctx),
+# ("down", server, ue, bits, payload) and ("d2d", src, dst, bits, payload).
+# The runners walk them with `_RunnerBase._legs`, and the placement estimator
+# walks the same tuples in closed form.
+
+class SlHomoLegs:
+    """Legs of homogeneous split-learning iterations: the handoff of the
+    client part to the iteration's client, then the body (forward, smashed
+    activations and labels up, the server's turn, gradient down, backward),
+    built once per client. A device server (a FedSplit master) is reached
+    over D2D."""
+
+    def __init__(self, topo: NetworkTopology, server: str, widths, cut: int, batch: int):
+        self.topo = topo
+        self.server = server
+        self.device_server = server in topo.ues
+        self.part_bits = costs.model_bits(widths[:cut + 1])
+        self.client_macs = costs.forward_macs(widths, batch, 0, cut)
+        self.server_macs = 3 * costs.forward_macs(widths, batch, cut, len(widths) - 1)
+        self.grad_bits = costs.activation_bits(batch, widths[cut])
+        self.smash_bits = self.grad_bits + costs.label_bits(batch)
+        self._bodies: dict[str, tuple] = {}
+
+    def _to_server(self, ue: str, bits: int, payload: str, ctx: str) -> tuple:
+        if self.device_server:
+            return ("d2d", ue, self.server, bits, payload)
+        return ("up", ue, self.server, bits, payload, ctx)
+
+    def _from_server(self, ue: str, bits: int, payload: str) -> tuple:
+        if self.device_server:
+            return ("d2d", self.server, ue, bits, payload)
+        return ("down", self.server, ue, bits, payload)
+
+    def handoff(self, prev: str | None, client: str, reseed: bool = False) -> tuple:
+        """Legs that bring the client part from its holder `prev` to
+        `client`. The server seeds it when nobody holds it yet, or when
+        `reseed` (the holder dropped; the server keeps its committed copy)."""
+        bits = self.part_bits
+        if prev == client:
+            return ()
+        if prev is None or reseed:
+            return (self._from_server(client, bits, "client_part"),)
+        if self.topo.d2d_link(prev, client) is not None:
+            return (("d2d", prev, client, bits, "client_part"),)
+        return (self._to_server(prev, bits, "client_part", f":{prev}:handoff"),
+                self._from_server(client, bits, "client_part"))
+
+    def body(self, client: str) -> tuple:
+        legs = self._bodies.get(client)
+        if legs is None:
+            legs = self._bodies[client] = (
+                ("compute", client, self.client_macs, "fwd"),
+                self._to_server(client, self.smash_bits, "smashed+labels", f":{client}:up"),
+                ("compute", self.server, self.server_macs, "srv"),
+                self._from_server(client, self.grad_bits, "smashed_grad"),
+                ("compute", client, 2 * self.client_macs, "bwd"))
+        return legs
+
+
+def sl_hetero_legs(server: str, clients, widths, boundaries, batch: int, relay: str):
+    """Legs of one heterogeneous split-learning iteration, in three parts:
+    the labels uplink, which runs beside the forward chain; the forward
+    chain; and the server's turn plus the backward chain. Client k owns the
+    segment ending at `boundaries[k]`; handoffs between clients ride D2D
+    (relay "d2d") or bounce through the server."""
+
+    def handoff(src, dst, bits, payload, ctx):
+        if relay == "d2d":
+            return (("d2d", src, dst, bits, payload),)
+        return (("up", src, server, bits, payload, ctx), ("down", server, dst, bits, payload))
+
+    edges = (0, *boundaries)
+    fwd = [costs.forward_macs(widths, batch, a, b) for a, b in zip(edges, edges[1:])]
+    labels = (("up", clients[0], server, costs.label_bits(batch), "labels",
+               f":{clients[0]}:labels"),)
+    forward = []
+    for k, client in enumerate(clients):
+        forward.append(("compute", client, fwd[k], f"fwd{k}"))
+        bits = costs.activation_bits(batch, widths[edges[k + 1]])
+        if k + 1 < len(clients):
+            forward += handoff(client, clients[k + 1], bits, "smashed", f":{client}")
+        else:
+            # the last client segment feeds the server's segment
+            forward.append(("up", client, server, bits, "smashed", f":{client}:up"))
+    back = [("compute", server,
+             3 * costs.forward_macs(widths, batch, edges[-1], len(widths) - 1), "srv"),
+            ("down", server, clients[-1], costs.activation_bits(batch, widths[edges[-1]]),
+             "smashed_grad")]
+    for k in reversed(range(len(clients))):
+        back.append(("compute", clients[k], 2 * fwd[k], f"bwd{k}"))
+        if k:
+            back += handoff(clients[k], clients[k - 1],
+                            costs.activation_bits(batch, widths[edges[k]]),
+                            "smashed_grad", f":bwd:{clients[k]}")
+    return labels, tuple(forward), tuple(back)
+
+
 class _Refused(Exception):
     """Thrown into a process when a node refuses its leg (the node dropped)."""
-
-
-def _sequence(*legs):
-    """A process that runs `legs` one after another."""
-    yield from legs
 
 
 class _Process:
@@ -375,24 +468,22 @@ class _Process:
 
 
 def _join(processes: tuple, done, fail) -> None:
-    """Run `processes` side by side: `done(results)` once all have
-    returned, or `fail()` when the first refusal escapes one of them."""
-    results = [None] * len(processes)
+    """Run `processes` side by side: `done()` once all have returned, or
+    `fail()` when the first refusal escapes one of them."""
     left = [len(processes)]
 
-    def returned(k, value):
-        results[k] = value
+    def returned(_):
         left[0] -= 1
         if left[0] == 0:
-            done(tuple(results))
+            done()
 
     def failed():
         if left[0] > 0:
             left[0] = -1  # the others finish unheard
             fail()
 
-    for k, process in enumerate(processes):
-        _Process(process, partial(returned, k), failed, None).resume()
+    for process in processes:
+        _Process(process, returned, failed, None).resume()
 
 
 class _RunnerBase:
@@ -463,6 +554,21 @@ class _RunnerBase:
     def _begin(self, index: int) -> None:
         if index < self.rounds:
             self._drive(self._round(index))
+
+    def _legs(self, legs: tuple, tag: str, index: int):
+        """Process: run the leg tuples of iteration `index` in order. Each
+        `what` gets `:i{index}` and each uplink `ctx` the prefix `{tag}{index}`,
+        so event details and random-stream names name the iteration."""
+        for leg in legs:
+            kind = leg[0]
+            if kind == "compute":
+                yield partial(self.leg_compute, leg[1], leg[2], f"{leg[3]}:i{index}")
+            elif kind == "up":
+                yield partial(self.uplink_path, *leg[1:5], f"{tag}{index}{leg[5]}")
+            elif kind == "down":
+                yield partial(self.downlink_path, *leg[1:])
+            else:
+                yield partial(self.leg_d2d, *leg[1:])
 
     # ---- failure plumbing ----
 
@@ -836,24 +942,12 @@ class _SlHomoRunner(_RunnerBase):
     client-side parameters hop to the next client between iterations,
     directly over D2D when a link exists, otherwise via the server."""
 
-    def __init__(self, session: SlSession, topo, radio_env, eng, over_d2d: bool = False):
+    def __init__(self, session: SlSession, topo, radio_env, eng):
         super().__init__("sl_homogeneous", session, topo, radio_env, eng, session.iterations)
-        self.cut = session.cut_index
-        self.over_d2d = over_d2d
         self.holder: str | None = None  # who physically has the client part
-        self.client_part_bits = costs.model_bits(self.model.widths[:self.cut + 1])
-
-    # transport between a client and the SL server; `over_d2d` for a
-    # FedSplit master, whose every hop to or from a slave is a D2D hop
-    def _up(self, ue, bits, payload, ctx):
-        if self.over_d2d:
-            return partial(self.leg_d2d, ue, self.session.server, bits, payload)
-        return partial(self.uplink_path, ue, self.session.server, bits, payload, ctx)
-
-    def _down(self, ue, bits, payload):
-        if self.over_d2d:
-            return partial(self.leg_d2d, self.session.server, ue, bits, payload)
-        return partial(self.downlink_path, self.session.server, ue, bits, payload)
+        self.plan = SlHomoLegs(topo, session.server, self.model.widths, session.cut_index,
+                               session.config.batch_size)
+        self.segments = mlp.contiguous_cuts(self.model.num_layers, (session.cut_index,))
 
     def _client_for(self, iteration: int) -> str:
         alive = [c for c in self.session.clients if c not in self.eng.dropped]
@@ -885,43 +979,16 @@ class _SlHomoRunner(_RunnerBase):
             client = nxt
 
     def _attempt(self, client: str, index: int):
-        """Deliver the client part, forward, smashed activations up, the
-        server's turn, gradient down, backward; returns the loss."""
-        bits = self.client_part_bits
+        """Deliver the client part, then the iteration's body; returns the
+        loss."""
         prev = self.holder
-        if prev is None or (prev != client and prev in self.eng.dropped):
-            # seeded by the server, which keeps a dropped holder's committed copy
-            yield self._down(client, bits, "client_part")
-        elif prev != client:
-            if self.topo.d2d_link(prev, client) is not None:
-                yield partial(self.leg_d2d, prev, client, bits, "client_part")
-            else:
-                yield self._up(prev, bits, "client_part", f"slh{index}:{prev}:handoff")
-                yield self._down(client, bits, "client_part")
+        yield from self._legs(self.plan.handoff(prev, client, prev in self.eng.dropped),
+                              "slh", index)
         self.holder = client
-        sess = self.session
-        cut, layers, widths = self.cut, self.model.num_layers, self.model.widths
-        x, labels = sess.data.shard_of(client).batch(index, self.config.batch_size)
-        batch = x.shape[0]
-        yield partial(self.leg_compute, client, costs.forward_macs(widths, batch, 0, cut),
-                      f"fwd:i{index}")
-        smashed, client_cache = mlp.split_forward(self.model, mlp.CutSpec(0, cut), x)
-        yield self._up(client, costs.activation_bits(batch, widths[cut])
-                       + costs.label_bits(batch), "smashed+labels",
-                       f"slh{index}:{client}:up")
-        # the SL server can itself be a battery device (a master UE)
-        yield partial(self.leg_compute, sess.server,
-                      3 * costs.forward_macs(widths, batch, cut, layers), f"srv:i{index}")
-        _, server_cache = mlp.split_forward(self.model, mlp.CutSpec(cut, layers), smashed)
-        loss = mlp.batch_loss(self.model, server_cache, labels)
-        # one delta per iteration; each segment's backward pass fills its layers
-        grads = mlp.ParamDelta(widths=widths, weights=[None] * layers, biases=[None] * layers)
-        _, smash_grad = mlp.split_backward_server(self.model, server_cache, labels, grads)
-        yield self._down(client, costs.activation_bits(batch, widths[cut]), "smashed_grad")
-        yield partial(self.leg_compute, client,
-                      2 * costs.forward_macs(widths, batch, 0, cut), f"bwd:i{index}")
-        mlp.split_backward_client(self.model, client_cache, smash_grad, grads)
-        self.model = mlp.sgd_step(self.model, grads, self.config.lr)
+        yield from self._legs(self.plan.body(client), "slh", index)
+        x, labels = self.session.data.shard_of(client).batch(index, self.config.batch_size)
+        self.model, loss = mlp.split_step(self.model, self.segments, x, labels,
+                                          self.config.lr)
         return loss
 
     def _next_after(self, client: str) -> str | None:
@@ -962,79 +1029,28 @@ class _SlHeteroRunner(_RunnerBase):
                     raise MissingD2dLink(f"relay=d2d needs a D2D link {a!r} <-> {b!r}")
         # one segment per client, then the server's
         self.segments = mlp.contiguous_cuts(self.model.num_layers, session.boundaries)
-
-    def _handoff(self, src: str, dst: str, bits: int, payload: str, ctx: str):
-        if self.session.relay == "d2d":
-            yield partial(self.leg_d2d, src, dst, bits, payload)
-        else:
-            yield partial(self.uplink_path, src, self.session.server, bits, payload,
-                          f"{ctx}:{src}")
-            yield partial(self.downlink_path, self.session.server, dst, bits, payload)
+        self.labels, self.forward, self.back = sl_hetero_legs(
+            session.server, session.clients, self.model.widths, session.boundaries,
+            session.config.batch_size, session.relay)
 
     def _round(self, index: int):
         sess = self.session
-        clients, widths = sess.clients, self.model.widths
-        x, labels = sess.data.shard_of(clients[0]).batch(index, self.config.batch_size)
-        batch = x.shape[0]
         state = self._open(_Round, index)
-        caches = {}
         try:
             # labels go straight to the loss owner while the forward chain runs
-            labels_up = partial(self.uplink_path, clients[0], sess.server,
-                                costs.label_bits(batch), "labels",
-                                f"slx{index}:{clients[0]}:labels")
-            _, out = yield (_sequence(labels_up), self._forward(x, caches, index))
-            seg = self.segments[-1]
-            yield partial(self.leg_compute, sess.server,
-                          3 * costs.forward_macs(widths, batch, seg.start, seg.end),
-                          f"srv:i{index}")
-            _, server_cache = mlp.split_forward(self.model, seg, out)
-            state.loss = mlp.batch_loss(self.model, server_cache, labels)
-            layers = self.model.num_layers
-            grads = mlp.ParamDelta(widths=widths, weights=[None] * layers,
-                                   biases=[None] * layers)
-            _, upstream = mlp.split_backward_server(self.model, server_cache, labels, grads)
-            yield partial(self.downlink_path, sess.server, clients[-1],
-                          costs.activation_bits(batch, widths[seg.start]), "smashed_grad")
-            for k in reversed(range(len(clients))):
-                seg = self.segments[k]
-                yield partial(self.leg_compute, clients[k],
-                              2 * costs.forward_macs(widths, batch, seg.start, seg.end),
-                              f"bwd{k}:i{index}")
-                _, upstream = mlp.split_backward_client(self.model, caches[k], upstream, grads)
-                if k:
-                    yield from self._handoff(clients[k], clients[k - 1],
-                                             costs.activation_bits(batch, widths[seg.start]),
-                                             "smashed_grad", f"slx{index}:bwd")
+            yield (self._legs(self.labels, "slx", index),
+                   self._legs(self.forward, "slx", index))
+            yield from self._legs(self.back, "slx", index)
         except _Refused:
             # every client owns exactly one segment, so no spare can take its place
-            survivors = [c for c in clients if c not in self.eng.dropped]
+            survivors = [c for c in sess.clients if c not in self.eng.dropped]
             raise SessionAborted(
                 f"iteration {index}: {len(survivors)} clients left for "
                 f"{len(sess.boundaries)} segments")
-        self.model = mlp.sgd_step(self.model, grads, self.config.lr)
+        x, labels = sess.data.shard_of(sess.clients[0]).batch(index, self.config.batch_size)
+        self.model, state.loss = mlp.split_step(self.model, self.segments, x, labels,
+                                                self.config.lr)
         yield from self._end(state, "iter")
-
-    def _forward(self, x, caches: dict, index: int):
-        """Process: the clients' forward chain, each segment's cache kept in
-        `caches`; returns the activations at the server's door."""
-        clients, widths = self.session.clients, self.model.widths
-        batch = x.shape[0]
-        for k, client in enumerate(clients):
-            seg = self.segments[k]
-            yield partial(self.leg_compute, client,
-                          costs.forward_macs(widths, batch, seg.start, seg.end),
-                          f"fwd{k}:i{index}")
-            x, caches[k] = mlp.split_forward(self.model, seg, x)
-            bits = costs.activation_bits(batch, widths[seg.end])
-            if k + 1 < len(clients):
-                yield from self._handoff(client, clients[k + 1], bits, "smashed",
-                                         f"slx{index}")
-            else:
-                # the last client segment feeds the server's segment
-                yield partial(self.uplink_path, client, self.session.server, bits,
-                              "smashed", f"slx{index}:{client}:up")
-        return x
 
 
 def run_sl_heterogeneous(session: SlSession, topo: NetworkTopology,
@@ -1088,7 +1104,7 @@ class _FedSplitRunner(_FlRunner):
         inner = _SlHomoRunner(
             replace(self.nested[client], iterations=self.session.local_iterations,
                     model=mlp.clone(self.model)),
-            self.topo, self.radio, self.eng, over_d2d=True)
+            self.topo, self.radio, self.eng)
         yield partial(self._boundary, client, f"nested r{state.index} start")
         losses = []
         for i in range(inner.rounds):

@@ -336,9 +336,12 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
         if not any(_master_group(topo, c) for c in proto.clients):
             raise ScenarioSchemaError(
                 "fedsplit_nested needs at least one client mastering a d2d group")
+    # a FedSplit master trains on its slaves' data; every other client on its own
     for c in proto.clients:
-        if topo.ues[c].dataset_size < 1 and not _master_group(topo, c):
-            raise ScenarioSchemaError(f"client {c!r} has no local data")
+        group = _master_group(topo, c) if proto.kind == "fedsplit_nested" else None
+        for owner in group.slaves if group else (c,):
+            if topo.ues[owner].dataset_size < 1:
+                raise ScenarioSchemaError(f"client {owner!r} has no local data")
 
 
 def _master_group(topo: NetworkTopology, ue_id: str):

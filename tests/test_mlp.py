@@ -2,6 +2,7 @@
 and stacked local training of many clients at once."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ def test_filled_delta_steps_like_the_added_deltas(widths, loss, data):
     got = mlp.sgd_step(model, filled, 0.05)
     for a, b in zip(got.weights + got.biases, want.weights + want.biases):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=20, deadline=None)
+@given(widths=st.lists(st.integers(min_value=1, max_value=7), min_size=3, max_size=6),
+       loss=st.sampled_from(mlp.LOSSES), seed=st.integers(min_value=0, max_value=2**16))
+def test_split_step_equals_the_monolithic_step(widths, loss, seed):
+    """For every contiguous cut set, one split step gives the weights of
+    forward -> backward -> sgd_step bit for bit, and the loss before it."""
+    layers = len(widths) - 1
+    model = mlp.init_model(widths, loss, seed=seed)
+    x, y = _data(batch=5, dim=widths[0], classes=widths[-1], seed=seed)
+    _, cache = mlp.forward(model, x)
+    want = mlp.sgd_step(model, mlp.backward(model, cache, y), 0.05)
+    for cuts in itertools.chain.from_iterable(
+            itertools.combinations(range(1, layers), n) for n in range(1, layers)):
+        got, got_loss = mlp.split_step(model, mlp.contiguous_cuts(layers, cuts), x, y, 0.05)
+        assert got_loss == mlp.batch_loss(model, cache, y)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
 
 
 def test_split_forward_equals_monolithic_prediction():

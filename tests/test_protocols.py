@@ -27,6 +27,7 @@ from music_sim.errors import (
 from music_sim.protocols import (
     FlSession,
     LegCosts,
+    SlHomoLegs,
     SlSession,
     TrainingConfig,
     _FlRunner,
@@ -289,6 +290,23 @@ def test_homo_transport_choice_does_not_change_the_math():
         trace = run_sl_homogeneous(sess, topo, simple_radio(), Engine(seed=0))
         return [r.loss for r in trace.records]
     assert final_losses(True) == final_losses(False)
+
+
+def test_homo_legs_reach_a_device_server_over_d2d_only():
+    """A FedSplit master serves its slaves over D2D: every leg of its
+    homogeneous iterations is a compute or a D2D leg; an access point
+    serves the same clients (no D2D link joins ue1 and ue2) by uplink and
+    downlink."""
+    topo = star_topology(3, d2d=True)  # ue0 is master of ue1, ue2
+
+    def kinds(server):
+        legs = SlHomoLegs(topo, server, WIDTHS, 2, 16)
+        walked = (legs.handoff(None, "ue1") + legs.handoff("ue1", "ue2")
+                  + legs.handoff("ue1", "ue2", reseed=True) + legs.body("ue1"))
+        return {leg[0] for leg in walked}
+
+    assert kinds("ue0") == {"compute", "d2d"}
+    assert kinds("ap0") == {"compute", "up", "down"}
 
 
 def test_homo_failed_client_retries_with_next_in_order():

@@ -348,6 +348,25 @@ def test_legs_that_cannot_be_priced_are_rejected_up_front(tmp_path, capsys, muta
     assert f"error [{name}]: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, node", [
+    ("fedsplit_nested", "ue2"),  # a slave of ue0: the master trains on its data
+    ("fl", "ue0"),               # ue0 masters a group, but FL trains on its own data
+])
+def test_clients_without_training_data_are_rejected_up_front(tmp_path, capsys, kind, node):
+    doc = json.loads((SCENARIO_DIR / "fedsplit_nested.json").read_text())
+    doc["protocol"]["kind"] = kind
+    if kind == "fl":
+        del doc["protocol"]["cut_index"]
+    next(ue for ue in doc["nodes"]["ue"] if ue["id"] == node)["dataset_size"] = 0
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == EXIT_INVALID
+    assert f"error [schema]: client '{node}' has no local data" in capsys.readouterr().out
+    assert main(["run", "--scenario", path, "--out", str(tmp_path / "o")]) == EXIT_INVALID
+    assert main(["sweep", "--scenario", path, "--out", str(tmp_path / "s"),
+                 "--axis", "learning_rate", "--values", "0.05"]) == EXIT_INVALID
+    assert "error [schema]: " in capsys.readouterr().err
+
+
 def test_run_abort_exits_two_with_partial_artifacts(tmp_path, capsys):
     doc = full_doc()
     for ue in doc["nodes"]["ue"]:
