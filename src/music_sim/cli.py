@@ -19,7 +19,6 @@ from pathlib import Path
 from .errors import SessionAborted, SimulationError, UnsweepableParameter
 from .placement import choose_placement
 from .protocols import CSV_COLUMNS, MetricsTrace
-from .radio import SchemeKind
 from .scenario import (
     apply_overrides,
     assemble,
@@ -190,10 +189,6 @@ def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
                 f"client count {n} outside [1, {len(clients)}]")
         proto["clients"] = clients[:n]
     elif axis == "scheme":
-        try:
-            SchemeKind(raw)
-        except ValueError:
-            raise UnsweepableParameter(f"unknown access scheme {raw!r}") from None
         proto["scheme"] = raw
     elif axis == "signalling_delay":
         doc.setdefault("radio", {})["signalling_delay"] = float(raw)

@@ -111,6 +111,10 @@ class MissingBackhaulLink(ScenarioSchemaError):
     """A hop between two server nodes that no configured link joins."""
 
 
+class MissingRadioCell(ScenarioSchemaError):
+    """An uplink through an access point that has no resource blocks."""
+
+
 class NestedServerMismatch(SimulationError):
     """A nested sub-session is not anchored on the aggregating client itself."""
 

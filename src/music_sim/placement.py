@@ -320,8 +320,8 @@ def _estimate_sl_heterogeneous(plan, topo, radio, clients: list[str]) -> CostEst
     est = _Estimator(plan, topo, radio, clients)
     task = plan.task
     server = plan.server()
-    labels, forward, back = sl_hetero_legs(server, clients, task.widths, task.boundaries,
-                                           task.batch_size, plan.relay)
+    labels, forward, back = sl_hetero_legs(topo, server, clients, task.widths,
+                                           task.boundaries, task.batch_size, plan.relay)
     t = 0.0
     for i in range(task.total_iterations):
         labels_done = est.walk(labels, t)

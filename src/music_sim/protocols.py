@@ -30,6 +30,7 @@ from .errors import (
     ScenarioSchemaError,
     SessionAborted,
     SessionStalled,
+    ZeroRate,
 )
 from .radio import AccessScheme, NomaCluster, RadioEnv, draw_channel_gain, tx_cost
 from .topology import NetworkTopology
@@ -87,23 +88,7 @@ class SlSession:
             raise ScenarioSchemaError("an SL session needs at least one client")
         if self.iterations < 1:
             raise ScenarioSchemaError("iteration counts must be >= 1")
-        num_layers = self.model.num_layers
-        if self.variant == "homogeneous":
-            if self.cut_index is None or not 1 <= self.cut_index <= num_layers - 1:
-                raise ScenarioSchemaError(
-                    f"cut_index must be in [1, {num_layers - 1}], got {self.cut_index!r}")
-        elif self.variant == "heterogeneous":
-            if len(self.boundaries) != len(self.clients):
-                raise ScenarioSchemaError(
-                    f"{len(self.clients)} clients need {len(self.clients)} segment "
-                    f"boundaries, got {self.boundaries!r}")
-            edges = (0, *self.boundaries)
-            if any(a >= b for a, b in zip(edges, edges[1:])) \
-                    or self.boundaries[-1] >= num_layers:
-                raise ScenarioSchemaError(
-                    f"boundaries must be strictly increasing in (0, {num_layers}), "
-                    f"got {self.boundaries!r}")
-        else:
+        if self.variant not in ("homogeneous", "heterogeneous"):
             raise ScenarioSchemaError(f"unknown SL variant {self.variant!r}")
         if self.relay not in ("via_server", "d2d"):
             raise ScenarioSchemaError(f"unknown relay mode {self.relay!r}")
@@ -337,9 +322,11 @@ class SlHomoLegs:
     client part to the iteration's client, then the body (forward, smashed
     activations and labels up, the server's turn, gradient down, backward),
     built once per client. A device server (a FedSplit master) is reached
-    over D2D."""
+    over D2D. The cut must leave at least one layer on each side."""
 
     def __init__(self, topo: NetworkTopology, server: str, widths, cut: int, batch: int):
+        if cut is None or not 1 <= cut <= len(widths) - 2:
+            raise ScenarioSchemaError(f"cut_index must be in [1, {len(widths) - 2}], got {cut}")
         self.topo = topo
         self.server = server
         self.device_server = server in topo.ues
@@ -386,19 +373,34 @@ class SlHomoLegs:
         return legs
 
 
-def sl_hetero_legs(server: str, clients, widths, boundaries, batch: int, relay: str):
+def sl_hetero_legs(topo: NetworkTopology, server: str, clients, widths, boundaries,
+                   batch: int, relay: str):
     """Legs of one heterogeneous split-learning iteration, in three parts:
     the labels uplink, which runs beside the forward chain; the forward
     chain; and the server's turn plus the backward chain. Client k owns the
-    segment ending at `boundaries[k]`; handoffs between clients ride D2D
-    (relay "d2d") or bounce through the server."""
+    segment ending at `boundaries[k]`, so the boundaries rise strictly and
+    leave the server at least one layer; handoffs between clients ride D2D
+    (relay "d2d"), which needs a link between each consecutive pair, or
+    bounce through the server."""
+    num_layers = len(widths) - 1
+    if len(boundaries) != len(clients):
+        raise ScenarioSchemaError(f"{len(clients)} clients need {len(clients)} boundaries, "
+                                  f"got {list(boundaries)}")
+    edges = (0, *boundaries)
+    if any(a >= b for a, b in zip(edges, edges[1:])) or edges[-1] >= num_layers:
+        raise ScenarioSchemaError(f"boundaries must be strictly increasing in "
+                                  f"(0, {num_layers}), got {list(boundaries)}")
+    if relay == "d2d":
+        for a, b in zip(clients, clients[1:]):
+            if topo.d2d_link(a, b) is None:
+                raise MissingD2dLink(f"relay 'd2d' needs a link between consecutive "
+                                     f"clients {a!r} and {b!r}")
 
     def handoff(src, dst, bits, payload, ctx):
         if relay == "d2d":
             return (("d2d", src, dst, bits, payload),)
         return (("up", src, server, bits, payload, ctx), ("down", server, dst, bits, payload))
 
-    edges = (0, *boundaries)
     fwd = [costs.forward_macs(widths, batch, a, b) for a, b in zip(edges, edges[1:])]
     labels = (("up", clients[0], server, costs.label_bits(batch), "labels",
                f":{clients[0]}:labels"),)
@@ -630,7 +632,11 @@ class _RunnerBase:
         """One uplink transmission UE -> its access point."""
         if self._outage(ue_id, context, fail):
             return
-        blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, context)
+        try:
+            blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, context)
+        except ZeroRate:  # validation priced the mean gain; this fade carries no bits
+            self._refuse(ue_id, "channel outage", fail)
+            return
         if not self._battery_ok(ue_id, tx, fail):
             return
         ap = self._ap_of(ue_id)
@@ -1023,15 +1029,11 @@ class _SlHeteroRunner(_RunnerBase):
     def __init__(self, session: SlSession, topo, radio_env, eng):
         super().__init__("sl_heterogeneous", session, topo, radio_env, eng,
                          session.iterations)
-        if session.relay == "d2d":
-            for a, b in zip(session.clients, session.clients[1:]):
-                if topo.d2d_link(a, b) is None:
-                    raise MissingD2dLink(f"relay=d2d needs a D2D link {a!r} <-> {b!r}")
+        self.labels, self.forward, self.back = sl_hetero_legs(
+            topo, session.server, session.clients, self.model.widths, session.boundaries,
+            session.config.batch_size, session.relay)
         # one segment per client, then the server's
         self.segments = mlp.contiguous_cuts(self.model.num_layers, session.boundaries)
-        self.labels, self.forward, self.back = sl_hetero_legs(
-            session.server, session.clients, self.model.widths, session.boundaries,
-            session.config.batch_size, session.relay)
 
     def _round(self, index: int):
         sess = self.session

@@ -15,13 +15,14 @@ from enum import Enum
 
 from .errors import (
     MissingGain,
+    MissingRadioCell,
     NegativePower,
     NonPositiveBandwidth,
     ScenarioSchemaError,
     UnknownNodeReference,
     ZeroRate,
 )
-from .topology import NetworkTopology, UeProfile
+from .topology import NetworkTopology, UeProfile, integral
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +111,9 @@ def shannon_rate(bandwidth: float, rx_power: float, noise_density: float,
     """
     if bandwidth <= 0:
         raise NonPositiveBandwidth(f"bandwidth must be > 0, got {bandwidth!r}")
-    if noise_density <= 0:
-        raise NonPositiveBandwidth(f"noise_density must be > 0, got {noise_density!r}")
+    if noise_density * bandwidth <= 0:  # also when the product underflows
+        raise NonPositiveBandwidth(f"noise power over {bandwidth!r} Hz must be > 0, "
+                                   f"got noise_density {noise_density!r}")
     if rx_power < 0 or interference < 0:
         raise NegativePower("rx_power and interference must be >= 0")
     sinr = rx_power / (noise_density * bandwidth + interference)
@@ -218,10 +220,8 @@ class RadioEnv:
         for ap_id, cell in doc.get("cells", {}).items():
             if ap_id not in topo.servers:
                 raise UnknownNodeReference(f"radio cell {ap_id!r} is not a server node")
-            count = int(cell["num_blocks"])
+            count = integral(cell["num_blocks"], f"cell {ap_id!r}: num_blocks", 1)
             bw = float(cell["block_bandwidth"])
-            if count < 1:
-                raise ScenarioSchemaError(f"cell {ap_id!r}: num_blocks must be >= 1")
             cells[ap_id] = tuple(ResourceBlock(i, bw) for i in range(count))
         clusters = []
         for entry in doc.get("noma_clusters", []):
@@ -244,10 +244,11 @@ class RadioEnv:
                 raise ScenarioSchemaError(f"noma cluster {members}: cell {ap!r} has no blocks")
             blocks = []
             for index in entry["blocks"]:
-                if not 0 <= int(index) < len(cell_blocks):
+                index = integral(index, f"noma cluster {members}: block", 0)
+                if index >= len(cell_blocks):
                     raise ScenarioSchemaError(
                         f"noma cluster {members}: block {index} not in cell {ap!r}")
-                blocks.append(cell_blocks[int(index)])
+                blocks.append(cell_blocks[index])
             clusters.append(NomaCluster(members=tuple(zip(members, powers)),
                                         blocks=tuple(blocks)))
         return cls(
@@ -268,7 +269,7 @@ class RadioEnv:
     def blocks_of(self, ap_id: str) -> tuple[ResourceBlock, ...]:
         blocks = self.cells.get(ap_id)
         if blocks is None:
-            raise ScenarioSchemaError(f"no resource blocks configured for cell {ap_id!r}")
+            raise MissingRadioCell(f"no radio.cells entry for {ap_id!r}")
         return blocks
 
     def block_for(self, ap_id: str, slot: int) -> ResourceBlock:

@@ -18,31 +18,38 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import mlp
+from . import costs, mlp
 from .data import DataBundle, make_blobs
 from .engine import Engine
 from .errors import (
     CrossApD2dGroup,
     CycleInHierarchy,
     D2dDepthExceeded,
+    MissingBackhaulLink,
+    MissingD2dLink,
+    MissingRadioCell,
     ScenarioParseError,
     ScenarioSchemaError,
     SimulationError,
     UnknownNodeReference,
+    ZeroRate,
 )
 from .placement import SelectionPolicy, TrainingPlan, TrainingTask, _edge_restriction_ok
 from .protocols import (
     FlSession,
+    LegCosts,
     MetricsTrace,
+    SlHomoLegs,
     SlSession,
     TrainingConfig,
     run_fedsplit_nested,
     run_fl,
     run_sl_heterogeneous,
     run_sl_homogeneous,
+    sl_hetero_legs,
 )
 from .radio import RadioEnv, SchemeKind
-from .topology import NetworkTopology, Tier, build_topology, validate_layer_span
+from .topology import NetworkTopology, Tier, build_topology, integral, validate_layer_span
 
 PROTOCOL_KINDS = ("fl", "sl_homogeneous", "sl_heterogeneous", "fedsplit_nested")
 
@@ -200,26 +207,26 @@ class ScenarioConfig:
 
 
 def _parse_ml(section: dict) -> MlSettings:
-    widths = tuple(int(w) for w in section["widths"])
+    widths = tuple(integral(w, f"ml.widths[{i}]", 1) for i, w in enumerate(section["widths"]))
     loss = section["loss"]
     if loss not in ("mse", "ce"):
         raise ScenarioSchemaError(f"ml.loss must be 'mse' or 'ce', got {loss!r}")
     settings = MlSettings(
         widths=widths, loss=loss,
         learning_rate=float(section["learning_rate"]),
-        batch_size=int(section["batch_size"]),
+        batch_size=integral(section["batch_size"], "ml.batch_size", 1),
         cycles_per_mac=float(section.get("cycles_per_mac", 1.0)),
-        eval_every=int(section.get("eval_every", 0)),
-        test_size=int(section.get("test_size", 0)),
+        eval_every=integral(section.get("eval_every", 0), "ml.eval_every", 0),
+        test_size=integral(section.get("test_size", 0), "ml.test_size", 0),
         noise=float(section.get("noise", 0.6)),
         class_sep=float(section.get("class_sep", 2.5)),
     )
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise ScenarioSchemaError(f"ml.widths needs >= 2 positive entries, got {widths}")
+    if len(widths) < 2:
+        raise ScenarioSchemaError(f"ml.widths needs >= 2 entries, got {widths}")
     if settings.learning_rate <= 0:
         raise ScenarioSchemaError("ml.learning_rate must be > 0")
-    if settings.batch_size < 1:
-        raise ScenarioSchemaError("ml.batch_size must be >= 1")
+    if settings.cycles_per_mac < 0:
+        raise ScenarioSchemaError("ml.cycles_per_mac must be >= 0")
     if settings.eval_every > 0 and settings.test_size < 1:
         raise ScenarioSchemaError("ml.eval_every > 0 needs ml.test_size >= 1")
     if widths[-1] < 2:
@@ -246,22 +253,22 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
         server=section["server"],
         clients=tuple(section["clients"]),
         scheme=section["scheme"],
-        rounds=int(section.get("rounds", 1)),
-        local_iterations=int(section.get("local_iterations", 1)),
-        iterations=int(section.get("iterations", 1)),
+        rounds=integral(section.get("rounds", 1), "protocol.rounds", 1),
+        local_iterations=integral(section.get("local_iterations", 1),
+                                  "protocol.local_iterations", 1),
+        iterations=integral(section.get("iterations", 1), "protocol.iterations", 1),
         cut_index=(None if section.get("cut_index") is None
-                   else int(section["cut_index"])),
-        boundaries=tuple(int(b) for b in section.get("boundaries", [])),
+                   else integral(section["cut_index"], "protocol.cut_index")),
+        boundaries=tuple(integral(b, f"protocol.boundaries[{i}]")
+                         for i, b in enumerate(section.get("boundaries", []))),
         relay=RELAY_ALIASES[relay],
         dropout_slope=float(section.get("dropout_slope", 0.0)),
         round_deadline=math.inf if deadline is None else float(deadline),
     )
     if not settings.clients:
         raise ScenarioSchemaError("protocol.clients must not be empty")
-    for key in ("rounds", "local_iterations", "iterations"):
-        count = getattr(settings, key)
-        if count < 1:
-            raise ScenarioSchemaError(f"protocol.{key} must be >= 1, got {count}")
+    if settings.round_deadline < 0:
+        raise ScenarioSchemaError("protocol.round_deadline must be >= 0")
     if kind in ("fl", "fedsplit_nested"):
         for key in ("rounds", "local_iterations"):
             if key not in section:
@@ -270,8 +277,6 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
         raise ScenarioSchemaError(f"protocol.kind {kind!r} requires 'iterations'")
     if kind in ("sl_homogeneous", "fedsplit_nested") and settings.cut_index is None:
         raise ScenarioSchemaError(f"protocol.kind {kind!r} requires 'cut_index'")
-    if kind == "sl_heterogeneous" and not settings.boundaries:
-        raise ScenarioSchemaError("protocol.kind 'sl_heterogeneous' requires 'boundaries'")
     return settings
 
 
@@ -283,7 +288,7 @@ def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
         min_channel_gain=float(section.get("min_channel_gain", 0.0)),
         max_channel_variance=float(section.get("max_channel_variance", math.inf)),
         require_immobile=bool(section.get("require_immobile", False)),
-        pool_size=int(section.get("pool_size", 16)),
+        pool_size=integral(section.get("pool_size", 16), "placement.pool_size", 1),
     )
     return policy, (math.inf if deadline is None else float(deadline))
 
@@ -295,10 +300,9 @@ def parse_config(doc: dict) -> ScenarioConfig:
     radio_env = RadioEnv.from_doc(doc["radio"], topo)
     ml_settings = _parse_ml(doc["ml"])
     proto = _parse_protocol(doc["protocol"])
-    seeds_doc = doc["seeds"]
-    root = int(seeds_doc["root"])
-    seeds = {"root": root, "data": int(seeds_doc.get("data", root)),
-             "model": int(seeds_doc.get("model", root))}
+    root = doc["seeds"]["root"]
+    seeds = {key: integral(doc["seeds"].get(key, root), f"seeds.{key}", 0)
+             for key in ("root", "data", "model")}
     policy, deadline = (_parse_placement(doc["placement"])
                         if "placement" in doc else (SelectionPolicy(), math.inf))
     cfg = ScenarioConfig(
@@ -323,15 +327,12 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
     non_ue = [c for c in proto.clients if c not in topo.ues]
     if non_ue:
         raise ScenarioSchemaError(f"{proto.kind}: clients must be devices, got {non_ue}")
-    num_layers = len(cfg.ml.widths) - 1
-    if proto.cut_index is not None and not 1 <= proto.cut_index <= num_layers - 1:
-        raise ScenarioSchemaError(
-            f"cut_index must be in [1, {num_layers - 1}], got {proto.cut_index}")
+    # the split-learning shape rules live in the leg builders the runs use
+    if proto.cut_index is not None:
+        SlHomoLegs(topo, proto.server, cfg.ml.widths, proto.cut_index, cfg.ml.batch_size)
     if proto.kind == "sl_heterogeneous":
-        if len(proto.boundaries) != len(proto.clients):
-            raise ScenarioSchemaError(
-                f"{len(proto.clients)} clients need {len(proto.clients)} boundaries, "
-                f"got {list(proto.boundaries)}")
+        sl_hetero_legs(topo, proto.server, proto.clients, cfg.ml.widths, proto.boundaries,
+                       cfg.ml.batch_size, proto.relay)
     if proto.kind == "fedsplit_nested":
         if not any(_master_group(topo, c) for c in proto.clients):
             raise ScenarioSchemaError(
@@ -377,6 +378,10 @@ class ValidationReport:
 
 _ERROR_NAMES = (
     (ScenarioParseError, "parse"),
+    (MissingBackhaulLink, "backhaul"),
+    (MissingD2dLink, "D2D-link"),
+    (MissingRadioCell, "radio-cell"),
+    (ZeroRate, "uplink-rate"),
     (D2dDepthExceeded, "D2D-depth"),
     (CrossApD2dGroup, "D2D-cross-cell"),
     (CycleInHierarchy, "hierarchy"),
@@ -433,34 +438,24 @@ def validate_document(doc_or_text) -> ValidationReport:
         doc = (parse_scenario_text(doc_or_text) if isinstance(doc_or_text, str)
                else doc_or_text)
         cfg = parse_config(doc)
+        plan = plan_of(cfg)
     except SimulationError as exc:
         report.errors.append((_constraint_name(exc), str(exc)))
         return report
 
     report.config = cfg
-    plan = plan_of(cfg)
     violation = validate_layer_span(plan, cfg.topo)
     if violation is not None:
-        tiers = ", ".join(t.label for t in sorted(violation.tiers))
-        report.errors.append(
-            ("layer-span", f"plan touches {len(violation.tiers)} layers ({tiers}); "
-                           "at most 3 allowed"))
-    edge_ok = _edge_restriction_ok(plan, cfg.topo)
-    if not edge_ok:
+        report.errors.append(("layer-span", str(violation)))
+    if not _edge_restriction_ok(plan, cfg.topo):
         report.errors.append(
             ("edge-restriction",
              f"device clients may only run FL/SL/FedSplit under an edge or fog "
              f"server; server {plan.server()!r} is at tier "
              f"{cfg.topo.tier_of(plan.server()).label}"))
-    # a server already refused for its tier is not also checked hop by hop
-    report.errors += _access_errors(cfg, check_backhaul=edge_ok)
-    if cfg.protocol.relay == "d2d" and cfg.protocol.kind == "sl_heterogeneous":
-        clients = list(cfg.protocol.clients)
-        for a, b in zip(clients, clients[1:]):
-            if cfg.topo.d2d_link(a, b) is None:
-                report.errors.append(
-                    ("D2D-link", f"relay 'd2d' needs a link between consecutive "
-                                 f"clients {a!r} and {b!r}"))
+    # a server already refused for its tier is not also priced hop by hop
+    if not report.errors:
+        report.errors += _uplink_errors(cfg, plan)
     server_tier = cfg.topo.tier_of(cfg.protocol.server)
     if server_tier is Tier.FOG and any(c in cfg.topo.ues for c in cfg.protocol.clients):
         report.warnings.append(
@@ -472,25 +467,22 @@ def validate_document(doc_or_text) -> ValidationReport:
     return report
 
 
-def _access_errors(cfg: ScenarioConfig, check_backhaul: bool) -> list[tuple[str, str]]:
-    """Named errors for the access points the protocol's clients reach the
-    server through: each needs a radio cell for the clients' uplinks and,
-    unless it is the server itself, a backhaul link to the server."""
-    proto, topo = cfg.protocol, cfg.topo
-    served: dict[str, list[str]] = {}
-    for c in proto.clients:
-        served.setdefault(topo.ues[c].attached_ap, []).append(c)
-    errors = []
-    for ap, clients in served.items():
-        if ap not in cfg.radio_env.cells:
-            errors.append(("radio-cell", f"clients {clients} upload through {ap!r}, "
-                                         "which has no radio.cells entry"))
-        if check_backhaul and ap != proto.server \
-                and topo.link_between(proto.server, ap) is None:
-            errors.append(("backhaul", f"server {proto.server!r} reaches clients {clients} "
-                                       f"through {ap!r}, but no link joins "
-                                       f"{proto.server!r} and {ap!r}"))
-    return errors
+def _uplink_errors(cfg: ScenarioConfig, plan: TrainingPlan) -> list[tuple[str, str]]:
+    """Price each client's uplink path at mean gain, as the runs do: the
+    radio uplink, then the backhaul hop unless the server is the client's
+    access point. The first leg that cannot be priced is a named error."""
+    server = cfg.protocol.server
+    legs = LegCosts(cfg.topo, cfg.radio_env, plan.ma_scheme, cfg.ml.cycles_per_mac)
+    legs.assign_slots(cfg.protocol.clients)
+    bits = costs.model_bits(cfg.ml.widths)
+    try:
+        for c in cfg.protocol.clients:
+            legs.up(c, bits, "")
+            if cfg.topo.ues[c].attached_ap != server:
+                legs.backhaul(cfg.topo.ues[c].attached_ap, server, bits)
+    except SimulationError as exc:
+        return [(_constraint_name(exc), f"client {c!r} cannot reach server {server!r}: {exc}")]
+    return []
 
 
 def validate_path(path) -> ValidationReport:
@@ -521,8 +513,6 @@ def apply_overrides(doc: dict, seed: int | None = None, protocol: str | None = N
                 f"{sorted(set(PROTOCOL_ALIASES))}")
         doc.setdefault("protocol", {})["kind"] = kind
     if relay is not None:
-        if relay not in RELAY_ALIASES:
-            raise ScenarioSchemaError(f"relay must be 'server' or 'd2d', got {relay!r}")
         doc.setdefault("protocol", {})["relay"] = relay
     return doc
 

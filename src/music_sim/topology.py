@@ -174,6 +174,18 @@ class NetworkTopology:
 _TIER_KEYS = (("cloud", Tier.CLOUD), ("fog", Tier.FOG), ("edge", Tier.EDGE))
 
 
+def integral(value, where: str, minimum: int | None = None) -> int:
+    """A count read from a scenario document, at least `minimum` if given. A
+    number with a fractional part is an error, never truncated."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ScenarioSchemaError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioSchemaError(f"{where} must be >= {minimum}, got {value}")
+    return value
+
+
 def build_topology(doc: dict) -> NetworkTopology:
     """Build and validate a topology from a parsed scenario document.
 
@@ -215,7 +227,7 @@ def build_topology(doc: dict) -> NetworkTopology:
             channel_variance=float(entry.get("channel_variance", 0.0)),
             mobile=bool(entry.get("mobile", False)),
             attached_ap=entry["attached_ap"],
-            dataset_size=int(entry["dataset_size"]),
+            dataset_size=integral(entry["dataset_size"], f"{entry['id']}: dataset_size", 0),
         )
 
     _check_numeric_ranges(servers, ues)
@@ -227,7 +239,7 @@ def build_topology(doc: dict) -> NetworkTopology:
 
 
 def _check_numeric_ranges(servers, ues):
-    for node in servers.values():
+    for node in (*servers.values(), *ues.values()):
         if node.compute_rate <= 0:
             raise ScenarioSchemaError(f"{node.id}: compute_rate must be > 0")
         if node.energy_per_cycle < 0:
@@ -235,14 +247,10 @@ def _check_numeric_ranges(servers, ues):
     for ue in ues.values():
         if ue.battery < 0:
             raise ScenarioSchemaError(f"{ue.id}: battery must be >= 0")
-        if ue.compute_rate <= 0:
-            raise ScenarioSchemaError(f"{ue.id}: compute_rate must be > 0")
         if ue.channel_gain <= 0:
             raise ScenarioSchemaError(f"{ue.id}: channel_gain must be > 0")
         if ue.channel_variance < 0:
             raise ScenarioSchemaError(f"{ue.id}: channel_variance must be >= 0")
-        if ue.dataset_size < 0:
-            raise ScenarioSchemaError(f"{ue.id}: dataset_size must be >= 0")
         if ue.tx_power < 0:
             raise ScenarioSchemaError(f"{ue.id}: tx_power must be >= 0")
 
@@ -280,16 +288,16 @@ def _build_links(link_entries, servers):
         for end in (src, dst):
             if end not in servers:
                 raise UnknownNodeReference(f"link endpoint {end!r} is not a server node")
-        rate = float(entry["rate"])
-        if rate <= 0:
-            raise ScenarioSchemaError(f"link {src}-{dst}: rate must be > 0")
         spec = LinkSpec(
             src=src,
             dst=dst,
-            rate=rate,
+            rate=float(entry["rate"]),
             latency=float(entry.get("latency", 0.0)),
             energy_per_bit=float(entry.get("energy_per_bit", 0.0)),
         )
+        if spec.rate <= 0 or spec.latency < 0 or spec.energy_per_bit < 0:
+            raise ScenarioSchemaError(f"link {src}-{dst}: rate must be > 0, latency and "
+                                      f"energy_per_bit >= 0")
         # pipes are symmetric; register both directions
         links[(src, dst)] = spec
         links[(dst, src)] = LinkSpec(dst, src, spec.rate, spec.latency, spec.energy_per_bit)
@@ -310,17 +318,16 @@ def _build_d2d_groups(group_entries, ues):
             raise ScenarioSchemaError(f"d2d group of {master!r} has no slaves")
         if master in group_slaves:
             raise ScenarioSchemaError(f"d2d group master {master!r} listed among its own slaves")
-        rate = float(entry["link_rate"])
-        if rate <= 0:
-            raise ScenarioSchemaError(f"d2d group of {master!r}: link_rate must be > 0")
-        groups.append(
-            D2dGroup(
-                master=master,
-                slaves=group_slaves,
-                link_rate=rate,
-                link_energy_per_bit=float(entry.get("link_energy_per_bit", 0.0)),
-            )
+        group = D2dGroup(
+            master=master,
+            slaves=group_slaves,
+            link_rate=float(entry["link_rate"]),
+            link_energy_per_bit=float(entry.get("link_energy_per_bit", 0.0)),
         )
+        if group.link_rate <= 0 or group.link_energy_per_bit < 0:
+            raise ScenarioSchemaError(f"d2d group of {master!r}: link_rate must be > 0 "
+                                      f"and link_energy_per_bit >= 0")
+        groups.append(group)
         masters.add(master)
         for s in group_slaves:
             if s in slaves:
@@ -370,8 +377,7 @@ def validate_layer_span(plan, topo: NetworkTopology) -> SpanViolation | None:
     touched tier set. Used as a filter, so violations are values, not
     exceptions.
     """
-    role_tiers = [topo.tier_of(node_id) for node_id in plan.roles]
-    touched = frozenset(Tier(t) for t in range(min(role_tiers), max(role_tiers) + 1))
+    touched = plan.tiers_touched(topo)
     if len(touched) <= 3:
         return None
     return SpanViolation(tiers=touched)

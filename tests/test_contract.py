@@ -1,0 +1,183 @@
+"""The validation contract: a document `validate` accepts makes `run` exit 0
+(completed, every configured record present) or 2 (aborted, partial
+artifacts written), never 1 and never a traceback, and makes `plan` exit 0
+or 1.
+
+The property test mutates one or two numeric fields of the bundled
+scenarios and of the benchmark's workload generators at their tiny size;
+the regression tests pin documents that once passed `validate` and then
+failed `run`."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import music_sim
+from music_sim.cli import EXIT_ABORT, EXIT_INVALID, EXIT_OK, main
+from music_sim.errors import SessionAborted
+from music_sim.scenario import assemble, validate_document
+
+from test_workload_digests import _workloads
+
+SCENARIO_DIR = Path(music_sim.__file__).parent / "scenarios"
+ARTIFACTS = ("trace.csv", "summary.json", "events.jsonl")
+
+
+def _base_docs() -> dict[str, list[dict]]:
+    docs = {p.stem: [json.loads(p.read_text())] for p in sorted(SCENARIO_DIR.glob("*.json"))}
+    w = _workloads()
+    docs["fl_wide"] = [w.fl_wide_doc(1, w.TINY["fl_wide"])]
+    docs["split_long"] = [w.split_long_doc(1, w.TINY["split_long"])]
+    docs["plan_wide"] = w.plan_wide_docs(1, w.TINY["plan_wide"])
+    return docs
+
+
+BASE = _base_docs()
+
+
+def _numeric_paths(node, path=()) -> list[tuple]:
+    if isinstance(node, dict):
+        return [p for key in sorted(node) for p in _numeric_paths(node[key], path + (key,))]
+    if isinstance(node, list):
+        return [p for i, item in enumerate(node) for p in _numeric_paths(item, path + (i,))]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return [path]
+    return []
+
+
+# Counts are bounded so that every draw runs in milliseconds; each also
+# draws non-integral values, which `validate` must refuse.
+_COUNT_BOUNDS = {"rounds": 6, "local_iterations": 3, "iterations": 12, "widths": 24,
+                 "batch_size": 48, "eval_every": 4, "test_size": 128,
+                 "dataset_size": 96, "num_blocks": 8, "pool_size": 8, "cut_index": 5,
+                 "boundaries": 5, "blocks": 8}
+_SEEDS = ("root", "data", "model")
+
+
+def _value_for(path: tuple, original):
+    key = next(k for k in reversed(path) if isinstance(k, str))
+    if key in _SEEDS:
+        return st.one_of(st.integers(-3, 2**40), st.just(1.5))
+    if key in _COUNT_BOUNDS:
+        return st.one_of(st.integers(-1, _COUNT_BOUNDS[key]), st.sampled_from([0.5, 2.5]))
+    return st.one_of(
+        st.sampled_from([-1.0, 0.0, 5e-324, 1e-300, 1e300]),
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(1e-3, 1e3).map(lambda factor: original * factor))
+
+
+@st.composite
+def mutated_documents(draw):
+    docs = BASE[draw(st.sampled_from(sorted(BASE)))]
+    doc = json.loads(json.dumps(draw(st.sampled_from(docs))))
+    for path in draw(st.lists(st.sampled_from(_numeric_paths(doc)), min_size=1, max_size=2,
+                              unique=True)):
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = draw(_value_for(path, holder[path[-1]]))
+    return doc
+
+
+def _cli(*argv) -> tuple[int, str]:
+    """Exit code and output of one command; a traceback fails the test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _expected_records(doc: dict) -> int:
+    proto = doc["protocol"]
+    return proto["rounds"] if proto["kind"] in ("fl", "fedsplit_nested") else proto["iterations"]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=mutated_documents())
+def test_a_valid_document_runs_to_completion_or_abort(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, _ = _cli("validate", "--scenario", str(path))
+        if code != EXIT_OK:
+            assert code == EXIT_INVALID
+            return
+
+        outs = [Path(tmp) / side for side in ("a", "b")]
+        codes = [_cli("run", "--scenario", str(path), "--out", str(out), "--event-log")[0]
+                 for out in outs]
+        assert codes[0] in (EXIT_OK, EXIT_ABORT) and codes[0] == codes[1]
+        for artifact in ARTIFACTS:
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        if codes[0] == EXIT_OK:
+            assert summary["status"] == "completed"
+            assert summary["iterations"] == _expected_records(doc)
+        else:
+            assert summary["status"].startswith("aborted: ")
+
+        runtime = assemble(validate_document(doc).config)
+        with contextlib.suppress(SessionAborted):
+            runtime.execute()
+        assert runtime.engine.recount_from_log() == runtime.engine.energy_ledger
+
+        assert _cli("plan", "--scenario", str(path))[0] in (EXIT_OK, EXIT_INVALID)
+
+
+def _ue(doc: dict, ue_id: str) -> dict:
+    return next(ue for ue in doc["nodes"]["ue"] if ue["id"] == ue_id)
+
+
+def _descending_boundaries(doc):
+    doc["protocol"]["boundaries"] = [2, 1]
+
+
+def _underflowing_gain(doc):
+    _ue(doc, "ue0")["channel_gain"] = 1e-300
+
+
+def _silent_radio(doc):
+    _ue(doc, "ue2")["tx_power"] = 0
+
+
+def _negative_device_energy(doc):
+    _ue(doc, "ue0")["energy_per_cycle"] = -1
+
+
+def _fractional_width(doc):
+    doc["ml"]["widths"][1] = 16.5
+
+
+def _fractional_rounds(doc):
+    doc["protocol"]["rounds"] = 2.7
+
+
+@pytest.mark.parametrize("name, mutate, error", [
+    ("sl_heterogeneous_d2d", _descending_boundaries, "schema"),
+    ("fl_edge", _underflowing_gain, "uplink-rate"),
+    ("sl_homogeneous", _silent_radio, "uplink-rate"),
+    ("fedsplit_nested", _negative_device_energy, "schema"),
+    ("fl_edge", _fractional_width, "schema"),
+    ("fl_edge", _fractional_rounds, "schema"),
+])
+def test_documents_that_cannot_run_fail_validation(tmp_path, name, mutate, error):
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID and out.startswith(f"error [{error}]: ")
+    code, out = _cli("run", "--scenario", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_INVALID and f"error [{error}]: " in out
+    code, out = _cli("sweep", "--scenario", str(path), "--out", str(tmp_path / "s"),
+                     "--axis", "learning_rate", "--values", "0.05")
+    assert code == EXIT_INVALID and f"error [{error}]: " in out
