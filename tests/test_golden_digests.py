@@ -7,6 +7,7 @@ digest.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,40 @@ def test_bundled_scenario_artifacts_are_byte_identical(name, tmp_path):
     got = {artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
            for artifact in DIGESTS[name]}
     assert got == DIGESTS[name]
+
+
+# The bundled scenarios served from `fog0` instead of their access point:
+# every model, delta and activation to or from the server also crosses the
+# fog0-ap0 backhaul pipe (100, 95, 72 and 48 `bh:` events).
+FOG_SERVED = {
+    "fl_edge": {
+        "trace.csv": "834c81aaa75d0f79828aca2b6903f14a2741e83b1a3e3c3046e7b3442e54176b",
+        "events.jsonl": "dbe1e2c49b802e26aa26c41d687cb6d134d04abe3c41b159a93209f7a8e1a7b6",
+    },
+    "sl_homogeneous": {
+        "trace.csv": "5347197faadc360b93902eea0b007afc4f1389e8d50c5cffbab2d2f9abe77b55",
+        "events.jsonl": "238960ec9c992d7b57b5aa2e3adfc7abeb638bebf5100edd361666f0a31bdaed",
+    },
+    "sl_heterogeneous_d2d": {
+        "trace.csv": "7dbcc2eaa4f45d6af3a6cae1dd7ceae99453aff93590565e04148fbc1051c7b5",
+        "events.jsonl": "8449572518b2d4549cf24cbd8ebfaf3b0e8eea6bf1af048f7f5ac6a67ed102c4",
+    },
+    "fedsplit_nested": {
+        "trace.csv": "c252293f66d409346d8307c3dcb31bab1faedfa8d01f21e6cadaf818b8821651",
+        "events.jsonl": "39b526b1b028490efca43b81f5c3474e7b416ecfa4b9ce54f87798c8d0938af4",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOG_SERVED))
+def test_fog_served_artifacts_are_byte_identical(name, tmp_path):
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    doc["protocol"]["server"] = "fog0"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["run", "--scenario", str(scenario), "--out", str(out), "--event-log"])
+    assert code == EXIT_OK
+    got = {artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+           for artifact in FOG_SERVED[name]}
+    assert got == FOG_SERVED[name]

@@ -3,6 +3,7 @@ and stacked local training of many clients at once."""
 
 import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -467,3 +468,12 @@ def test_fl_straggler_starts_a_round_only_after_its_stale_leg_ends():
     (local_r0,) = _legs(eng, "ue0", "local:r0")
     downloads = _legs(eng, "ue0", "dl:model")
     assert len(downloads) == 2 and downloads[1] > local_r0
+
+
+def test_fl_straggler_event_log_is_byte_identical():
+    """The whole straggler event log, pinned: ue3's downloads and uploads
+    each cross a radio hop and the 0.3 s backhaul, so moving the point where
+    a closed round stops a chain (between a path's hops, say) changes it."""
+    _, eng = _straggler_run()
+    digest = hashlib.sha256(json.dumps(eng.event_log, sort_keys=True).encode()).hexdigest()
+    assert digest == "f36f9e7f0da9e6d7f5bcd802bd3d14b870f294b4d3f2ee2fb7ff813640861104"
