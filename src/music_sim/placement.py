@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import costs
 from .engine import BlockLedger
 from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError
-from .protocols import LegCosts, SlHomoLegs, sl_hetero_legs
+from .protocols import LegCosts, SlHomoLegs, route, sl_hetero_legs
 from .radio import AccessScheme, RadioEnv
 from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
 
@@ -189,53 +189,31 @@ class _Estimator:
         self.add(node, "compute", energy)
         return latency
 
-    def backhaul(self, src: str, dst: str, bits: int, ready: float) -> float:
-        latency, tx, rx = self.legs.backhaul(src, dst, bits)
-        self.add(src, "tx", tx)
-        self.add(dst, "rx", rx)
-        return ready + latency
-
-    def d2d(self, src: str, dst: str, bits: int, ready: float) -> float:
-        latency, tx, rx = self.legs.d2d(src, dst, bits)
-        self.add(src, "tx", tx)
-        self.add(dst, "rx", rx)
-        return ready + latency
-
-    def up_path(self, ue_id: str, server: str, bits: int, ready: float) -> float:
-        """Uplink at mean gain, then backhaul unless the server is the access
-        point; returns the arrival time, after any wait for blocks. Uplinks
-        share one context, so NOMA rates are computed once per estimate."""
-        blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, "")
-        ap = self.topo.ues[ue_id].attached_ap
-        t = self.blocks.book(ap, blocks, ready, latency, ue_id, tag) + latency
-        self.add(ue_id, "tx", tx)
-        self.add(ap, "rx", rx)
-        if server != ap:
-            t = self.backhaul(ap, server, bits, t)
-        return t
-
-    def down_path(self, server: str, ue_id: str, bits: int, ready: float) -> float:
-        ap = self.topo.ues[ue_id].attached_ap
-        if server != ap:
-            ready = self.backhaul(server, ap, bits, ready)
-        latency, tx, rx = self.legs.down(bits)
-        self.add(ap, "tx", tx)
-        self.add(ue_id, "rx", rx)
-        return ready + latency
-
     def walk(self, legs: tuple, t: float) -> float:
-        """Carry ready time `t` through split-learning leg tuples (see
-        `protocols.SlHomoLegs`); returns the time the last one ends."""
+        """Carry ready time `t` through leg tuples (see `protocols.route`);
+        returns the time the last one ends. The sender of each hop pays its
+        transmit energy and the receiver its receive energy. Uplinks wait for
+        their blocks and share one context, so NOMA rates are computed once
+        per estimate."""
         for leg in legs:
             kind = leg[0]
             if kind == "compute":
                 t += self.compute(leg[1], leg[2])
-            elif kind == "up":
-                t = self.up_path(leg[1], leg[2], leg[3], t)
+                continue
+            if kind == "up":
+                blocks, tag, latency, tx, rx = self.legs.up(leg[1], leg[2], "")
+                src, dst = leg[1], self.topo.ues[leg[1]].attached_ap
+                t = self.blocks.book(dst, blocks, t, latency, src, tag)
             elif kind == "down":
-                t = self.down_path(leg[1], leg[2], leg[3], t)
+                latency, tx, rx = self.legs.down(leg[2])
+                src, dst = self.topo.ues[leg[1]].attached_ap, leg[1]
             else:
-                t = self.d2d(leg[1], leg[2], leg[3], t)
+                price = self.legs.backhaul if kind == "backhaul" else self.legs.d2d
+                latency, tx, rx = price(leg[1], leg[2], leg[3])
+                src, dst = leg[1], leg[2]
+            self.add(src, "tx", tx)
+            self.add(dst, "rx", rx)
+            t += latency
         return t
 
     def eval_latency(self, owner: str, global_iter: int) -> float:
@@ -269,16 +247,14 @@ def _fl_rounds(est: _Estimator, server: str, clients: list[str], local) -> CostE
     task = est.task
     model_bits = costs.model_bits(task.widths)
     agg_macs = costs.aggregation_macs(len(clients), costs.param_count_of(task.widths))
+    downs = [route(est.topo, server, c, model_bits, "model") for c in clients]
+    ups = [route(est.topo, c, server, model_bits, "delta") for c in clients]
     t = 0.0
     for rnd in range(task.rounds):
-        ready = [local(c, est.down_path(server, c, model_bits, t) if c in est.topo.ues
-                       else est.backhaul(server, c, model_bits, t))
-                 for c in clients]
+        ready = [local(c, est.walk(down, t)) for c, down in zip(clients, downs)]
         slowest = t
         for i in sorted(range(len(clients)), key=ready.__getitem__):
-            c = clients[i]
-            up = est.up_path if c in est.topo.ues else est.backhaul
-            slowest = max(slowest, up(c, server, model_bits, ready[i]))
+            slowest = max(slowest, est.walk(ups[i], ready[i]))
         t = slowest + est.compute(server, agg_macs)
         t += est.eval_latency(server, rnd)
     return est.finish(t)

@@ -311,11 +311,39 @@ class LegCosts:
         return price
 
 
-# Split-learning legs are written once, as plain tuples without an iteration
-# index: ("compute", node, macs, what), ("up", ue, server, bits, payload, ctx),
-# ("down", server, ue, bits, payload) and ("d2d", src, dst, bits, payload).
-# The runners walk them with `_RunnerBase._legs`, and the placement estimator
-# walks the same tuples in closed form.
+# Every transfer and computation is a leg, a plain tuple without an
+# iteration index, of one of five kinds: ("compute", node, macs, what),
+# ("up", ue, bits, payload, ctx) and ("down", ue, bits, payload) between a
+# device and its access point, ("backhaul", src, dst, bits, payload) between
+# two servers, and ("d2d", src, dst, bits, payload) between two devices.
+# `route` turns one transfer into its hops; the protocols' leg builders below
+# string those together with compute legs. The runners walk the tuples with
+# `_RunnerBase._legs`, and the placement estimator walks the same tuples in
+# closed form.
+
+def route(topo: NetworkTopology, src: str, dst: str, bits: int, payload: str,
+          ctx: str = "") -> tuple:
+    """The hops that carry `bits` from `src` to `dst`: a device reaches a
+    server by its radio uplink, then a backhaul hop unless the server is the
+    device's access point; a server reaches a device the reverse way; two
+    servers talk over backhaul and two devices over D2D. `ctx` names the
+    uplink's random streams."""
+    ue = topo.ues.get(src)
+    if ue is not None:
+        if dst in topo.ues:
+            return (("d2d", src, dst, bits, payload),)
+        up = ("up", src, bits, payload, ctx)
+        if dst == ue.attached_ap:
+            return (up,)
+        return (up, ("backhaul", ue.attached_ap, dst, bits, payload))
+    ue = topo.ues.get(dst)
+    if ue is None:
+        return (("backhaul", src, dst, bits, payload),)
+    down = ("down", dst, bits, payload)
+    if src == ue.attached_ap:
+        return (down,)
+    return (("backhaul", src, ue.attached_ap, bits, payload), down)
+
 
 class SlHomoLegs:
     """Legs of homogeneous split-learning iterations: the handoff of the
@@ -329,7 +357,6 @@ class SlHomoLegs:
             raise ScenarioSchemaError(f"cut_index must be in [1, {len(widths) - 2}], got {cut}")
         self.topo = topo
         self.server = server
-        self.device_server = server in topo.ues
         self.part_bits = costs.model_bits(widths[:cut + 1])
         self.client_macs = costs.forward_macs(widths, batch, 0, cut)
         self.server_macs = 3 * costs.forward_macs(widths, batch, cut, len(widths) - 1)
@@ -337,38 +364,31 @@ class SlHomoLegs:
         self.smash_bits = self.grad_bits + costs.label_bits(batch)
         self._bodies: dict[str, tuple] = {}
 
-    def _to_server(self, ue: str, bits: int, payload: str, ctx: str) -> tuple:
-        if self.device_server:
-            return ("d2d", ue, self.server, bits, payload)
-        return ("up", ue, self.server, bits, payload, ctx)
-
-    def _from_server(self, ue: str, bits: int, payload: str) -> tuple:
-        if self.device_server:
-            return ("d2d", self.server, ue, bits, payload)
-        return ("down", self.server, ue, bits, payload)
-
     def handoff(self, prev: str | None, client: str, reseed: bool = False) -> tuple:
         """Legs that bring the client part from its holder `prev` to
-        `client`. The server seeds it when nobody holds it yet, or when
-        `reseed` (the holder dropped; the server keeps its committed copy)."""
-        bits = self.part_bits
+        `client`: directly over a D2D link, else through the server. The
+        server seeds it when nobody holds it yet, or when `reseed` (the
+        holder dropped; the server keeps its committed copy)."""
+        topo, server, bits = self.topo, self.server, self.part_bits
         if prev == client:
             return ()
         if prev is None or reseed:
-            return (self._from_server(client, bits, "client_part"),)
-        if self.topo.d2d_link(prev, client) is not None:
-            return (("d2d", prev, client, bits, "client_part"),)
-        return (self._to_server(prev, bits, "client_part", f":{prev}:handoff"),
-                self._from_server(client, bits, "client_part"))
+            return route(topo, server, client, bits, "client_part")
+        if topo.d2d_link(prev, client) is not None:
+            return route(topo, prev, client, bits, "client_part")
+        return (route(topo, prev, server, bits, "client_part", f":{prev}:handoff")
+                + route(topo, server, client, bits, "client_part"))
 
     def body(self, client: str) -> tuple:
         legs = self._bodies.get(client)
         if legs is None:
+            topo, server = self.topo, self.server
             legs = self._bodies[client] = (
                 ("compute", client, self.client_macs, "fwd"),
-                self._to_server(client, self.smash_bits, "smashed+labels", f":{client}:up"),
-                ("compute", self.server, self.server_macs, "srv"),
-                self._from_server(client, self.grad_bits, "smashed_grad"),
+                *route(topo, client, server, self.smash_bits, "smashed+labels",
+                       f":{client}:up"),
+                ("compute", server, self.server_macs, "srv"),
+                *route(topo, server, client, self.grad_bits, "smashed_grad"),
                 ("compute", client, 2 * self.client_macs, "bwd"))
         return legs
 
@@ -398,12 +418,13 @@ def sl_hetero_legs(topo: NetworkTopology, server: str, clients, widths, boundari
 
     def handoff(src, dst, bits, payload, ctx):
         if relay == "d2d":
-            return (("d2d", src, dst, bits, payload),)
-        return (("up", src, server, bits, payload, ctx), ("down", server, dst, bits, payload))
+            return route(topo, src, dst, bits, payload)
+        return (route(topo, src, server, bits, payload, ctx)
+                + route(topo, server, dst, bits, payload))
 
     fwd = [costs.forward_macs(widths, batch, a, b) for a, b in zip(edges, edges[1:])]
-    labels = (("up", clients[0], server, costs.label_bits(batch), "labels",
-               f":{clients[0]}:labels"),)
+    labels = route(topo, clients[0], server, costs.label_bits(batch), "labels",
+                   f":{clients[0]}:labels")
     forward = []
     for k, client in enumerate(clients):
         forward.append(("compute", client, fwd[k], f"fwd{k}"))
@@ -412,11 +433,11 @@ def sl_hetero_legs(topo: NetworkTopology, server: str, clients, widths, boundari
             forward += handoff(client, clients[k + 1], bits, "smashed", f":{client}")
         else:
             # the last client segment feeds the server's segment
-            forward.append(("up", client, server, bits, "smashed", f":{client}:up"))
+            forward += route(topo, client, server, bits, "smashed", f":{client}:up")
     back = [("compute", server,
              3 * costs.forward_macs(widths, batch, edges[-1], len(widths) - 1), "srv"),
-            ("down", server, clients[-1], costs.activation_bits(batch, widths[edges[-1]]),
-             "smashed_grad")]
+            *route(topo, server, clients[-1],
+                   costs.activation_bits(batch, widths[edges[-1]]), "smashed_grad")]
     for k in reversed(range(len(clients))):
         back.append(("compute", clients[k], 2 * fwd[k], f"bwd{k}"))
         if k:
@@ -539,9 +560,6 @@ class _RunnerBase:
             self.trace.final_model = self.model
         return self.trace
 
-    def _ap_of(self, ue_id: str) -> str:
-        return self.topo.ues[ue_id].attached_ap
-
     # ---- processes ----
 
     def _drive(self, process, guard=None) -> None:
@@ -557,20 +575,33 @@ class _RunnerBase:
         if index < self.rounds:
             self._drive(self._round(index))
 
+    def _leg(self, leg: tuple, tag: str, index: int):
+        """The leg that runs one leg tuple of iteration `index`. Its `what`
+        gets `:i{index}` and an uplink's `ctx` the prefix `{tag}{index}`, so
+        event details and random-stream names name the iteration."""
+        kind = leg[0]
+        if kind == "compute":
+            return partial(self.leg_compute, leg[1], leg[2], f"{leg[3]}:i{index}")
+        if kind == "up":
+            return partial(self.leg_radio_up, leg[1], leg[2], leg[3], f"{tag}{index}{leg[4]}")
+        if kind == "down":
+            return partial(self.leg_radio_down, *leg[1:])
+        if kind == "backhaul":
+            return partial(self.leg_backhaul, *leg[1:])
+        return partial(self.leg_d2d, *leg[1:])
+
     def _legs(self, legs: tuple, tag: str, index: int):
-        """Process: run the leg tuples of iteration `index` in order. Each
-        `what` gets `:i{index}` and each uplink `ctx` the prefix `{tag}{index}`,
-        so event details and random-stream names name the iteration."""
+        """Process: run the leg tuples of iteration `index` in order."""
         for leg in legs:
-            kind = leg[0]
-            if kind == "compute":
-                yield partial(self.leg_compute, leg[1], leg[2], f"{leg[3]}:i{index}")
-            elif kind == "up":
-                yield partial(self.uplink_path, *leg[1:5], f"{tag}{index}{leg[5]}")
-            elif kind == "down":
-                yield partial(self.downlink_path, *leg[1:])
-            else:
-                yield partial(self.leg_d2d, *leg[1:])
+            yield self._leg(leg, tag, index)
+
+    def _transfer(self, legs: tuple, tag: str, index: int):
+        """One leg that runs a route's `legs` whole: the hop itself, or a
+        process of its own, which resumes without the caller's guard, so a
+        guard never stops a transfer between its hops."""
+        if len(legs) == 1:
+            return self._leg(legs[0], tag, index)
+        return (self._legs(legs, tag, index),)
 
     # ---- failure plumbing ----
 
@@ -639,7 +670,7 @@ class _RunnerBase:
             return
         if not self._battery_ok(ue_id, tx, fail):
             return
-        ap = self._ap_of(ue_id)
+        ap = self.topo.ues[ue_id].attached_ap
         start = self.eng.blocks.book(ap, blocks, self.eng.clock, latency, ue_id, tag)
         def finish():
             self.eng.charge(ue_id, "tx", tx)
@@ -653,7 +684,7 @@ class _RunnerBase:
 
     def leg_radio_down(self, ue_id: str, bits: int, payload: str, done, fail) -> None:
         """One downlink transmission: access point -> UE at the fixed rate."""
-        ap = self._ap_of(ue_id)
+        ap = self.topo.ues[ue_id].attached_ap
         latency, tx, rx = self.legs.down(bits)
         if not self._battery_ok(ue_id, rx, fail):
             return
@@ -668,8 +699,9 @@ class _RunnerBase:
         self.eng.schedule_after(latency, EventKind.TX_DONE, finish,
                                 node=ue_id, detail=f"dl:{payload}")
 
-    def leg_backhaul(self, src: str, dst: str, bits: int, payload: str, done) -> None:
-        """Server-to-server hop over a configured wired pipe."""
+    def leg_backhaul(self, src: str, dst: str, bits: int, payload: str, done,
+                     fail=None) -> None:
+        """Server-to-server hop over a configured wired pipe; nothing refuses it."""
         latency, tx, rx = self.legs.backhaul(src, dst, bits)
         def finish():
             if tx > 0:
@@ -697,24 +729,6 @@ class _RunnerBase:
             done()
         self.eng.schedule_after(latency, EventKind.TX_DONE, finish,
                                 node=src, detail=f"d2d:{payload}")
-
-    def uplink_path(self, ue_id: str, server: str, bits: int, payload: str,
-                    context: str, done, fail) -> None:
-        """UE -> server: radio uplink plus a backhaul hop when the server is
-        not the UE's own access point."""
-        ap = self._ap_of(ue_id)
-        arrived = done if server == ap else (
-            lambda: self.leg_backhaul(ap, server, bits, payload, done))
-        self.leg_radio_up(ue_id, bits, payload, context, arrived, fail)
-
-    def downlink_path(self, server: str, ue_id: str, bits: int, payload: str,
-                      done, fail) -> None:
-        ap = self._ap_of(ue_id)
-        if server == ap:
-            self.leg_radio_down(ue_id, bits, payload, done, fail)
-        else:
-            self.leg_backhaul(server, ap, bits, payload,
-                              lambda: self.leg_radio_down(ue_id, bits, payload, done, fail))
 
     # ---- metrics plumbing ----
 
@@ -795,17 +809,22 @@ class _FlRunner(_RunnerBase):
         super().__init__(protocol_name, session, topo, radio_env, eng,
                          session.global_rounds)
         self._current: _FlRound | None = None
+        bits = self.model.payload_bits
+        # each client's (download, upload) route, the same every round
+        self._routes = {c: (route(topo, session.server, c, bits, "model"),
+                            route(topo, c, session.server, bits, "delta", f":{c}:ul"))
+                        for c in session.clients}
 
     def _chain(self, client: str, state: _FlRound):
-        """`client`'s round: download the model, train, upload the delta."""
-        sess = self.session
-        bits = self.model.payload_bits
+        """`client`'s round: download the model, train, upload the delta.
+        Each transfer is one leg of the chain, so its guard stops the chain
+        between transfers, never between a transfer's hops."""
+        down, up = self._routes[client]
         yield partial(self._boundary, client, f"round {state.index} start")
         try:
-            yield partial(self.downlink_path, sess.server, client, bits, "model")
+            yield self._transfer(down, "", state.index)
             staged, tag = yield from self._local_step(client, state)
-            yield partial(self.uplink_path, client, sess.server, bits, "delta",
-                          f"{tag}{state.index}:{client}:ul")
+            yield self._transfer(up, tag, state.index)
         except _Refused:
             self._sweep(state)
             return

@@ -42,6 +42,7 @@ from .protocols import (
     SlHomoLegs,
     SlSession,
     TrainingConfig,
+    route,
     run_fedsplit_nested,
     run_fl,
     run_sl_heterogeneous,
@@ -468,18 +469,20 @@ def validate_document(doc_or_text) -> ValidationReport:
 
 
 def _uplink_errors(cfg: ScenarioConfig, plan: TrainingPlan) -> list[tuple[str, str]]:
-    """Price each client's uplink path at mean gain, as the runs do: the
-    radio uplink, then the backhaul hop unless the server is the client's
-    access point. The first leg that cannot be priced is a named error."""
+    """Price each client's route to the server at mean gain, as the runs do:
+    the radio uplink, then any backhaul hop. The first leg that cannot be
+    priced is a named error."""
     server = cfg.protocol.server
     legs = LegCosts(cfg.topo, cfg.radio_env, plan.ma_scheme, cfg.ml.cycles_per_mac)
     legs.assign_slots(cfg.protocol.clients)
     bits = costs.model_bits(cfg.ml.widths)
     try:
         for c in cfg.protocol.clients:
-            legs.up(c, bits, "")
-            if cfg.topo.ues[c].attached_ap != server:
-                legs.backhaul(cfg.topo.ues[c].attached_ap, server, bits)
+            for leg in route(cfg.topo, c, server, bits, "delta"):
+                if leg[0] == "up":
+                    legs.up(c, bits, "")
+                else:
+                    legs.backhaul(leg[1], leg[2], bits)
     except SimulationError as exc:
         return [(_constraint_name(exc), f"client {c!r} cannot reach server {server!r}: {exc}")]
     return []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import music_sim
@@ -33,6 +33,7 @@ from music_sim.protocols import (
     _FlRunner,
     _Round,
     _SlHomoRunner,
+    route,
     run_fedsplit_nested,
     run_fl,
     run_sl_heterogeneous,
@@ -307,6 +308,56 @@ def test_homo_legs_reach_a_device_server_over_d2d_only():
 
     assert kinds("ue0") == {"compute", "d2d"}
     assert kinds("ap0") == {"compute", "up", "down"}
+
+
+def _two_cell_topology():
+    """ue0..ue2 on ap0, ue3 on ap1; ue0 masters a D2D group of ue1 and ue2."""
+    doc = star_doc(4, second_cell=True)
+    doc["nodes"]["ue"][3]["attached_ap"] = "ap1"
+    doc["d2d_groups"] = [{"master": "ue0", "slaves": ["ue1", "ue2"], "link_rate": 8e6}]
+    return build_topology(doc)
+
+
+_TWO_CELL = _two_cell_topology()
+
+
+def _hop_ends(topo, leg):
+    """(sender, receiver) of one transfer leg; a radio hop's other end is
+    the device's access point."""
+    if leg[0] == "up":
+        return leg[1], topo.ues[leg[1]].attached_ap
+    if leg[0] == "down":
+        return topo.ues[leg[1]].attached_ap, leg[1]
+    return leg[1], leg[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(src=st.sampled_from(sorted(_TWO_CELL.servers) + sorted(_TWO_CELL.ues)),
+       dst=st.sampled_from(sorted(_TWO_CELL.servers) + sorted(_TWO_CELL.ues)),
+       bits=st.integers(min_value=0, max_value=10**9))
+def test_route_hops_chain_from_source_to_destination(src, dst, bits):
+    """Any transfer's hops join end to end from `src` to `dst`, each
+    carrying the whole payload; backhaul joins only servers and D2D only
+    devices; a route between a device and a server takes exactly one radio
+    hop, and a route between two servers or two devices takes none."""
+    assume(src != dst)
+    topo = _TWO_CELL
+    legs = route(topo, src, dst, bits, "model", ":ctx")
+    at = src
+    for leg in legs:
+        sender, receiver = _hop_ends(topo, leg)
+        assert sender == at
+        at = receiver
+        if leg[0] == "backhaul":
+            assert sender in topo.servers and receiver in topo.servers
+        if leg[0] == "d2d":
+            assert sender in topo.ues and receiver in topo.ues
+        bits_at = 2 if leg[0] in ("up", "down") else 3
+        assert leg[bits_at:bits_at + 2] == (bits, "model")
+    assert at == dst
+    radio = [leg for leg in legs if leg[0] in ("up", "down")]
+    assert len(radio) == ((src in topo.ues) != (dst in topo.ues))
+    assert all(leg[4] == ":ctx" for leg in legs if leg[0] == "up")
 
 
 def test_homo_failed_client_retries_with_next_in_order():
