@@ -29,6 +29,7 @@ from .scenario import (
     validate_document,
     validate_path,
 )
+from .topology import integral
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -170,6 +171,13 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _number(axis: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise UnsweepableParameter(f"{axis} value {raw!r} is not a number") from None
+
+
 def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
     doc = copy.deepcopy(doc)
     proto = doc.get("protocol", {})
@@ -177,12 +185,12 @@ def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
         if proto.get("kind") not in ("sl_homogeneous", "fedsplit_nested"):
             raise UnsweepableParameter(
                 "cut_index applies to sl_homogeneous or fedsplit_nested scenarios")
-        proto["cut_index"] = int(raw)
+        proto["cut_index"] = integral(_number(axis, raw), axis)
     elif axis == "clients":
         if proto.get("kind") == "sl_heterogeneous":
             raise UnsweepableParameter(
                 "client count is fixed by the segment boundaries in sl_heterogeneous")
-        n = int(raw)
+        n = integral(_number(axis, raw), axis)
         clients = proto.get("clients", [])
         if not 1 <= n <= len(clients):
             raise UnsweepableParameter(
@@ -191,9 +199,9 @@ def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
     elif axis == "scheme":
         proto["scheme"] = raw
     elif axis == "signalling_delay":
-        doc.setdefault("radio", {})["signalling_delay"] = float(raw)
+        doc.setdefault("radio", {})["signalling_delay"] = _number(axis, raw)
     elif axis == "learning_rate":
-        doc.setdefault("ml", {})["learning_rate"] = float(raw)
+        doc.setdefault("ml", {})["learning_rate"] = _number(axis, raw)
     else:
         raise UnsweepableParameter(
             f"axis {axis!r} is not sweepable; choose from {', '.join(SWEEP_AXES)}")

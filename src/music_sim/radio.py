@@ -22,7 +22,7 @@ from .errors import (
     UnknownNodeReference,
     ZeroRate,
 )
-from .topology import NetworkTopology, UeProfile, integral
+from .topology import NetworkTopology, UeProfile, integral, real
 
 logger = logging.getLogger(__name__)
 
@@ -221,12 +221,12 @@ class RadioEnv:
             if ap_id not in topo.servers:
                 raise UnknownNodeReference(f"radio cell {ap_id!r} is not a server node")
             count = integral(cell["num_blocks"], f"cell {ap_id!r}: num_blocks", 1)
-            bw = float(cell["block_bandwidth"])
+            bw = real(cell["block_bandwidth"], f"cell {ap_id!r}: block_bandwidth")
             cells[ap_id] = tuple(ResourceBlock(i, bw) for i in range(count))
         clusters = []
         for entry in doc.get("noma_clusters", []):
             members = tuple(entry["members"])
-            powers = tuple(float(p) for p in entry["powers"])
+            powers = tuple(real(p, f"noma cluster {members}: power") for p in entry["powers"])
             if len(members) != len(powers):
                 raise ScenarioSchemaError("noma cluster: members and powers differ in length")
             aps = set()
@@ -252,12 +252,14 @@ class RadioEnv:
             clusters.append(NomaCluster(members=tuple(zip(members, powers)),
                                         blocks=tuple(blocks)))
         return cls(
-            noise_density=float(doc["noise_density"]),
+            noise_density=real(doc["noise_density"], "radio.noise_density"),
             cells=cells,
-            downlink_rate=float(doc["downlink_rate"]),
-            signalling_delay=float(doc.get("signalling_delay", 0.0)),
-            rx_energy_per_bit=float(doc.get("rx_energy_per_bit", 0.0)),
-            downlink_energy_per_bit=float(doc.get("downlink_energy_per_bit", 0.0)),
+            downlink_rate=real(doc["downlink_rate"], "radio.downlink_rate"),
+            signalling_delay=real(doc.get("signalling_delay", 0.0), "radio.signalling_delay"),
+            rx_energy_per_bit=real(doc.get("rx_energy_per_bit", 0.0),
+                                   "radio.rx_energy_per_bit", 0),
+            downlink_energy_per_bit=real(doc.get("downlink_energy_per_bit", 0.0),
+                                         "radio.downlink_energy_per_bit", 0),
             clusters=tuple(clusters),
         )
 

@@ -50,7 +50,15 @@ from .protocols import (
     sl_hetero_legs,
 )
 from .radio import RadioEnv, SchemeKind
-from .topology import NetworkTopology, Tier, build_topology, integral, validate_layer_span
+from .topology import (
+    NetworkTopology,
+    Tier,
+    boolean,
+    build_topology,
+    integral,
+    real,
+    validate_layer_span,
+)
 
 PROTOCOL_KINDS = ("fl", "sl_homogeneous", "sl_heterogeneous", "fedsplit_nested")
 
@@ -214,20 +222,18 @@ def _parse_ml(section: dict) -> MlSettings:
         raise ScenarioSchemaError(f"ml.loss must be 'mse' or 'ce', got {loss!r}")
     settings = MlSettings(
         widths=widths, loss=loss,
-        learning_rate=float(section["learning_rate"]),
+        learning_rate=real(section["learning_rate"], "ml.learning_rate"),
         batch_size=integral(section["batch_size"], "ml.batch_size", 1),
-        cycles_per_mac=float(section.get("cycles_per_mac", 1.0)),
+        cycles_per_mac=real(section.get("cycles_per_mac", 1.0), "ml.cycles_per_mac", 0),
         eval_every=integral(section.get("eval_every", 0), "ml.eval_every", 0),
         test_size=integral(section.get("test_size", 0), "ml.test_size", 0),
-        noise=float(section.get("noise", 0.6)),
-        class_sep=float(section.get("class_sep", 2.5)),
+        noise=real(section.get("noise", 0.6), "ml.noise"),
+        class_sep=real(section.get("class_sep", 2.5), "ml.class_sep"),
     )
     if len(widths) < 2:
         raise ScenarioSchemaError(f"ml.widths needs >= 2 entries, got {widths}")
     if settings.learning_rate <= 0:
         raise ScenarioSchemaError("ml.learning_rate must be > 0")
-    if settings.cycles_per_mac < 0:
-        raise ScenarioSchemaError("ml.cycles_per_mac must be >= 0")
     if settings.eval_every > 0 and settings.test_size < 1:
         raise ScenarioSchemaError("ml.eval_every > 0 needs ml.test_size >= 1")
     if widths[-1] < 2:
@@ -263,13 +269,12 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
         boundaries=tuple(integral(b, f"protocol.boundaries[{i}]")
                          for i, b in enumerate(section.get("boundaries", []))),
         relay=RELAY_ALIASES[relay],
-        dropout_slope=float(section.get("dropout_slope", 0.0)),
-        round_deadline=math.inf if deadline is None else float(deadline),
+        dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope"),
+        round_deadline=(math.inf if deadline is None
+                        else real(deadline, "protocol.round_deadline", 0)),
     )
     if not settings.clients:
         raise ScenarioSchemaError("protocol.clients must not be empty")
-    if settings.round_deadline < 0:
-        raise ScenarioSchemaError("protocol.round_deadline must be >= 0")
     if kind in ("fl", "fedsplit_nested"):
         for key in ("rounds", "local_iterations"):
             if key not in section:
@@ -284,14 +289,19 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
 def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
     deadline = section.get("latency_deadline")
     policy = SelectionPolicy(
-        min_battery=float(section.get("min_battery", 0.0)),
-        min_compute_rate=float(section.get("min_compute_rate", 0.0)),
-        min_channel_gain=float(section.get("min_channel_gain", 0.0)),
-        max_channel_variance=float(section.get("max_channel_variance", math.inf)),
-        require_immobile=bool(section.get("require_immobile", False)),
+        min_battery=real(section.get("min_battery", 0.0), "placement.min_battery"),
+        min_compute_rate=real(section.get("min_compute_rate", 0.0),
+                              "placement.min_compute_rate"),
+        min_channel_gain=real(section.get("min_channel_gain", 0.0),
+                              "placement.min_channel_gain"),
+        max_channel_variance=real(section.get("max_channel_variance", math.inf),
+                                  "placement.max_channel_variance"),
+        require_immobile=boolean(section.get("require_immobile", False),
+                                 "placement.require_immobile"),
         pool_size=integral(section.get("pool_size", 16), "placement.pool_size", 1),
     )
-    return policy, (math.inf if deadline is None else float(deadline))
+    return policy, (math.inf if deadline is None
+                    else real(deadline, "placement.latency_deadline"))
 
 
 def parse_config(doc: dict) -> ScenarioConfig:

@@ -8,6 +8,7 @@ around a master: slaves sit one hop below and never master a group themselves.
 from __future__ import annotations
 
 import logging
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -186,6 +187,28 @@ def integral(value, where: str, minimum: int | None = None) -> int:
     return value
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+def real(value, where: str, minimum: float | None = None) -> float:
+    """A number read from a scenario document, at least `minimum` if given.
+    A string, a bool, null, NaN or an integer too large for a float is an
+    error, never cast."""
+    if ((type(value) is float and value == value)
+            or (type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX)):
+        if minimum is None or value >= minimum:
+            return float(value)
+        raise ScenarioSchemaError(f"{where} must be >= {minimum}, got {value}")
+    raise ScenarioSchemaError(f"{where} must be a number, got {value!r}")
+
+
+def boolean(value, where: str) -> bool:
+    """A JSON true or false read from a scenario document, never cast."""
+    if type(value) is not bool:
+        raise ScenarioSchemaError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
 def build_topology(doc: dict) -> NetworkTopology:
     """Build and validate a topology from a parsed scenario document.
 
@@ -205,30 +228,38 @@ def build_topology(doc: dict) -> NetworkTopology:
             raise ScenarioSchemaError(f"duplicate node id {node_id!r}")
         seen.add(node_id)
 
+    # a node's fields are read under their bare names, and an error is
+    # prefixed with the node id, so no message is built for a valid field
     for key, tier in _TIER_KEYS:
         for entry in nodes_doc.get(key, []):
             claim(entry["id"])
-            servers[entry["id"]] = ServerNode(
-                id=entry["id"],
-                tier=tier,
-                compute_rate=float(entry["compute_rate"]),
-                energy_per_cycle=float(entry["energy_per_cycle"]),
-                parent=entry.get("parent"),
-            )
+            try:
+                servers[entry["id"]] = ServerNode(
+                    id=entry["id"],
+                    tier=tier,
+                    compute_rate=real(entry["compute_rate"], "compute_rate"),
+                    energy_per_cycle=real(entry["energy_per_cycle"], "energy_per_cycle", 0),
+                    parent=entry.get("parent"),
+                )
+            except ScenarioSchemaError as exc:
+                raise ScenarioSchemaError(f"{entry['id']}: {exc}") from None
     for entry in nodes_doc.get("ue", []):
         claim(entry["id"])
-        ues[entry["id"]] = UeProfile(
-            id=entry["id"],
-            battery=float(entry["battery"]),
-            compute_rate=float(entry["compute_rate"]),
-            energy_per_cycle=float(entry["energy_per_cycle"]),
-            tx_power=float(entry["tx_power"]),
-            channel_gain=float(entry["channel_gain"]),
-            channel_variance=float(entry.get("channel_variance", 0.0)),
-            mobile=bool(entry.get("mobile", False)),
-            attached_ap=entry["attached_ap"],
-            dataset_size=integral(entry["dataset_size"], f"{entry['id']}: dataset_size", 0),
-        )
+        try:
+            ues[entry["id"]] = UeProfile(
+                id=entry["id"],
+                battery=real(entry["battery"], "battery", 0),
+                compute_rate=real(entry["compute_rate"], "compute_rate"),
+                energy_per_cycle=real(entry["energy_per_cycle"], "energy_per_cycle", 0),
+                tx_power=real(entry["tx_power"], "tx_power", 0),
+                channel_gain=real(entry["channel_gain"], "channel_gain"),
+                channel_variance=real(entry.get("channel_variance", 0.0), "channel_variance", 0),
+                mobile=boolean(entry.get("mobile", False), "mobile"),
+                attached_ap=entry["attached_ap"],
+                dataset_size=integral(entry["dataset_size"], "dataset_size", 0),
+            )
+        except ScenarioSchemaError as exc:
+            raise ScenarioSchemaError(f"{entry['id']}: {exc}") from None
 
     _check_numeric_ranges(servers, ues)
     _check_hierarchy(servers, ues)
@@ -242,17 +273,9 @@ def _check_numeric_ranges(servers, ues):
     for node in (*servers.values(), *ues.values()):
         if node.compute_rate <= 0:
             raise ScenarioSchemaError(f"{node.id}: compute_rate must be > 0")
-        if node.energy_per_cycle < 0:
-            raise ScenarioSchemaError(f"{node.id}: energy_per_cycle must be >= 0")
     for ue in ues.values():
-        if ue.battery < 0:
-            raise ScenarioSchemaError(f"{ue.id}: battery must be >= 0")
         if ue.channel_gain <= 0:
             raise ScenarioSchemaError(f"{ue.id}: channel_gain must be > 0")
-        if ue.channel_variance < 0:
-            raise ScenarioSchemaError(f"{ue.id}: channel_variance must be >= 0")
-        if ue.tx_power < 0:
-            raise ScenarioSchemaError(f"{ue.id}: tx_power must be >= 0")
 
 
 def _check_hierarchy(servers, ues):
@@ -288,16 +311,16 @@ def _build_links(link_entries, servers):
         for end in (src, dst):
             if end not in servers:
                 raise UnknownNodeReference(f"link endpoint {end!r} is not a server node")
+        where = f"link {src}-{dst}: "
         spec = LinkSpec(
             src=src,
             dst=dst,
-            rate=float(entry["rate"]),
-            latency=float(entry.get("latency", 0.0)),
-            energy_per_bit=float(entry.get("energy_per_bit", 0.0)),
+            rate=real(entry["rate"], where + "rate"),
+            latency=real(entry.get("latency", 0.0), where + "latency", 0),
+            energy_per_bit=real(entry.get("energy_per_bit", 0.0), where + "energy_per_bit", 0),
         )
-        if spec.rate <= 0 or spec.latency < 0 or spec.energy_per_bit < 0:
-            raise ScenarioSchemaError(f"link {src}-{dst}: rate must be > 0, latency and "
-                                      f"energy_per_bit >= 0")
+        if spec.rate <= 0:
+            raise ScenarioSchemaError(f"{where}rate must be > 0")
         # pipes are symmetric; register both directions
         links[(src, dst)] = spec
         links[(dst, src)] = LinkSpec(dst, src, spec.rate, spec.latency, spec.energy_per_bit)
@@ -318,15 +341,16 @@ def _build_d2d_groups(group_entries, ues):
             raise ScenarioSchemaError(f"d2d group of {master!r} has no slaves")
         if master in group_slaves:
             raise ScenarioSchemaError(f"d2d group master {master!r} listed among its own slaves")
+        where = f"d2d group of {master!r}: "
         group = D2dGroup(
             master=master,
             slaves=group_slaves,
-            link_rate=float(entry["link_rate"]),
-            link_energy_per_bit=float(entry.get("link_energy_per_bit", 0.0)),
+            link_rate=real(entry["link_rate"], where + "link_rate"),
+            link_energy_per_bit=real(entry.get("link_energy_per_bit", 0.0),
+                                     where + "link_energy_per_bit", 0),
         )
-        if group.link_rate <= 0 or group.link_energy_per_bit < 0:
-            raise ScenarioSchemaError(f"d2d group of {master!r}: link_rate must be > 0 "
-                                      f"and link_energy_per_bit >= 0")
+        if group.link_rate <= 0:
+            raise ScenarioSchemaError(f"{where}link_rate must be > 0")
         groups.append(group)
         masters.add(master)
         for s in group_slaves:

@@ -181,3 +181,66 @@ def test_documents_that_cannot_run_fail_validation(tmp_path, name, mutate, error
     code, out = _cli("sweep", "--scenario", str(path), "--out", str(tmp_path / "s"),
                      "--axis", "learning_rate", "--values", "0.05")
     assert code == EXIT_INVALID and f"error [{error}]: " in out
+
+
+# Values a real field must refuse rather than cast, and values a flag must
+# refuse; null means "no deadline" for the two optional deadlines.
+_NOT_NUMBERS = ("fast", "5e8", True, None, float("nan"), 10**400)
+_NOT_BOOLEANS = ("false", 0, 1.0, None)
+_OPTIONAL_REALS = (("ml", "noise"), ("ml", "class_sep"), ("protocol", "dropout_slope"),
+                   ("protocol", "round_deadline"), ("placement", "latency_deadline"))
+_NULL_MEANS_NONE = ("round_deadline", "latency_deadline")
+
+
+def _bad_field_values(doc: dict):
+    """(path, field name, bad value) for every real and flag field of `doc`,
+    including the optional fields it leaves out. Entries of one list read a
+    field with the same code, so each field is taken from its first entry."""
+    seen = set()
+    for path in _numeric_paths(doc) + list(_OPTIONAL_REALS):
+        field = tuple(k for k in path if isinstance(k, str))
+        if field in seen or field[-1] in _COUNT_BOUNDS or field[-1] in _SEEDS:
+            continue
+        seen.add(field)
+        for bad in _NOT_NUMBERS:
+            if not (bad is None and field[-1] in _NULL_MEANS_NONE):
+                yield path, field[-1], bad
+    for path in [("nodes", "ue", 0, "mobile"), ("placement", "require_immobile")]:
+        for bad in _NOT_BOOLEANS:
+            yield path, path[-1], bad
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+def test_a_field_of_the_wrong_type_is_a_named_schema_error(tmp_path, name):
+    """Each string, bool, null, NaN or out-of-range integer in each real
+    field, and each non-bool in each flag, of a bundled document: `validate` and `run` exit 1 with the
+    field named, never a traceback and never a cast."""
+    path = tmp_path / "scenario.json"
+    cases = 0
+    for field, key, bad in _bad_field_values(BASE[name][0]):
+        doc = json.loads(json.dumps(BASE[name][0]))
+        holder = doc
+        for step in field[:-1]:
+            holder = holder[step]
+        holder[field[-1]] = bad
+        path.write_text(json.dumps(doc))
+        code, out = _cli("validate", "--scenario", str(path))
+        assert code == EXIT_INVALID and out.startswith("error [schema]: "), (field, bad, out)
+        assert key.removesuffix("s") in out, (field, bad, out)
+        cases += 1
+    assert cases > 100
+    # `run` validates with the same code; one case shows its exit
+    code, out = _cli("run", "--scenario", str(path), "--out", str(tmp_path / "o"))
+    assert code == EXIT_INVALID and "error [schema]: " in out
+
+
+@pytest.mark.parametrize("key", ["rx_energy_per_bit", "downlink_energy_per_bit"])
+def test_a_negative_radio_energy_per_bit_is_refused(tmp_path, key):
+    """A negative receive or downlink charge would be skipped by the runners'
+    `> 0` guards, so the run would report less energy than spent."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc["radio"][key] = -1e-9
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID and out.startswith(f"error [schema]: radio.{key} must be >= 0")

@@ -459,6 +459,23 @@ def test_sweep_validates_every_value_up_front(tmp_path, capsys):
     assert not (tmp_path / "o" / "sweep_cut_index.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, axis, value, needle", [
+    ("sl_homogeneous", "cut_index", "1.5", "cut_index must be an integer, got 1.5"),
+    ("sl_homogeneous", "clients", "2.5", "clients must be an integer, got 2.5"),
+    ("fl_edge", "learning_rate", "fast", "learning_rate value 'fast' is not a number"),
+    ("fl_edge", "learning_rate", "nan", "ml.learning_rate must be a number"),
+])
+def test_sweep_value_of_the_wrong_type_is_one_error_line(tmp_path, capsys, scenario, axis,
+                                                         value, needle):
+    """A sweep value that is not a number, or not an integer where a count
+    belongs, exits 1 with one `error:` line; a count is never truncated."""
+    code = main(["sweep", "--scenario", str(SCENARIO_DIR / f"{scenario}.json"),
+                 "--axis", axis, "--values", value, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == EXIT_INVALID
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+
+
 def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("MUSIC_SIM_OUT", str(env_dir))
