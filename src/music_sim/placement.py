@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import costs
 from .engine import BlockLedger
@@ -191,30 +192,45 @@ class _Estimator:
 
     def walk(self, legs: tuple, t: float) -> float:
         """Carry ready time `t` through leg tuples (see `protocols.route`);
-        returns the time the last one ends. The sender of each hop pays its
-        transmit energy and the receiver its receive energy. Uplinks wait for
-        their blocks and share one context, so NOMA rates are computed once
-        per estimate."""
+        returns the time the last one ends."""
         for leg in legs:
-            kind = leg[0]
-            if kind == "compute":
-                t += self.compute(leg[1], leg[2])
-                continue
-            if kind == "up":
-                blocks, tag, latency, tx, rx = self.legs.up(leg[1], leg[2], "")
-                src, dst = leg[1], self.topo.ues[leg[1]].attached_ap
-                t = self.blocks.book(dst, blocks, t, latency, src, tag)
-            elif kind == "down":
-                latency, tx, rx = self.legs.down(leg[2])
-                src, dst = self.topo.ues[leg[1]].attached_ap, leg[1]
-            else:
-                price = self.legs.backhaul if kind == "backhaul" else self.legs.d2d
-                latency, tx, rx = price(leg[1], leg[2], leg[3])
-                src, dst = leg[1], leg[2]
-            self.add(src, "tx", tx)
-            self.add(dst, "rx", rx)
-            t += latency
+            t = _WALKERS[leg[0]](self, leg, t)
         return t
+
+    def transfer(self, legs: tuple):
+        """A route as a function of its ready time: `walk` over its legs, or,
+        for a route of one hop, that hop's own walker, called directly."""
+        if len(legs) == 1:
+            return partial(_WALKERS[legs[0][0]], self, legs[0])
+        return partial(self.walk, legs)
+
+    # One walker per leg kind (see `_WALKERS`): the sender of a hop pays its
+    # transmit energy, the receiver its receive energy. Uplinks wait for their
+    # blocks and share one context, so NOMA rates are computed once per
+    # estimate.
+
+    def _walk_compute(self, leg, t: float) -> float:
+        return t + self.compute(leg[1], leg[2])
+
+    def _walk_up(self, leg, t: float) -> float:
+        ue, ap = leg[1], self.topo.ues[leg[1]].attached_ap
+        blocks, tag, latency, tx, rx = self.legs.up(ue, leg[2], "")
+        self.add(ue, "tx", tx)
+        self.add(ap, "rx", rx)
+        return self.blocks.book(ap, blocks, t, latency, ue, tag) + latency
+
+    def _walk_down(self, leg, t: float) -> float:
+        latency, tx, rx = self.legs.down(leg[2])
+        self.add(self.topo.ues[leg[1]].attached_ap, "tx", tx)
+        self.add(leg[1], "rx", rx)
+        return t + latency
+
+    def _walk_pipe(self, leg, t: float) -> float:
+        price = self.legs.backhaul if leg[0] == "backhaul" else self.legs.d2d
+        latency, tx, rx = price(leg[1], leg[2], leg[3])
+        self.add(leg[1], "tx", tx)
+        self.add(leg[2], "rx", rx)
+        return t + latency
 
     def eval_latency(self, owner: str, global_iter: int) -> float:
         if self.task.eval_every <= 0 or (global_iter + 1) % self.task.eval_every != 0:
@@ -225,6 +241,11 @@ class _Estimator:
         total = sum(sum(b.values()) for b in self.energy.values())
         return CostEstimate(total_energy=total, wall_latency=wall_latency,
                             breakdown=self.energy)
+
+
+_WALKERS = {"compute": _Estimator._walk_compute, "up": _Estimator._walk_up,
+            "down": _Estimator._walk_down, "backhaul": _Estimator._walk_pipe,
+            "d2d": _Estimator._walk_pipe}
 
 
 def _estimate_centralized(plan, topo, radio, clients: list[str]) -> CostEstimate:
@@ -247,14 +268,14 @@ def _fl_rounds(est: _Estimator, server: str, clients: list[str], local) -> CostE
     task = est.task
     model_bits = costs.model_bits(task.widths)
     agg_macs = costs.aggregation_macs(len(clients), costs.param_count_of(task.widths))
-    downs = [route(est.topo, server, c, model_bits, "model") for c in clients]
-    ups = [route(est.topo, c, server, model_bits, "delta") for c in clients]
+    downs = [est.transfer(route(est.topo, server, c, model_bits, "model")) for c in clients]
+    ups = [est.transfer(route(est.topo, c, server, model_bits, "delta")) for c in clients]
     t = 0.0
     for rnd in range(task.rounds):
-        ready = [local(c, est.walk(down, t)) for c, down in zip(clients, downs)]
+        ready = [local(c, down(t)) for c, down in zip(clients, downs)]
         slowest = t
         for i in sorted(range(len(clients)), key=ready.__getitem__):
-            slowest = max(slowest, est.walk(ups[i], ready[i]))
+            slowest = max(slowest, ups[i](ready[i]))
         t = slowest + est.compute(server, agg_macs)
         t += est.eval_latency(server, rnd)
     return est.finish(t)
@@ -366,12 +387,12 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
     """
     plans: list[TrainingPlan] = []
 
+    solo_task = replace(task, protocol="centralized")
     for server_id in sorted(topo.servers):
-        solo = TrainingPlan(
-            task=replace(task, protocol="centralized"),
-            roles={server_id: "server"}, ma_scheme=scheme)
-        plans.append(solo)
+        plans.append(TrainingPlan(task=solo_task, roles={server_id: "server"},
+                                  ma_scheme=scheme))
 
+    fl_task = replace(task, protocol="fl")
     for server_id in sorted(topo.servers):
         children = sorted(c for c in topo.children_of(server_id) if c in topo.servers)
         if not children:
@@ -380,8 +401,7 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
             continue
         roles = {server_id: "server"}
         roles.update({c: "client" for c in children})
-        plans.append(TrainingPlan(task=replace(task, protocol="fl"),
-                                  roles=roles, ma_scheme=scheme))
+        plans.append(TrainingPlan(task=fl_task, roles=roles, ma_scheme=scheme))
 
     if task.protocol in UE_PROTOCOLS:
         for ap_id in sorted(topo.servers):
