@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from . import costs
 from .engine import BlockLedger
@@ -197,13 +196,6 @@ class _Estimator:
             t = _WALKERS[leg[0]](self, leg, t)
         return t
 
-    def transfer(self, legs: tuple):
-        """A route as a function of its ready time: `walk` over its legs, or,
-        for a route of one hop, that hop's own walker, called directly."""
-        if len(legs) == 1:
-            return partial(_WALKERS[legs[0][0]], self, legs[0])
-        return partial(self.walk, legs)
-
     # One walker per leg kind (see `_WALKERS`): the sender of a hop pays its
     # transmit energy, the receiver its receive energy. Uplinks wait for their
     # blocks and share one context, so NOMA rates are computed once per
@@ -226,8 +218,7 @@ class _Estimator:
         return t + latency
 
     def _walk_pipe(self, leg, t: float) -> float:
-        price = self.legs.backhaul if leg[0] == "backhaul" else self.legs.d2d
-        latency, tx, rx = price(leg[1], leg[2], leg[3])
+        latency, tx, rx = self.legs.pipe(leg)
         self.add(leg[1], "tx", tx)
         self.add(leg[2], "rx", rx)
         return t + latency
@@ -268,14 +259,14 @@ def _fl_rounds(est: _Estimator, server: str, clients: list[str], local) -> CostE
     task = est.task
     model_bits = costs.model_bits(task.widths)
     agg_macs = costs.aggregation_macs(len(clients), costs.param_count_of(task.widths))
-    downs = [est.transfer(route(est.topo, server, c, model_bits, "model")) for c in clients]
-    ups = [est.transfer(route(est.topo, c, server, model_bits, "delta")) for c in clients]
+    downs = [route(est.topo, server, c, model_bits, "model") for c in clients]
+    ups = [route(est.topo, c, server, model_bits, "delta") for c in clients]
     t = 0.0
     for rnd in range(task.rounds):
-        ready = [local(c, down(t)) for c, down in zip(clients, downs)]
+        ready = [local(c, est.walk(down, t)) for c, down in zip(clients, downs)]
         slowest = t
         for i in sorted(range(len(clients)), key=ready.__getitem__):
-            slowest = max(slowest, ups[i](ready[i]))
+            slowest = max(slowest, est.walk(ups[i], ready[i]))
         t = slowest + est.compute(server, agg_macs)
         t += est.eval_latency(server, rnd)
     return est.finish(t)
@@ -387,12 +378,12 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
     """
     plans: list[TrainingPlan] = []
 
-    solo_task = replace(task, protocol="centralized")
     for server_id in sorted(topo.servers):
-        plans.append(TrainingPlan(task=solo_task, roles={server_id: "server"},
-                                  ma_scheme=scheme))
+        solo = TrainingPlan(
+            task=replace(task, protocol="centralized"),
+            roles={server_id: "server"}, ma_scheme=scheme)
+        plans.append(solo)
 
-    fl_task = replace(task, protocol="fl")
     for server_id in sorted(topo.servers):
         children = sorted(c for c in topo.children_of(server_id) if c in topo.servers)
         if not children:
@@ -401,7 +392,8 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
             continue
         roles = {server_id: "server"}
         roles.update({c: "client" for c in children})
-        plans.append(TrainingPlan(task=fl_task, roles=roles, ma_scheme=scheme))
+        plans.append(TrainingPlan(task=replace(task, protocol="fl"),
+                                  roles=roles, ma_scheme=scheme))
 
     if task.protocol in UE_PROTOCOLS:
         for ap_id in sorted(topo.servers):

@@ -310,6 +310,14 @@ class LegCosts:
             price = self._d2d[src, dst, bits] = (latency, energy, self.rx(bits))
         return price
 
+    def pipe(self, leg: tuple) -> tuple[float, float, float]:
+        """Price a ("backhaul" | "d2d", src, dst, bits, payload) hop by its
+        kind; any other kind raises."""
+        return _PIPES[leg[0]](self, leg[1], leg[2], leg[3])
+
+
+_PIPES = {"backhaul": LegCosts.backhaul, "d2d": LegCosts.d2d}
+
 
 # Every transfer and computation is a leg, a plain tuple without an
 # iteration index, of one of five kinds: ("compute", node, macs, what),
@@ -596,11 +604,9 @@ class _RunnerBase:
             yield self._leg(leg, tag, index)
 
     def _transfer(self, legs: tuple, tag: str, index: int):
-        """One leg that runs a route's `legs` whole: the hop itself, or a
-        process of its own, which resumes without the caller's guard, so a
-        guard never stops a transfer between its hops."""
-        if len(legs) == 1:
-            return self._leg(legs[0], tag, index)
+        """One leg that runs a route's `legs` whole: a process of its own,
+        which resumes without the caller's guard, so a guard never stops a
+        transfer between its hops."""
         return (self._legs(legs, tag, index),)
 
     # ---- failure plumbing ----
@@ -700,7 +706,7 @@ class _RunnerBase:
                                 node=ue_id, detail=f"dl:{payload}")
 
     def leg_backhaul(self, src: str, dst: str, bits: int, payload: str, done,
-                     fail=None) -> None:
+                     _fail) -> None:
         """Server-to-server hop over a configured wired pipe; nothing refuses it."""
         latency, tx, rx = self.legs.backhaul(src, dst, bits)
         def finish():

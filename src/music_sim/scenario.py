@@ -480,8 +480,8 @@ def validate_document(doc_or_text) -> ValidationReport:
 
 def _uplink_errors(cfg: ScenarioConfig, plan: TrainingPlan) -> list[tuple[str, str]]:
     """Price each client's route to the server at mean gain, as the runs do:
-    the radio uplink, then any backhaul hop. The first leg that cannot be
-    priced is a named error."""
+    the radio uplink, then any backhaul hop, or a D2D hop to a device. The
+    first leg that cannot be priced is a named error."""
     server = cfg.protocol.server
     legs = LegCosts(cfg.topo, cfg.radio_env, plan.ma_scheme, cfg.ml.cycles_per_mac)
     legs.assign_slots(cfg.protocol.clients)
@@ -492,7 +492,7 @@ def _uplink_errors(cfg: ScenarioConfig, plan: TrainingPlan) -> list[tuple[str, s
                 if leg[0] == "up":
                     legs.up(c, bits, "")
                 else:
-                    legs.backhaul(leg[1], leg[2], bits)
+                    legs.pipe(leg)
     except SimulationError as exc:
         return [(_constraint_name(exc), f"client {c!r} cannot reach server {server!r}: {exc}")]
     return []
