@@ -280,12 +280,16 @@ def _estimate_fl(plan, topo, radio, clients: list[str]) -> CostEstimate:
                       lambda c, ready: ready + est.compute(c, local_macs))
 
 
-def _sl_homo_iterations(est: _Estimator, server: str, clients: list[str],
-                        iterations: int, t: float, evaluate: bool) -> float:
-    """Homogeneous SL iterations from ready time `t`; returns the time the
-    last iteration ends."""
+def _sl_homo_legs(est: _Estimator, server: str) -> SlHomoLegs:
     task = est.task
-    legs = SlHomoLegs(est.topo, server, task.widths, task.cut_index, task.batch_size)
+    return SlHomoLegs(est.topo, server, task.widths, task.cut_index, task.batch_size)
+
+
+def _sl_homo_iterations(est: _Estimator, legs: SlHomoLegs, clients: list[str],
+                        iterations: int, t: float, evaluate: bool) -> float:
+    """Homogeneous SL iterations over `legs` from ready time `t`; returns
+    the time the last iteration ends."""
+    server = legs.server
     holder = None
     for i in range(iterations):
         active = clients[i % len(clients)]
@@ -299,8 +303,8 @@ def _sl_homo_iterations(est: _Estimator, server: str, clients: list[str],
 
 def _estimate_sl_homogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
     est = _Estimator(plan, topo, radio, clients)
-    t = _sl_homo_iterations(est, plan.server(), clients, plan.task.total_iterations, 0.0,
-                            evaluate=True)
+    t = _sl_homo_iterations(est, _sl_homo_legs(est, plan.server()), clients,
+                            plan.task.total_iterations, 0.0, evaluate=True)
     return est.finish(t)
 
 
@@ -325,12 +329,16 @@ def _estimate_fedsplit(plan, topo, radio, clients: list[str]) -> CostEstimate:
     est = _Estimator(plan, topo, radio, clients)
     task = plan.task
     local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
+    # each master's nested legs and slaves, built once per estimate
+    nested = {c: (_sl_homo_legs(est, c),
+                  [s for s in topo.group_containing(c).slaves if s in plan.roles])
+              for c in clients if plan.roles[c] == "master"}
 
     def local(c, ready):
-        if plan.roles[c] != "master":
+        if c not in nested:
             return ready + est.compute(c, local_macs)
-        slaves = [s for s in topo.group_containing(c).slaves if s in plan.roles]
-        return _sl_homo_iterations(est, c, slaves, task.local_iterations, ready,
+        legs, slaves = nested[c]
+        return _sl_homo_iterations(est, legs, slaves, task.local_iterations, ready,
                                    evaluate=False)
 
     return _fl_rounds(est, plan.server(), clients, local)

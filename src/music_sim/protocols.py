@@ -606,7 +606,11 @@ class _RunnerBase:
     def _transfer(self, legs: tuple, tag: str, index: int):
         """One leg that runs a route's `legs` whole: a process of its own,
         which resumes without the caller's guard, so a guard never stops a
-        transfer between its hops."""
+        transfer between its hops. A route of one hop has no hop to guard
+        and is the hop itself; a process per transfer would cost `fl_wide`,
+        whose every route is one hop, about an eighth of its run time."""
+        if len(legs) == 1:
+            return self._leg(legs[0], tag, index)
         return (self._legs(legs, tag, index),)
 
     # ---- failure plumbing ----
