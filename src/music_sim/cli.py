@@ -24,7 +24,6 @@ from .scenario import (
     assemble,
     parse_config,
     parse_scenario_text,
-    plan_of,
     task_of,
     validate_document,
     validate_path,

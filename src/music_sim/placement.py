@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from . import costs
 from .engine import BlockLedger
 from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError
-from .protocols import LegCosts, SlHomoLegs, route, sl_hetero_legs
+from .protocols import FlLegs, LegCosts, SlHomoLegs, eval_legs, sl_hetero_legs
 from .radio import AccessScheme, RadioEnv
 from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
 
@@ -223,11 +223,6 @@ class _Estimator:
         self.add(leg[2], "rx", rx)
         return t + latency
 
-    def eval_latency(self, owner: str, global_iter: int) -> float:
-        if self.task.eval_every <= 0 or (global_iter + 1) % self.task.eval_every != 0:
-            return 0.0
-        return self.compute(owner, costs.forward_macs(self.task.widths, self.task.test_size))
-
     def finish(self, wall_latency: float) -> CostEstimate:
         total = sum(sum(b.values()) for b in self.energy.values())
         return CostEstimate(total_energy=total, wall_latency=wall_latency,
@@ -247,49 +242,54 @@ def _estimate_centralized(plan, topo, radio, clients: list[str]) -> CostEstimate
     per_iter = costs.training_macs(task.widths, task.batch_size)
     for i in range(task.total_iterations):
         t += est.compute(server, per_iter)
-        t += est.eval_latency(server, i)
+        t = est.walk(eval_legs(server, task.widths, task.test_size, task.eval_every, i), t)
     return est.finish(t)
 
 
-def _fl_rounds(est: _Estimator, server: str, clients: list[str], local) -> CostEstimate:
-    """FL rounds: each client downloads the model, trains through
-    `local(client, ready) -> done`, and uploads its delta; the round closes
-    at the slowest upload plus aggregation. Uploads are made in the order
-    the engine dispatches them: by ready time, ties in client order."""
-    task = est.task
-    model_bits = costs.model_bits(task.widths)
-    agg_macs = costs.aggregation_macs(len(clients), costs.param_count_of(task.widths))
-    downs = [route(est.topo, server, c, model_bits, "model") for c in clients]
-    ups = [route(est.topo, c, server, model_bits, "delta") for c in clients]
-    t = 0.0
-    for rnd in range(task.rounds):
-        ready = [local(c, est.walk(down, t)) for c, down in zip(clients, downs)]
-        slowest = t
-        for i in sorted(range(len(clients)), key=ready.__getitem__):
-            slowest = max(slowest, est.walk(ups[i], ready[i]))
-        t = slowest + est.compute(server, agg_macs)
-        t += est.eval_latency(server, rnd)
-    return est.finish(t)
-
-
-def _estimate_fl(plan, topo, radio, clients: list[str]) -> CostEstimate:
+def _estimate_federated(plan, topo, radio, clients: list[str]) -> CostEstimate:
+    """FL rounds, FedSplit's included: each client downloads the model,
+    trains, and uploads its delta; the round closes at the slowest upload
+    plus aggregation. A FedSplit master trains by the homogeneous SL
+    sequence over its slaves, every hop a D2D hop; plain FL has no masters.
+    Uploads are made in the order the engine dispatches them: by ready
+    time, ties in client order."""
     est = _Estimator(plan, topo, radio, clients)
     task = plan.task
-    local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
-    return _fl_rounds(est, plan.server(), clients,
-                      lambda c, ready: ready + est.compute(c, local_macs))
-
-
-def _sl_homo_legs(est: _Estimator, server: str) -> SlHomoLegs:
-    task = est.task
-    return SlHomoLegs(est.topo, server, task.widths, task.cut_index, task.batch_size)
+    server = plan.server()
+    fl = FlLegs(topo, server, task.widths, task.batch_size, task.local_iterations)
+    chains = [fl.chain(c) for c in clients]
+    aggregate = (fl.aggregate(len(clients)),)
+    # each master's nested legs and slaves, built once per estimate
+    nested = {c: (SlHomoLegs(topo, c, task.widths, task.cut_index, task.batch_size),
+                  [s for s in topo.group_containing(c).slaves if s in plan.roles])
+              for c in clients if plan.roles[c] == "master"}
+    # what each client walks before its upload: the download, then the
+    # local step, which a master runs as nested SL instead
+    before = [down if c in nested else (*down, local)
+              for c, (down, local, _) in zip(clients, chains)]
+    t = 0.0
+    for rnd in range(task.rounds):
+        ready = []
+        for c, legs in zip(clients, before):
+            got = est.walk(legs, t)
+            if c in nested:
+                sl, slaves = nested[c]
+                got = _sl_homo_iterations(est, sl, slaves, task.local_iterations, got,
+                                          evaluate=False)
+            ready.append(got)
+        slowest = t
+        for i in sorted(range(len(clients)), key=ready.__getitem__):
+            slowest = max(slowest, est.walk(chains[i][2], ready[i]))
+        t = est.walk(aggregate + eval_legs(server, task.widths, task.test_size,
+                                           task.eval_every, rnd), slowest)
+    return est.finish(t)
 
 
 def _sl_homo_iterations(est: _Estimator, legs: SlHomoLegs, clients: list[str],
                         iterations: int, t: float, evaluate: bool) -> float:
     """Homogeneous SL iterations over `legs` from ready time `t`; returns
     the time the last iteration ends."""
-    server = legs.server
+    task, server = est.task, legs.server
     holder = None
     for i in range(iterations):
         active = clients[i % len(clients)]
@@ -297,14 +297,16 @@ def _sl_homo_iterations(est: _Estimator, legs: SlHomoLegs, clients: list[str],
         t = est.walk(legs.body(active), t)
         holder = active
         if evaluate:
-            t += est.eval_latency(server, i)
+            evals = eval_legs(server, task.widths, task.test_size, task.eval_every, i)
+            t = est.walk(evals, t)
     return t
 
 
 def _estimate_sl_homogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
     est = _Estimator(plan, topo, radio, clients)
-    t = _sl_homo_iterations(est, _sl_homo_legs(est, plan.server()), clients,
-                            plan.task.total_iterations, 0.0, evaluate=True)
+    task = plan.task
+    legs = SlHomoLegs(topo, plan.server(), task.widths, task.cut_index, task.batch_size)
+    t = _sl_homo_iterations(est, legs, clients, task.total_iterations, 0.0, evaluate=True)
     return est.finish(t)
 
 
@@ -319,37 +321,16 @@ def _estimate_sl_heterogeneous(plan, topo, radio, clients: list[str]) -> CostEst
         labels_done = est.walk(labels, t)
         chain_done = est.walk(forward, t)
         t = est.walk(back, max(labels_done, chain_done))
-        t += est.eval_latency(server, i)
+        t = est.walk(eval_legs(server, task.widths, task.test_size, task.eval_every, i), t)
     return est.finish(t)
-
-
-def _estimate_fedsplit(plan, topo, radio, clients: list[str]) -> CostEstimate:
-    """FL over masters and plain clients; a master's local training is the
-    homogeneous SL sequence over its slaves, every hop a D2D hop."""
-    est = _Estimator(plan, topo, radio, clients)
-    task = plan.task
-    local_macs = task.local_iterations * costs.training_macs(task.widths, task.batch_size)
-    # each master's nested legs and slaves, built once per estimate
-    nested = {c: (_sl_homo_legs(est, c),
-                  [s for s in topo.group_containing(c).slaves if s in plan.roles])
-              for c in clients if plan.roles[c] == "master"}
-
-    def local(c, ready):
-        if c not in nested:
-            return ready + est.compute(c, local_macs)
-        legs, slaves = nested[c]
-        return _sl_homo_iterations(est, legs, slaves, task.local_iterations, ready,
-                                   evaluate=False)
-
-    return _fl_rounds(est, plan.server(), clients, local)
 
 
 _ESTIMATORS = {
     "centralized": _estimate_centralized,
-    "fl": _estimate_fl,
+    "fl": _estimate_federated,
     "sl_homogeneous": _estimate_sl_homogeneous,
     "sl_heterogeneous": _estimate_sl_heterogeneous,
-    "fedsplit_nested": _estimate_fedsplit,
+    "fedsplit_nested": _estimate_federated,
 }
 
 

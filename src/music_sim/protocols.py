@@ -455,6 +455,39 @@ def sl_hetero_legs(topo: NetworkTopology, server: str, clients, widths, boundari
     return labels, tuple(forward), tuple(back)
 
 
+class FlLegs:
+    """Legs of FL rounds: each client's chain (the model down, local
+    training, the delta up) and the server's aggregation. The model's bits,
+    the local MACs and the parameter count are sized once."""
+
+    def __init__(self, topo: NetworkTopology, server: str, widths, batch: int,
+                 local_iterations: int):
+        self.topo = topo
+        self.server = server
+        self.model_bits = costs.model_bits(widths)
+        self.local_macs = local_iterations * costs.training_macs(widths, batch)
+        self.params = costs.param_count_of(widths)
+
+    def chain(self, client: str) -> tuple:
+        """(download route, local compute leg, upload route) of `client`."""
+        topo, server, bits = self.topo, self.server, self.model_bits
+        return (route(topo, server, client, bits, "model"),
+                ("compute", client, self.local_macs, "local"),
+                route(topo, client, server, bits, "delta", f":{client}:ul"))
+
+    def aggregate(self, n: int) -> tuple:
+        """The server's compute leg that averages `n` deltas."""
+        return ("compute", self.server, costs.aggregation_macs(n, self.params), "aggregate")
+
+
+def eval_legs(owner: str, widths, test_size: int, every: int, index: int) -> tuple:
+    """The held-out evaluation at `owner` after iteration (or round)
+    `index`: one compute leg every `every` iterations, else no leg."""
+    if every <= 0 or (index + 1) % every != 0:
+        return ()
+    return (("compute", owner, costs.forward_macs(widths, test_size), "eval"),)
+
+
 class _Refused(Exception):
     """Thrown into a process when a node refuses its leg (the node dropped)."""
 
@@ -594,9 +627,7 @@ class _RunnerBase:
             return partial(self.leg_radio_up, leg[1], leg[2], leg[3], f"{tag}{index}{leg[4]}")
         if kind == "down":
             return partial(self.leg_radio_down, *leg[1:])
-        if kind == "backhaul":
-            return partial(self.leg_backhaul, *leg[1:])
-        return partial(self.leg_d2d, *leg[1:])
+        return partial(self.leg_pipe, leg)
 
     def _legs(self, legs: tuple, tag: str, index: int):
         """Process: run the leg tuples of iteration `index` in order."""
@@ -709,25 +740,14 @@ class _RunnerBase:
         self.eng.schedule_after(latency, EventKind.TX_DONE, finish,
                                 node=ue_id, detail=f"dl:{payload}")
 
-    def leg_backhaul(self, src: str, dst: str, bits: int, payload: str, done,
-                     _fail) -> None:
-        """Server-to-server hop over a configured wired pipe; nothing refuses it."""
-        latency, tx, rx = self.legs.backhaul(src, dst, bits)
-        def finish():
-            if tx > 0:
-                self.eng.charge(src, "tx", tx)
-            if rx > 0:
-                self.eng.charge(dst, "rx", rx)
-            done()
-        self.eng.schedule_after(latency, EventKind.TX_DONE, finish,
-                                node=src, detail=f"bh:{payload}")
-
-    def leg_d2d(self, src: str, dst: str, bits: int, payload: str, done, fail) -> None:
-        """Direct device-to-device hop; no access delay, no radio scheduler."""
-        latency, tx, rx = self.legs.d2d(src, dst, bits)
-        if not self._battery_ok(src, tx, fail):
-            return
-        if not self._battery_ok(dst, rx, fail):
+    def leg_pipe(self, leg: tuple, done, fail) -> None:
+        """A ("backhaul" | "d2d", src, dst, bits, payload) hop over a fixed
+        pipe, priced by its kind; no access delay, no radio scheduler. Both
+        ends are checked and debited: a server always passes the check, and
+        debiting it does nothing."""
+        _, src, dst, _, payload = leg
+        latency, tx, rx = self.legs.pipe(leg)
+        if not (self._battery_ok(src, tx, fail) and self._battery_ok(dst, rx, fail)):
             return
         def finish():
             if tx > 0:
@@ -737,8 +757,8 @@ class _RunnerBase:
                 self.eng.charge(dst, "rx", rx)
                 self.eng.debit_battery(dst, rx)
             done()
-        self.eng.schedule_after(latency, EventKind.TX_DONE, finish,
-                                node=src, detail=f"d2d:{payload}")
+        self.eng.schedule_after(latency, EventKind.TX_DONE, finish, node=src,
+                                detail=("bh:" if leg[0] == "backhaul" else "d2d:") + payload)
 
     # ---- metrics plumbing ----
 
@@ -777,12 +797,13 @@ class _RunnerBase:
     def _eval(self, global_iter: int):
         """Process: held-out evaluation at the loss owner, charged as compute
         there (and run even if refused); the accuracy, or None if not due."""
-        every = self.config.eval_every
-        if every <= 0 or (global_iter + 1) % every != 0:
-            return None
         data = self.session.data
-        macs = costs.forward_macs(self.model.widths, data.test_x.shape[0])
-        yield lambda done, fail: self.leg_compute(self.session.server, macs, "eval", done)
+        legs = eval_legs(self.session.server, self.model.widths, data.test_x.shape[0],
+                         self.config.eval_every, global_iter)
+        if not legs:
+            return None
+        _, node, macs, what = legs[0]
+        yield lambda done, fail: self.leg_compute(node, macs, what, done)
         return mlp.evaluate(self.model, data.test_x, data.test_labels)[1]
 
 
@@ -819,17 +840,16 @@ class _FlRunner(_RunnerBase):
         super().__init__(protocol_name, session, topo, radio_env, eng,
                          session.global_rounds)
         self._current: _FlRound | None = None
-        bits = self.model.payload_bits
-        # each client's (download, upload) route, the same every round
-        self._routes = {c: (route(topo, session.server, c, bits, "model"),
-                            route(topo, c, session.server, bits, "delta", f":{c}:ul"))
-                        for c in session.clients}
+        self.plan = FlLegs(topo, session.server, self.model.widths,
+                           session.config.batch_size, session.local_iterations)
+        # each client's chain, the same every round
+        self._chains = {c: self.plan.chain(c) for c in session.clients}
 
     def _chain(self, client: str, state: _FlRound):
         """`client`'s round: download the model, train, upload the delta.
         Each transfer is one leg of the chain, so its guard stops the chain
         between transfers, never between a transfer's hops."""
-        down, up = self._routes[client]
+        down, _, up = self._chains[client]
         yield partial(self._boundary, client, f"round {state.index} start")
         try:
             yield self._transfer(down, "", state.index)
@@ -854,7 +874,8 @@ class _FlRunner(_RunnerBase):
         holds the delta, its pre-step losses and its sample count, and `tag`
         prefixes the upload's random-stream context."""
         staged = self._local_training(client, state.index)
-        yield partial(self.leg_compute, client, staged["macs"], f"local:r{state.index}")
+        _, node, macs, what = self._chains[client][1]
+        yield partial(self.leg_compute, node, macs, f"{what}:r{state.index}")
         return staged, "fl"
 
     def _local_training(self, client: str, rnd: int) -> dict:
@@ -871,8 +892,6 @@ class _FlRunner(_RunnerBase):
         _TRAIN_GROUP clients at a time."""
         sess = self.session
         model = self.model
-        macs = sess.local_iterations * costs.training_macs(
-            model.widths, self.config.batch_size)
         out = {}
         for first in range(0, len(clients), _TRAIN_GROUP):
             group = clients[first:first + _TRAIN_GROUP]
@@ -890,7 +909,7 @@ class _FlRunner(_RunnerBase):
                 delta = mlp.ParamDelta(widths=model.widths, weights=[d[k] for d in dw],
                                        biases=[d[k] for d in db], sample_count=shard.size)
                 out[client] = {"delta": delta, "losses": losses[k].tolist(),
-                               "macs": macs, "n": shard.size}
+                               "n": shard.size}
         return out
 
     def _local_trainers(self, participants: list[str]) -> list[str]:
@@ -956,9 +975,8 @@ class _FlRunner(_RunnerBase):
         total_n = sum(staged["n"] for _, staged in state.arrivals)
         state.loss = sum(staged["n"] * float(np.mean(staged["losses"]))
                          for _, staged in state.arrivals) / total_n
-        macs = costs.aggregation_macs(len(deltas), self.model.param_count)
-        yield lambda done, fail: self.leg_compute(self.session.server, macs,
-                                                  f"aggregate:r{state.index}", done)
+        _, node, macs, what = self.plan.aggregate(len(deltas))
+        yield lambda done, fail: self.leg_compute(node, macs, f"{what}:r{state.index}", done)
         self.model = mlp.apply_delta(self.model, mlp.fed_avg(deltas))
         yield from self._end(state, "round")
 

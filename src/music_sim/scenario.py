@@ -270,7 +270,7 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
                          for i, b in enumerate(section.get("boundaries", []))),
         relay=RELAY_ALIASES[relay],
         dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope"),
-        round_deadline=(math.inf if deadline is None
+        round_deadline=(math.inf if deadline is None or deadline == math.inf
                         else real(deadline, "protocol.round_deadline", 0)),
     )
     if not settings.clients:
@@ -294,13 +294,14 @@ def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
                               "placement.min_compute_rate"),
         min_channel_gain=real(section.get("min_channel_gain", 0.0),
                               "placement.min_channel_gain"),
-        max_channel_variance=real(section.get("max_channel_variance", math.inf),
-                                  "placement.max_channel_variance"),
+        max_channel_variance=(real(section["max_channel_variance"],
+                                   "placement.max_channel_variance")
+                              if "max_channel_variance" in section else math.inf),
         require_immobile=boolean(section.get("require_immobile", False),
                                  "placement.require_immobile"),
         pool_size=integral(section.get("pool_size", 16), "placement.pool_size", 1),
     )
-    return policy, (math.inf if deadline is None
+    return policy, (math.inf if deadline is None or deadline == math.inf
                     else real(deadline, "placement.latency_deadline"))
 
 

@@ -7,10 +7,10 @@ around a master: slaves sit one hop below and never master a group themselves.
 
 from __future__ import annotations
 
-import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from math import isfinite
 
 from .errors import (
     CrossApD2dGroup,
@@ -19,8 +19,6 @@ from .errors import (
     ScenarioSchemaError,
     UnknownNodeReference,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class Tier(IntEnum):
@@ -34,9 +32,6 @@ class Tier(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-
-SERVER_TIERS = (Tier.CLOUD, Tier.FOG, Tier.EDGE)
 
 
 @dataclass(frozen=True)
@@ -191,10 +186,10 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def real(value, where: str, minimum: float | None = None) -> float:
-    """A number read from a scenario document, at least `minimum` if given.
-    A string, a bool, null, NaN or an integer too large for a float is an
-    error, never cast."""
-    if ((type(value) is float and value == value)
+    """A finite number read from a scenario document, at least `minimum` if
+    given. A string, a bool, null, NaN, an infinity or an integer too large
+    for a float is an error, never cast."""
+    if ((type(value) is float and isfinite(value))
             or (type(value) is int and -_FLOAT_MAX <= value <= _FLOAT_MAX)):
         if minimum is None or value >= minimum:
             return float(value)

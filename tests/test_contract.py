@@ -244,3 +244,56 @@ def test_a_negative_radio_energy_per_bit_is_refused(tmp_path, key):
     path.write_text(json.dumps(doc))
     code, out = _cli("validate", "--scenario", str(path))
     assert code == EXIT_INVALID and out.startswith(f"error [schema]: radio.{key} must be >= 0")
+
+
+def _block_bandwidth(doc):
+    return doc["radio"]["cells"]["ap0"], "block_bandwidth"
+
+
+def _cycles_per_mac(doc):
+    return doc["ml"], "cycles_per_mac"
+
+
+def _learning_rate(doc):
+    return doc["ml"], "learning_rate"
+
+
+@pytest.mark.parametrize("holder_of", [_block_bandwidth, _cycles_per_mac, _learning_rate])
+def test_an_infinite_field_fails_validation(tmp_path, holder_of):
+    """Python's json reads `Infinity`; these fields once passed `validate`
+    with it, and an infinite block bandwidth then aborted the run."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    holder, key = holder_of(doc)
+    holder[key] = float("inf")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert "Infinity" in path.read_text()
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID and out.startswith("error [schema]: ") and key in out, out
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+def test_a_real_field_refuses_infinity(tmp_path, name):
+    """±Infinity in each real field of a bundled document is a `[schema]`
+    error naming the field, like NaN; in the two deadlines, +Infinity means
+    no deadline, as null does."""
+    path = tmp_path / "scenario.json"
+    # every real field gets the string "fast" once; the flags never do
+    fields = [(field, key) for field, key, bad in _bad_field_values(BASE[name][0])
+              if bad == "fast"]
+    assert len(fields) > 20
+    for field, key in fields:
+        for bad in (float("inf"), float("-inf")):
+            doc = json.loads(json.dumps(BASE[name][0]))
+            holder = doc
+            for step in field[:-1]:
+                holder = holder[step]
+            holder[field[-1]] = bad
+            path.write_text(json.dumps(doc))
+            code, out = _cli("validate", "--scenario", str(path))
+            if bad > 0 and key in _NULL_MEANS_NONE:
+                assert code == EXIT_OK, (field, bad, out)
+            else:
+                assert code == EXIT_INVALID and out.startswith("error [schema]: "), \
+                    (field, bad, out)
+                assert key.removesuffix("s") in out, (field, bad, out)

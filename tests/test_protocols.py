@@ -143,6 +143,21 @@ def test_fl_round_deadline_discards_stragglers():
     assert trace.records[0].dropouts == []
 
 
+def test_fl_aggregation_is_sized_by_the_deltas_that_arrived():
+    """The deadline leaves 2 of 3 deltas, so the server averages 2, not the
+    3 clients the placement estimate sizes its aggregation by."""
+    doc = star_doc(3)
+    doc["nodes"]["ue"][0]["compute_rate"] = 1e5
+    topo = build_topology(doc)
+    sess = _fl_session(["ue0", "ue1", "ue2"], blob_data(3), rounds=1, local_iters=1,
+                       round_deadline=0.05)
+    trace = run_fl(sess, topo, simple_radio(), Engine(seed=0))
+    ap0 = topo.servers["ap0"]
+    _, energy = costs.compute_cost(costs.aggregation_macs(2, sess.model.param_count), 1.0,
+                                   ap0.compute_rate, ap0.energy_per_cycle)
+    assert trace.records[0].compute_energy["ap0"] == energy == pytest.approx(3.2e-07)
+
+
 def test_fl_all_clients_dead_aborts_with_partial_trace():
     topo = star_topology(2, battery=1e-12)  # cannot afford even the downlink
     sess = _fl_session(["ue0", "ue1"], blob_data(2), rounds=2)
