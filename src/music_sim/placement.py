@@ -171,7 +171,6 @@ class _Estimator:
     def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
                  clients: list[str]):
         self.task = plan.task
-        self.topo = topo
         self.legs = LegCosts(topo, radio, plan.ma_scheme, plan.task.cycles_per_mac)
         self.legs.assign_slots(clients)
         self.blocks = BlockLedger()
@@ -191,47 +190,26 @@ class _Estimator:
 
     def walk(self, legs: tuple, t: float) -> float:
         """Carry ready time `t` through leg tuples (see `protocols.route`);
-        returns the time the last one ends."""
+        returns the time the last one ends. A hop is billed as
+        `LegCosts.hop` says, and an uplink waits for its blocks; every
+        uplink shares one context, so NOMA rates are computed once per
+        estimate."""
         for leg in legs:
-            t = _WALKERS[leg[0]](self, leg, t)
+            if leg[0] == "compute":
+                t += self.compute(leg[1], leg[2])
+                continue
+            sender, receiver, latency, tx, rx, blocks, tag = self.legs.hop(leg)
+            self.add(sender, "tx", tx)
+            self.add(receiver, "rx", rx)
+            if blocks:
+                t = self.blocks.book(receiver, blocks, t, latency, sender, tag)
+            t += latency
         return t
-
-    # One walker per leg kind (see `_WALKERS`): the sender of a hop pays its
-    # transmit energy, the receiver its receive energy. Uplinks wait for their
-    # blocks and share one context, so NOMA rates are computed once per
-    # estimate.
-
-    def _walk_compute(self, leg, t: float) -> float:
-        return t + self.compute(leg[1], leg[2])
-
-    def _walk_up(self, leg, t: float) -> float:
-        ue, ap = leg[1], self.topo.ues[leg[1]].attached_ap
-        blocks, tag, latency, tx, rx = self.legs.up(ue, leg[2], "")
-        self.add(ue, "tx", tx)
-        self.add(ap, "rx", rx)
-        return self.blocks.book(ap, blocks, t, latency, ue, tag) + latency
-
-    def _walk_down(self, leg, t: float) -> float:
-        latency, tx, rx = self.legs.down(leg[2])
-        self.add(self.topo.ues[leg[1]].attached_ap, "tx", tx)
-        self.add(leg[1], "rx", rx)
-        return t + latency
-
-    def _walk_pipe(self, leg, t: float) -> float:
-        latency, tx, rx = self.legs.pipe(leg)
-        self.add(leg[1], "tx", tx)
-        self.add(leg[2], "rx", rx)
-        return t + latency
 
     def finish(self, wall_latency: float) -> CostEstimate:
         total = sum(sum(b.values()) for b in self.energy.values())
         return CostEstimate(total_energy=total, wall_latency=wall_latency,
                             breakdown=self.energy)
-
-
-_WALKERS = {"compute": _Estimator._walk_compute, "up": _Estimator._walk_up,
-            "down": _Estimator._walk_down, "backhaul": _Estimator._walk_pipe,
-            "d2d": _Estimator._walk_pipe}
 
 
 def _estimate_centralized(plan, topo, radio, clients: list[str]) -> CostEstimate:

@@ -191,19 +191,20 @@ class LegCosts:
     The runners charge what these methods return, and the placement
     estimator adds the same numbers up in closed form, so a plan's estimate
     and the executed cost of its schedule come from one set of formulas.
-    Transmission legs return (latency, sender joules, receiver joules); the
-    uplink also names the blocks it books and their shared tag.
+    `up`, `down`, `backhaul` and `d2d` price one transfer: (latency, sender
+    joules, receiver joules), the uplink also with the blocks it books and
+    their shared tag. `hop` is the one rule for who sends and who receives a
+    transfer leg, and so who pays which joules.
 
     `gain(ue_id, context)` is the channel gain of one uplink; by default the
     device's mean gain, which is what the estimator prices.
 
-    Each instance prices a distinct leg once: `compute`, `down`, `backhaul`
-    and `d2d` depend only on their arguments and the static topology and
-    radio, so their price tuples are kept by argument and handed out again.
-    An uplink is kept by `(ue_id, bits)` only at mean gain. A runner passes
-    its own `gain`, which draws a fresh fading sample per context, so every
-    runner uplink is priced anew. A leg that cannot be priced raises, and
-    nothing is kept for it.
+    Each instance prices a distinct leg once: `compute` keeps its price by
+    argument, and `hop` by the leg tuple, since both depend only on it and
+    the static topology and radio. An uplink is kept only at mean gain. A
+    runner passes its own `gain`, which draws a fresh fading sample per
+    context, so every runner uplink is priced anew. A leg that cannot be
+    priced raises, and nothing is kept for it.
     """
 
     def __init__(self, topo: NetworkTopology, radio_env: RadioEnv,
@@ -214,13 +215,11 @@ class LegCosts:
         self.cycles_per_mac = cycles_per_mac
         self.gain = gain or (lambda ue_id, context: topo.ues[ue_id].channel_gain)
         self._noma = scheme.kind.noma
+        self._keep_up = gain is None
         self._slot: dict[str, int] = {}
         self._cluster_rates: dict[tuple, dict[str, float]] = {}
         self._compute: dict[tuple, tuple] = {}
-        self._down: dict[int, tuple] = {}
-        self._backhaul: dict[tuple, tuple] = {}
-        self._d2d: dict[tuple, tuple] = {}
-        self._up: dict[tuple, tuple] | None = {} if gain is None else None
+        self._hops: dict[tuple, tuple] = {}
 
     def assign_slots(self, ues) -> None:
         """Pin each device to a stable uplink block slot (first come, first
@@ -241,6 +240,28 @@ class LegCosts:
                 macs, self.cycles_per_mac, spec.compute_rate, spec.energy_per_cycle)
         return price
 
+    def hop(self, leg: tuple, context: str = "") -> tuple:
+        """(sender, receiver, latency, tx, rx, blocks, tag) of one transfer
+        leg (see `route`): the sender pays `tx` and the receiver `rx`. A
+        radio hop's other end is the device's access point, and only an
+        uplink books blocks. `context` names an uplink's random streams."""
+        price = self._hops.get(leg)
+        if price is None:
+            kind, a, b = leg[0], leg[1], leg[2]
+            if kind == "up":
+                blocks, tag, latency, tx, rx = self.up(a, b, context)
+                price = (a, self.topo.ues[a].attached_ap, latency, tx, rx, blocks, tag)
+                if not self._keep_up:
+                    return price
+            elif kind == "down":
+                price = (self.topo.ues[a].attached_ap, a, *self.down(b), (), None)
+            elif kind == "backhaul":
+                price = (a, b, *self.backhaul(a, b, leg[3]), (), None)
+            else:
+                price = (a, b, *self.d2d(a, b, leg[3]), (), None)
+            self._hops[leg] = price
+        return price
+
     def rx(self, bits: int) -> float:
         return self.radio.rx_energy_per_bit * bits
 
@@ -249,14 +270,6 @@ class LegCosts:
         point. Under a NOMA scheme a cluster member shares the cluster's
         blocks, tagged by the cluster, at its cancellation rate; any other
         device rides its orthogonal block slot alone."""
-        if self._up is None:
-            return self._price_up(ue_id, bits, context)
-        price = self._up.get((ue_id, bits))
-        if price is None:
-            price = self._up[ue_id, bits] = self._price_up(ue_id, bits, context)
-        return price
-
-    def _price_up(self, ue_id: str, bits: int, context: str):
         ue = self.topo.ues[ue_id]
         cluster = self.radio.cluster_of(ue_id) if self._noma else None
         if cluster is not None:
@@ -283,40 +296,23 @@ class LegCosts:
 
     def down(self, bits: int) -> tuple[float, float, float]:
         """Access point -> device at the fixed downlink rate."""
-        price = self._down.get(bits)
-        if price is None:
-            latency, energy = costs.pipe_cost(bits, self.radio.downlink_rate,
-                                              self.radio.downlink_energy_per_bit)
-            price = self._down[bits] = (latency, energy, self.rx(bits))
-        return price
+        latency, energy = costs.pipe_cost(bits, self.radio.downlink_rate,
+                                          self.radio.downlink_energy_per_bit)
+        return latency, energy, self.rx(bits)
 
     def backhaul(self, src: str, dst: str, bits: int) -> tuple[float, float, float]:
-        price = self._backhaul.get((src, dst, bits))
-        if price is None:
-            link = self.topo.link_between(src, dst)
-            if link is None:
-                raise MissingBackhaulLink(f"no backhaul link between {src!r} and {dst!r}")
-            latency, energy = costs.link_cost(bits, link)
-            price = self._backhaul[src, dst, bits] = (latency, energy, self.rx(bits))
-        return price
+        link = self.topo.link_between(src, dst)
+        if link is None:
+            raise MissingBackhaulLink(f"no backhaul link between {src!r} and {dst!r}")
+        latency, energy = costs.link_cost(bits, link)
+        return latency, energy, self.rx(bits)
 
     def d2d(self, src: str, dst: str, bits: int) -> tuple[float, float, float]:
-        price = self._d2d.get((src, dst, bits))
-        if price is None:
-            link = self.topo.d2d_link(src, dst)
-            if link is None:
-                raise MissingD2dLink(f"no D2D link between {src!r} and {dst!r}")
-            latency, energy = costs.pipe_cost(bits, link.rate, link.energy_per_bit)
-            price = self._d2d[src, dst, bits] = (latency, energy, self.rx(bits))
-        return price
-
-    def pipe(self, leg: tuple) -> tuple[float, float, float]:
-        """Price a ("backhaul" | "d2d", src, dst, bits, payload) hop by its
-        kind; any other kind raises."""
-        return _PIPES[leg[0]](self, leg[1], leg[2], leg[3])
-
-
-_PIPES = {"backhaul": LegCosts.backhaul, "d2d": LegCosts.d2d}
+        link = self.topo.d2d_link(src, dst)
+        if link is None:
+            raise MissingD2dLink(f"no D2D link between {src!r} and {dst!r}")
+        latency, energy = costs.pipe_cost(bits, link.rate, link.energy_per_bit)
+        return latency, energy, self.rx(bits)
 
 
 # Every transfer and computation is a leg, a plain tuple without an
@@ -550,6 +546,11 @@ def _join(processes: tuple, done, fail) -> None:
         _Process(process, returned, failed, None).resume()
 
 
+# each hop kind's event-detail prefix, and where its leg tuple names the payload
+_HOP_DETAIL = {"up": ("ul:", 3), "down": ("dl:", 3), "backhaul": ("bh:", 4),
+               "d2d": ("d2d:", 4)}
+
+
 class _RunnerBase:
     """Transmission/computation legs shared by all protocol runners, and the
     driver that runs a protocol's legs in order.
@@ -620,14 +621,9 @@ class _RunnerBase:
         """The leg that runs one leg tuple of iteration `index`. Its `what`
         gets `:i{index}` and an uplink's `ctx` the prefix `{tag}{index}`, so
         event details and random-stream names name the iteration."""
-        kind = leg[0]
-        if kind == "compute":
+        if leg[0] == "compute":
             return partial(self.leg_compute, leg[1], leg[2], f"{leg[3]}:i{index}")
-        if kind == "up":
-            return partial(self.leg_radio_up, leg[1], leg[2], leg[3], f"{tag}{index}{leg[4]}")
-        if kind == "down":
-            return partial(self.leg_radio_down, *leg[1:])
-        return partial(self.leg_pipe, leg)
+        return partial(self.leg_hop, leg, f"{tag}{index}{leg[4]}" if leg[0] == "up" else "")
 
     def _legs(self, legs: tuple, tag: str, index: int):
         """Process: run the leg tuples of iteration `index` in order."""
@@ -699,66 +695,43 @@ class _RunnerBase:
                if ue.channel_variance != 0.0 else None)
         return draw_channel_gain(ue, rng)
 
-    def leg_radio_up(self, ue_id: str, bits: int, payload: str, context: str,
-                     done, fail) -> None:
-        """One uplink transmission UE -> its access point."""
-        if self._outage(ue_id, context, fail):
+    def leg_hop(self, leg: tuple, context: str, done, fail) -> None:
+        """One transfer leg, priced and billed by `LegCosts.hop`: the sender
+        pays its transmit joules and the receiver its receive joules, and a
+        device end must afford its share when the hop starts. An uplink may
+        be lost to a channel outage and waits for its blocks; every other
+        hop starts at once."""
+        kind = leg[0]
+        if kind == "up" and self._outage(leg[1], context, fail):
             return
         try:
-            blocks, tag, latency, tx, rx = self.legs.up(ue_id, bits, context)
+            sender, receiver, latency, tx, rx, blocks, tag = self.legs.hop(leg, context)
         except ZeroRate:  # validation priced the mean gain; this fade carries no bits
-            self._refuse(ue_id, "channel outage", fail)
+            self._refuse(leg[1], "channel outage", fail)
             return
-        if not self._battery_ok(ue_id, tx, fail):
+        ues = self.topo.ues
+        if sender in ues and not self._battery_ok(sender, tx, fail):
             return
-        ap = self.topo.ues[ue_id].attached_ap
-        start = self.eng.blocks.book(ap, blocks, self.eng.clock, latency, ue_id, tag)
-        def finish():
-            self.eng.charge(ue_id, "tx", tx)
-            self.eng.debit_battery(ue_id, tx)
-            if rx > 0:
-                self.eng.charge(ap, "rx", rx)
-            self.bytes_up += bits // 8
-            done()
-        self.eng.schedule(start + latency, EventKind.TX_DONE, finish,
-                          node=ue_id, detail=f"ul:{payload}")
-
-    def leg_radio_down(self, ue_id: str, bits: int, payload: str, done, fail) -> None:
-        """One downlink transmission: access point -> UE at the fixed rate."""
-        ap = self.topo.ues[ue_id].attached_ap
-        latency, tx, rx = self.legs.down(bits)
-        if not self._battery_ok(ue_id, rx, fail):
+        if receiver in ues and not self._battery_ok(receiver, rx, fail):
             return
+        start = self.eng.clock
+        if blocks:
+            start = self.eng.blocks.book(receiver, blocks, start, latency, sender, tag)
         def finish():
             if tx > 0:
-                self.eng.charge(ap, "tx", tx)
+                self.eng.charge(sender, "tx", tx)
+                self.eng.debit_battery(sender, tx)
             if rx > 0:
-                self.eng.charge(ue_id, "rx", rx)
-                self.eng.debit_battery(ue_id, rx)
-            self.bytes_down += bits // 8
+                self.eng.charge(receiver, "rx", rx)
+                self.eng.debit_battery(receiver, rx)
+            if kind == "up":
+                self.bytes_up += leg[2] // 8
+            elif kind == "down":
+                self.bytes_down += leg[2] // 8
             done()
-        self.eng.schedule_after(latency, EventKind.TX_DONE, finish,
-                                node=ue_id, detail=f"dl:{payload}")
-
-    def leg_pipe(self, leg: tuple, done, fail) -> None:
-        """A ("backhaul" | "d2d", src, dst, bits, payload) hop over a fixed
-        pipe, priced by its kind; no access delay, no radio scheduler. Both
-        ends are checked and debited: a server always passes the check, and
-        debiting it does nothing."""
-        _, src, dst, _, payload = leg
-        latency, tx, rx = self.legs.pipe(leg)
-        if not (self._battery_ok(src, tx, fail) and self._battery_ok(dst, rx, fail)):
-            return
-        def finish():
-            if tx > 0:
-                self.eng.charge(src, "tx", tx)
-            self.eng.debit_battery(src, tx)
-            if rx > 0:
-                self.eng.charge(dst, "rx", rx)
-                self.eng.debit_battery(dst, rx)
-            done()
-        self.eng.schedule_after(latency, EventKind.TX_DONE, finish, node=src,
-                                detail=("bh:" if leg[0] == "backhaul" else "d2d:") + payload)
+        prefix, payload = _HOP_DETAIL[kind]
+        self.eng.schedule(start + latency, EventKind.TX_DONE, finish, node=leg[1],
+                          detail=prefix + leg[payload])
 
     # ---- metrics plumbing ----
 

@@ -22,7 +22,7 @@ from .errors import (
     UnknownNodeReference,
     ZeroRate,
 )
-from .topology import NetworkTopology, UeProfile, integral, real
+from .topology import NetworkTopology, UeProfile, identifiers, integral, real
 
 logger = logging.getLogger(__name__)
 
@@ -224,8 +224,8 @@ class RadioEnv:
             bw = real(cell["block_bandwidth"], f"cell {ap_id!r}: block_bandwidth")
             cells[ap_id] = tuple(ResourceBlock(i, bw) for i in range(count))
         clusters = []
-        for entry in doc.get("noma_clusters", []):
-            members = tuple(entry["members"])
+        for i, entry in enumerate(doc.get("noma_clusters", [])):
+            members = identifiers(entry["members"], f"radio.noma_clusters[{i}].members")
             powers = tuple(real(p, f"noma cluster {members}: power") for p in entry["powers"])
             if len(members) != len(powers):
                 raise ScenarioSchemaError("noma cluster: members and powers differ in length")

@@ -15,7 +15,7 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import costs, mlp
@@ -55,6 +55,7 @@ from .topology import (
     Tier,
     boolean,
     build_topology,
+    identifiers,
     integral,
     real,
     validate_layer_span,
@@ -258,7 +259,7 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
     settings = ProtocolSettings(
         kind=kind,
         server=section["server"],
-        clients=tuple(section["clients"]),
+        clients=identifiers(section["clients"], "protocol.clients"),
         scheme=section["scheme"],
         rounds=integral(section.get("rounds", 1), "protocol.rounds", 1),
         local_iterations=integral(section.get("local_iterations", 1),
@@ -269,7 +270,7 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
         boundaries=tuple(integral(b, f"protocol.boundaries[{i}]")
                          for i, b in enumerate(section.get("boundaries", []))),
         relay=RELAY_ALIASES[relay],
-        dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope"),
+        dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope", 0),
         round_deadline=(math.inf if deadline is None or deadline == math.inf
                         else real(deadline, "protocol.round_deadline", 0)),
     )
@@ -302,7 +303,7 @@ def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
         pool_size=integral(section.get("pool_size", 16), "placement.pool_size", 1),
     )
     return policy, (math.inf if deadline is None or deadline == math.inf
-                    else real(deadline, "placement.latency_deadline"))
+                    else real(deadline, "placement.latency_deadline", 0))
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -490,10 +491,7 @@ def _uplink_errors(cfg: ScenarioConfig, plan: TrainingPlan) -> list[tuple[str, s
     try:
         for c in cfg.protocol.clients:
             for leg in route(cfg.topo, c, server, bits, "delta"):
-                if leg[0] == "up":
-                    legs.up(c, bits, "")
-                else:
-                    legs.pipe(leg)
+                legs.hop(leg)
     except SimulationError as exc:
         return [(_constraint_name(exc), f"client {c!r} cannot reach server {server!r}: {exc}")]
     return []
@@ -609,10 +607,7 @@ def assemble(cfg: ScenarioConfig) -> Runtime:
             runtime.nested[c] = SlSession(
                 server=c, clients=list(group.slaves), variant="homogeneous",
                 iterations=proto.local_iterations, model=model, scheme=scheme,
-                config=TrainingConfig(lr=cfg.ml.learning_rate,
-                                      batch_size=cfg.ml.batch_size,
-                                      cycles_per_mac=cfg.ml.cycles_per_mac,
-                                      eval_every=0),
+                config=replace(config, eval_every=0),
                 data=data, cut_index=proto.cut_index,
                 dropout_slope=proto.dropout_slope,
             )

@@ -204,6 +204,14 @@ def boolean(value, where: str) -> bool:
     return value
 
 
+def identifiers(value, where: str) -> tuple[str, ...]:
+    """Node ids read from a scenario document: a JSON array of strings,
+    never an object's keys or a string's characters."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise ScenarioSchemaError(f"{where} must be an array of node ids, got {value!r}")
+    return tuple(value)
+
+
 def build_topology(doc: dict) -> NetworkTopology:
     """Build and validate a topology from a parsed scenario document.
 
@@ -326,9 +334,9 @@ def _build_d2d_groups(group_entries, ues):
     groups: list[D2dGroup] = []
     masters: set[str] = set()
     slaves: set[str] = set()
-    for entry in group_entries:
+    for i, entry in enumerate(group_entries):
         master = entry["master"]
-        group_slaves = tuple(entry["slaves"])
+        group_slaves = identifiers(entry["slaves"], f"d2d_groups[{i}].slaves")
         for member in (master,) + group_slaves:
             if member not in ues:
                 raise UnknownNodeReference(f"d2d group member {member!r} is not a device node")

@@ -246,6 +246,48 @@ def test_a_negative_radio_energy_per_bit_is_refused(tmp_path, key):
     assert code == EXIT_INVALID and out.startswith(f"error [schema]: radio.{key} must be >= 0")
 
 
+def _clients(doc):
+    return doc["protocol"], "clients", "protocol.clients"
+
+
+def _slaves(doc):
+    return doc["d2d_groups"][0], "slaves", "d2d_groups[0].slaves"
+
+
+def _members(doc):
+    return doc["radio"]["noma_clusters"][0], "members", "radio.noma_clusters[0].members"
+
+
+@pytest.mark.parametrize("name, holder_of", [("fl_edge", _clients),
+                                             ("fedsplit_nested", _slaves),
+                                             ("fl_edge", _members)])
+def test_an_id_list_must_be_an_array_of_strings(tmp_path, name, holder_of):
+    """An object once validated with its keys taken as the ids, and a string
+    was read one character at a time into a `[reference]` error."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    holder, key, field = holder_of(doc)
+    ids = holder[key]
+    path = tmp_path / "scenario.json"
+    for bad in ({i: k for k, i in enumerate(ids)}, ids[0], [ids[0], 1]):
+        holder[key] = bad
+        path.write_text(json.dumps(doc))
+        code, out = _cli("validate", "--scenario", str(path))
+        assert code == EXIT_INVALID and out.startswith(f"error [schema]: {field} "), (bad, out)
+
+
+@pytest.mark.parametrize("section, key", [("placement", "latency_deadline"),
+                                          ("protocol", "dropout_slope")])
+def test_a_negative_deadline_or_dropout_slope_is_refused(tmp_path, section, key):
+    """A negative placement deadline once validated and then made `plan`
+    exit 1 with no plan; a negative slope silently meant no outages."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc.setdefault(section, {})[key] = -0.5
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID and out.startswith(f"error [schema]: {section}.{key} must be >= 0")
+
+
 def _block_bandwidth(doc):
     return doc["radio"]["cells"]["ap0"], "block_bandwidth"
 

@@ -5,7 +5,11 @@ a `src/music_sim` module is loaded somewhere in `src/`, `tests/` or
 A top-level name counts as loaded where its own module loads it as a
 variable, and anywhere it is loaded as an attribute (`protocols.route`) or
 named in a `from ... import`. Dunder names are exempt, and so is
-`__init__.py`, whose imports are the package's API."""
+`__init__.py`, whose imports are the package's API.
+
+A method (a def in a class body) counts as used where it is loaded as an
+attribute, or named by a string in `perfbench/`, which is how the
+benchmark's tracer names the methods it wraps."""
 
 from __future__ import annotations
 
@@ -38,10 +42,19 @@ def _imported_or_attributes(tree: ast.AST) -> set[str]:
     return names
 
 
+def _sources(*dirs: str) -> list[Path]:
+    return [p for d in dirs for p in (ROOT / d).rglob("*.py")]
+
+
 def _loaded_from_anywhere() -> set[str]:
-    files = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    files = _sources("src", "tests", "perfbench")
     assert PACKAGE / "protocols.py" in files
     return set().union(*(_imported_or_attributes(_tree(p)) for p in files))
+
+
+def _strings(tree: ast.AST) -> set[str]:
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
 
 
 def _top_level_names(tree: ast.Module) -> list[str]:
@@ -86,3 +99,16 @@ def test_every_import_is_used_by_its_module():
         unused += [f"{path.stem}.{name}" for name in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def test_every_method_is_loaded_somewhere():
+    used = _loaded_from_anywhere().union(*(_strings(_tree(p)) for p in _sources("perfbench")))
+    dead = []
+    for path in MODULES:
+        for klass in ast.walk(_tree(path)):
+            if isinstance(klass, ast.ClassDef):
+                dead += [f"{path.stem}.{klass.name}.{node.name}" for node in klass.body
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                         and not (node.name.startswith("__") and node.name.endswith("__"))
+                         and node.name not in used]
+    assert dead == []

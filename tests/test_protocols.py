@@ -375,6 +375,53 @@ def test_route_hops_chain_from_source_to_destination(src, dst, bits):
     assert all(leg[4] == ":ctx" for leg in legs if leg[0] == "up")
 
 
+def _two_cell_costs(kind: SchemeKind) -> LegCosts:
+    """Mean-gain prices over `_TWO_CELL`, with a NOMA pair ue1+ue2 on ap0's
+    blocks 1-2."""
+    cells = simple_radio(aps=("ap0", "ap1")).cells
+    radio = simple_radio(aps=("ap0", "ap1"), clusters=[
+        NomaCluster(members=(("ue1", 0.2), ("ue2", 0.1)), blocks=cells["ap0"][1:3])])
+    legs = LegCosts(_TWO_CELL, radio, _scheme(kind), 1.5)
+    legs.assign_slots(sorted(_TWO_CELL.ues))
+    return legs
+
+
+_TWO_CELL_NODES = sorted(_TWO_CELL.servers) + sorted(_TWO_CELL.ues)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(list(SchemeKind)),
+       transfers=st.lists(st.tuples(st.sampled_from(_TWO_CELL_NODES),
+                                    st.sampled_from(_TWO_CELL_NODES),
+                                    st.integers(min_value=0, max_value=10**9)),
+                          min_size=1, max_size=6))
+def test_hop_senders_and_receivers_chain_each_route(kind, transfers):
+    """`LegCosts.hop` names who sends and who receives each hop, and those
+    ends chain every route from its source to its destination; only an
+    uplink books blocks. An instance at mean gain hands out, on every
+    repeat, what a fresh instance prices, and a hop with no link raises
+    every time."""
+    memo = _two_cell_costs(kind)
+    for src, dst, bits in transfers + transfers:
+        if src == dst:
+            continue
+        at = src
+        for leg in route(_TWO_CELL, src, dst, bits, "model", ":ctx"):
+            try:
+                want = _two_cell_costs(kind).hop(leg)
+            except (MissingBackhaulLink, MissingD2dLink) as exc:
+                with pytest.raises(type(exc)):
+                    memo.hop(leg)
+                break
+            got = memo.hop(leg)
+            assert got == want and repr(got) == repr(want), leg
+            sender, receiver, _, _, _, blocks, _ = got
+            assert sender == at and bool(blocks) == (leg[0] == "up"), leg
+            at = receiver
+        else:
+            assert at == dst
+
+
 def test_homo_failed_client_retries_with_next_in_order():
     topo = star_topology(3)
     radio = simple_radio()
