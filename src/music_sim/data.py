@@ -4,7 +4,8 @@ Every shard is drawn from its own substream keyed by the owning node id, so a
 device's local data does not depend on which other devices exist or on
 iteration order. Batches cycle through the shard without reshuffling, which
 keeps repeated runs and split-vs-central comparisons sample-for-sample
-identical.
+identical. A bundle keeps every shard's rows in one pair of flat arrays, each
+shard a view into them, so many shards' batches are gathered with one index.
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import numpy as np
 from .errors import EmptyInput
 
 
+def cyclic_rows(size, iteration: int, batch_size: int) -> np.ndarray:
+    """Row indices, within a shard of `size` rows, of its cyclic minibatch
+    `iteration` (0-based). `size` may be a (K, 1) array, which gives K
+    shards' rows as one (K, batch_size) index."""
+    return (np.arange(batch_size) + iteration * batch_size) % size
+
+
 @dataclass
 class Shard:
     """One node's local dataset."""
@@ -24,6 +32,7 @@ class Shard:
     owner: str
     x: np.ndarray       # (n, input_dim)
     labels: np.ndarray  # (n,) ints
+    offset: int = 0     # first row of `x` in its bundle's flat arrays
 
     @property
     def size(self) -> int:
@@ -33,7 +42,7 @@ class Shard:
         """Cyclic minibatch for the given 0-based iteration."""
         if self.size == 0:
             raise EmptyInput(f"shard of {self.owner!r} is empty")
-        idx = (np.arange(batch_size) + iteration * batch_size) % self.size
+        idx = cyclic_rows(self.size, iteration, batch_size)
         return self.x[idx], self.labels[idx]
 
 
@@ -44,12 +53,31 @@ class DataBundle:
     test_labels: np.ndarray
     input_dim: int
     n_classes: int
+    x: np.ndarray       # every shard's rows, shard after shard
+    labels: np.ndarray
 
     def shard_of(self, node_id: str) -> Shard:
         try:
             return self.shards[node_id]
         except KeyError:
             raise EmptyInput(f"no data shard for node {node_id!r}") from None
+
+    def stacked_batches(self, owners, iterations, batch_size: int):
+        """For each of `iterations`, every owner's `batch(iteration,
+        batch_size)` stacked in owner order: a (K, batch_size, input_dim)
+        input array and a (K, batch_size) label array, each gathered from
+        the flat arrays with one index."""
+        shards = [self.shard_of(owner) for owner in owners]
+        for shard in shards:
+            if shard.size == 0:
+                raise EmptyInput(f"shard of {shard.owner!r} is empty")
+        offsets = np.array([shard.offset for shard in shards])[:, None]
+        sizes = np.array([shard.size for shard in shards])[:, None]
+        steps = []
+        for iteration in iterations:
+            rows = offsets + cyclic_rows(sizes, iteration, batch_size)
+            steps.append((self.x[rows], self.labels[rows]))
+        return steps
 
 
 def _substream(base_seed: int, label: str) -> np.random.Generator:
@@ -76,13 +104,20 @@ def make_blobs(input_dim: int, n_classes: int, shard_sizes: dict[str, int],
         x = centers[labels] + noise * rng.standard_normal((count, input_dim))
         return x, labels
 
+    sizes = {owner: int(size) for owner, size in shard_sizes.items()}
+    total = sum(sizes.values())
+    x, labels = np.empty((total, input_dim)), np.empty(total, dtype=np.int64)
     shards = {}
-    for owner, size in shard_sizes.items():
-        x, labels = draw(_substream(seed, f"shard:{owner}"), int(size))
-        shards[owner] = Shard(owner=owner, x=x, labels=labels)
+    offset = 0
+    for owner, size in sizes.items():
+        end = offset + size
+        x[offset:end], labels[offset:end] = draw(_substream(seed, f"shard:{owner}"), size)
+        shards[owner] = Shard(owner=owner, x=x[offset:end], labels=labels[offset:end],
+                              offset=offset)
+        offset = end
     test_x, test_labels = draw(_substream(seed, "test"), int(test_size))
     return DataBundle(shards=shards, test_x=test_x, test_labels=test_labels,
-                      input_dim=input_dim, n_classes=n_classes)
+                      input_dim=input_dim, n_classes=n_classes, x=x, labels=labels)
 
 
 def merged_shard(bundle: DataBundle, owners: list[str]) -> Shard:

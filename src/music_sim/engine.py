@@ -18,7 +18,7 @@ import heapq
 import itertools
 import json
 from enum import IntEnum
-from math import isfinite
+from math import isfinite, ulp
 from operator import itemgetter
 from typing import Callable
 
@@ -59,6 +59,117 @@ class RngStreams:
 
 
 _start_of = itemgetter(0)
+_SHORT_QUEUE = 8  # a block with at most this many live reservations is scanned whole
+
+
+def _scan(held, start: float, duration: float, shared_tag: str | None) -> float:
+    """First fit in one pass over reservations sorted by start: the first
+    instant >= start at which `duration` overlaps none of `held` but those
+    sharing `shared_tag`."""
+    for held_start, held_end, tag in held:
+        if held_start >= start + duration:
+            break  # sorted by start: neither this nor any later one overlaps
+        if start < held_end and (shared_tag is None or tag != shared_tag):
+            start = held_end
+    return start
+
+
+class _Block:
+    """One block's live reservations, indexed for first fit.
+
+    `live` holds every reservation as (start, end, shared_tag), sorted by
+    start. The untagged ones are also merged into disjoint runs (`starts`,
+    `ends`; touching bookings share a run), so a first fit skips a whole
+    back-to-back queue with one bisect; the tagged ones, a cluster's few,
+    are also kept apart in `tagged` and scanned. Reservations are dropped
+    from the front of each list once they have ended."""
+
+    __slots__ = ("live", "starts", "ends", "tagged", "horizon")
+
+    def __init__(self):
+        self.live: list[tuple[float, float, str | None]] = []
+        self.starts: list[float] = []
+        self.ends: list[float] = []
+        self.tagged: list[tuple[float, float, str | None]] = []
+        self.horizon = float("-inf")  # the latest end of any reservation
+
+    def clear(self) -> None:
+        self.live.clear()
+        self.tagged.clear()
+        self.starts.clear()
+        self.ends.clear()
+
+    def drop_finished(self, now: float) -> None:
+        """Drop the reservations that ended by `now` from the front of each
+        list. Some reservation is still live."""
+        if self.live[0][1] <= now:
+            _drop_front(self.live, now)
+        tagged = self.tagged
+        if tagged and tagged[0][1] <= now:
+            _drop_front(tagged, now)
+        ends = self.ends
+        if ends and ends[0] <= now:
+            done = bisect.bisect_right(ends, now)
+            del self.starts[:done], ends[:done]
+
+    def first_fit(self, start: float, duration: float, shared_tag: str | None) -> float:
+        """The first instant >= start at which the block is free for
+        `duration` to a holder of `shared_tag`."""
+        starts, ends = self.starts, self.ends
+        if len(self.live) <= _SHORT_QUEUE or duration < ulp(ends[-1] if ends else 0.0):
+            # a short queue is scanned whole; a booking too short to move
+            # `start` can fit where two bookings of a run touch, which the
+            # runs do not record
+            return _scan(self.live, start, duration, shared_tag)
+        while True:
+            run = bisect.bisect_right(ends, start)  # the first run ending after start
+            while run < len(starts) and starts[run] < start + duration:
+                start = ends[run]
+                run += 1
+            fit = _scan(self.tagged, start, duration, shared_tag) if self.tagged else start
+            if fit == start:
+                return start
+            start = fit
+
+    def add(self, start: float, end: float, shared_tag: str | None) -> None:
+        if end > self.horizon:
+            self.horizon = end
+        held = (start, end, shared_tag)
+        live = self.live
+        if not live or live[-1][0] <= start:
+            live.append(held)
+        else:
+            bisect.insort_right(live, held, key=_start_of)
+        if shared_tag is not None:
+            tagged = self.tagged
+            if not tagged or tagged[-1][0] <= start:
+                tagged.append(held)
+            else:
+                bisect.insort_right(tagged, held, key=_start_of)
+            return
+        starts, ends = self.starts, self.ends
+        if not ends or ends[-1] < start:
+            starts.append(start)
+            ends.append(end)
+        elif starts[-1] <= start:
+            ends[-1] = max(ends[-1], end)
+        else:
+            # merge with every run it overlaps or touches
+            first = bisect.bisect_left(ends, start)
+            last = bisect.bisect_right(starts, end)
+            if first < last:
+                start, end = min(start, starts[first]), max(end, ends[last - 1])
+            starts[first:last] = (start,)
+            ends[first:last] = (end,)
+
+
+def _drop_front(held: list, now: float) -> None:
+    """Drop the reservations at the front of `held` that ended by `now`."""
+    done = 0
+    while done < len(held) and held[done][1] <= now:
+        done += 1
+    if done:
+        del held[:done]
 
 
 class BlockLedger:
@@ -69,11 +180,13 @@ class BlockLedger:
 
     Requests arrive in non-decreasing `earliest` order (the engine clock, or
     the placement estimator's ready times), so a reservation that ended at or
-    before a request can never overlap a later one and is dropped. Each block
-    keeps its live reservations as (start, end, shared_tag) sorted by start.
+    before a request can never overlap a later one. `_held` maps each block to
+    its live reservations as (start, end, shared_tag) sorted by start; those
+    at its front that have ended are dropped at each request.
     """
 
     def __init__(self):
+        self._blocks: dict[tuple[str, int], _Block] = {}
         self._held: dict[tuple[str, int], list[tuple[float, float, str | None]]] = {}
         self._last_request = float("-inf")
 
@@ -89,24 +202,17 @@ class BlockLedger:
                 f"{owner!r} asked for block {block_index} of {ap_id!r} from {earliest} "
                 f"after a request from {self._last_request}")
         self._last_request = earliest
-        live = self._held.setdefault((ap_id, block_index), [])
+        block = self._blocks.get((ap_id, block_index))
+        if block is None:
+            block = self._blocks[ap_id, block_index] = _Block()
+            self._held[ap_id, block_index] = block.live
         start = earliest if not_before is None else not_before
-        kept = []
-        scanned = len(live)
-        for i, held in enumerate(live):
-            held_start, held_end, tag = held
-            if held_start >= start + duration:
-                # sorted by start: neither this nor any later one overlaps
-                scanned = i
-                break
-            if held_end <= earliest:
-                continue  # finished
-            kept.append(held)
-            if start < held_end and (shared_tag is None or tag != shared_tag):
-                start = held_end
-        if len(kept) != scanned:
-            live[:scanned] = kept
-        bisect.insort_right(live, (start, start + duration, shared_tag), key=_start_of)
+        if earliest < block.horizon:
+            block.drop_finished(earliest)
+            start = block.first_fit(start, duration, shared_tag)
+        elif block.live:
+            block.clear()  # every reservation has ended
+        block.add(start, start + duration, shared_tag)
         return start
 
     def book(self, ap_id: str, blocks, earliest: float, duration: float, owner: str,
@@ -131,12 +237,8 @@ class BlockLedger:
     def _first_free(self, ap_id: str, block_index: int, start: float, duration: float,
                     shared_tag: str | None) -> float:
         """The block's first free instant >= start, booking nothing."""
-        for held_start, held_end, tag in self._held.get((ap_id, block_index), ()):
-            if held_start >= start + duration:
-                break
-            if start < held_end and (shared_tag is None or tag != shared_tag):
-                start = held_end
-        return start
+        block = self._blocks.get((ap_id, block_index))
+        return start if block is None else block.first_fit(start, duration, shared_tag)
 
 
 class Engine:

@@ -425,7 +425,11 @@ def fed_avg(deltas: list[ParamDelta]) -> ParamDelta:
     """Sample-count-weighted elementwise mean of parameter deltas.
 
     Computed as first + sum(c_i * (delta_i - first)), which is the same
-    weighted mean but returns identical inputs exactly unchanged.
+    weighted mean but returns identical inputs exactly unchanged. Each layer
+    is stacked once and every term computed in one array operation; the
+    terms are then added one after another in arrival order, as
+    `np.add.accumulate` does, so the sum is bit-identical to a loop over the
+    deltas. (`np.add.reduce` may sum pairwise, and is not.)
     """
     if not deltas:
         raise EmptyInput("nothing to aggregate")
@@ -437,15 +441,21 @@ def fed_avg(deltas: list[ParamDelta]) -> ParamDelta:
     total = float(sum(d.sample_count for d in deltas))
     if total <= 0:
         raise EmptyInput("all sample counts are zero")
-    base = deltas[0]
-    weights = [w.copy() for w in base.weights]
-    biases = [b.copy() for b in base.biases]
-    for d in deltas[1:]:
-        c = d.sample_count / total
-        for l in range(len(weights)):
-            weights[l] += c * (d.weights[l] - base.weights[l])
-            biases[l] += c * (d.biases[l] - base.biases[l])
-    return ParamDelta(widths=widths, weights=weights, biases=biases,
+    shares = np.array([d.sample_count / total for d in deltas[1:]])
+
+    def fold(layers: list[np.ndarray]) -> np.ndarray:
+        stack = np.stack(layers)
+        terms = stack[1:]
+        terms -= stack[0]
+        terms *= shares.reshape((-1,) + (1,) * (stack.ndim - 1))
+        np.add.accumulate(stack, axis=0, out=stack)
+        return stack[-1].copy()
+
+    return ParamDelta(widths=widths,
+                      weights=[fold([d.weights[l] for d in deltas])
+                               for l in range(len(deltas[0].weights))],
+                      biases=[fold([d.biases[l] for d in deltas])
+                              for l in range(len(deltas[0].biases))],
                       sample_count=int(total))
 
 

@@ -869,12 +869,9 @@ class _FlRunner(_RunnerBase):
         for first in range(0, len(clients), _TRAIN_GROUP):
             group = clients[first:first + _TRAIN_GROUP]
             shards = [sess.data.shard_of(c) for c in group]
-            steps = []
-            for it in range(sess.local_iterations):
-                batches = [shard.batch(rnd * sess.local_iterations + it,
-                                       self.config.batch_size) for shard in shards]
-                steps.append((np.stack([x for x, _ in batches]),
-                              np.stack([labels for _, labels in batches])))
+            steps = sess.data.stacked_batches(group, range(rnd * sess.local_iterations,
+                                                           (rnd + 1) * sess.local_iterations),
+                                              self.config.batch_size)
             weights, biases, losses = mlp.sgd_clients(model, steps, self.config.lr)
             dw = [w - w0 for w, w0 in zip(weights, model.weights)]
             db = [b - b0 for b, b0 in zip(biases, model.biases)]
@@ -945,9 +942,10 @@ class _FlRunner(_RunnerBase):
 
     def _aggregate(self, state: _FlRound):
         deltas = [staged["delta"] for _, staged in state.arrivals]
-        total_n = sum(staged["n"] for _, staged in state.arrivals)
-        state.loss = sum(staged["n"] * float(np.mean(staged["losses"]))
-                         for _, staged in state.arrivals) / total_n
+        counts = [staged["n"] for _, staged in state.arrivals]
+        # every arrival ran local_iterations steps, so its losses form one row
+        means = np.mean([staged["losses"] for _, staged in state.arrivals], axis=1)
+        state.loss = sum(n * mean for n, mean in zip(counts, means.tolist())) / sum(counts)
         _, node, macs, what = self.plan.aggregate(len(deltas))
         yield lambda done, fail: self.leg_compute(node, macs, f"{what}:r{state.index}", done)
         self.model = mlp.apply_delta(self.model, mlp.fed_avg(deltas))

@@ -55,6 +55,7 @@ from .topology import (
     Tier,
     boolean,
     build_topology,
+    identifier,
     identifiers,
     integral,
     real,
@@ -258,7 +259,7 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
     deadline = section.get("round_deadline")
     settings = ProtocolSettings(
         kind=kind,
-        server=section["server"],
+        server=identifier(section["server"], "protocol.server"),
         clients=identifiers(section["clients"], "protocol.clients"),
         scheme=section["scheme"],
         rounds=integral(section.get("rounds", 1), "protocol.rounds", 1),

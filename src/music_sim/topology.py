@@ -204,6 +204,14 @@ def boolean(value, where: str) -> bool:
     return value
 
 
+def identifier(value, where: str) -> str:
+    """One node id read from a scenario document: a JSON string, never an
+    array, an object or a number."""
+    if type(value) is not str:
+        raise ScenarioSchemaError(f"{where} must be a node id, got {value!r}")
+    return value
+
+
 def identifiers(value, where: str) -> tuple[str, ...]:
     """Node ids read from a scenario document: a JSON array of strings,
     never an object's keys or a string's characters."""
@@ -242,7 +250,8 @@ def build_topology(doc: dict) -> NetworkTopology:
                     tier=tier,
                     compute_rate=real(entry["compute_rate"], "compute_rate"),
                     energy_per_cycle=real(entry["energy_per_cycle"], "energy_per_cycle", 0),
-                    parent=entry.get("parent"),
+                    parent=(None if entry.get("parent") is None
+                            else identifier(entry["parent"], "parent")),
                 )
             except ScenarioSchemaError as exc:
                 raise ScenarioSchemaError(f"{entry['id']}: {exc}") from None
@@ -258,7 +267,7 @@ def build_topology(doc: dict) -> NetworkTopology:
                 channel_gain=real(entry["channel_gain"], "channel_gain"),
                 channel_variance=real(entry.get("channel_variance", 0.0), "channel_variance", 0),
                 mobile=boolean(entry.get("mobile", False), "mobile"),
-                attached_ap=entry["attached_ap"],
+                attached_ap=identifier(entry["attached_ap"], "attached_ap"),
                 dataset_size=integral(entry["dataset_size"], "dataset_size", 0),
             )
         except ScenarioSchemaError as exc:
@@ -309,8 +318,9 @@ def _check_hierarchy(servers, ues):
 
 def _build_links(link_entries, servers):
     links: dict[tuple[str, str], LinkSpec] = {}
-    for entry in link_entries:
-        src, dst = entry["src"], entry["dst"]
+    for i, entry in enumerate(link_entries):
+        src = identifier(entry["src"], f"links[{i}].src")
+        dst = identifier(entry["dst"], f"links[{i}].dst")
         for end in (src, dst):
             if end not in servers:
                 raise UnknownNodeReference(f"link endpoint {end!r} is not a server node")
@@ -335,7 +345,7 @@ def _build_d2d_groups(group_entries, ues):
     masters: set[str] = set()
     slaves: set[str] = set()
     for i, entry in enumerate(group_entries):
-        master = entry["master"]
+        master = identifier(entry["master"], f"d2d_groups[{i}].master")
         group_slaves = identifiers(entry["slaves"], f"d2d_groups[{i}].slaves")
         for member in (master,) + group_slaves:
             if member not in ues:

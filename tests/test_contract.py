@@ -275,6 +275,30 @@ def test_an_id_list_must_be_an_array_of_strings(tmp_path, name, holder_of):
         assert code == EXIT_INVALID and out.startswith(f"error [schema]: {field} "), (bad, out)
 
 
+@pytest.mark.parametrize("path, field", [
+    (("protocol", "server"), "protocol.server"),
+    (("nodes", "ue", 0, "attached_ap"), "attached_ap"),
+    (("nodes", "edge", 0, "parent"), "parent"),
+    (("links", 0, "src"), "links[0].src"),
+    (("links", 0, "dst"), "links[0].dst"),
+    (("d2d_groups", 0, "master"), "d2d_groups[0].master"),
+])
+def test_a_node_id_field_must_be_a_string(tmp_path, path, field):
+    """An array or an object here once crashed `validate` with `unhashable
+    type`, and a number passed on as an id."""
+    path_file = tmp_path / "scenario.json"
+    for bad in (["ap0"], {}, 7):
+        doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+        holder = doc
+        for step in path[:-1]:
+            holder = holder[step]
+        holder[path[-1]] = bad
+        path_file.write_text(json.dumps(doc))
+        code, out = _cli("validate", "--scenario", str(path_file))
+        assert code == EXIT_INVALID and out.startswith("error [schema]: "), (bad, out)
+        assert f"{field} must be a node id" in out, (bad, out)
+
+
 @pytest.mark.parametrize("section, key", [("placement", "latency_deadline"),
                                           ("protocol", "dropout_slope")])
 def test_a_negative_deadline_or_dropout_slope_is_refused(tmp_path, section, key):

@@ -77,3 +77,33 @@ def test_empty_shard_batch_rejected():
     empty = type(shard)(owner="x", x=shard.x[:0], labels=shard.labels[:0])
     with pytest.raises(EmptyInput):
         empty.batch(0, 4)
+
+
+def test_stacked_batches_equal_each_shards_own_batch():
+    """Shards of unequal sizes, some smaller than a batch, over iterations
+    that wrap around each shard: the one-index gather from the bundle's flat
+    arrays gives every shard's `batch` exactly, in owner order."""
+    sizes = {"ue0": 3, "ue1": 16, "ue2": 7, "ue3": 1, "ue4": 40}
+    bundle = make_blobs(5, 3, sizes, test_size=4, seed=9)
+    owners = ["ue2", "ue0", "ue4", "ue3", "ue1"]
+    iterations = range(12)
+    steps = bundle.stacked_batches(owners, iterations, 8)
+    assert len(steps) == len(iterations)
+    for it, (x, labels) in zip(iterations, steps):
+        assert x.shape == (len(owners), 8, 5) and labels.shape == (len(owners), 8)
+        for k, owner in enumerate(owners):
+            own_x, own_labels = bundle.shard_of(owner).batch(it, 8)
+            assert np.array_equal(x[k], own_x)
+            assert np.array_equal(labels[k], own_labels)
+
+
+def test_shards_are_views_into_the_bundles_flat_arrays():
+    bundle = make_blobs(4, 2, {"ue0": 5, "ue1": 0, "ue2": 3}, test_size=0, seed=3)
+    assert bundle.x.shape == (8, 4) and bundle.labels.shape == (8,)
+    for shard in bundle.shards.values():
+        rows = slice(shard.offset, shard.offset + shard.size)
+        assert shard.size == 0 or np.shares_memory(shard.x, bundle.x)
+        assert np.array_equal(shard.x, bundle.x[rows])
+        assert np.array_equal(shard.labels, bundle.labels[rows])
+    with pytest.raises(EmptyInput):
+        bundle.stacked_batches(["ue0", "ue1"], range(1), 4)

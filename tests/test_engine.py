@@ -1,5 +1,6 @@
 """Event loop determinism, battery semantics, ledgers, and seeded streams."""
 
+import copy
 import json
 import math
 
@@ -312,3 +313,59 @@ def test_block_ledger_grants_the_fixed_point_scans_start(requests, blocks):
         clock += gap
         args = ("ap0", block % blocks, clock, duration, f"ue{i}", tag)
         assert ledger.reserve(*args) == reference.reserve(*args)
+
+
+def _reference_book(reference, ap_id, blocks, earliest, duration, owner, tag):
+    """A booking over several blocks on the reference: the least start at
+    or after `earliest` that every block's fixed-point scan grants, found
+    on throwaway copies, then booked on each block."""
+    start = earliest
+    while True:
+        trial = copy.deepcopy(reference)
+        fit = max(trial.reserve(ap_id, b, start, duration, owner, tag) for b in blocks)
+        if fit == start:
+            break
+        start = fit
+    for b in blocks:
+        assert reference.reserve(ap_id, b, start, duration, owner, tag) == start
+    return start
+
+
+# one request: (gap after the previous one, what it books, duration, tag)
+_mixed_requests = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 1e-3, 0.02, 0.3]),
+              st.sampled_from(["queue", "queue", "other", "cluster"]),
+              st.one_of(st.floats(min_value=0.01, max_value=0.2),
+                        st.sampled_from([0.0, 1e-300, 0.05])),
+              st.sampled_from(["cluster:a", "cluster:b"])),
+    min_size=20, max_size=80)
+
+
+@settings(max_examples=40, deadline=None)
+@given(burst=st.lists(st.floats(min_value=0.01, max_value=0.2), min_size=1, max_size=6),
+       cluster_every=st.integers(min_value=5, max_value=60),
+       mixed=_mixed_requests)
+def test_a_long_queue_with_cluster_bookings_grants_the_fixed_point_scans_start(
+        burst, cluster_every, mixed):
+    """260 uplinks ask for block 0 at once, so they queue back to back over
+    200 deep, and every `cluster_every`-th of them is a cluster booking
+    blocks 0 and 1 together. Mixed requests follow as the queue drains from
+    the front: more of the queue, uplinks on block 1 alone, and clusters,
+    some with empty or vanishing durations. Every grant equals the
+    reference's."""
+    ledger, reference = BlockLedger(), _FixedPointLedger()
+    blocks = (ResourceBlock(0, 180e3), ResourceBlock(1, 180e3))
+    requests = [(0.0, "cluster" if i % cluster_every == cluster_every - 1 else "queue",
+                 burst[i % len(burst)], "cluster:a") for i in range(260)] + mixed
+    clock, deepest = 0.0, 0
+    for i, (gap, what, duration, tag) in enumerate(requests):
+        clock += gap
+        if what == "cluster":
+            granted = ledger.book("ap0", blocks, clock, duration, f"ue{i}", tag)
+            assert granted == _reference_book(reference, "ap0", (0, 1), clock, duration,
+                                              f"ue{i}", tag)
+        else:
+            args = ("ap0", 0 if what == "queue" else 1, clock, duration, f"ue{i}", None)
+            assert ledger.reserve(*args) == reference.reserve(*args)
+        deepest = max(deepest, len(ledger._held[("ap0", 0)]))
+    assert deepest > 200

@@ -277,6 +277,46 @@ def test_fed_avg_weighting_hand_value():
     assert merged.sample_count == 4
 
 
+def _sequential_fed_avg(deltas):
+    """`fed_avg` as a loop over the deltas in arrival order: the order of
+    additions the stacked fold must keep."""
+    total = float(sum(d.sample_count for d in deltas))
+    base = deltas[0]
+    weights = [w.copy() for w in base.weights]
+    biases = [b.copy() for b in base.biases]
+    for d in deltas[1:]:
+        c = d.sample_count / total
+        for l in range(len(weights)):
+            weights[l] += c * (d.weights[l] - base.weights[l])
+            biases[l] += c * (d.biases[l] - base.biases[l])
+    return weights, biases
+
+
+@settings(max_examples=60, deadline=None)
+@given(clients=st.integers(min_value=1, max_value=300),
+       widths=st.lists(st.sampled_from([1, 1, 2, 3, 7]), min_size=2, max_size=4),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       arrival=st.randoms(use_true_random=False))
+def test_fed_avg_equals_the_sequential_fold_bit_for_bit(clients, widths, seed, arrival):
+    """Any number of deltas, in any arrival order, over layers as narrow as
+    one unit: a pairwise or blocked sum (as `np.add.reduce` may do over a
+    stacked axis) differs in the last bits and fails here."""
+    rng = np.random.default_rng(seed)
+    widths = tuple(widths)
+    deltas = [mlp.ParamDelta(
+        widths=widths,
+        weights=[rng.standard_normal((a, b)) * 10.0 ** rng.integers(-6, 7)
+                 for a, b in zip(widths, widths[1:])],
+        biases=[rng.standard_normal(b) * 10.0 ** rng.integers(-6, 7) for b in widths[1:]],
+        sample_count=int(rng.integers(1, 100))) for _ in range(clients)]
+    arrival.shuffle(deltas)
+    merged = mlp.fed_avg(deltas)
+    weights, biases = _sequential_fed_avg(deltas)
+    assert all(np.array_equal(a, b) for a, b in zip(merged.weights, weights))
+    assert all(np.array_equal(a, b) for a, b in zip(merged.biases, biases))
+    assert merged.sample_count == sum(d.sample_count for d in deltas)
+
+
 def test_model_delta_and_apply_roundtrip():
     a = mlp.init_model((4, 5, 3), "ce", seed=0)
     b = mlp.init_model((4, 5, 3), "ce", seed=1)
