@@ -32,7 +32,6 @@ class Shard:
     owner: str
     x: np.ndarray       # (n, input_dim)
     labels: np.ndarray  # (n,) ints
-    offset: int = 0     # first row of `x` in its bundle's flat arrays
 
     @property
     def size(self) -> int:
@@ -55,6 +54,7 @@ class DataBundle:
     n_classes: int
     x: np.ndarray       # every shard's rows, shard after shard
     labels: np.ndarray
+    offsets: dict[str, int]  # each shard's first row in `x`
 
     def shard_of(self, node_id: str) -> Shard:
         try:
@@ -71,7 +71,7 @@ class DataBundle:
         for shard in shards:
             if shard.size == 0:
                 raise EmptyInput(f"shard of {shard.owner!r} is empty")
-        offsets = np.array([shard.offset for shard in shards])[:, None]
+        offsets = np.array([self.offsets[shard.owner] for shard in shards])[:, None]
         sizes = np.array([shard.size for shard in shards])[:, None]
         steps = []
         for iteration in iterations:
@@ -107,17 +107,18 @@ def make_blobs(input_dim: int, n_classes: int, shard_sizes: dict[str, int],
     sizes = {owner: int(size) for owner, size in shard_sizes.items()}
     total = sum(sizes.values())
     x, labels = np.empty((total, input_dim)), np.empty(total, dtype=np.int64)
-    shards = {}
+    shards, offsets = {}, {}
     offset = 0
     for owner, size in sizes.items():
         end = offset + size
         x[offset:end], labels[offset:end] = draw(_substream(seed, f"shard:{owner}"), size)
-        shards[owner] = Shard(owner=owner, x=x[offset:end], labels=labels[offset:end],
-                              offset=offset)
+        shards[owner] = Shard(owner=owner, x=x[offset:end], labels=labels[offset:end])
+        offsets[owner] = offset
         offset = end
     test_x, test_labels = draw(_substream(seed, "test"), int(test_size))
     return DataBundle(shards=shards, test_x=test_x, test_labels=test_labels,
-                      input_dim=input_dim, n_classes=n_classes, x=x, labels=labels)
+                      input_dim=input_dim, n_classes=n_classes, x=x, labels=labels,
+                      offsets=offsets)
 
 
 def merged_shard(bundle: DataBundle, owners: list[str]) -> Shard:

@@ -59,7 +59,6 @@ class RngStreams:
 
 
 _start_of = itemgetter(0)
-_SHORT_QUEUE = 8  # a block with at most this many live reservations is scanned whole
 
 
 def _scan(held, start: float, duration: float, shared_tag: str | None) -> float:
@@ -74,6 +73,23 @@ def _scan(held, start: float, duration: float, shared_tag: str | None) -> float:
     return start
 
 
+def _drop_finished(held: list, now: float, granted_end: float) -> None:
+    """Drop from `held` the reservations that ended by `now` among those a
+    one-pass first fit granting a booking up to `granted_end` reads: the
+    ones starting before `granted_end`. Only those starting by `now` can
+    have ended."""
+    if not held or held[0][1] > now and (len(held) == 1 or held[1][0] > now):
+        return  # only the first can have started by now, and it is live
+    scanned = finished = 0
+    for start, end, _ in held:
+        if start > now or start >= granted_end:
+            break
+        scanned += 1
+        finished += end <= now
+    if finished:
+        held[:scanned] = [reservation for reservation in held[:scanned] if reservation[1] > now]
+
+
 class _Block:
     """One block's live reservations, indexed for first fit.
 
@@ -81,8 +97,7 @@ class _Block:
     start. The untagged ones are also merged into disjoint runs (`starts`,
     `ends`; touching bookings share a run), so a first fit skips a whole
     back-to-back queue with one bisect; the tagged ones, a cluster's few,
-    are also kept apart in `tagged` and scanned. Reservations are dropped
-    from the front of each list once they have ended."""
+    are also kept apart in `tagged` and scanned."""
 
     __slots__ = ("live", "starts", "ends", "tagged", "horizon")
 
@@ -99,14 +114,12 @@ class _Block:
         self.starts.clear()
         self.ends.clear()
 
-    def drop_finished(self, now: float) -> None:
-        """Drop the reservations that ended by `now` from the front of each
-        list. Some reservation is still live."""
-        if self.live[0][1] <= now:
-            _drop_front(self.live, now)
-        tagged = self.tagged
-        if tagged and tagged[0][1] <= now:
-            _drop_front(tagged, now)
+    def drop_finished(self, now: float, granted_end: float) -> None:
+        """Drop the reservations that ended by `now` among those a first fit
+        granting a booking up to `granted_end` reads."""
+        _drop_finished(self.live, now, granted_end)
+        if self.tagged:
+            _drop_finished(self.tagged, now, granted_end)
         ends = self.ends
         if ends and ends[0] <= now:
             done = bisect.bisect_right(ends, now)
@@ -116,10 +129,10 @@ class _Block:
         """The first instant >= start at which the block is free for
         `duration` to a holder of `shared_tag`."""
         starts, ends = self.starts, self.ends
-        if len(self.live) <= _SHORT_QUEUE or duration < ulp(ends[-1] if ends else 0.0):
-            # a short queue is scanned whole; a booking too short to move
-            # `start` can fit where two bookings of a run touch, which the
-            # runs do not record
+        if not ends or duration < ulp(ends[-1]):
+            # with no runs, every reservation is tagged: one scan fits; a
+            # booking too short to move `start` can fit where two bookings
+            # of a run touch, which the runs do not record
             return _scan(self.live, start, duration, shared_tag)
         while True:
             run = bisect.bisect_right(ends, start)  # the first run ending after start
@@ -163,15 +176,6 @@ class _Block:
             ends[first:last] = (end,)
 
 
-def _drop_front(held: list, now: float) -> None:
-    """Drop the reservations at the front of `held` that ended by `now`."""
-    done = 0
-    while done < len(held) and held[done][1] <= now:
-        done += 1
-    if done:
-        del held[:done]
-
-
 class BlockLedger:
     """Time reservations on uplink resource blocks.
 
@@ -181,14 +185,17 @@ class BlockLedger:
     Requests arrive in non-decreasing `earliest` order (the engine clock, or
     the placement estimator's ready times), so a reservation that ended at or
     before a request can never overlap a later one. `_held` maps each block to
-    its live reservations as (start, end, shared_tag) sorted by start; those
-    at its front that have ended are dropped at each request.
+    its live reservations as (start, end, shared_tag) sorted by start; at each
+    request, those that ended among the ones its first fit reads are dropped.
     """
 
     def __init__(self):
         self._blocks: dict[tuple[str, int], _Block] = {}
-        self._held: dict[tuple[str, int], list[tuple[float, float, str | None]]] = {}
         self._last_request = float("-inf")
+
+    @property
+    def _held(self) -> dict[tuple[str, int], list[tuple[float, float, str | None]]]:
+        return {key: block.live for key, block in self._blocks.items()}
 
     def reserve(self, ap_id: str, block_index: int, earliest: float, duration: float,
                 owner: str, shared_tag: str | None = None,
@@ -205,13 +212,14 @@ class BlockLedger:
         block = self._blocks.get((ap_id, block_index))
         if block is None:
             block = self._blocks[ap_id, block_index] = _Block()
-            self._held[ap_id, block_index] = block.live
         start = earliest if not_before is None else not_before
-        if earliest < block.horizon:
-            block.drop_finished(earliest)
+        if block.horizon > earliest or start + duration <= earliest:
             start = block.first_fit(start, duration, shared_tag)
+            block.drop_finished(earliest, start + duration)
         elif block.live:
-            block.clear()  # every reservation has ended
+            # every reservation has ended: the first fit grants `start`, and
+            # the scan would read, and drop, them all
+            block.clear()
         block.add(start, start + duration, shared_tag)
         return start
 

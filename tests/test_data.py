@@ -101,7 +101,8 @@ def test_shards_are_views_into_the_bundles_flat_arrays():
     bundle = make_blobs(4, 2, {"ue0": 5, "ue1": 0, "ue2": 3}, test_size=0, seed=3)
     assert bundle.x.shape == (8, 4) and bundle.labels.shape == (8,)
     for shard in bundle.shards.values():
-        rows = slice(shard.offset, shard.offset + shard.size)
+        offset = bundle.offsets[shard.owner]
+        rows = slice(offset, offset + shard.size)
         assert shard.size == 0 or np.shares_memory(shard.x, bundle.x)
         assert np.array_equal(shard.x, bundle.x[rows])
         assert np.array_equal(shard.labels, bundle.labels[rows])

@@ -369,3 +369,84 @@ def test_a_long_queue_with_cluster_bookings_grants_the_fixed_point_scans_start(
             assert ledger.reserve(*args) == reference.reserve(*args)
         deepest = max(deepest, len(ledger._held[("ap0", 0)]))
     assert deepest > 200
+
+
+class _PrunedScanLedger:
+    """The ledger with one pruning scan per request: each reservation
+    request walks the block's live list in start order, dropping every
+    reservation that ended by the request among those it reads."""
+
+    def __init__(self):
+        self.held = {}
+
+    def _first_free(self, key, start, duration, tag):
+        for r_start, r_end, r_tag in self.held.get(key, ()):
+            if r_start >= start + duration:
+                break
+            if start < r_end and (tag is None or r_tag != tag):
+                start = r_end
+        return start
+
+    def reserve(self, key, earliest, duration, tag, not_before):
+        live = self.held.setdefault(key, [])
+        start, kept, scanned = not_before, [], len(live)
+        for i, held in enumerate(live):
+            r_start, r_end, r_tag = held
+            if r_start >= start + duration:
+                scanned = i
+                break
+            if r_end <= earliest:
+                continue
+            kept.append(held)
+            if start < r_end and (tag is None or r_tag != tag):
+                start = r_end
+        live[:scanned] = kept
+        live.append((start, start + duration, tag))
+        live.sort(key=lambda r: r[0])  # stable: equal starts keep booking order
+        return start
+
+    def book(self, keys, earliest, duration, tag):
+        start, moved = earliest, len(keys) > 1
+        while moved:
+            moved = False
+            for key in keys:
+                fit = self._first_free(key, start, duration, tag)
+                moved, start = moved or fit != start, fit
+        for key in keys:
+            start = self.reserve(key, earliest, duration, tag, start)
+        return start
+
+
+# one request: (gap after the previous one, blocks, duration, tag, delay of not_before)
+_held_requests = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.0, 0.1, 0.5, 2.0]),
+              st.sampled_from([(0,), (0,), (1,), (0, 1)]),
+              st.sampled_from([0.0, 1e-300, 0.1, 0.5, 1.0, 2.0, 3.0]),
+              st.sampled_from([None, None, "cluster:a", "cluster:a", "cluster:b"]),
+              st.sampled_from([0.0, 0.0, 0.5])),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(requests=_held_requests)
+def test_each_request_leaves_the_pruned_scans_live_reservations(requests):
+    """Cluster members that share a tag and start together but end apart
+    (a short one finishes under a longer one), empty and vanishing
+    durations, delayed starts and two-block bookings: after every request,
+    each block holds exactly the reservations the pruning scan keeps, and
+    every grant equals its grant."""
+    ledger, reference = BlockLedger(), _PrunedScanLedger()
+    blocks = (ResourceBlock(0, 180e3), ResourceBlock(1, 180e3))
+    clock = 0.0
+    for i, (gap, indices, duration, tag, delay) in enumerate(requests):
+        clock += gap
+        if len(indices) > 1:
+            granted = ledger.book("ap0", blocks, clock, duration, f"ue{i}", tag)
+            expected = reference.book([("ap0", b) for b in indices], clock, duration, tag)
+        else:
+            granted = ledger.reserve("ap0", indices[0], clock, duration, f"ue{i}", tag,
+                                     not_before=clock + delay)
+            expected = reference.reserve(("ap0", indices[0]), clock, duration, tag,
+                                         clock + delay)
+        assert granted == expected
+        assert ledger._held == reference.held
