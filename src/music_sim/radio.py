@@ -22,7 +22,7 @@ from .errors import (
     UnknownNodeReference,
     ZeroRate,
 )
-from .topology import NetworkTopology, UeProfile, identifiers, integral, real
+from .topology import NetworkTopology, UeProfile, array, identifiers, integral, real
 
 logger = logging.getLogger(__name__)
 
@@ -226,7 +226,8 @@ class RadioEnv:
         clusters = []
         for i, entry in enumerate(doc.get("noma_clusters", [])):
             members = identifiers(entry["members"], f"radio.noma_clusters[{i}].members")
-            powers = tuple(real(p, f"noma cluster {members}: power") for p in entry["powers"])
+            powers = tuple(real(p, f"noma cluster {members}: power")
+                           for p in array(entry["powers"], f"radio.noma_clusters[{i}].powers"))
             if len(members) != len(powers):
                 raise ScenarioSchemaError("noma cluster: members and powers differ in length")
             aps = set()
@@ -243,7 +244,7 @@ class RadioEnv:
             if cell_blocks is None:
                 raise ScenarioSchemaError(f"noma cluster {members}: cell {ap!r} has no blocks")
             blocks = []
-            for index in entry["blocks"]:
+            for index in array(entry["blocks"], f"radio.noma_clusters[{i}].blocks"):
                 index = integral(index, f"noma cluster {members}: block", 0)
                 if index >= len(cell_blocks):
                     raise ScenarioSchemaError(

@@ -53,6 +53,7 @@ from .radio import RadioEnv, SchemeKind
 from .topology import (
     NetworkTopology,
     Tier,
+    array,
     boolean,
     build_topology,
     identifier,
@@ -103,64 +104,85 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def _strict(mapping, required: set[str], optional: set[str], where: str) -> None:
+def _keys(required: set[str], optional: set[str]) -> tuple[frozenset[str], ...]:
+    """An object's required keys, its optional keys, and every key it may carry."""
+    return frozenset(required), frozenset(optional), frozenset(required | optional)
+
+
+def _strict(mapping, keys: tuple[frozenset[str], ...], where: str) -> None:
+    required, optional, full = keys
     if not isinstance(mapping, dict):
         raise ScenarioSchemaError(f"{where} must be an object")
-    keys = set(mapping)
-    missing = required - keys
+    # an object that carries every key it may is valid in one comparison
+    if mapping.keys() == full:
+        return
+    present = set(mapping)
+    missing = required - present
     if missing:
         raise ScenarioSchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = present - required - optional
     if unknown:
         raise ScenarioSchemaError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-_SERVER_ENTRY = ({"id", "compute_rate", "energy_per_cycle"}, {"parent"})
-_UE_ENTRY = ({"id", "battery", "compute_rate", "energy_per_cycle", "tx_power",
-              "channel_gain", "attached_ap", "dataset_size"},
-             {"channel_variance", "mobile"})
-_LINK_ENTRY = ({"src", "dst", "rate"}, {"latency", "energy_per_bit"})
-_D2D_ENTRY = ({"master", "slaves", "link_rate"}, {"link_energy_per_bit"})
-_PROTOCOL_KEYS = ({"kind", "server", "clients", "scheme"},
-                  {"rounds", "local_iterations", "iterations", "cut_index",
-                   "boundaries", "relay", "dropout_slope", "round_deadline"})
+def _strict_entries(entries, keys: tuple[frozenset[str], ...], where: str) -> None:
+    """`_strict` on each object of the array `where`; an entry's place in the
+    array is formatted only for an entry that takes the slow path."""
+    full = keys[-1]
+    for i, entry in enumerate(array(entries, where)):
+        if not (isinstance(entry, dict) and entry.keys() == full):
+            _strict(entry, keys, f"{where}[{i}]")
+
+
+_SCENARIO_KEYS = _keys({"nodes", "radio", "ml", "protocol", "seeds"},
+                       {"links", "d2d_groups", "placement", "output"})
+_NODES_KEYS = _keys(set(), {"cloud", "fog", "edge", "ue"})
+_SERVER_ENTRY = _keys({"id", "compute_rate", "energy_per_cycle"}, {"parent"})
+_UE_ENTRY = _keys({"id", "battery", "compute_rate", "energy_per_cycle", "tx_power",
+                   "channel_gain", "attached_ap", "dataset_size"},
+                  {"channel_variance", "mobile"})
+_LINK_ENTRY = _keys({"src", "dst", "rate"}, {"latency", "energy_per_bit"})
+_D2D_ENTRY = _keys({"master", "slaves", "link_rate"}, {"link_energy_per_bit"})
+_RADIO_KEYS = _keys({"noise_density", "downlink_rate"},
+                    {"signalling_delay", "rx_energy_per_bit", "downlink_energy_per_bit",
+                     "cells", "noma_clusters"})
+_CELL_KEYS = _keys({"num_blocks", "block_bandwidth"}, set())
+_NOMA_ENTRY = _keys({"members", "powers", "blocks"}, set())
+_ML_KEYS = _keys({"widths", "loss", "learning_rate", "batch_size"},
+                 {"cycles_per_mac", "eval_every", "test_size", "noise", "class_sep"})
+_PROTOCOL_KEYS = _keys({"kind", "server", "clients", "scheme"},
+                       {"rounds", "local_iterations", "iterations", "cut_index",
+                        "boundaries", "relay", "dropout_slope", "round_deadline"})
+_SEEDS_KEYS = _keys({"root"}, {"data", "model"})
+_PLACEMENT_KEYS = _keys(set(), {"min_battery", "min_compute_rate", "min_channel_gain",
+                                "max_channel_variance", "require_immobile", "pool_size",
+                                "latency_deadline"})
+_OUTPUT_KEYS = _keys(set(), {"dir"})
 
 
 def check_schema(doc: dict) -> None:
     """Reject unknown keys and missing sections anywhere in the document."""
-    _strict(doc, {"nodes", "radio", "ml", "protocol", "seeds"},
-            {"links", "d2d_groups", "placement", "output"}, "scenario")
-    _strict(doc["nodes"], set(), {"cloud", "fog", "edge", "ue"}, "nodes")
+    _strict(doc, _SCENARIO_KEYS, "scenario")
+    _strict(doc["nodes"], _NODES_KEYS, "nodes")
     for tier_key in ("cloud", "fog", "edge"):
-        for i, entry in enumerate(doc["nodes"].get(tier_key, [])):
-            _strict(entry, *_SERVER_ENTRY, f"nodes.{tier_key}[{i}]")
-    for i, entry in enumerate(doc["nodes"].get("ue", [])):
-        _strict(entry, *_UE_ENTRY, f"nodes.ue[{i}]")
-    for i, entry in enumerate(doc.get("links", [])):
-        _strict(entry, *_LINK_ENTRY, f"links[{i}]")
-    for i, entry in enumerate(doc.get("d2d_groups", [])):
-        _strict(entry, *_D2D_ENTRY, f"d2d_groups[{i}]")
-    _strict(doc["radio"], {"noise_density", "downlink_rate"},
-            {"signalling_delay", "rx_energy_per_bit", "downlink_energy_per_bit",
-             "cells", "noma_clusters"}, "radio")
+        _strict_entries(doc["nodes"].get(tier_key, []), _SERVER_ENTRY, f"nodes.{tier_key}")
+    _strict_entries(doc["nodes"].get("ue", []), _UE_ENTRY, "nodes.ue")
+    _strict_entries(doc.get("links", []), _LINK_ENTRY, "links")
+    _strict_entries(doc.get("d2d_groups", []), _D2D_ENTRY, "d2d_groups")
+    _strict(doc["radio"], _RADIO_KEYS, "radio")
     cells = doc["radio"].get("cells", {})
     if not isinstance(cells, dict):
         raise ScenarioSchemaError("radio.cells must map access-point ids to objects")
     for ap_id, cell in cells.items():
-        _strict(cell, {"num_blocks", "block_bandwidth"}, set(), f"radio.cells[{ap_id!r}]")
-    for i, entry in enumerate(doc["radio"].get("noma_clusters", [])):
-        _strict(entry, {"members", "powers", "blocks"}, set(), f"radio.noma_clusters[{i}]")
-    _strict(doc["ml"], {"widths", "loss", "learning_rate", "batch_size"},
-            {"cycles_per_mac", "eval_every", "test_size", "noise", "class_sep"}, "ml")
-    _strict(doc["protocol"], *_PROTOCOL_KEYS, "protocol")
-    _strict(doc["seeds"], {"root"}, {"data", "model"}, "seeds")
+        _strict(cell, _CELL_KEYS, f"radio.cells[{ap_id!r}]")
+    _strict_entries(doc["radio"].get("noma_clusters", []), _NOMA_ENTRY, "radio.noma_clusters")
+    _strict(doc["ml"], _ML_KEYS, "ml")
+    _strict(doc["protocol"], _PROTOCOL_KEYS, "protocol")
+    _strict(doc["seeds"], _SEEDS_KEYS, "seeds")
     if "placement" in doc:
-        _strict(doc["placement"], set(),
-                {"min_battery", "min_compute_rate", "min_channel_gain",
-                 "max_channel_variance", "require_immobile", "pool_size",
-                 "latency_deadline"}, "placement")
+        _strict(doc["placement"], _PLACEMENT_KEYS, "placement")
     if "output" in doc:
-        _strict(doc["output"], set(), {"dir"}, "output")
+        _strict(doc["output"], _OUTPUT_KEYS, "output")
 
 
 # ---------------------------------------------------------------- #
@@ -218,7 +240,8 @@ class ScenarioConfig:
 
 
 def _parse_ml(section: dict) -> MlSettings:
-    widths = tuple(integral(w, f"ml.widths[{i}]", 1) for i, w in enumerate(section["widths"]))
+    widths = tuple(integral(w, f"ml.widths[{i}]", 1)
+                   for i, w in enumerate(array(section["widths"], "ml.widths")))
     loss = section["loss"]
     if loss not in ("mse", "ce"):
         raise ScenarioSchemaError(f"ml.loss must be 'mse' or 'ce', got {loss!r}")
@@ -254,7 +277,7 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
         raise ScenarioSchemaError(
             f"unknown access scheme {section['scheme']!r}") from None
     relay = section.get("relay", "server")
-    if relay not in RELAY_ALIASES:
+    if type(relay) is not str or relay not in RELAY_ALIASES:
         raise ScenarioSchemaError(f"protocol.relay must be 'server' or 'd2d', got {relay!r}")
     deadline = section.get("round_deadline")
     settings = ProtocolSettings(
@@ -269,7 +292,8 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
         cut_index=(None if section.get("cut_index") is None
                    else integral(section["cut_index"], "protocol.cut_index")),
         boundaries=tuple(integral(b, f"protocol.boundaries[{i}]")
-                         for i, b in enumerate(section.get("boundaries", []))),
+                         for i, b in enumerate(array(section.get("boundaries", []),
+                                                     "protocol.boundaries"))),
         relay=RELAY_ALIASES[relay],
         dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope", 0),
         round_deadline=(math.inf if deadline is None or deadline == math.inf
@@ -319,10 +343,12 @@ def parse_config(doc: dict) -> ScenarioConfig:
              for key in ("root", "data", "model")}
     policy, deadline = (_parse_placement(doc["placement"])
                         if "placement" in doc else (SelectionPolicy(), math.inf))
+    out_dir = doc.get("output", {}).get("dir")
+    if out_dir is not None and type(out_dir) is not str:
+        raise ScenarioSchemaError(f"output.dir must be a directory path, got {out_dir!r}")
     cfg = ScenarioConfig(
         doc=doc, topo=topo, radio_env=radio_env, ml=ml_settings, protocol=proto,
-        seeds=seeds, policy=policy, latency_deadline=deadline,
-        out_dir=doc.get("output", {}).get("dir"),
+        seeds=seeds, policy=policy, latency_deadline=deadline, out_dir=out_dir,
     )
     _check_cross_references(cfg)
     return cfg

@@ -363,3 +363,65 @@ def test_a_real_field_refuses_infinity(tmp_path, name):
                 assert code == EXIT_INVALID and out.startswith("error [schema]: "), \
                     (field, bad, out)
                 assert key.removesuffix("s") in out, (field, bad, out)
+
+
+# (path, name in the error) of each array field; the NOMA entries are left
+# out where a document has no cluster
+_ARRAY_FIELDS = ((("nodes", "cloud"), "nodes.cloud"), (("nodes", "fog"), "nodes.fog"),
+                 (("nodes", "edge"), "nodes.edge"), (("nodes", "ue"), "nodes.ue"),
+                 (("links",), "links"), (("d2d_groups",), "d2d_groups"),
+                 (("radio", "noma_clusters"), "radio.noma_clusters"),
+                 (("radio", "noma_clusters", 0, "powers"), "radio.noma_clusters[0].powers"),
+                 (("radio", "noma_clusters", 0, "blocks"), "radio.noma_clusters[0].blocks"),
+                 (("ml", "widths"), "ml.widths"),
+                 (("protocol", "boundaries"), "protocol.boundaries"))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+def test_an_array_field_given_a_non_array_is_a_named_schema_error(tmp_path, name):
+    """A number or null here once crashed `validate` with `'int' object is
+    not iterable`, a string was read one character at a time, and an empty
+    object passed as an empty array."""
+    path = tmp_path / "scenario.json"
+    cases = 0
+    for field, where in _ARRAY_FIELDS:
+        if field[1:3] == ("noma_clusters", 0) and not BASE[name][0]["radio"].get("noma_clusters"):
+            continue
+        for bad in (3, "ab", {}, None):
+            doc = json.loads(json.dumps(BASE[name][0]))
+            holder = doc
+            for step in field[:-1]:
+                holder = holder[step]
+            holder[field[-1]] = bad
+            path.write_text(json.dumps(doc))
+            code, out = _cli("validate", "--scenario", str(path))
+            assert code == EXIT_INVALID, (field, bad, out)
+            assert out == f"error [schema]: {where} must be an array, got {bad!r}\n", (field, bad)
+            cases += 1
+    assert cases >= 36
+
+
+@pytest.mark.parametrize("bad", [["d2d"], {"a": 1}, 3])
+def test_a_relay_that_is_not_a_string_is_a_named_schema_error(tmp_path, bad):
+    """An array or an object here once crashed `validate` with `unhashable
+    type` at the alias lookup."""
+    doc = json.loads((SCENARIO_DIR / "sl_heterogeneous_d2d.json").read_text())
+    doc["protocol"]["relay"] = bad
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID
+    assert out.startswith("error [schema]: protocol.relay must be 'server' or 'd2d'"), out
+
+
+def test_an_output_dir_that_is_not_a_string_fails_validation(tmp_path):
+    """A number here once passed `validate`; `run` then died in `pathlib`
+    with a traceback."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc["output"] = {"dir": 3}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID and out.startswith("error [schema]: output.dir "), out
+    code, out = _cli("run", "--scenario", str(path))
+    assert code == EXIT_INVALID and "error [schema]: output.dir " in out, out

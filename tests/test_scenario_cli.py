@@ -484,3 +484,22 @@ def test_out_dir_falls_back_to_environment(tmp_path, monkeypatch, capsys):
     assert main(["run", "--scenario", path]) == EXIT_OK
     capsys.readouterr()
     assert (env_dir / "trace.csv").exists()
+
+
+def _fl_edge_ue(doc, i):
+    return next(u for u in doc["nodes"]["ue"] if u["id"] == f"ue{i}")
+
+
+@pytest.mark.parametrize("faults, error", [
+    ({(0, "compute_rate"): 0, (5, "battery"): "x"}, "ue5: battery must be a number, got 'x'"),
+    ({(0, "attached_ap"): "nowhere", (5, "channel_gain"): 0}, "ue5: channel_gain must be > 0"),
+    ({(0, "battery"): "x", (5, "extra"): 1}, "nodes.ue[5]: unknown keys ['extra']"),
+])
+def test_the_first_of_two_faults_is_the_one_reported(faults, error):
+    """The passes run in a fixed order: the key check over every entry, then
+    each node's field types, then the range checks, then the hierarchy. A
+    fault on ue5 found by an earlier pass wins over one on ue0."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    for (i, key), value in faults.items():
+        _fl_edge_ue(doc, i)[key] = value
+    assert validate_document(doc).lines() == [f"error [schema]: {error}"]

@@ -164,3 +164,33 @@ def test_layer_span_counts_intermediate_tiers(topo3):
 def test_layer_span_single_node(topo3):
     plan = _plan(topo3, {"fog0": "server"})
     assert validate_layer_span(plan, topo3) is None
+
+
+def test_node_group_and_link_records_are_immutable():
+    topo = star_topology(3, d2d=True)
+    records = [(topo.ues["ue0"], "battery"), (topo.servers["ap0"], "compute_rate"),
+               (topo.d2d_groups[0], "link_rate"), (topo.links[("fog0", "ap0")], "rate")]
+    for record, field in records:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        with pytest.raises(AttributeError):
+            record.note = "x"
+        assert getattr(record, field) == before
+    assert topo.ues["ue0"].tier is Tier.DEVICE
+    assert topo.d2d_groups[0].members() == ("ue0", "ue1", "ue2")
+
+
+@pytest.mark.parametrize("node_id, message", [
+    ("ue0", "duplicate node id 'ue0'"),
+    ("ap0", "duplicate node id 'ap0'"),
+    ("", "node id must be a non-empty string, got ''"),
+    (7, "node id must be a non-empty string, got 7"),
+    (["ue9"], "node id must be a non-empty string, got ['ue9']"),
+])
+def test_a_device_id_is_claimed_like_a_server_id(node_id, message):
+    doc = star_doc(2)
+    doc["nodes"]["ue"][1]["id"] = node_id
+    with pytest.raises(ScenarioSchemaError) as caught:
+        build_topology(doc)
+    assert str(caught.value) == message
