@@ -6,8 +6,15 @@ transmissions, then finished computations, then round boundaries. All time is
 virtual; nothing here reads the wall clock.
 
 Money trails are kept twice on purpose: an energy ledger mutated as events
-dispatch, and per-event charge lists in the event log. Summing the log must
-reproduce the ledger exactly, which makes silent double-charging detectable.
+dispatch, and the charges in the event log, each on the event that made it.
+Summing the log must reproduce the ledger exactly, which makes silent
+double-charging detectable. `Engine.charge` is the one call that pays a
+joule: it books the ledger, the log and the node's battery.
+
+The log is kept lean: one tuple per event and one per charge, which hold
+only strings and numbers, so the garbage collector stops tracking them.
+`events.jsonl` lines are formatted straight from the tuples, and
+`Engine.event_log` builds dict records from them only when read.
 """
 
 from __future__ import annotations
@@ -249,8 +256,19 @@ class BlockLedger:
         return start if block is None else block.first_fit(start, duration, shared_tag)
 
 
+_KIND_NAMES = tuple(kind.name for kind in EventKind)  # by EventKind value
+_json_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+
+
 class Engine:
-    """Event loop plus batteries, energy ledger, block ledger and event log."""
+    """Event loop plus batteries, energy ledger, block ledger and event log.
+
+    The log is two flat lists: `_events` holds one (time, kind name, node,
+    detail, first charge) tuple per event, and `_charges` one (node,
+    category, joules) tuple per charge, in charge order. An event's charges
+    run from its first charge to the next event's. `event_log` reads both
+    as dict records."""
 
     def __init__(self, seed: int):
         self.clock = 0.0
@@ -259,11 +277,14 @@ class Engine:
         self.batteries: dict[str, float] = {}
         self.dropped: set[str] = set()
         self.energy_ledger: dict[str, dict[str, float]] = {}
-        self.event_log: list[dict] = []
+        self._events: list[tuple] = []
+        self._charges: list[tuple[str, str, float]] = []
+        # records appended through `event_log`, by the number of events before them
+        self._foreign: dict[int, list[dict]] = {}
         # (time, kind, seq, node, detail, callback); seq makes every key unique
         self._heap: list[tuple] = []
         self._seq = itertools.count()
-        self._active_record: dict | None = None
+        self._dispatching = False
 
     # ---- scheduling ----
 
@@ -278,46 +299,51 @@ class Engine:
         self.schedule(self.clock + delay, kind, callback, node=node, detail=detail)
 
     def run(self) -> None:
-        """Dispatch events until the heap is empty."""
-        while self._heap:
-            at, kind, _, node, detail, callback = heapq.heappop(self._heap)
-            self.clock = at
-            record = {"time": at, "kind": kind.name, "node": node, "detail": detail,
-                      "charges": []}
-            self.event_log.append(record)
-            self._active_record = record
-            try:
+        """Dispatch events until the heap is empty, logging each as it fires."""
+        heap, events, charges = self._heap, self._events, self._charges
+        pop, names = heapq.heappop, _KIND_NAMES
+        self._dispatching = True
+        try:
+            while heap:
+                at, kind, _, node, detail, callback = pop(heap)
+                self.clock = at
+                events.append((at, names[kind], node, detail, len(charges)))
                 callback()
-            finally:
-                self._active_record = None
+        finally:
+            self._dispatching = False
 
     # ---- energy accounting ----
 
     def charge(self, node: str, category: str, joules: float) -> None:
-        """Record energy spent by a node under a category (compute, uplink, ...).
+        """Record energy spent by a node under a category (compute, uplink,
+        ...) and take it out of the node's battery, if it has one (see
+        `debit_battery`).
 
-        The charge lands both in the running ledger and in the event record
-        being dispatched, so the log stays a complete replayable trail.
+        The charge lands both in the running ledger and in the log, on the
+        event being dispatched (outside dispatch, on a CHARGE record of its
+        own), so the log stays a complete replayable trail.
         """
         if joules < 0:
             raise ValueError(f"negative charge {joules} for {node}/{category}")
         bucket = self.energy_ledger.setdefault(node, {})
         bucket[category] = bucket.get(category, 0.0) + joules
-        if self._active_record is None:
-            record = {"time": self.clock, "kind": "CHARGE", "node": node,
-                      "detail": f"out-of-band {category}", "charges": []}
-            self.event_log.append(record)
-            record["charges"].append([node, category, joules])
-        else:
-            self._active_record["charges"].append([node, category, joules])
+        if not self._dispatching:
+            self._events.append((self.clock, "CHARGE", node, f"out-of-band {category}",
+                                 len(self._charges)))
+        self._charges.append((node, category, joules))
+        if node in self.batteries:
+            self.debit_battery(node, joules)
 
     def recount_from_log(self) -> dict[str, dict[str, float]]:
-        """Rebuild the energy ledger purely from the event log."""
+        """Rebuild the energy ledger purely from the event log, summing its
+        charges in log order."""
+        charges = self._charges
+        if self._foreign:
+            charges = (charge for record in self.event_log for charge in record["charges"])
         rebuilt: dict[str, dict[str, float]] = {}
-        for record in self.event_log:
-            for node, category, joules in record["charges"]:
-                bucket = rebuilt.setdefault(node, {})
-                bucket[category] = bucket.get(category, 0.0) + joules
+        for node, category, joules in charges:
+            bucket = rebuilt.setdefault(node, {})
+            bucket[category] = bucket.get(category, 0.0) + joules
         return rebuilt
 
     # ---- batteries ----
@@ -359,44 +385,134 @@ class Engine:
 
     # ---- log output ----
 
+    @property
+    def event_log(self) -> EventLog:
+        """The log as dict records, built when read (see `EventLog`)."""
+        return EventLog(self)
+
+    def _entries(self):
+        """(record, first, end) for each record of the log, in order: an
+        event tuple with the bounds of its charges in `_charges`, or a record
+        appended from outside with (None, None)."""
+        events, foreign = self._events, self._foreign
+        ends = itertools.chain(map(itemgetter(4), itertools.islice(events, 1, None)),
+                               (len(self._charges),))
+        for position, (event, end) in enumerate(zip(events, ends)):
+            if foreign:
+                yield from ((record, None, None) for record in foreign.get(position, ()))
+            yield event, event[4], end
+        yield from ((record, None, None) for record in foreign.get(len(events), ()))
+
     def write_event_log(self, path, meta: dict | None = None) -> None:
         """One JSON object per line, keys sorted: the bytes of
-        `json.dumps(record, sort_keys=True)`. A record `_dispatch_line`
-        cannot format goes through the encoder."""
+        `json.dumps(record, sort_keys=True)` for each record of `event_log`,
+        written line by line. See `_event_line`; a record it cannot format
+        goes through the encoder."""
         encode = json.JSONEncoder(sort_keys=True).encode
+        charges, formatted = self._charges, {}
         with open(path, "w") as fh:
+            write = fh.write
             if meta is not None:
-                fh.write(encode({"kind": "META", "charges": [], **meta}) + "\n")
-            for record in self.event_log:
-                line = _dispatch_line(record)
-                fh.write((encode(record) if line is None else line) + "\n")
+                write(encode({"kind": "META", "charges": [], **meta}) + "\n")
+            for record, first, end in self._entries():
+                if first is None:
+                    write(encode(record) + "\n")
+                    continue
+                own = charges[first:end]
+                line = _event_line(record, own, formatted)
+                write(encode(_as_record(record, own)) + "\n" if line is None else line)
 
 
-_DISPATCH_KEYS = frozenset(("time", "kind", "node", "detail", "charges"))
-_json_str = json.encoder.encode_basestring_ascii
+def _as_record(event: tuple, charges: list) -> dict:
+    """The dict record of one event tuple and its charges."""
+    at, kind, node, detail, _ = event
+    return {"time": at, "kind": kind, "node": node, "detail": detail,
+            "charges": [list(charge) for charge in charges]}
 
 
-def _dispatch_line(record: dict) -> str | None:
-    """`json.dumps(record, sort_keys=True)` without an encoder call, for a
-    record of exactly the dispatch keys with str kind, node and detail, a
-    finite float time and [str, str, finite float] charges; None for any
-    other. It escapes and prints with what json uses: `encode_basestring_ascii`
-    and `float.__repr__`."""
-    if record.keys() != _DISPATCH_KEYS:
+def _event_line(event: tuple, charges: list, formatted: dict) -> str | None:
+    """`json.dumps(_as_record(event, charges), sort_keys=True)` and a newline,
+    without an encoder call, for str node, detail and charge names and finite
+    float time and joules; None for anything else. It escapes and prints with
+    what json uses: `encode_basestring_ascii` and `float.__repr__`. Kind
+    names are plain ASCII and are written as they are. `formatted` keeps
+    each nonzero charge's text by value, since a leg's price repeats (a
+    zero is not kept: 0.0 and -0.0 are equal but print apart)."""
+    at, kind, node, detail, _ = event
+    if not (type(at) is float and isfinite(at) and type(node) is str and type(detail) is str):
         return None
-    time, kind, node, detail = record["time"], record["kind"], record["node"], record["detail"]
-    if not (type(time) is float and isfinite(time) and type(kind) is str and type(node) is str
-            and type(detail) is str and type(record["charges"]) is list):
-        return None
-    charges = []
-    for charge in record["charges"]:
-        if type(charge) is not list or len(charge) != 3:
-            return None
+    parts = []
+    for charge in charges:
         who, category, joules = charge
-        if not (type(who) is str and type(category) is str
-                and type(joules) is float and isfinite(joules)):
+        if not (type(joules) is float and isfinite(joules)
+                and type(who) is str and type(category) is str):
             return None
-        charges.append(f"[{_json_str(who)}, {_json_str(category)}, {float.__repr__(joules)}]")
-    return (f'{{"charges": [{", ".join(charges)}], "detail": {_json_str(detail)}, '
-            f'"kind": {_json_str(kind)}, "node": {_json_str(node)}, '
-            f'"time": {float.__repr__(time)}}}')
+        text = formatted.get(charge)
+        if text is None:
+            text = f"[{_json_str(who)}, {_json_str(category)}, {_float_repr(joules)}]"
+            if joules:
+                formatted[charge] = text
+        parts.append(text)
+    return (f'{{"charges": [{", ".join(parts)}], "detail": {_json_str(detail)}, '
+            f'"kind": "{kind}", "node": {_json_str(node)}, "time": {_float_repr(at)}}}\n')
+
+
+class EventLog(list):
+    """A read-only view of an engine's event log as dict records built on
+    demand: {"time", "kind", "node", "detail", "charges"}, each charge a
+    [node, category, joules] list. It is a list so that `json.dumps` takes
+    it (the encoder walks a list subclass through `__iter__`); its own
+    storage stays empty. `append` adds a record from outside, which the log
+    keeps and writes as it is."""
+
+    __slots__ = ("_engine",)
+
+    def __init__(self, engine: Engine):
+        self._engine = engine
+
+    def __len__(self) -> int:
+        engine = self._engine
+        return len(engine._events) + sum(map(len, engine._foreign.values()))
+
+    def __iter__(self):
+        charges = self._engine._charges
+        for record, first, end in self._engine._entries():
+            yield record if first is None else _as_record(record, charges[first:end])
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __repr__(self) -> str:
+        return f"EventLog({list(self)!r})"
+
+    def append(self, record: dict) -> None:
+        engine = self._engine
+        engine._foreign.setdefault(len(engine._events), []).append(record)
+
+
+def _on_records(name: str):
+    def read(self, *args):
+        return getattr(list(self), name)(*args)
+    return read
+
+
+def _refuse(name: str):
+    def refuse(self, *args):
+        raise TypeError(f"the event log is read-only: no {name}")
+    return refuse
+
+
+# list's own methods would read or change the view's empty storage
+for _name in ("__contains__", "__reversed__", "__add__", "__mul__", "__rmul__", "__lt__",
+              "__le__", "__gt__", "__ge__", "count", "index", "copy"):
+    setattr(EventLog, _name, _on_records(_name))
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "extend", "insert",
+              "pop", "remove", "clear", "sort", "reverse"):
+    setattr(EventLog, _name, _refuse(_name))
+del _name

@@ -201,10 +201,12 @@ class LegCosts:
 
     Each instance prices a distinct leg once: `compute` keeps its price by
     argument, and `hop` by the leg tuple, since both depend only on it and
-    the static topology and radio. An uplink is kept only at mean gain. A
-    runner passes its own `gain`, which draws a fresh fading sample per
-    context, so every runner uplink is priced anew. A leg that cannot be
-    priced raises, and nothing is kept for it.
+    the static topology and radio. An uplink is kept at mean gain, and also
+    under a runner's own `gain` when it draws no fading: the device's
+    channel is static and, under NOMA, so is every channel of its cluster.
+    A runner's `gain` draws a fresh fading sample per context, so a fading
+    uplink is priced anew each time. A leg that cannot be priced raises,
+    and nothing is kept for it.
     """
 
     def __init__(self, topo: NetworkTopology, radio_env: RadioEnv,
@@ -251,7 +253,7 @@ class LegCosts:
             if kind == "up":
                 blocks, tag, latency, tx, rx = self.up(a, b, context)
                 price = (a, self.topo.ues[a].attached_ap, latency, tx, rx, blocks, tag)
-                if not self._keep_up:
+                if not (self._keep_up or self._static(a)):
                     return price
             elif kind == "down":
                 price = (self.topo.ues[a].attached_ap, a, *self.down(b), (), None)
@@ -261,6 +263,14 @@ class LegCosts:
                 price = (a, b, *self.d2d(a, b, leg[3]), (), None)
             self._hops[leg] = price
         return price
+
+    def _static(self, ue_id: str) -> bool:
+        """Whether an uplink of `ue_id` draws no fading, so its price never
+        changes: its channel is static and, under NOMA, so is every channel
+        of its cluster."""
+        cluster = self.radio.cluster_of(ue_id) if self._noma else None
+        members = cluster.member_ids() if cluster is not None else (ue_id,)
+        return all(self.topo.ues[m].channel_variance == 0.0 for m in members)
 
     def rx(self, bits: int) -> float:
         return self.radio.rx_energy_per_bit * bits
@@ -682,7 +692,6 @@ class _RunnerBase:
             return
         def finish():
             self.eng.charge(node, "compute", energy)
-            self.eng.debit_battery(node, energy)
             done()
         self.eng.schedule_after(latency, EventKind.COMPUTE_DONE, finish,
                                 node=node, detail=what)
@@ -720,10 +729,8 @@ class _RunnerBase:
         def finish():
             if tx > 0:
                 self.eng.charge(sender, "tx", tx)
-                self.eng.debit_battery(sender, tx)
             if rx > 0:
                 self.eng.charge(receiver, "rx", rx)
-                self.eng.debit_battery(receiver, rx)
             if kind == "up":
                 self.bytes_up += leg[2] // 8
             elif kind == "down":

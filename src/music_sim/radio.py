@@ -249,6 +249,9 @@ class RadioEnv:
                 if index >= len(cell_blocks):
                     raise ScenarioSchemaError(
                         f"noma cluster {members}: block {index} not in cell {ap!r}")
+                if cell_blocks[index] in blocks:
+                    raise ScenarioSchemaError(
+                        f"radio.noma_clusters[{i}].blocks lists block {index} twice")
                 blocks.append(cell_blocks[index])
             clusters.append(NomaCluster(members=tuple(zip(members, powers)),
                                         blocks=tuple(blocks)))

@@ -246,6 +246,23 @@ def test_a_negative_radio_energy_per_bit_is_refused(tmp_path, key):
     assert code == EXIT_INVALID and out.startswith(f"error [schema]: radio.{key} must be >= 0")
 
 
+@pytest.mark.parametrize("blocks", [[4, 4], [4, 5, 4], [5, 5, 5]])
+def test_a_noma_cluster_listing_a_block_twice_is_refused(tmp_path, blocks):
+    """A block listed twice would count its bandwidth twice in the cluster's
+    SIC rates; two distinct blocks still validate."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    assert doc["radio"]["noma_clusters"][0]["blocks"] == [4, 5]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert _cli("validate", "--scenario", str(path))[0] == EXIT_OK
+    doc["radio"]["noma_clusters"][0]["blocks"] = blocks
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID
+    assert out == (f"error [schema]: radio.noma_clusters[0].blocks lists block "
+                   f"{blocks[-1]} twice\n"), out
+
+
 def _clients(doc):
     return doc["protocol"], "clients", "protocol.clients"
 

@@ -1,17 +1,24 @@
 """Event loop determinism, battery semantics, ledgers, and seeded streams."""
 
 import copy
+import gc
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import music_sim
+from music_sim import engine
 from music_sim.engine import BlockLedger, Engine, EventKind, RngStreams
 from music_sim.errors import TimestampInPast
 from music_sim.radio import ResourceBlock
+from music_sim.scenario import assemble, parse_config
+
+SCENARIO_DIR = Path(music_sim.__file__).parent / "scenarios"
 
 
 def test_same_timestamp_fifo():
@@ -450,3 +457,112 @@ def test_each_request_leaves_the_pruned_scans_live_reservations(requests):
                                          clock + delay)
         assert granted == expected
         assert ledger._held == reference.held
+
+
+def _bundled_run(name: str, compute_scale: float = 1.0):
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    for ue in doc["nodes"]["ue"]:
+        ue["compute_rate"] *= compute_scale
+    runtime = assemble(parse_config(doc))
+    runtime.execute()
+    return runtime.engine
+
+
+def test_the_collector_tracks_no_event_or_charge_record():
+    """Each event and each charge is one tuple of strings and numbers, which
+    the garbage collector stops tracking: a run leaves no per-event
+    container for it to walk."""
+    eng = _bundled_run("fl_edge")
+    gc.collect()
+    assert eng._events and eng._charges
+    for records in (eng._events, eng._charges):
+        assert all(type(r) is tuple and not gc.is_tracked(r) for r in records)
+
+
+def test_the_event_log_view_counts_without_building_records(monkeypatch):
+    eng = _bundled_run("sl_homogeneous")
+    records = list(eng.event_log)
+    monkeypatch.setattr(engine, "_as_record", None)  # building a record would fail
+    assert len(eng.event_log) == len(records) == len(eng._events) > 0
+    assert eng.event_log
+
+
+def test_the_event_log_view_equals_a_rerun_and_differs_from_another_run():
+    eng = _bundled_run("sl_homogeneous")
+    assert eng.event_log == _bundled_run("sl_homogeneous").event_log
+    assert eng.event_log == list(eng.event_log) and list(eng.event_log) == eng.event_log
+    assert not eng.event_log != _bundled_run("sl_homogeneous").event_log
+    assert eng.event_log != _bundled_run("sl_homogeneous", compute_scale=2.0).event_log
+    assert eng.event_log[-1] == list(eng.event_log)[-1]
+    assert eng.event_log[-1] in eng.event_log
+    with pytest.raises(TypeError):
+        eng.event_log.pop()
+
+
+def test_a_record_appended_from_outside_keeps_its_place_and_goes_through_the_encoder(
+        tmp_path):
+    """A foreign record sits where it was appended, even inside an event
+    that charges after it, and is written by the encoder: here its time is
+    an int and its charge would not be formatted. The recount sums it in
+    log order."""
+    eng = Engine(seed=0)
+    foreign = {"time": 1, "kind": "NOTE", "node": None, "detail": "from outside",
+               "charges": [["x", "tx", math.inf]]}
+
+    def work():
+        eng.charge("a", "tx", 0.5)
+        eng.event_log.append(foreign)
+        eng.charge("a", "rx", 0.25)
+
+    eng.schedule(1.0, EventKind.TX_DONE, work, node="a", detail="ul")
+    eng.schedule(2.0, EventKind.TX_DONE, lambda: eng.charge("b", "tx", 1.0), node="b")
+    eng.run()
+    assert [r["kind"] for r in eng.event_log] == ["TX_DONE", "NOTE", "TX_DONE"]
+    assert len(eng.event_log) == 3
+    assert eng.event_log[0]["charges"] == [["a", "tx", 0.5], ["a", "rx", 0.25]]
+    assert eng.event_log[1] is foreign
+    path = tmp_path / "events.jsonl"
+    eng.write_event_log(path)
+    assert path.read_text().splitlines() == [
+        json.dumps(record, sort_keys=True) for record in eng.event_log]
+    assert '"charges": [["x", "tx", Infinity]]' in path.read_text()
+    assert eng.recount_from_log() == {"a": {"tx": 0.5, "rx": 0.25},
+                                      "x": {"tx": math.inf}, "b": {"tx": 1.0}}
+
+
+def test_a_charge_that_empties_a_battery_drops_the_device_at_that_instant():
+    """`charge` debits the battery, floored at zero: the device drops out
+    with a dropout event at the charging event's time, before a later-kind
+    event at that instant; the ledger and the log keep the whole charge."""
+    eng = Engine(seed=0)
+    eng.batteries.update(ue0=1.0, ue1=1.0)
+    eng.schedule(2.0, EventKind.ROUND_BOUNDARY, lambda: None, node="ap0", detail="round")
+
+    def work():
+        eng.charge("ue1", "tx", 0.0)  # a zero charge never drops a device
+        eng.charge("ap0", "rx", 9.0)  # mains-powered
+        eng.charge("ue0", "compute", 1.5)
+
+    eng.schedule(2.0, EventKind.COMPUTE_DONE, work, node="ue0", detail="work")
+    eng.run()
+    assert eng.batteries == {"ue0": 0.0, "ue1": 1.0} and eng.dropped == {"ue0"}
+    assert [(r["time"], r["kind"], r["node"]) for r in eng.event_log] == [
+        (2.0, "COMPUTE_DONE", "ue0"), (2.0, "DROPOUT", "ue0"), (2.0, "ROUND_BOUNDARY", "ap0")]
+    assert eng.energy_ledger["ue0"] == {"compute": 1.5}
+    assert eng.recount_from_log() == eng.energy_ledger
+
+
+def test_repeated_charges_print_as_json_does_zeros_included(tmp_path):
+    """The writer reuses a repeated charge's text, but 0.0 and -0.0, or 2.0
+    and 2, are equal and print apart."""
+    eng = Engine(seed=0)
+    for at, charges in enumerate([(1.5, 0.0, 2.0, 1.5), (-0.0,), (2,), (0.0, 1.5)]):
+        eng.schedule(float(at), EventKind.TX_DONE,
+                     lambda charges=charges: [eng.charge("ue0", "tx", j) for j in charges],
+                     node="ue0", detail="ul")
+    eng.run()
+    path = tmp_path / "events.jsonl"
+    eng.write_event_log(path)
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(record, sort_keys=True) for record in eng.event_log]
+    assert '["ue0", "tx", -0.0]' in lines[1] and '["ue0", "tx", 2]' in lines[2]

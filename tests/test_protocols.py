@@ -39,7 +39,7 @@ from music_sim.protocols import (
     run_sl_heterogeneous,
     run_sl_homogeneous,
 )
-from music_sim.radio import AccessScheme, NomaCluster, SchemeKind, draw_channel_gain
+from music_sim.radio import AccessScheme, NomaCluster, RadioEnv, SchemeKind, draw_channel_gain
 from music_sim.scenario import assemble, parse_config
 from music_sim.topology import build_topology
 
@@ -874,3 +874,59 @@ def test_leg_costs_with_a_gain_price_every_uplink_anew(kind):
         assert calls == [("ue1", "r0"), ("ue2", "r0"), ("ue1", "r1"), ("ue2", "r1")]
     else:
         assert calls == [("ue1", "r0:a"), ("ue1", "r0:b"), ("ue1", "r1:a")]
+
+
+def _uplink_pricing(monkeypatch, name: str, fading=()) -> tuple[list, list, int, int]:
+    """Run bundled scenario `name` with the channels of the devices in
+    `fading` varying: the uplink legs its runner asked a price for, the
+    devices of those it priced afresh, and how many orthogonal and NOMA
+    rates it computed."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    for ue in doc["nodes"]["ue"]:
+        if ue["id"] in fading:
+            ue["channel_variance"] = 0.3
+    runtime = assemble(parse_config(doc))
+    legs, priced, counts = [], [], {"oma_uplink_rate": 0, "cluster_rates": 0}
+    for method in counts:
+        def counted(self, *args, _real=getattr(RadioEnv, method), _method=method):
+            counts[_method] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(RadioEnv, method, counted)
+    real_hop, real_up = LegCosts.hop, LegCosts.up
+    monkeypatch.setattr(LegCosts, "hop", lambda self, leg, context="": (
+        legs.append(leg) if leg[0] == "up" else None) or real_hop(self, leg, context))
+    monkeypatch.setattr(LegCosts, "up", lambda self, ue_id, bits, context: (
+        priced.append(ue_id) or real_up(self, ue_id, bits, context)))
+    try:
+        runtime.execute()
+    except SessionAborted:
+        pass
+    return legs, priced, counts["oma_uplink_rate"], counts["cluster_rates"]
+
+
+def test_a_static_uplink_is_priced_once_per_leg(monkeypatch):
+    """On static channels a runner prices each distinct uplink leg once:
+    its gain is the mean and draws nothing, so the price cannot change."""
+    legs, priced, oma, noma = _uplink_pricing(monkeypatch, "sl_homogeneous")
+    assert len(legs) > 2 * len(set(legs)) and oma == len(priced) == len(set(legs))
+    assert noma == 0
+
+
+def test_a_fading_uplink_is_priced_every_time(monkeypatch):
+    ues = [f"ue{i}" for i in range(6)]
+    legs, priced, oma, _ = _uplink_pricing(monkeypatch, "sl_homogeneous", fading=ues)
+    assert len(legs) > len(set(legs)) and oma == len(priced) == len(legs)
+
+
+def test_a_noma_uplink_is_kept_only_when_its_whole_cluster_is_static(monkeypatch):
+    """fl_edge's NOMA pair ue3+ue4: static, each member's uplink is priced
+    once and the pair's rates computed once. With ue3 fading, static ue4's
+    uplink is priced anew each round too, as the pair's rates change; the
+    orthogonal devices' static uplinks are still priced once."""
+    rounds = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())["protocol"]["rounds"]
+    legs, priced, oma, noma = _uplink_pricing(monkeypatch, "fl_edge")
+    assert priced.count("ue4") == 1 and noma == 1
+    assert oma == len({leg for leg in legs if leg[1] not in ("ue3", "ue4")})
+    legs, priced, oma_fading, noma = _uplink_pricing(monkeypatch, "fl_edge", fading=("ue3",))
+    assert priced.count("ue4") == sum(leg[1] == "ue4" for leg in legs) == rounds
+    assert noma == rounds and oma_fading == oma
