@@ -239,7 +239,7 @@ def _estimate_federated(plan, topo, radio, clients: list[str]) -> CostEstimate:
     aggregate = (fl.aggregate(len(clients)),)
     # each master's nested legs and slaves, built once per estimate
     nested = {c: (SlHomoLegs(topo, c, task.widths, task.cut_index, task.batch_size),
-                  [s for s in topo.group_containing(c).slaves if s in plan.roles])
+                  [s for s in topo.mastered_group(c).slaves if s in plan.roles])
               for c in clients if plan.roles[c] == "master"}
     # what each client walks before its upload: the download, then the
     # local step, which a master runs as nested SL instead
@@ -389,23 +389,31 @@ def _device_layer_plan(task: TrainingTask, topo: NetworkTopology, ap_id: str,
         for c in pool[:len(task.boundaries)]:
             roles[c] = "client"
     elif task.protocol == "fedsplit_nested":
-        any_master = False
-        for c in pool:
-            group = topo.group_containing(c)
-            if group is not None and group.master == c:
-                roles[c] = "master"
-                any_master = True
-                for s in group.slaves:
-                    roles[s] = "slave"
-            elif c not in roles:
-                roles[c] = "client"
-        if not any_master:
+        roles.update(fedsplit_roles(topo, pool))
+        if "master" not in roles.values():
             return None
     else:
         for c in pool:
             roles[c] = "client"
     return TrainingPlan(task=task, roles=roles, ma_scheme=scheme,
                         relay="d2d" if task.protocol == "sl_heterogeneous" else "via_server")
+
+
+def fedsplit_roles(topo: NetworkTopology, clients) -> dict[str, str]:
+    """FedSplit roles of `clients`: a client that masters a D2D group is a
+    master, and each slave of its group is a slave, also one listed among
+    the clients, before or after its master; every other client is a
+    client."""
+    roles = {}
+    for c in clients:
+        group = topo.mastered_group(c)
+        if group is not None:
+            roles[c] = "master"
+            for s in group.slaves:
+                roles[s] = "slave"
+        elif c not in roles:
+            roles[c] = "client"
+    return roles
 
 
 def _plan_sort_key(plan: TrainingPlan, est: CostEstimate):

@@ -1104,8 +1104,8 @@ class _FedSplitRunner(_FlRunner):
             if sub.server != master:
                 raise NestedServerMismatch(
                     f"nested session for {master!r} names server {sub.server!r}")
-            group = topo.group_containing(master)
-            if group is None or group.master != master:
+            group = topo.mastered_group(master)
+            if group is None:
                 raise NestedServerMismatch(f"{master!r} is not a D2D group master")
             stray = set(sub.clients) - set(group.slaves)
             if stray:

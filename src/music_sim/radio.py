@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -64,6 +65,31 @@ class ResourceBlock:
     def __post_init__(self):
         if self.bandwidth <= 0:
             raise NonPositiveBandwidth(f"block {self.index}: bandwidth must be > 0")
+
+
+class CellBlocks(Sequence):
+    """The resource blocks of one parsed cell, all of one bandwidth. A block
+    is built the first time it is read and then kept, so a cell costs what
+    its blocks in use cost, however many it declares."""
+
+    __slots__ = ("_count", "_bandwidth", "_built")
+
+    def __init__(self, count: int, bandwidth: float):
+        self._count = count
+        self._bandwidth = bandwidth
+        # block 0 is built now, so a bad bandwidth is refused while parsing
+        self._built = {0: ResourceBlock(0, bandwidth)}
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int) -> ResourceBlock:
+        block = self._built.get(index)
+        if block is None:
+            if not 0 <= index < self._count:
+                raise IndexError(f"block {index} not in a cell of {self._count}")
+            block = self._built[index] = ResourceBlock(index, self._bandwidth)
+        return block
 
 
 @dataclass(frozen=True)
@@ -194,7 +220,7 @@ class RadioEnv:
     """Radio parameters of one scenario: noise, per-cell blocks, clusters."""
 
     noise_density: float  # watts/hertz
-    cells: dict[str, tuple[ResourceBlock, ...]]
+    cells: dict[str, Sequence[ResourceBlock]]
     downlink_rate: float  # bits/second, server-to-device pipe
     signalling_delay: float = 0.0  # paid by grant-based schemes
     rx_energy_per_bit: float = 0.0  # joules/bit at any receiver
@@ -216,13 +242,13 @@ class RadioEnv:
 
     @classmethod
     def from_doc(cls, doc: dict, topo: NetworkTopology) -> "RadioEnv":
-        cells: dict[str, tuple[ResourceBlock, ...]] = {}
+        cells: dict[str, CellBlocks] = {}
         for ap_id, cell in doc.get("cells", {}).items():
             if ap_id not in topo.servers:
                 raise UnknownNodeReference(f"radio cell {ap_id!r} is not a server node")
             count = integral(cell["num_blocks"], f"cell {ap_id!r}: num_blocks", 1)
             bw = real(cell["block_bandwidth"], f"cell {ap_id!r}: block_bandwidth")
-            cells[ap_id] = tuple(ResourceBlock(i, bw) for i in range(count))
+            cells[ap_id] = CellBlocks(count, bw)
         clusters = []
         for i, entry in enumerate(doc.get("noma_clusters", [])):
             members = identifiers(entry["members"], f"radio.noma_clusters[{i}].members")
@@ -272,7 +298,7 @@ class RadioEnv:
         delay = 0.0 if kind.grant_free else self.signalling_delay
         return AccessScheme(kind=kind, signalling_delay=delay)
 
-    def blocks_of(self, ap_id: str) -> tuple[ResourceBlock, ...]:
+    def blocks_of(self, ap_id: str) -> Sequence[ResourceBlock]:
         blocks = self.cells.get(ap_id)
         if blocks is None:
             raise MissingRadioCell(f"no radio.cells entry for {ap_id!r}")

@@ -15,7 +15,8 @@ import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import costs, mlp
@@ -34,7 +35,8 @@ from .errors import (
     UnknownNodeReference,
     ZeroRate,
 )
-from .placement import SelectionPolicy, TrainingPlan, TrainingTask, _edge_restriction_ok
+from .placement import (SelectionPolicy, TrainingPlan, TrainingTask, _edge_restriction_ok,
+                        fedsplit_roles)
 from .protocols import (
     FlSession,
     LegCosts,
@@ -373,23 +375,16 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
     if proto.kind == "sl_heterogeneous":
         sl_hetero_legs(topo, proto.server, proto.clients, cfg.ml.widths, proto.boundaries,
                        cfg.ml.batch_size, proto.relay)
-    if proto.kind == "fedsplit_nested":
-        if not any(_master_group(topo, c) for c in proto.clients):
-            raise ScenarioSchemaError(
-                "fedsplit_nested needs at least one client mastering a d2d group")
+    fedsplit = proto.kind == "fedsplit_nested"
+    if fedsplit and not any(topo.mastered_group(c) for c in proto.clients):
+        raise ScenarioSchemaError(
+            "fedsplit_nested needs at least one client mastering a d2d group")
     # a FedSplit master trains on its slaves' data; every other client on its own
     for c in proto.clients:
-        group = _master_group(topo, c) if proto.kind == "fedsplit_nested" else None
+        group = topo.mastered_group(c) if fedsplit else None
         for owner in group.slaves if group else (c,):
             if topo.ues[owner].dataset_size < 1:
                 raise ScenarioSchemaError(f"client {owner!r} has no local data")
-
-
-def _master_group(topo: NetworkTopology, ue_id: str):
-    group = topo.group_containing(ue_id)
-    if group is not None and group.master == ue_id:
-        return group
-    return None
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -440,16 +435,9 @@ def plan_of(cfg: ScenarioConfig) -> TrainingPlan:
     """Role assignment implied by the scenario's protocol section."""
     proto = cfg.protocol
     roles = {proto.server: "server"}
-    for c in proto.clients:
-        group = _master_group(cfg.topo, c) if proto.kind == "fedsplit_nested" else None
-        if group is not None:
-            roles[c] = "master"
-            for s in group.slaves:
-                roles[s] = "slave"
-        else:
-            roles[c] = "client"
-    task = task_of(cfg)
-    return TrainingPlan(task=task, roles=roles,
+    roles.update(fedsplit_roles(cfg.topo, proto.clients) if proto.kind == "fedsplit_nested"
+                 else dict.fromkeys(proto.clients, "client"))
+    return TrainingPlan(task=task_of(cfg), roles=roles,
                         ma_scheme=cfg.radio_env.scheme(proto.scheme),
                         relay=proto.relay)
 
@@ -569,40 +557,30 @@ def build_data(cfg: ScenarioConfig) -> DataBundle:
 
 @dataclass
 class Runtime:
-    """Everything needed to execute one configured scenario."""
+    """Everything needed to execute one configured scenario. `run` is the
+    protocol's `run_*` entry bound to its sessions, called with the
+    topology, the radio environment and the engine."""
 
     cfg: ScenarioConfig
     engine: Engine
     data: DataBundle
     model: mlp.MlpModel
-    fl_session: FlSession | None = None
-    sl_session: SlSession | None = None
-    nested: dict[str, SlSession] = field(default_factory=dict)
+    run: Callable[[NetworkTopology, RadioEnv, Engine], MetricsTrace]
 
     def execute(self) -> MetricsTrace:
         """Run the configured protocol; the trace carries hash and seed even
         when the session aborts mid-way."""
         cfg = self.cfg
+        trace = None
         try:
-            if cfg.protocol.kind == "fl":
-                trace = run_fl(self.fl_session, cfg.topo, cfg.radio_env, self.engine)
-            elif cfg.protocol.kind == "sl_homogeneous":
-                trace = run_sl_homogeneous(self.sl_session, cfg.topo, cfg.radio_env,
-                                           self.engine)
-            elif cfg.protocol.kind == "sl_heterogeneous":
-                trace = run_sl_heterogeneous(self.sl_session, cfg.topo, cfg.radio_env,
-                                             self.engine)
-            else:
-                trace = run_fedsplit_nested(self.fl_session, self.nested, cfg.topo,
-                                            cfg.radio_env, self.engine)
+            trace = self.run(cfg.topo, cfg.radio_env, self.engine)
         except SimulationError as exc:
-            partial = getattr(exc, "trace", None)
-            if partial is not None:
-                partial.config_hash = cfg.hash
-                partial.seed = cfg.seeds["root"]
+            trace = getattr(exc, "trace", None)
             raise
-        trace.config_hash = cfg.hash
-        trace.seed = cfg.seeds["root"]
+        finally:
+            if trace is not None:
+                trace.config_hash = cfg.hash
+                trace.seed = cfg.seeds["root"]
         return trace
 
 
@@ -612,43 +590,33 @@ def assemble(cfg: ScenarioConfig) -> Runtime:
         eng.batteries[ue.id] = ue.battery
     data = build_data(cfg)
     model = mlp.init_model(cfg.ml.widths, cfg.ml.loss, seed=cfg.seeds["model"])
-    config = TrainingConfig(lr=cfg.ml.learning_rate, batch_size=cfg.ml.batch_size,
-                            cycles_per_mac=cfg.ml.cycles_per_mac,
-                            eval_every=cfg.ml.eval_every)
     proto = cfg.protocol
-    scheme = cfg.radio_env.scheme(proto.scheme)
-    runtime = Runtime(cfg=cfg, engine=eng, data=data, model=model)
-
+    # what every session of the run shares
+    shared = dict(
+        model=model, scheme=cfg.radio_env.scheme(proto.scheme), data=data,
+        config=TrainingConfig(lr=cfg.ml.learning_rate, batch_size=cfg.ml.batch_size,
+                              cycles_per_mac=cfg.ml.cycles_per_mac,
+                              eval_every=cfg.ml.eval_every),
+        dropout_slope=proto.dropout_slope,
+    )
     if proto.kind in ("fl", "fedsplit_nested"):
-        runtime.fl_session = FlSession(
-            server=proto.server, clients=list(proto.clients),
-            local_iterations=proto.local_iterations, global_rounds=proto.rounds,
-            model=model, scheme=scheme, config=config, data=data,
-            dropout_slope=proto.dropout_slope, round_deadline=proto.round_deadline,
-        )
-    if proto.kind == "fedsplit_nested":
-        for c in proto.clients:
-            group = _master_group(cfg.topo, c)
-            if group is None:
-                continue
-            runtime.nested[c] = SlSession(
-                server=c, clients=list(group.slaves), variant="homogeneous",
-                iterations=proto.local_iterations, model=model, scheme=scheme,
-                config=replace(config, eval_every=0),
-                data=data, cut_index=proto.cut_index,
-                dropout_slope=proto.dropout_slope,
-            )
-    elif proto.kind == "sl_homogeneous":
-        runtime.sl_session = SlSession(
-            server=proto.server, clients=list(proto.clients), variant="homogeneous",
-            iterations=proto.iterations, model=model, scheme=scheme, config=config,
-            data=data, cut_index=proto.cut_index, dropout_slope=proto.dropout_slope,
-        )
-    elif proto.kind == "sl_heterogeneous":
-        runtime.sl_session = SlSession(
-            server=proto.server, clients=list(proto.clients), variant="heterogeneous",
-            iterations=proto.iterations, model=model, scheme=scheme, config=config,
-            data=data, boundaries=proto.boundaries, relay=proto.relay,
-            dropout_slope=proto.dropout_slope,
-        )
-    return runtime
+        fl = FlSession(server=proto.server, clients=list(proto.clients),
+                       local_iterations=proto.local_iterations, global_rounds=proto.rounds,
+                       round_deadline=proto.round_deadline, **shared)
+        if proto.kind == "fl":
+            run = functools.partial(run_fl, fl)
+        else:
+            # a master's nested split learning never evaluates, whatever eval_every says
+            nested = {c: SlSession(server=c, clients=list(group.slaves), variant="homogeneous",
+                                   iterations=proto.local_iterations,
+                                   cut_index=proto.cut_index, **shared)
+                      for c in proto.clients if (group := cfg.topo.mastered_group(c))}
+            run = functools.partial(run_fedsplit_nested, fl, nested)
+    else:
+        variant = proto.kind.removeprefix("sl_")
+        sl = SlSession(server=proto.server, clients=list(proto.clients), variant=variant,
+                       iterations=proto.iterations, cut_index=proto.cut_index,
+                       boundaries=proto.boundaries, relay=proto.relay, **shared)
+        run = functools.partial(run_sl_homogeneous if variant == "homogeneous"
+                                    else run_sl_heterogeneous, sl)
+    return Runtime(cfg=cfg, engine=eng, data=data, model=model, run=run)

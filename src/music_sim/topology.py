@@ -122,6 +122,7 @@ class NetworkTopology:
         for group in self.d2d_groups:
             for member in group.members():
                 self._group_of[member] = group
+        self._mastered = {group.master: group for group in self.d2d_groups}
 
     # -- lookups -------------------------------------------------------
 
@@ -143,6 +144,11 @@ class NetworkTopology:
 
     def group_containing(self, ue_id: str) -> D2dGroup | None:
         return self._group_of.get(ue_id)
+
+    def mastered_group(self, ue_id: str) -> D2dGroup | None:
+        """The D2D group `ue_id` masters, if any: the one rule for which
+        FedSplit client trains as a split-learning master."""
+        return self._mastered.get(ue_id)
 
     def d2d_link(self, a: str, b: str) -> LinkSpec | None:
         """Direct single-hop link between a and b, if their group has one.
@@ -172,15 +178,17 @@ _TIER_KEYS = (("cloud", Tier.CLOUD), ("fog", Tier.FOG), ("edge", Tier.EDGE))
 
 
 def integral(value, where: str, minimum: int | None = None) -> int:
-    """A count read from a scenario document, at least `minimum` if given. A
-    number with a fractional part is an error, never truncated."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+    """A count read from a scenario document, at least `minimum` if given and
+    at most `sys.maxsize`, so it fits an index or an array size. A number
+    with a fractional part is an error, never truncated."""
+    count = int(value) if isinstance(value, float) and value.is_integer() else value
+    if not isinstance(count, int) or isinstance(count, bool):
         raise ScenarioSchemaError(f"{where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ScenarioSchemaError(f"{where} must be >= {minimum}, got {value}")
-    return value
+    if minimum is not None and count < minimum:
+        raise ScenarioSchemaError(f"{where} must be >= {minimum}, got {count}")
+    if count > sys.maxsize:
+        raise ScenarioSchemaError(f"{where} must be <= {sys.maxsize}, got {value!r}")
+    return count
 
 
 _FLOAT_MAX = sys.float_info.max

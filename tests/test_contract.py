@@ -13,6 +13,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -442,3 +445,109 @@ def test_an_output_dir_that_is_not_a_string_fails_validation(tmp_path):
     assert code == EXIT_INVALID and out.startswith("error [schema]: output.dir "), out
     code, out = _cli("run", "--scenario", str(path))
     assert code == EXIT_INVALID and "error [schema]: output.dir " in out, out
+
+
+def _noma(doc: dict) -> dict:
+    return doc["radio"]["noma_clusters"][0]
+
+
+@pytest.mark.parametrize("name, mutate, line", [
+    ("fl_edge", lambda d: _noma(d)["powers"].pop(),
+     "error [schema]: noma cluster: members and powers differ in length"),
+    ("fl_edge", lambda d: _noma(d).update(members=["ue3", "ap0"]),
+     "error [reference]: noma cluster member 'ap0' is not a device node"),
+    ("fl_edge", lambda d: _noma(d).update(members=["ue3", "ue5"]),
+     "error [schema]: noma cluster ('ue3', 'ue5') spans access points ['ap0', 'ap1']"),
+    ("fl_edge", lambda d: d["radio"]["cells"].pop("ap0"),
+     "error [schema]: noma cluster ('ue3', 'ue4'): cell 'ap0' has no blocks"),
+    ("fl_edge", lambda d: d["nodes"]["fog"][0].pop("parent"),
+     "error [hierarchy]: fog node 'fog0' has no parent"),
+    ("sl_homogeneous", lambda d: _ue(d, "ue3").update(attached_ap="ap9"),
+     "error [reference]: ue3: attached_ap 'ap9' does not exist"),
+    ("sl_heterogeneous_d2d", lambda d: d["links"][0].update(src="ue0"),
+     "error [reference]: link endpoint 'ue0' is not a server node"),
+    ("fedsplit_nested", lambda d: d["d2d_groups"][0].update(slaves=["ue1", "ap0"]),
+     "error [reference]: d2d group member 'ap0' is not a device node"),
+    ("fedsplit_nested", lambda d: d["d2d_groups"][0].update(slaves=[]),
+     "error [schema]: d2d group of 'ue0' has no slaves"),
+    ("sl_heterogeneous_d2d", lambda d: d["d2d_groups"][0].update(slaves=["ue1", "ue0"]),
+     "error [schema]: d2d group master 'ue0' listed among its own slaves"),
+    ("fedsplit_nested", lambda d: d["d2d_groups"][0].update(link_rate=0),
+     "error [schema]: d2d group of 'ue0': link_rate must be > 0"),
+    ("sl_homogeneous", lambda d: d["d2d_groups"][0].update(link_rate=-8e6),
+     "error [schema]: d2d group of 'ue0': link_rate must be > 0"),
+    ("sl_heterogeneous_d2d", lambda d: d["protocol"].update(clients=[]),
+     "error [schema]: protocol.clients must not be empty"),
+    ("sl_homogeneous", lambda d: d["protocol"].pop("cut_index"),
+     "error [schema]: protocol.kind 'sl_homogeneous' requires 'cut_index'"),
+    ("fedsplit_nested", lambda d: d["protocol"].pop("cut_index"),
+     "error [schema]: protocol.kind 'fedsplit_nested' requires 'cut_index'"),
+])
+def test_a_structural_fault_is_refused_by_name(tmp_path, name, mutate, line):
+    """NOMA clusters, the hierarchy, links, D2D groups and the protocol's
+    clients and cut: the first line `validate` prints for each fault."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    mutate(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out = _cli("validate", "--scenario", str(path))
+    assert code == EXIT_INVALID and out.splitlines()[0] == line, out
+
+
+# count fields a bundled document may leave out; each is read all the same
+_OPTIONAL_COUNTS = (("protocol", "rounds"), ("protocol", "local_iterations"),
+                    ("protocol", "iterations"), ("protocol", "cut_index"),
+                    ("ml", "eval_every"), ("ml", "test_size"), ("seeds", "data"),
+                    ("seeds", "model"), ("placement", "pool_size"))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIO_DIR.glob("*.json")))
+def test_a_count_too_large_for_an_index_is_a_named_schema_error(tmp_path, name):
+    """2**63 or 1e308 in any count of a bundled document: a width crashed
+    `validate` in the uplink price (`int too large to convert to float`), and
+    a dataset, batch or test size passed `validate` and crashed `run`
+    allocating its arrays."""
+    path = tmp_path / "scenario.json"
+    counts = {field for field in _numeric_paths(BASE[name][0])
+              if next(k for k in reversed(field) if isinstance(k, str))
+              in (*_COUNT_BOUNDS, *_SEEDS)}
+    counts.update(_OPTIONAL_COUNTS)
+    for field in sorted(counts, key=str):
+        key = next(k for k in reversed(field) if isinstance(k, str))
+        for bad in (2**63, 1e308):
+            doc = json.loads(json.dumps(BASE[name][0]))
+            holder = doc
+            for step in field[:-1]:
+                holder = holder[step]
+            holder[field[-1]] = bad
+            path.write_text(json.dumps(doc))
+            code, out = _cli("validate", "--scenario", str(path))
+            assert code == EXIT_INVALID and out.startswith("error [schema]: "), (field, bad, out)
+            assert key.removesuffix("s") in out and f"got {bad!r}" in out, (field, bad, out)
+    assert len(counts) > 20
+
+
+# a child that runs one command with its address space capped at 1 GiB
+_CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+               "from music_sim.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+def test_a_cell_of_2_to_the_62_blocks_validates_and_runs(tmp_path):
+    """A cell builds a block only when it is read: one block per declared
+    block made `validate` take 1.35 s at 10**6 blocks and never return at
+    1e308. Each command runs in a child process with a timeout and a memory
+    cap, so a regression fails the test instead of stalling the suite or
+    filling the host's memory."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc["radio"]["cells"]["ap0"]["num_blocks"] = 2**62
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(music_sim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv, "--scenario", str(path)],
+                              capture_output=True, text=True, timeout=30, env=env, check=False)
+        assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["status"] == "completed"

@@ -7,11 +7,13 @@ energy, since both are built from the same cost primitives.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import music_sim
 from music_sim import costs, mlp, protocols
 from music_sim.engine import Engine
 from music_sim.errors import EmptyPool, NoFeasiblePlan
@@ -37,12 +39,14 @@ from music_sim.protocols import (
     run_sl_homogeneous,
 )
 from music_sim.radio import AccessScheme, NomaCluster, SchemeKind
+from music_sim.scenario import parse_config, plan_of
 from music_sim.topology import UeProfile, build_topology, validate_layer_span
 
 from conftest import blob_data, simple_radio, star_doc, star_topology
 
 WIDTHS = (8, 16, 12, 4)
 SCHEME = AccessScheme(kind=SchemeKind.OMA_GRANT_BASED, signalling_delay=0.01)
+SCENARIO_DIR = Path(music_sim.__file__).parent / "scenarios"
 
 
 def _ue(i, *, battery=50.0, compute=2e7, gain=2e-7, variance=0.0, mobile=False):
@@ -412,6 +416,18 @@ def test_fedsplit_candidate_needs_a_master():
     assert nested[0].nodes_with("master") == ["ue0"]
     assert sorted(nested[0].nodes_with("slave")) == ["ue1", "ue2"]
 
+
+
+@pytest.mark.parametrize("clients", [["ue0", "ue1", "ue3"], ["ue1", "ue0", "ue3"]])
+def test_a_slave_listed_as_a_fedsplit_client_is_a_slave_in_any_order(clients):
+    """`validate`'s plan gives FedSplit roles by placement's rule: a listed
+    client that a listed master's group holds is a slave, whichever comes
+    first. It was a client when listed after its master."""
+    doc = json.loads((SCENARIO_DIR / "fedsplit_nested.json").read_text())
+    doc["protocol"]["clients"] = clients
+    plan = plan_of(parse_config(doc))
+    assert plan.roles == {"ap0": "server", "ue0": "master", "ue1": "slave", "ue2": "slave",
+                          "ue3": "client"}
 
 # ------------------------------------------------------- plan choice ---- #
 

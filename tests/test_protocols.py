@@ -229,6 +229,105 @@ def test_fl_eval_gating_and_latency():
     assert trace.records[1].wall_latency > trace.records[0].wall_latency
 
 
+def test_a_fade_that_carries_no_bits_is_a_channel_outage():
+    """A log-gain variance of 400 makes ue0's first uplink gain underflow to a
+    zero rate; with no dropout slope no outage is drawn, so the leg's own
+    price refuses it: ue0 drops at that instant, spends no transmit joule,
+    and the round goes on without it."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    assert "dropout_slope" not in doc["protocol"]
+    next(ue for ue in doc["nodes"]["ue"] if ue["id"] == "ue0")["channel_variance"] = 400
+    runtime = assemble(parse_config(doc))
+    trace = runtime.execute()
+    eng = runtime.engine
+    assert trace.status == "completed" and len(trace.records) == 10
+    assert [r.dropouts for r in trace.records] == [["ue0"]] + [[]] * 9
+    assert [(r["time"], r["kind"], r["detail"]) for r in eng.event_log
+            if r["node"] == "ue0"] == [
+        (0.0, "ROUND_BOUNDARY", "round 0 start"),
+        (0.0007808, "TX_DONE", "dl:model"),
+        (0.0029311999999999997, "COMPUTE_DONE", "local:r0"),
+        (0.0029311999999999997, "DROPOUT", "channel outage"),
+    ]
+    assert "tx" not in eng.energy_ledger["ue0"]
+
+
+def _late_fl_run(doc: dict, server: str, deadline: float, ue0_battery=None):
+    """(trace, engine) of two FL rounds of ue0-ue2 with no receive charge,
+    so a device pays only for its compute and its uplink."""
+    topo = build_topology(doc)
+    radio = simple_radio()
+    radio.rx_energy_per_bit = 0.0
+    sess = _fl_session(["ue0", "ue1", "ue2"], blob_data(3), rounds=2, local_iters=1,
+                       server=server, round_deadline=deadline)
+    eng = Engine(seed=0)
+    eng.batteries.update({ue: 1e9 for ue in topo.ues})
+    if ue0_battery is not None:
+        eng.batteries["ue0"] = ue0_battery
+    return run_fl(sess, topo, radio, eng), eng
+
+
+def _first_charge(eng, node: str, category: str) -> float:
+    return next(c[2] for r in eng.event_log for c in r["charges"] if c[:2] == [node, category])
+
+
+def _events_of(eng, node: str) -> list[tuple]:
+    return [(r["kind"], r["detail"]) for r in eng.event_log if r["node"] == node]
+
+
+def test_a_straggler_that_drops_in_the_next_round_is_swept_from_it():
+    """ue0 straggles past round 0's deadline and is still training when
+    round 1 begins, so it is pending in round 1 without a chain of its own
+    there. Its battery holds exactly its compute, so the compute's charge
+    drops it; its chain stops at the closed round 0, and the rejoin sweeps
+    it out of round 1, which closes at once instead of at its deadline."""
+    doc = star_doc(3)
+    doc["nodes"]["ue"][0]["compute_rate"] = 1e5
+    _, eng = _late_fl_run(doc, "ap0", deadline=10.0)
+    compute = _first_charge(eng, "ue0", "compute")
+    trace, eng = _late_fl_run(doc, "ap0", deadline=0.12, ue0_battery=compute)
+    assert trace.status == "completed"
+    assert [r.dropouts for r in trace.records] == [[], ["ue0"]]
+    assert trace.records[0].wall_latency == pytest.approx(0.12, abs=1e-5)
+    assert trace.records[1].wall_latency == pytest.approx(0.17728 - 0.12, abs=1e-5)
+    assert eng.batteries["ue0"] == 0.0
+    # swept, never started in round 1
+    assert _events_of(eng, "ue0") == [
+        ("ROUND_BOUNDARY", "round 0 start"), ("TX_DONE", "dl:model"),
+        ("COMPUTE_DONE", "local:r0"), ("DROPOUT", "battery exhausted")]
+
+
+def test_a_straggler_dropped_before_the_next_round_is_not_in_it():
+    """With fog0 as the server, a delta crosses a 1 s backhaul after its
+    uplink. ue0's battery holds exactly its uplink (its compute is free), so
+    it drops when the uplink ends, at 1.022 s; its delta reaches fog0 at
+    2.022 s. ue1's and ue2's reach it by 2.014 s, and the deadline closes
+    round 0 at 2.018 s. So round 1 begins without ue0, and when ue0's chain
+    stops at the closed round 0 it joins nothing."""
+    doc = star_doc(3)
+    doc["links"][1]["latency"] = 1.0
+    doc["nodes"]["ue"][0]["energy_per_cycle"] = 0.0
+    doc["nodes"]["ue"][0]["compute_rate"] = 2e6
+    _, eng = _late_fl_run(doc, "fog0", deadline=100.0)
+    uplink = _first_charge(eng, "ue0", "tx")
+    trace, eng = _late_fl_run(doc, "fog0", deadline=2.018, ue0_battery=uplink)
+    assert trace.status == "completed"
+    assert [r.wall_latency for r in trace.records] == pytest.approx([2.018, 2.01398], abs=1e-5)
+    drop = next(r for r in eng.event_log if r["kind"] == "DROPOUT")
+    assert (drop["node"], drop["detail"]) == ("ue0", "battery exhausted")
+    assert drop["time"] == pytest.approx(1.02226, abs=1e-5)
+    assert eng.batteries["ue0"] == 0.0
+    assert _events_of(eng, "ue0") == [
+        ("ROUND_BOUNDARY", "round 0 start"), ("TX_DONE", "dl:model"),
+        ("COMPUTE_DONE", "local:r0"), ("TX_DONE", "ul:delta"),
+        ("DROPOUT", "battery exhausted")]
+    # round 1 aggregates the two deltas that arrived
+    fog0 = build_topology(doc).servers["fog0"]
+    _, energy = costs.compute_cost(costs.aggregation_macs(2, trace.final_model.param_count),
+                                   1.0, fog0.compute_rate, fog0.energy_per_cycle)
+    assert trace.records[1].compute_energy["fog0"] == energy
+
+
 # ----------------------------------------------------- homogeneous SL ---- #
 
 def _homo_session(clients, data, *, iterations=3, cut=2, server="ap0",
