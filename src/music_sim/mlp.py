@@ -2,10 +2,11 @@
 
 The model can run end to end (`forward` / `backward`) or as a chain of
 contiguous layer segments (`split_forward` / `split_backward_*`) whose
-composed result is numerically identical to the monolithic pass. The two
-routes are coded independently on purpose: the segment path is what the
-distributed protocols execute, the monolithic path is the reference they
-are checked against.
+composed result is numerically identical to the monolithic pass; the two
+routes are coded independently on purpose, each the reference of the
+other. The split-learning protocols train through `split_step`, one fused
+forward / backward / update pass over the whole cut model, whose weights
+equal both routes' followed by `sgd_step`, bit for bit.
 
 `sgd_clients` trains many clients at once from one model, as stacked
 (clients, batch, width) arrays; each client's slice equals its own
@@ -152,27 +153,31 @@ def _targets_for(model: MlpModel, labels: np.ndarray, logits: np.ndarray) -> np.
     return labels
 
 
-def _output_grad(model: MlpModel, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """dLoss/d(final pre-activation) for the mean-reduced losses."""
+def _loss_and_grad(model: MlpModel, logits: np.ndarray,
+                   targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(loss, dLoss/dlogits) of the mean-reduced loss: one loss value per
+    leading index, and the gradient w.r.t. the final pre-activation."""
     batch = logits.shape[-2]
     if model.loss == "ce":
-        # subtracting the 0/1 mask is exact: p - 0.0 == p
-        hit = targets[..., None] == np.arange(logits.shape[-1])
-        return (_softmax(logits) - hit) / batch
-    return (logits - targets) / batch
-
-
-def _loss(model: MlpModel, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Mean-reduced loss over the batch axis; one value per leading index."""
-    batch = logits.shape[-2]
-    if model.loss == "ce":
+        # one softmax serves both: e / total is `_softmax` bit for bit
         shifted = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-        picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
-        return -np.mean(picked, axis=-1)
+        e = np.exp(shifted)
+        total = e.sum(axis=-1, keepdims=True)
+        # the true class of each row, picked from the rows flattened
+        at = (np.arange(targets.size), targets.reshape(-1))
+        classes = logits.shape[-1]
+        log_probs = (shifted.reshape(-1, classes)[at].reshape(targets.shape)
+                     - np.log(total[..., 0]))
+        # (p - onehot) / batch, subtracting 1 at the true class only: p - 0.0 == p
+        grad = (e / total).reshape(-1, classes)
+        grad[at] -= 1.0
+        grad /= batch
+        # sum / batch is np.mean's own arithmetic
+        return -(log_probs.sum(axis=-1) / batch), grad.reshape(logits.shape)
     residual = logits - targets
     squares = residual * residual
-    return 0.5 * squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1) / batch
+    loss = 0.5 * squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1) / batch
+    return loss, residual / batch
 
 
 def batch_loss(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> float:
@@ -180,7 +185,7 @@ def batch_loss(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> floa
     if cache.segment.end != model.num_layers:
         raise StaleCache("loss needs a cache that reaches the output layer")
     logits = cache.pre_activations[-1]
-    return float(_loss(model, logits, _targets_for(model, labels, logits)))
+    return float(_loss_and_grad(model, logits, _targets_for(model, labels, logits))[0])
 
 
 # ---------------- monolithic pass ---------------- #
@@ -219,7 +224,7 @@ def backward(model: MlpModel, cache: ForwardCache, labels: np.ndarray) -> ParamD
     grad_w: list = [None] * model.num_layers
     grad_b: list = [None] * model.num_layers
     logits = cache.pre_activations[last]
-    dz = _output_grad(model, logits, _targets_for(model, labels, logits))
+    dz = _loss_and_grad(model, logits, _targets_for(model, labels, logits))[1]
     for l in range(last, -1, -1):
         if l < last:
             dz = da * (cache.pre_activations[l] > 0.0)
@@ -295,7 +300,7 @@ def split_backward_server(model: MlpModel, server_cache: ForwardCache, labels: n
     if server_cache.segment.end != model.num_layers:
         raise StaleCache("the loss-owning segment must reach the output layer")
     logits = server_cache.pre_activations[-1]
-    dz_top = _output_grad(model, logits, _targets_for(model, labels, logits))
+    dz_top = _loss_and_grad(model, logits, _targets_for(model, labels, logits))[1]
     return _segment_backprop(model, server_cache, dz_top, into)
 
 
@@ -318,22 +323,44 @@ def split_backward_client(model: MlpModel, cache: ForwardCache, upstream_grad: n
 
 def split_step(model: MlpModel, segments: list[CutSpec], x: np.ndarray, labels: np.ndarray,
                lr: float) -> tuple[MlpModel, float]:
-    """One SGD step run segment by segment, the last segment owning the loss.
+    """One SGD step of a model cut into `segments`, the last owning the loss.
 
     Returns (stepped model, batch loss before the step); the weights are the
-    same, bit for bit, as forward -> backward -> sgd_step on the whole model.
+    same, bit for bit, as forward -> backward -> sgd_step on the whole model,
+    and as the segment-by-segment split_forward / split_backward_* chain.
+    Contiguous segments compose into the whole network, so the step runs as
+    one fused pass: one forward loop, one softmax for the loss and its
+    gradient, and one backward loop that steps each layer as soon as its
+    gradient is ready.
     """
-    caches = []
-    for segment in segments:
-        x, cache = split_forward(model, segment, x)
-        caches.append(cache)
-    loss = batch_loss(model, caches[-1], labels)
+    if lr <= 0:
+        raise ValueError(f"learning rate must be > 0, got {lr!r}")
     layers = model.num_layers
-    grads = ParamDelta(widths=model.widths, weights=[None] * layers, biases=[None] * layers)
-    _, upstream = split_backward_server(model, caches[-1], labels, grads)
-    for cache in reversed(caches[:-1]):
-        _, upstream = split_backward_client(model, cache, upstream, grads)
-    return sgd_step(model, grads, lr), loss
+    if [*(s.start for s in segments), layers] != [0, *(s.end for s in segments)]:
+        raise ShapeMismatch(f"segments {segments} do not chain layers [0, {layers})")
+    _check_batch(x, model.widths[0])
+    weights, biases = model.weights, model.biases
+    last = layers - 1
+    inputs, pre_activations = [], []
+    a = x
+    for l in range(layers):
+        inputs.append(a)
+        z = a @ weights[l] + biases[l]
+        pre_activations.append(z)
+        if l < last:
+            a = np.maximum(z, 0.0)
+    loss, dz = _loss_and_grad(model, z, _targets_for(model, labels, z))
+    new_weights: list = [None] * layers
+    new_biases: list = [None] * layers
+    for l in range(last, -1, -1):
+        if l < last:
+            dz = da * (pre_activations[l] > 0.0)
+        if l > 0:
+            da = dz @ weights[l].T
+        new_weights[l] = weights[l] - lr * (inputs[l].T @ dz)
+        new_biases[l] = biases[l] - lr * dz.sum(axis=0)
+    return MlpModel(widths=model.widths, loss=model.loss,
+                    weights=new_weights, biases=new_biases), float(loss)
 
 
 def contiguous_cuts(num_layers: int, boundaries) -> list[CutSpec]:
@@ -407,8 +434,8 @@ def sgd_clients(model: MlpModel, steps, lr: float):
             if l < last:
                 a = np.maximum(z, 0.0)
         targets = _targets_for(model, labels, z)
-        losses.append(_loss(model, z, targets))
-        dz = _output_grad(model, z, targets)
+        loss, dz = _loss_and_grad(model, z, targets)
+        losses.append(loss)
         for l in range(last, -1, -1):
             if l < last:
                 dz = da * (pre_activations[l] > 0.0)

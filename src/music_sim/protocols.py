@@ -910,7 +910,7 @@ class _FlRunner(_RunnerBase):
         if sess.round_deadline != float("inf"):
             self.eng.schedule(state.start + sess.round_deadline,
                               EventKind.ROUND_BOUNDARY,
-                              lambda: self._maybe_close(state, deadline=True),
+                              lambda: self._sweep(state, deadline=True),
                               node=sess.server, detail=f"round {rnd} deadline")
 
     def _start(self, client: str, state: _FlRound) -> None:
@@ -929,13 +929,14 @@ class _FlRunner(_RunnerBase):
         else:
             self._start(client, state)
 
-    def _sweep(self, state: _FlRound) -> None:
-        """A chain failed: every pending participant that has dropped is out."""
-        for c in list(state.pending):
-            if c in self.eng.dropped:
-                state.pending.discard(c)
-                state.dropouts.append(c)
-        self._maybe_close(state)
+    def _sweep(self, state: _FlRound, deadline=False) -> None:
+        """A chain failed, or the round's deadline came: every pending
+        participant that has dropped is out, and the round closes if it can.
+        Those swept at once are listed by id, not in the set's hash order."""
+        for c in sorted(c for c in state.pending if c in self.eng.dropped):
+            state.pending.discard(c)
+            state.dropouts.append(c)
+        self._maybe_close(state, deadline)
 
     def _maybe_close(self, state: _FlRound, deadline=False) -> None:
         """Close the round once nobody is pending (or at its deadline) and

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from music_sim import mlp, protocols
 from music_sim.data import Shard, make_blobs
 from music_sim.engine import Engine
-from music_sim.errors import EmptyWidths, ShapeMismatch, StaleCache
+from music_sim.errors import (EmptyInput, EmptyWidths, LengthMismatch, ShapeMismatch,
+                               StaleCache)
 from music_sim.protocols import FlSession, TrainingConfig, run_fl
 from music_sim.radio import AccessScheme, SchemeKind
 from music_sim.topology import build_topology
@@ -196,6 +197,109 @@ def test_split_step_equals_the_monolithic_step(widths, loss, seed):
         assert got_loss == mlp.batch_loss(model, cache, y)
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert np.array_equal(a, b)
+
+
+def _split_case():
+    """A model whose widths all differ, so a mis-chained segment's input
+    never has the features it expects, with its cut and a batch."""
+    model = mlp.init_model((5, 7, 6, 3), "ce", seed=2)
+    x, y = _data(batch=6, dim=5, seed=2)
+    return model, mlp.contiguous_cuts(3, (1,)), x, y
+
+
+def test_split_step_refuses_a_non_positive_learning_rate():
+    model, cuts, x, y = _split_case()
+    for lr in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            mlp.split_step(model, cuts, x, y, lr)
+
+
+def test_split_step_refuses_segments_that_skip_or_overlap_a_layer():
+    model, _, x, y = _split_case()
+    skip = [mlp.CutSpec(0, 1), mlp.CutSpec(2, 3)]
+    overlap = [mlp.CutSpec(0, 2), mlp.CutSpec(1, 3)]
+    for segments in (skip, overlap):
+        with pytest.raises(ShapeMismatch):
+            mlp.split_step(model, segments, x, y, 0.05)
+
+
+def test_split_step_refuses_a_bad_batch():
+    model, cuts, x, y = _split_case()
+    with pytest.raises(ShapeMismatch):
+        mlp.split_step(model, cuts, x[:, :4], y, 0.05)
+    with pytest.raises(EmptyInput):
+        mlp.split_step(model, cuts, x[:0], y[:0], 0.05)
+
+
+def test_split_step_refuses_a_wrong_label_count():
+    model, cuts, x, y = _split_case()
+    with pytest.raises(LengthMismatch):
+        mlp.split_step(model, cuts, x, y[:-1], 0.05)
+
+
+def test_split_step_leaves_the_input_model_untouched():
+    model, cuts, x, y = _split_case()
+    before = mlp.flatten_params(model).copy()
+    stepped, _ = mlp.split_step(model, cuts, x, y, 0.05)
+    assert np.array_equal(mlp.flatten_params(model), before)
+    assert not np.array_equal(mlp.flatten_params(stepped), before)
+
+
+# The loss and its gradient as two separate passes, each with its own
+# softmax and the log-probabilities picked with `take_along_axis`: the
+# reference the fused `mlp._loss_and_grad` is held to, bit for bit.
+
+def _reference_loss(model, logits, targets):
+    batch = logits.shape[-2]
+    if model.loss == "ce":
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        picked = np.take_along_axis(log_probs, targets[..., None], axis=-1)[..., 0]
+        return -np.mean(picked, axis=-1)
+    residual = logits - targets
+    squares = residual * residual
+    return 0.5 * squares.reshape(squares.shape[:-2] + (-1,)).sum(axis=-1) / batch
+
+
+def _reference_output_grad(model, logits, targets):
+    batch = logits.shape[-2]
+    if model.loss == "ce":
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        hit = targets[..., None] == np.arange(logits.shape[-1])
+        return (e / e.sum(axis=-1, keepdims=True) - hit) / batch
+    return (logits - targets) / batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(loss=st.sampled_from(mlp.LOSSES),
+       lead=st.sampled_from([(), (1,), (3,)]),
+       batch=st.integers(min_value=1, max_value=9),
+       classes=st.integers(min_value=1, max_value=6),
+       scale=st.sampled_from([1e-3, 1.0, 30.0, 800.0]),
+       dense_targets=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_loss_and_grad_equals_the_separate_passes_bit_for_bit(
+        loss, lead, batch, classes, scale, dense_targets, seed):
+    """Over both losses, single (B, C) and stacked (K, B, C) logits, and
+    logits large enough that an unshifted exp overflows: one value per
+    leading index and a gradient of the logits' shape, equal to the
+    reference's bit for bit."""
+    rng = np.random.default_rng(seed)
+    model = mlp.init_model((2, classes), loss, seed=0)
+    logits = scale * rng.standard_normal(lead + (batch, classes))
+    if loss == "mse" and dense_targets:
+        labels = rng.standard_normal(logits.shape)
+    else:
+        labels = rng.integers(0, classes, lead + (batch,))
+    targets = mlp._targets_for(model, labels, logits)
+    got_loss, got_grad = mlp._loss_and_grad(model, logits, targets)
+    want_loss = _reference_loss(model, logits, targets)
+    want_grad = _reference_output_grad(model, logits, targets)
+    assert np.shape(got_loss) == np.shape(want_loss) == lead
+    assert np.array_equal(got_loss, want_loss)
+    assert got_grad.shape == logits.shape
+    assert np.array_equal(got_grad, want_grad)
 
 
 def test_split_forward_equals_monolithic_prediction():

@@ -4,7 +4,10 @@ failure handling, transport selection, and the metrics trace."""
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +329,53 @@ def test_a_straggler_dropped_before_the_next_round_is_not_in_it():
     _, energy = costs.compute_cost(costs.aggregation_macs(2, trace.final_model.param_count),
                                    1.0, fog0.compute_rate, fog0.energy_per_cycle)
     assert trace.records[1].compute_energy["fog0"] == energy
+
+
+def _deadline_dropouts(slow: tuple[str, ...]) -> list[list[str]]:
+    """Each round's dropouts in the scenario above, with every device in
+    `slow` set up as ue0 is there: it drops when its uplink ends, and its
+    delta would reach fog0 only after round 0's 2.018 s deadline."""
+    doc = star_doc(3)
+    doc["links"][1]["latency"] = 1.0
+    for ue in doc["nodes"]["ue"]:
+        if ue["id"] in slow:
+            ue["energy_per_cycle"] = 0.0
+            ue["compute_rate"] = 2e6
+    _, eng = _late_fl_run(doc, "fog0", deadline=100.0)
+    batteries = {ue: _first_charge(eng, ue, "tx") for ue in slow}
+    topo = build_topology(doc)
+    radio = simple_radio()
+    radio.rx_energy_per_bit = 0.0
+    sess = _fl_session(["ue0", "ue1", "ue2"], blob_data(3), rounds=2, local_iters=1,
+                       server="fog0", round_deadline=2.018)
+    eng = Engine(seed=0)
+    eng.batteries.update({ue: 1e9 for ue in topo.ues})
+    eng.batteries.update(batteries)
+    trace = run_fl(sess, topo, radio, eng)
+    assert trace.status == "completed"
+    return [r.dropouts for r in trace.records]
+
+
+def test_a_straggler_dropped_in_a_round_its_deadline_closes_is_its_dropout():
+    """ue0 drops at 1.022 s while pending in round 0, and round 0's deadline
+    closes it at 2.018 s. The deadline sweeps ue0 out of round 0, so that
+    round lists it; round 1 never had it."""
+    assert _deadline_dropouts(("ue0",)) == [["ue0"], []]
+
+
+def test_devices_one_deadline_sweeps_are_listed_by_id_under_any_hash_seed():
+    """ue1 drops just before ue0, and one deadline sweeps both. The round
+    lists them by id: in the pending set's order, the list would follow
+    the process's string-hash seed (it did for seeds 1 to 8)."""
+    src = str(Path(music_sim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import test_protocols as t; print(t._deadline_dropouts(('ue0', 'ue1')))"
+    seen = {subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
+                           env={**env, "PYTHONHASHSEED": str(seed)}, capture_output=True,
+                           text=True, timeout=60, check=True).stdout
+            for seed in range(1, 5)}
+    assert seen == {"[['ue0', 'ue1'], []]\n"}
 
 
 # ----------------------------------------------------- homogeneous SL ---- #
