@@ -112,6 +112,13 @@ def _write_artifacts(trace: MetricsTrace, out_dir: Path, runtime=None,
             meta={"config_hash": trace.config_hash, "seed": trace.seed})
 
 
+def _refuse(exc: Exception, prefix: str = "") -> int:
+    """One `error:` line on stderr for a scenario that cannot run; exit 1."""
+    reason = f"out of memory ({exc})" if isinstance(exc, MemoryError) else exc
+    print(f"error: {prefix}{reason}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def cmd_validate(args) -> int:
     report = validate_path(args.scenario)
     for line in report.lines():
@@ -129,9 +136,8 @@ def cmd_run(args) -> int:
             return EXIT_INVALID
         cfg = report.config
         runtime = assemble(cfg)
-    except (SimulationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    except (SimulationError, OSError, MemoryError) as exc:
+        return _refuse(exc)
 
     out_dir = _resolve_out(args.out, cfg.out_dir)
     try:
@@ -157,8 +163,7 @@ def cmd_plan(args) -> int:
             task, cfg.topo, cfg.radio_env, cfg.policy,
             cfg.radio_env.scheme(cfg.protocol.scheme))
     except (SimulationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _refuse(exc)
     payload = plan.to_doc(cfg.topo, estimate)
     payload["config_hash"] = cfg.hash
     payload["seed"] = cfg.seeds["root"]
@@ -222,14 +227,16 @@ def cmd_sweep(args) -> int:
                 raise SimulationError(f"{args.axis}={raw}: {detail}")
             runs.append((raw, report.config))
     except (SimulationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _refuse(exc)
 
     out_dir = _resolve_out(args.out, runs[0][1].out_dir)
     rows = []
     code = EXIT_OK
     for raw, cfg in runs:
-        runtime = assemble(cfg)
+        try:
+            runtime = assemble(cfg)
+        except (SimulationError, MemoryError) as exc:
+            return _refuse(exc, f"{args.axis}={raw}: ")
         try:
             trace = runtime.execute()
         except SessionAborted as exc:

@@ -10,11 +10,11 @@ shard a view into them, so many shards' batches are gathered with one index.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import RngStreams
 from .errors import EmptyInput
 
 
@@ -80,24 +80,19 @@ class DataBundle:
         return steps
 
 
-def _substream(base_seed: int, label: str) -> np.random.Generator:
-    digest = hashlib.sha256(label.encode()).digest()
-    tag = int.from_bytes(digest[:8], "big")
-    return np.random.default_rng(np.random.SeedSequence([base_seed, tag]))
-
-
 def make_blobs(input_dim: int, n_classes: int, shard_sizes: dict[str, int],
                test_size: int, seed: int, noise: float = 0.6,
                class_sep: float = 2.5) -> DataBundle:
     """Gaussian-blob dataset with per-node shards and a shared test set.
 
-    Class centers come from one substream; each shard and the test set come
-    from their own substreams, so shard contents are stable under adding or
-    removing other nodes.
+    Class centers come from one named stream of `RngStreams(seed)`; each
+    shard and the test set come from their own, so shard contents are
+    stable under adding or removing other nodes.
     """
     if n_classes < 2:
         raise EmptyInput(f"need at least 2 classes, got {n_classes}")
-    centers = _substream(seed, "centers").standard_normal((n_classes, input_dim)) * class_sep
+    streams = RngStreams(seed)
+    centers = streams.stream("centers").standard_normal((n_classes, input_dim)) * class_sep
 
     def draw(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, n_classes, size=count)
@@ -111,11 +106,11 @@ def make_blobs(input_dim: int, n_classes: int, shard_sizes: dict[str, int],
     offset = 0
     for owner, size in sizes.items():
         end = offset + size
-        x[offset:end], labels[offset:end] = draw(_substream(seed, f"shard:{owner}"), size)
+        x[offset:end], labels[offset:end] = draw(streams.stream(f"shard:{owner}"), size)
         shards[owner] = Shard(owner=owner, x=x[offset:end], labels=labels[offset:end])
         offsets[owner] = offset
         offset = end
-    test_x, test_labels = draw(_substream(seed, "test"), int(test_size))
+    test_x, test_labels = draw(streams.stream("test"), int(test_size))
     return DataBundle(shards=shards, test_x=test_x, test_labels=test_labels,
                       input_dim=input_dim, n_classes=n_classes, x=x, labels=labels,
                       offsets=offsets)

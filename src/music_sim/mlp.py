@@ -1,16 +1,13 @@
 """Plain numpy multilayer perceptron with cut-point execution.
 
-The model can run end to end (`forward` / `backward`) or as a chain of
-contiguous layer segments (`split_forward` / `split_backward_*`) whose
-composed result is numerically identical to the monolithic pass; the two
-routes are coded independently on purpose, each the reference of the
-other. The split-learning protocols train through `split_step`, one fused
-forward / backward / update pass over the whole cut model, whose weights
-equal both routes' followed by `sgd_step`, bit for bit.
-
-`sgd_clients` trains many clients at once from one model, as stacked
-(clients, batch, width) arrays; each client's slice equals its own
-forward / backward / sgd_step chain bit for bit.
+Every run trains through one loop, `_descend`: one fused forward / loss /
+backward-and-update pass per step, on one model (`split_step`, which the
+split-learning protocols call) or on K clients' stacked (clients, batch,
+width) arrays (`sgd_clients`, for FL). The end-to-end pass (`forward` /
+`backward`), the contiguous layer segments (`split_forward` /
+`split_backward_*`) and `sgd_step` are coded independently of it and of each
+other; they are the reference chain whose weights the loop matches, bit for
+bit, per model and per client slice.
 
 Hidden layers use ReLU. The output layer is linear under squared error and
 softmax under cross-entropy. Losses are mean-reduced over the batch:
@@ -328,10 +325,8 @@ def split_step(model: MlpModel, segments: list[CutSpec], x: np.ndarray, labels: 
     Returns (stepped model, batch loss before the step); the weights are the
     same, bit for bit, as forward -> backward -> sgd_step on the whole model,
     and as the segment-by-segment split_forward / split_backward_* chain.
-    Contiguous segments compose into the whole network, so the step runs as
-    one fused pass: one forward loop, one softmax for the loss and its
-    gradient, and one backward loop that steps each layer as soon as its
-    gradient is ready.
+    Contiguous segments compose into the whole network, so the step is one
+    pass of the training loop `_descend` over the whole model.
     """
     if lr <= 0:
         raise ValueError(f"learning rate must be > 0, got {lr!r}")
@@ -339,28 +334,9 @@ def split_step(model: MlpModel, segments: list[CutSpec], x: np.ndarray, labels: 
     if [*(s.start for s in segments), layers] != [0, *(s.end for s in segments)]:
         raise ShapeMismatch(f"segments {segments} do not chain layers [0, {layers})")
     _check_batch(x, model.widths[0])
-    weights, biases = model.weights, model.biases
-    last = layers - 1
-    inputs, pre_activations = [], []
-    a = x
-    for l in range(layers):
-        inputs.append(a)
-        z = a @ weights[l] + biases[l]
-        pre_activations.append(z)
-        if l < last:
-            a = np.maximum(z, 0.0)
-    loss, dz = _loss_and_grad(model, z, _targets_for(model, labels, z))
-    new_weights: list = [None] * layers
-    new_biases: list = [None] * layers
-    for l in range(last, -1, -1):
-        if l < last:
-            dz = da * (pre_activations[l] > 0.0)
-        if l > 0:
-            da = dz @ weights[l].T
-        new_weights[l] = weights[l] - lr * (inputs[l].T @ dz)
-        new_biases[l] = biases[l] - lr * dz.sum(axis=0)
+    weights, biases, losses = _descend(model, model.weights, model.biases, [(x, labels)], lr)
     return MlpModel(widths=model.widths, loss=model.loss,
-                    weights=new_weights, biases=new_biases), float(loss)
+                    weights=weights, biases=biases), float(losses[0])
 
 
 def contiguous_cuts(num_layers: int, boundaries) -> list[CutSpec]:
@@ -416,36 +392,47 @@ def sgd_clients(model: MlpModel, steps, lr: float):
     if not steps:
         raise EmptyInput("no local steps to run")
     clients = steps[0][0].shape[0]
-    weights = [np.broadcast_to(w, (clients,) + w.shape) for w in model.weights]
-    biases = [np.broadcast_to(b, (clients, 1) + b.shape) for b in model.biases]
-    last = model.num_layers - 1
-    losses = []
-    for x, labels in steps:
+    for x, _ in steps:
         if x.ndim != 3 or x.shape[0] != clients:
             raise ShapeMismatch(f"expected a ({clients}, batch, features) array, "
                                 f"got shape {x.shape}")
         _check_batch(x[0], model.widths[0])
-        layer_inputs, pre_activations = [], []
+    weights, biases, losses = _descend(
+        model, [np.broadcast_to(w, (clients,) + w.shape) for w in model.weights],
+        [np.broadcast_to(b, (clients,) + b.shape) for b in model.biases], steps, lr)
+    return weights, biases, np.stack(losses, axis=1)
+
+
+def _descend(model: MlpModel, weights: list, biases: list, steps, lr: float):
+    """The training loop: plain SGD from `weights` and `biases` over `steps`,
+    (x, labels) pairs. Every array may lead with one client axis: weights[l]
+    is (in, out) or (K, in, out), biases[l] (out,) or (K, out), x (B, in) or
+    (K, B, in). Each step is one fused pass: one forward loop, one softmax
+    for the loss and its gradient, and one backward loop that steps each
+    layer as soon as its gradient is ready. Returns the stepped weights and
+    biases, and each step's batch loss before the step."""
+    weights, biases = list(weights), list(biases)
+    last = model.num_layers - 1
+    losses = []
+    for x, labels in steps:
+        inputs, pre_activations = [], []
         a = x
-        for l in range(model.num_layers):
-            layer_inputs.append(a)
-            z = a @ weights[l] + biases[l]
+        for l in range(last + 1):
+            inputs.append(a)
+            z = a @ weights[l] + biases[l][..., None, :]
             pre_activations.append(z)
             if l < last:
                 a = np.maximum(z, 0.0)
-        targets = _targets_for(model, labels, z)
-        loss, dz = _loss_and_grad(model, z, targets)
+        loss, dz = _loss_and_grad(model, z, _targets_for(model, labels, z))
         losses.append(loss)
         for l in range(last, -1, -1):
             if l < last:
                 dz = da * (pre_activations[l] > 0.0)
-            grad_w = np.swapaxes(layer_inputs[l], -1, -2) @ dz
-            grad_b = dz.sum(axis=-2, keepdims=True)
             if l > 0:
-                da = dz @ np.swapaxes(weights[l], -1, -2)
-            weights[l] = weights[l] - lr * grad_w
-            biases[l] = biases[l] - lr * grad_b
-    return weights, [b[:, 0] for b in biases], np.stack(losses, axis=1)
+                da = dz @ weights[l].swapaxes(-1, -2)
+            weights[l] = weights[l] - lr * (inputs[l].swapaxes(-1, -2) @ dz)
+            biases[l] = biases[l] - lr * dz.sum(axis=-2)
+    return weights, biases, losses
 
 
 def fed_avg(deltas: list[ParamDelta]) -> ParamDelta:

@@ -25,7 +25,8 @@ from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
 ROLES = ("server", "client", "relay", "master", "slave")
 
 SL_PROTOCOLS = ("sl_homogeneous", "sl_heterogeneous")
-UE_PROTOCOLS = ("fl", "sl_homogeneous", "sl_heterogeneous", "fedsplit_nested")
+# the protocols a scenario can name; each trains on devices, unlike "centralized"
+PROTOCOL_KINDS = ("fl", "sl_homogeneous", "sl_heterogeneous", "fedsplit_nested")
 
 
 @dataclass(frozen=True)
@@ -362,7 +363,7 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
         plans.append(TrainingPlan(task=replace(task, protocol="fl"),
                                   roles=roles, ma_scheme=scheme))
 
-    if task.protocol in UE_PROTOCOLS:
+    if task.protocol in PROTOCOL_KINDS:
         for ap_id in sorted(topo.servers):
             if topo.servers[ap_id].tier != Tier.EDGE:
                 continue
@@ -461,4 +462,4 @@ def _edge_restriction_ok(plan: TrainingPlan, topo: NetworkTopology) -> bool:
         return True
     server_tier = topo.tier_of(plan.server())
     return (server_tier in (Tier.EDGE, Tier.FOG)
-            and plan.task.protocol in UE_PROTOCOLS)
+            and plan.task.protocol in PROTOCOL_KINDS)

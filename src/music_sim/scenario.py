@@ -35,8 +35,8 @@ from .errors import (
     UnknownNodeReference,
     ZeroRate,
 )
-from .placement import (SelectionPolicy, TrainingPlan, TrainingTask, _edge_restriction_ok,
-                        fedsplit_roles)
+from .placement import (PROTOCOL_KINDS, SelectionPolicy, TrainingPlan, TrainingTask,
+                        _edge_restriction_ok, fedsplit_roles)
 from .protocols import (
     FlSession,
     LegCosts,
@@ -64,8 +64,6 @@ from .topology import (
     real,
     validate_layer_span,
 )
-
-PROTOCOL_KINDS = ("fl", "sl_homogeneous", "sl_heterogeneous", "fedsplit_nested")
 
 # accepted spellings for --protocol overrides
 PROTOCOL_ALIASES = {

@@ -551,3 +551,26 @@ def test_a_cell_of_2_to_the_62_blocks_validates_and_runs(tmp_path):
         assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["status"] == "completed"
+
+
+def test_a_dataset_no_host_can_hold_is_refused_in_one_line(tmp_path):
+    """`validate` cannot know the host's memory, so a shard of 2**40 rows
+    passes it; `run` and `sweep` must then refuse it with one `error:` line
+    and exit 1, not die in a NumPy `MemoryError` traceback. Each command runs
+    in a child process with a timeout and a memory cap, as above."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc["nodes"]["ue"][0]["dataset_size"] = 2**40
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(music_sim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, prefix in ((["run"], "error: out of memory ("),
+                         (["sweep", "--axis", "learning_rate", "--values", "0.05"],
+                          "error: learning_rate=0.05: out of memory (")):
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv, "--scenario", str(path),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=30, env=env, check=False)
+        assert proc.returncode == EXIT_INVALID, proc.stdout + proc.stderr
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
