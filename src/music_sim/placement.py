@@ -171,7 +171,6 @@ class _Estimator:
 
     def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
                  clients: list[str]):
-        self.task = plan.task
         self.legs = LegCosts(topo, radio, plan.ma_scheme, plan.task.cycles_per_mac)
         self.legs.assign_slots(clients)
         self.blocks = BlockLedger()
@@ -207,128 +206,118 @@ class _Estimator:
             t += latency
         return t
 
-    def finish(self, wall_latency: float) -> CostEstimate:
-        total = sum(sum(b.values()) for b in self.energy.values())
-        return CostEstimate(total_energy=total, wall_latency=wall_latency,
-                            breakdown=self.energy)
+
+def _centralized_periods(est, plan, topo, clients):
+    """One training iteration at the server, on data assumed to be there."""
+    task, server = plan.task, plan.server()
+    macs = costs.training_macs(task.widths, task.batch_size)
+    return task.total_iterations, lambda i, t: t + est.compute(server, macs)
 
 
-def _estimate_centralized(plan, topo, radio, clients: list[str]) -> CostEstimate:
-    est = _Estimator(plan, topo, radio, clients)
-    task = plan.task
-    server = plan.server()
-    t = 0.0
-    per_iter = costs.training_macs(task.widths, task.batch_size)
-    for i in range(task.total_iterations):
-        t += est.compute(server, per_iter)
-        t = est.walk(eval_legs(server, task.widths, task.test_size, task.eval_every, i), t)
-    return est.finish(t)
-
-
-def _estimate_federated(plan, topo, radio, clients: list[str]) -> CostEstimate:
-    """FL rounds, FedSplit's included: each client downloads the model,
+def _federated_periods(est, plan, topo, clients):
+    """One FL round, FedSplit's included: each client downloads the model,
     trains, and uploads its delta; the round closes at the slowest upload
-    plus aggregation. A FedSplit master trains by the homogeneous SL
-    sequence over its slaves, every hop a D2D hop; plain FL has no masters.
+    plus aggregation. A FedSplit master trains by nested homogeneous SL
+    periods over its slaves, every hop a D2D hop; plain FL has no masters.
     Uploads are made in the order the engine dispatches them: by ready
     time, ties in client order."""
-    est = _Estimator(plan, topo, radio, clients)
     task = plan.task
-    server = plan.server()
-    fl = FlLegs(topo, server, task.widths, task.batch_size, task.local_iterations)
+    fl = FlLegs(topo, plan.server(), task.widths, task.batch_size, task.local_iterations)
     chains = [fl.chain(c) for c in clients]
     aggregate = (fl.aggregate(len(clients)),)
-    # each master's nested legs and slaves, built once per estimate
-    nested = {c: (SlHomoLegs(topo, c, task.widths, task.cut_index, task.batch_size),
-                  [s for s in topo.mastered_group(c).slaves if s in plan.roles])
+    # each master's nested period over its slaves, built once per estimate
+    nested = {c: _sl_homo_period(est, topo, c, task,
+                                 [s for s in topo.mastered_group(c).slaves if s in plan.roles])
               for c in clients if plan.roles[c] == "master"}
     # what each client walks before its upload: the download, then the
     # local step, which a master runs as nested SL instead
     before = [down if c in nested else (*down, local)
               for c, (down, local, _) in zip(clients, chains)]
-    t = 0.0
-    for rnd in range(task.rounds):
+
+    def period(rnd, t):
         ready = []
         for c, legs in zip(clients, before):
             got = est.walk(legs, t)
             if c in nested:
-                sl, slaves = nested[c]
-                got = _sl_homo_iterations(est, sl, slaves, task.local_iterations, got,
-                                          evaluate=False)
+                sl = nested[c]
+                for i in range(task.local_iterations):
+                    got = sl(i, got)
             ready.append(got)
         slowest = t
         for i in sorted(range(len(clients)), key=ready.__getitem__):
             slowest = max(slowest, est.walk(chains[i][2], ready[i]))
-        t = est.walk(aggregate + eval_legs(server, task.widths, task.test_size,
-                                           task.eval_every, rnd), slowest)
-    return est.finish(t)
+        return est.walk(aggregate, slowest)
+    return task.rounds, period
 
 
-def _sl_homo_iterations(est: _Estimator, legs: SlHomoLegs, clients: list[str],
-                        iterations: int, t: float, evaluate: bool) -> float:
-    """Homogeneous SL iterations over `legs` from ready time `t`; returns
-    the time the last iteration ends."""
-    task, server = est.task, legs.server
-    holder = None
-    for i in range(iterations):
-        active = clients[i % len(clients)]
-        t = est.walk(legs.handoff(holder, active), t)
-        t = est.walk(legs.body(active), t)
-        holder = active
-        if evaluate:
-            evals = eval_legs(server, task.widths, task.test_size, task.eval_every, i)
-            t = est.walk(evals, t)
-    return t
+def _sl_homo_period(est, topo, server: str, task: TrainingTask, clients: list[str]):
+    """Homogeneous SL iteration i at `server`: client i's handoff from the
+    one before it (from the server at i = 0), then the body."""
+    legs = SlHomoLegs(topo, server, task.widths, task.cut_index, task.batch_size)
+    n = len(clients)
+
+    def period(i, t):
+        active = clients[i % n]
+        t = est.walk(legs.handoff(clients[(i - 1) % n] if i else None, active), t)
+        return est.walk(legs.body(active), t)
+    return period
 
 
-def _estimate_sl_homogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
-    est = _Estimator(plan, topo, radio, clients)
+def _sl_homogeneous_periods(est, plan, topo, clients):
+    period = _sl_homo_period(est, topo, plan.server(), plan.task, clients)
+    return plan.task.total_iterations, period
+
+
+def _sl_heterogeneous_periods(est, plan, topo, clients):
+    """Labels, then the forward chain beside them, then the backward chain."""
     task = plan.task
-    legs = SlHomoLegs(topo, plan.server(), task.widths, task.cut_index, task.batch_size)
-    t = _sl_homo_iterations(est, legs, clients, task.total_iterations, 0.0, evaluate=True)
-    return est.finish(t)
-
-
-def _estimate_sl_heterogeneous(plan, topo, radio, clients: list[str]) -> CostEstimate:
-    est = _Estimator(plan, topo, radio, clients)
-    task = plan.task
-    server = plan.server()
-    labels, forward, back = sl_hetero_legs(topo, server, clients, task.widths,
+    labels, forward, back = sl_hetero_legs(topo, plan.server(), clients, task.widths,
                                            task.boundaries, task.batch_size, plan.relay)
-    t = 0.0
-    for i in range(task.total_iterations):
+
+    def period(i, t):
         labels_done = est.walk(labels, t)
-        chain_done = est.walk(forward, t)
-        t = est.walk(back, max(labels_done, chain_done))
-        t = est.walk(eval_legs(server, task.widths, task.test_size, task.eval_every, i), t)
-    return est.finish(t)
+        return est.walk(back, max(labels_done, est.walk(forward, t)))
+    return task.total_iterations, period
 
 
-_ESTIMATORS = {
-    "centralized": _estimate_centralized,
-    "fl": _estimate_federated,
-    "sl_homogeneous": _estimate_sl_homogeneous,
-    "sl_heterogeneous": _estimate_sl_heterogeneous,
-    "fedsplit_nested": _estimate_federated,
+# each protocol's periods: (est, plan, topo, clients) -> (period count,
+# period), where period(i, t) walks period i from ready time t to its end
+_PERIODS = {
+    "centralized": _centralized_periods,
+    "fl": _federated_periods,
+    "sl_homogeneous": _sl_homogeneous_periods,
+    "sl_heterogeneous": _sl_heterogeneous_periods,
+    "fedsplit_nested": _federated_periods,
 }
 
 
 def estimate_cost(plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
                   client_order: list[str] | None = None) -> CostEstimate:
-    """A-priori (no dropouts, mean gains) cost of executing a plan.
+    """A-priori (no dropouts, mean gains) cost of executing a plan: its
+    protocol's periods walked one after another, each followed by the
+    server's held-out evaluation when one is due.
 
     `client_order` is the session's client sequence (FedSplit: its FL
     participants, masters included); by default masters, then clients, each
     in sorted-id order.
     """
-    kind = plan.task.protocol
+    task = plan.task
     try:
-        fn = _ESTIMATORS[kind]
+        periods = _PERIODS[task.protocol]
     except KeyError:
-        raise ScenarioSchemaError(f"no estimator for protocol {kind!r}") from None
+        raise ScenarioSchemaError(f"no estimator for protocol {task.protocol!r}") from None
     if client_order is None:
         client_order = sorted(plan.nodes_with("master")) + sorted(plan.nodes_with("client"))
-    return fn(plan, topo, radio, client_order)
+    est = _Estimator(plan, topo, radio, client_order)
+    count, period = periods(est, plan, topo, client_order)
+    server, t = plan.server(), 0.0
+    for i in range(count):
+        t = period(i, t)
+        evals = eval_legs(server, task.widths, task.test_size, task.eval_every, i)
+        if evals:
+            t = est.walk(evals, t)
+    total = sum(sum(b.values()) for b in est.energy.values())
+    return CostEstimate(total_energy=total, wall_latency=t, breakdown=est.energy)
 
 
 # ---------------------------------------------------------------- #
@@ -383,38 +372,30 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
 
 def _device_layer_plan(task: TrainingTask, topo: NetworkTopology, ap_id: str,
                        pool: list[str], scheme: AccessScheme) -> TrainingPlan | None:
-    roles = {ap_id: "server"}
     if task.protocol == "sl_heterogeneous":
         if len(pool) < len(task.boundaries):
             return None
-        for c in pool[:len(task.boundaries)]:
-            roles[c] = "client"
-    elif task.protocol == "fedsplit_nested":
-        roles.update(fedsplit_roles(topo, pool))
-        if "master" not in roles.values():
-            return None
-    else:
-        for c in pool:
-            roles[c] = "client"
+        pool = pool[:len(task.boundaries)]
+    roles = session_roles(topo, task.protocol, ap_id, pool)
+    if task.protocol == "fedsplit_nested" and "master" not in roles.values():
+        return None
     return TrainingPlan(task=task, roles=roles, ma_scheme=scheme,
                         relay="d2d" if task.protocol == "sl_heterogeneous" else "via_server")
 
 
-def fedsplit_roles(topo: NetworkTopology, clients) -> dict[str, str]:
-    """FedSplit roles of `clients`: a client that masters a D2D group is a
-    master, and each slave of its group is a slave, also one listed among
-    the clients, before or after its master; every other client is a
-    client."""
+def session_roles(topo: NetworkTopology, kind: str, server: str, clients) -> dict[str, str]:
+    """Roles of a `kind` session, `server` first. Under FedSplit a client
+    that masters a D2D group is a master and each slave of its group is a
+    slave, wherever it is listed among the clients; any other is a client."""
     roles = {}
     for c in clients:
-        group = topo.mastered_group(c)
+        group = topo.mastered_group(c) if kind == "fedsplit_nested" else None
         if group is not None:
             roles[c] = "master"
-            for s in group.slaves:
-                roles[s] = "slave"
+            roles.update(dict.fromkeys(group.slaves, "slave"))
         elif c not in roles:
             roles[c] = "client"
-    return roles
+    return {server: "server", **roles}
 
 
 def _plan_sort_key(plan: TrainingPlan, est: CostEstimate):

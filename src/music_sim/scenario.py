@@ -36,7 +36,7 @@ from .errors import (
     ZeroRate,
 )
 from .placement import (PROTOCOL_KINDS, SelectionPolicy, TrainingPlan, TrainingTask,
-                        _edge_restriction_ok, fedsplit_roles)
+                        _edge_restriction_ok, session_roles)
 from .protocols import (
     FlSession,
     LegCosts,
@@ -279,7 +279,6 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
     relay = section.get("relay", "server")
     if type(relay) is not str or relay not in RELAY_ALIASES:
         raise ScenarioSchemaError(f"protocol.relay must be 'server' or 'd2d', got {relay!r}")
-    deadline = section.get("round_deadline")
     settings = ProtocolSettings(
         kind=kind,
         server=identifier(section["server"], "protocol.server"),
@@ -296,8 +295,7 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
                                                      "protocol.boundaries"))),
         relay=RELAY_ALIASES[relay],
         dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope", 0),
-        round_deadline=(math.inf if deadline is None or deadline == math.inf
-                        else real(deadline, "protocol.round_deadline", 0)),
+        round_deadline=_deadline(section.get("round_deadline"), "protocol.round_deadline"),
     )
     if not settings.clients:
         raise ScenarioSchemaError("protocol.clients must not be empty")
@@ -312,8 +310,12 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
     return settings
 
 
+def _deadline(value, where: str) -> float:
+    """A deadline field: absent, null or infinite means no deadline."""
+    return math.inf if value is None or value == math.inf else real(value, where, 0)
+
+
 def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
-    deadline = section.get("latency_deadline")
     policy = SelectionPolicy(
         min_battery=real(section.get("min_battery", 0.0), "placement.min_battery"),
         min_compute_rate=real(section.get("min_compute_rate", 0.0),
@@ -327,8 +329,7 @@ def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
                                  "placement.require_immobile"),
         pool_size=integral(section.get("pool_size", 16), "placement.pool_size", 1),
     )
-    return policy, (math.inf if deadline is None or deadline == math.inf
-                    else real(deadline, "placement.latency_deadline", 0))
+    return policy, _deadline(section.get("latency_deadline"), "placement.latency_deadline")
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -351,6 +352,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         seeds=seeds, policy=policy, latency_deadline=deadline, out_dir=out_dir,
     )
     _check_cross_references(cfg)
+    _check_work(proto)
     return cfg
 
 
@@ -383,6 +385,24 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
         for owner in group.slaves if group else (c,):
             if topo.ues[owner].dataset_size < 1:
                 raise ScenarioSchemaError(f"client {owner!r} has no local data")
+
+
+# The most client-periods (rounds x local iterations, or split learning's
+# iterations, x clients) a document may ask for; fixed, so hosts agree.
+WORK_CEILING = 10**7
+
+
+def _check_work(proto: ProtocolSettings) -> None:
+    keys = (("rounds", "local_iterations") if proto.kind in ("fl", "fedsplit_nested")
+            else ("iterations",))
+    factors = {f"protocol.{k}": getattr(proto, k) for k in keys}
+    factors["protocol.clients"] = len(proto.clients)
+    work = math.prod(factors.values())
+    if work > WORK_CEILING:
+        heaviest = max(factors, key=factors.get)
+        raise ScenarioSchemaError(
+            f"{heaviest} = {factors[heaviest]} makes {work} client-periods, "
+            f"over the ceiling of {WORK_CEILING}")
 
 
 def load_scenario(path) -> ScenarioConfig:
@@ -432,10 +452,8 @@ def _constraint_name(exc: SimulationError) -> str:
 def plan_of(cfg: ScenarioConfig) -> TrainingPlan:
     """Role assignment implied by the scenario's protocol section."""
     proto = cfg.protocol
-    roles = {proto.server: "server"}
-    roles.update(fedsplit_roles(cfg.topo, proto.clients) if proto.kind == "fedsplit_nested"
-                 else dict.fromkeys(proto.clients, "client"))
-    return TrainingPlan(task=task_of(cfg), roles=roles,
+    return TrainingPlan(task=task_of(cfg),
+                        roles=session_roles(cfg.topo, proto.kind, proto.server, proto.clients),
                         ma_scheme=cfg.radio_env.scheme(proto.scheme),
                         relay=proto.relay)
 

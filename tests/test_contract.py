@@ -574,3 +574,25 @@ def test_a_dataset_no_host_can_hold_is_refused_in_one_line(tmp_path):
         assert proc.returncode == EXIT_INVALID, proc.stdout + proc.stderr
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1, proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_a_run_of_2_to_the_62_rounds_is_refused_in_one_line(tmp_path):
+    """The estimate walks every round, so `plan` on `rounds: 2**62` once never
+    returned, though `validate` accepted the document. The work ceiling in
+    `parse_config` refuses it for both commands with one `error` line that
+    names the field. Each command runs in a child process with a timeout and
+    a memory cap, as above."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc["protocol"]["rounds"] = 2**62
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(music_sim.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, prefix in ((["validate"], "error [schema]: "), (["plan"], "error: ")):
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_CLI, *argv, "--scenario", str(path)],
+                              capture_output=True, text=True, timeout=30, env=env, check=False)
+        out = proc.stdout + proc.stderr
+        assert proc.returncode == EXIT_INVALID, out
+        assert out.startswith(prefix) and out.count("\n") == 1, out
+        assert "protocol.rounds" in out and "Traceback" not in out, out
