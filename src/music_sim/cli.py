@@ -102,11 +102,10 @@ def _summary_line(trace: MetricsTrace) -> str:
             f"final_accuracy={acc}")
 
 
-def _write_artifacts(trace: MetricsTrace, out_dir: Path, runtime=None,
-                     event_log=False) -> None:
+def _write_artifacts(trace: MetricsTrace, out_dir: Path, runtime, event_log) -> None:
     trace.to_csv(out_dir / "trace.csv")
     trace.write_summary(out_dir / "summary.json")
-    if event_log and runtime is not None:
+    if event_log:
         runtime.engine.write_event_log(
             out_dir / "events.jsonl",
             meta={"config_hash": trace.config_hash, "seed": trace.seed})

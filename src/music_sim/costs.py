@@ -36,9 +36,9 @@ def forward_macs(widths, batch: int, start: int = 0, end: int | None = None) -> 
     return batch * forward_macs_per_sample(widths, start, end)
 
 
-def training_macs(widths, batch: int, start: int = 0, end: int | None = None) -> int:
+def training_macs(widths, batch: int) -> int:
     """Forward plus backward (twice forward) over one minibatch."""
-    return 3 * forward_macs(widths, batch, start, end)
+    return 3 * forward_macs(widths, batch)
 
 
 def aggregation_macs(n_updates: int, param_count: int) -> int:

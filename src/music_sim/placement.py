@@ -409,16 +409,15 @@ def choose_placement(task: TrainingTask, topo: NetworkTopology, radio: RadioEnv,
                      scheme: AccessScheme) -> tuple[TrainingPlan, CostEstimate]:
     """Pick the cheapest feasible plan from the candidate space.
 
-    Feasible means: layer span <= 3, device clients only under an edge/fog
-    server running FL/SL/FedSplit, and estimated wall latency within the
-    task's deadline. Ties break toward lower latency, then fewer nodes, then
-    a stable textual key, so enumeration order never matters.
+    Enumeration already puts device clients only under an edge server of
+    their own, running FL/SL/FedSplit. Feasible means: layer span <= 3, an
+    estimate that raises no named error, and estimated wall latency within
+    the task's deadline. Ties break toward lower latency, then fewer nodes,
+    then a stable textual key, so enumeration order never matters.
     """
     best = None
     for plan in enumerate_candidate_plans(task, topo, radio, policy, scheme):
         if validate_layer_span(plan, topo) is not None:
-            continue
-        if not _edge_restriction_ok(plan, topo):
             continue
         try:
             est = estimate_cost(plan, topo, radio)

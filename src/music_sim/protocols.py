@@ -804,7 +804,8 @@ class _FlRunner(_RunnerBase):
     """Federated averaging. In each round every participant runs one chain:
     download the global model, train through `_local_step`, upload the
     delta. The round closes when every participant is back or has dropped,
-    or at its deadline.
+    or at its deadline. A client with a runner in `nested` (a FedSplit
+    master; none under FL) trains through that runner's split learning.
 
     Stragglers: a chain's guard looks at its round whenever the chain
     resumes, and stops the chain there once the round has closed; its delta
@@ -820,6 +821,7 @@ class _FlRunner(_RunnerBase):
         super().__init__(protocol_name, session, topo, radio_env, eng,
                          session.global_rounds)
         self._current: _FlRound | None = None
+        self.nested: dict[str, _SlHomoRunner] = {}
         self.plan = FlLegs(topo, session.server, self.model.widths,
                            session.config.batch_size, session.local_iterations)
         # each client's chain, the same every round
@@ -852,11 +854,39 @@ class _FlRunner(_RunnerBase):
     def _local_step(self, client: str, state: _FlRound):
         """Process: train `client` locally. Returns (staged, tag): `staged`
         holds the delta, its pre-step losses and its sample count, and `tag`
-        prefixes the upload's random-stream context."""
-        staged = self._local_training(client, state.index)
-        _, node, macs, what = self._chains[client][1]
-        yield partial(self.leg_compute, node, macs, f"{what}:r{state.index}")
-        return staged, "fl"
+        prefixes the upload's random-stream context.
+
+        A master runs its local iterations as homogeneous SL over its
+        slaves, from the global model and iteration 0 each round, sharing
+        this engine and clock; its records stay out of the FL trace, and it
+        never evaluates. The phase is part of the master's FL chain, so the
+        chain's guard stops it at its next leg boundary once the FL round
+        has closed. A nested abort drops the master from the FL round."""
+        inner = self.nested.get(client)
+        if inner is None:
+            staged = self._local_training(client, state.index)
+            _, node, macs, what = self._chains[client][1]
+            yield partial(self.leg_compute, node, macs, f"{what}:r{state.index}")
+            return staged, "fl"
+        inner.model, inner.holder = mlp.clone(self.model), None
+        yield partial(self._boundary, client, f"nested r{state.index} start")
+        losses = []
+        for i in range(inner.rounds):
+            slave = inner._client_for(i)
+            try:
+                losses.append((yield from inner._iteration(slave, i, [])))
+            except SessionAborted as exc:
+                reason = f"nested split aborted: {exc.reason}"
+                yield lambda done, fail: self._refuse(client, reason, fail)
+            if i + 1 < inner.rounds:
+                yield partial(self._boundary, client, f"iter {i} done")
+            else:
+                # not waited on: the upload starts in the event that ended
+                # the last nested leg
+                self._boundary(client, f"iter {i} done", lambda: None)
+        n = self.delta_sample_count(client)
+        return {"delta": mlp.model_delta(inner.model, self.model, sample_count=n),
+                "losses": losses, "n": n}, "fs"
 
     def _local_training(self, client: str, rnd: int) -> dict:
         """The actual numpy training `client` performs in round `rnd`, the
@@ -889,10 +919,6 @@ class _FlRunner(_RunnerBase):
                                "n": shard.size}
         return out
 
-    def _local_trainers(self, participants: list[str]) -> list[str]:
-        """The participants whose round runs `_local_training`."""
-        return participants
-
     def _begin(self, rnd: int) -> None:
         sess = self.session
         if rnd >= self.rounds:
@@ -903,7 +929,8 @@ class _FlRunner(_RunnerBase):
         # whoever the last round still waits for has a chain running
         running = self._current.pending if self._current is not None else set()
         state = self._current = self._open(_FlRound, rnd, pending=set(participants),
-                                         trainers=self._local_trainers(participants))
+                                         trainers=[c for c in participants
+                                                   if c not in self.nested])
         for client in participants:
             if client not in running:
                 self._start(client, state)
@@ -1100,7 +1127,6 @@ class _FedSplitRunner(_FlRunner):
     def __init__(self, session: FlSession, nested: dict[str, SlSession],
                  topo, radio_env, eng):
         super().__init__(session, topo, radio_env, eng, protocol_name="fedsplit_nested")
-        self.nested = nested
         for master, sub in nested.items():
             if sub.server != master:
                 raise NestedServerMismatch(
@@ -1112,45 +1138,14 @@ class _FedSplitRunner(_FlRunner):
             if stray:
                 raise NestedServerMismatch(
                     f"nested clients {sorted(stray)} are not slaves of {master!r}")
-
-    def _local_trainers(self, participants: list[str]) -> list[str]:
-        return [c for c in participants if c not in self.nested]
+            # one runner per run: every nested leg is a compute or a D2D hop
+            # (no uplink, block or fading draw), so its kept prices never change
+            self.nested[master] = _SlHomoRunner(
+                replace(sub, iterations=session.local_iterations), topo, radio_env, eng)
 
     def delta_sample_count(self, master: str) -> int:
-        sub = self.nested[master]
+        sub = self.nested[master].session
         return sum(sub.data.shard_of(s).size for s in sub.clients)
-
-    def _local_step(self, client: str, state: _FlRound):
-        """A master's local step runs its local iterations as homogeneous SL
-        over its slaves, sharing this engine and clock; its records stay out
-        of the FL trace, and it never evaluates. The phase is part of the
-        master's FL chain, so the chain's guard stops it at its next leg
-        boundary once the FL round has closed. A nested abort drops the
-        master from the FL round."""
-        if client not in self.nested:
-            return (yield from super()._local_step(client, state))
-        inner = _SlHomoRunner(
-            replace(self.nested[client], iterations=self.session.local_iterations,
-                    model=mlp.clone(self.model)),
-            self.topo, self.radio, self.eng)
-        yield partial(self._boundary, client, f"nested r{state.index} start")
-        losses = []
-        for i in range(inner.rounds):
-            slave = inner._client_for(i)
-            try:
-                losses.append((yield from inner._iteration(slave, i, [])))
-            except SessionAborted as exc:
-                reason = f"nested split aborted: {exc.reason}"
-                yield lambda done, fail: self._refuse(client, reason, fail)
-            if i + 1 < inner.rounds:
-                yield partial(self._boundary, client, f"iter {i} done")
-            else:
-                # not waited on: the upload starts in the event that ended
-                # the last nested leg
-                self._boundary(client, f"iter {i} done", lambda: None)
-        n = self.delta_sample_count(client)
-        return {"delta": mlp.model_delta(inner.model, self.model, sample_count=n),
-                "losses": losses, "n": n}, "fs"
 
 
 def run_fedsplit_nested(fl_session: FlSession, nested: dict[str, SlSession],

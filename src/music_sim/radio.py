@@ -175,8 +175,9 @@ def noma_uplink_rates(cluster: NomaCluster, gains: dict[str, float],
 
 
 def access_delay(scheme: AccessScheme) -> float:
-    """Latency overhead of getting on the channel; zero for grant-free kinds."""
-    return 0.0 if scheme.kind.grant_free else scheme.signalling_delay
+    """Latency overhead of getting on the channel; zero for grant-free kinds,
+    which `AccessScheme` holds to a zero signalling delay."""
+    return scheme.signalling_delay
 
 
 def tx_cost(bits: int, rate: float, tx_power: float,

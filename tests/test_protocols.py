@@ -23,6 +23,7 @@ from music_sim.errors import (
     AllClientsDropped,
     MissingBackhaulLink,
     MissingD2dLink,
+    NestedServerMismatch,
     ScenarioSchemaError,
     SessionAborted,
     SessionStalled,
@@ -763,6 +764,46 @@ def test_fedsplit_bytes_exclude_d2d_traffic():
     per_round = fl.model.payload_bits // 8
     assert trace.records[0].bytes_up == per_round    # the master's delta only
     assert trace.records[0].bytes_down == per_round  # the model broadcast only
+
+
+def _bad_nested_run(case: str):
+    """A FedSplit run over ue0's group (ue1, ue2; ue3 is no slave) whose
+    nested session is wrong in one way."""
+    doc = star_doc(4, d2d=True)
+    doc["d2d_groups"][0]["slaves"] = ["ue1", "ue2"]
+    topo = build_topology(doc)
+    data = blob_data(4)
+    master, slaves, cut = "ue0", ["ue1", "ue2"], 2
+    if case == "not a master":
+        master = "ue3"
+    elif case == "stray slave":
+        slaves = ["ue1", "ue3"]
+    elif case == "cut out of range":
+        cut = 0
+    nested = _nested_sessions({master: slaves}, data, cut=cut)
+    if case == "server is not the master":
+        nested[master].server = "ue1"
+    fl = _fl_session([master], data, rounds=2, local_iters=1)
+    return fl, nested, topo
+
+
+_NESTED_REFUSALS = {
+    "server is not the master": (NestedServerMismatch, "names server 'ue1'"),
+    "not a master": (NestedServerMismatch, "'ue3' is not a D2D group master"),
+    "stray slave": (NestedServerMismatch, r"\['ue3'\] are not slaves of 'ue0'"),
+    "cut out of range": (ScenarioSchemaError, "cut_index must be in"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NESTED_REFUSALS))
+def test_fedsplit_refuses_a_bad_nested_session_before_any_event(case):
+    error, message = _NESTED_REFUSALS[case]
+    fl, nested, topo = _bad_nested_run(case)
+    eng = Engine(seed=0)
+    with pytest.raises(error, match=message):
+        run_fedsplit_nested(fl, nested, topo, simple_radio(), eng)
+    assert len(eng.event_log) == 0
+    assert eng.clock == 0.0
 
 
 # ---------------------------------------------------------- liveness ---- #
