@@ -4,10 +4,10 @@ Placement answers two questions before anything runs: which devices are fit
 to participate (threshold filters plus a deterministic ranking), and where
 a training task should execute (single server, one tier further down across
 children, or a device-layer protocol at an access point). Candidates are
-compared by a closed-form cost estimate that walks each protocol's leg
-sequence and prices every leg through the runners' own leg-cost model
-(`protocols.LegCosts`), under no-dropout, mean-gain assumptions; the
-cheapest feasible plan wins.
+compared by a closed-form cost estimate that runs each protocol's leg
+sequence period by period, each leg priced once per estimate by the
+runners' own leg-cost model (`protocols.LegCosts`), under no-dropout,
+mean-gain assumptions; the cheapest feasible plan wins.
 """
 
 from __future__ import annotations
@@ -154,20 +154,28 @@ def select_ue_pool(candidates: list[UeProfile], policy: SelectionPolicy,
 #                         cost estimation                          #
 # ---------------------------------------------------------------- #
 
+class _Program:
+    """Leg tuples (see `protocols.route`), priced on their first run, so in
+    walk order and only if the walk reaches them. Pricing gives `charges`,
+    the positive (node's energy bucket, phase, joules) in charge order, none
+    of which depends on time, and `steps`, one (latency, booking) per leg:
+    `booking` is (receiver, blocks, sender, tag) for an uplink, else None."""
+
+    __slots__ = ("legs", "charges", "steps")
+
+    def __init__(self, legs: tuple):
+        self.legs, self.steps = legs, None
+
+
 class _Estimator:
-    """Closed-form walk along the runners' leg sequences.
-
-    Every leg is priced by the runners' own `LegCosts`; the estimator only
-    carries ready times along the schedule and sums energy per node and
-    phase. Uplinks book their blocks on a `BlockLedger`, as the runners do,
-    so callers must request them in the order the engine would: by ready
-    time, ties in client order. `clients` is the session's client order,
-    which fixes each device's block slot.
-
-    Its `LegCosts` prices at mean gain, so every leg the walk repeats (each
-    round's uplinks included) is priced once per estimate and looked up
-    after that; only the block bookings and the sums are redone per leg.
-    """
+    """Closed-form run of the runners' leg sequences, each leg priced once
+    per estimate by the runners' own `LegCosts` (see `_Program`), so a later
+    period only books blocks and adds. Ready times are carried along the
+    schedule, and energy is summed per node and phase. Uplinks book their
+    blocks on a `BlockLedger`, as the runners do, so callers must request
+    them in the order the engine would: by ready time, ties in client order.
+    `clients` is the session's client order, which fixes each device's
+    block slot."""
 
     def __init__(self, plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
                  clients: list[str]):
@@ -176,32 +184,35 @@ class _Estimator:
         self.blocks = BlockLedger()
         self.energy: dict[str, dict[str, float]] = {}
 
-    def add(self, node: str, phase: str, joules: float) -> None:
-        if joules > 0:
-            bucket = self.energy.get(node)
-            if bucket is None:
-                bucket = self.energy[node] = {}
-            bucket[phase] = bucket.get(phase, 0.0) + joules
-
-    def compute(self, node: str, macs: float) -> float:
-        latency, energy = self.legs.compute(node, macs)
-        self.add(node, "compute", energy)
-        return latency
-
-    def walk(self, legs: tuple, t: float) -> float:
-        """Carry ready time `t` through leg tuples (see `protocols.route`);
-        returns the time the last one ends. A hop is billed as
-        `LegCosts.hop` says, and an uplink waits for its blocks; every
-        uplink shares one context, so NOMA rates are computed once per
-        estimate."""
-        for leg in legs:
+    def _price(self, program: _Program) -> None:
+        """A hop is billed as `LegCosts.hop` says, every uplink in one context
+        (NOMA rates are computed once per estimate). The program runs next,
+        so each node's bucket is made in first-charge order."""
+        energy, charges, steps = self.energy, [], []
+        for leg in program.legs:
             if leg[0] == "compute":
-                t += self.compute(leg[1], leg[2])
-                continue
-            sender, receiver, latency, tx, rx, blocks, tag = self.legs.hop(leg)
-            self.add(sender, "tx", tx)
-            self.add(receiver, "rx", rx)
-            if blocks:
+                latency, joules = self.legs.compute(leg[1], leg[2])
+                paid, booking = ((leg[1], "compute", joules),), None
+            else:
+                sender, receiver, latency, tx, rx, blocks, tag = self.legs.hop(leg)
+                paid = ((sender, "tx", tx), (receiver, "rx", rx))
+                booking = (receiver, blocks, sender, tag) if blocks else None
+            for node, phase, joules in paid:
+                if joules > 0:
+                    charges.append((energy.setdefault(node, {}), phase, joules))
+            steps.append((latency, booking))
+        program.charges, program.steps = charges, steps
+
+    def run(self, program: _Program, t: float) -> float:
+        """Carry ready time `t` through `program`; returns the time its last
+        leg ends. An uplink waits for its blocks."""
+        if program.steps is None:
+            self._price(program)
+        for bucket, phase, joules in program.charges:
+            bucket[phase] = bucket.get(phase, 0.0) + joules
+        for latency, booking in program.steps:
+            if booking is not None:
+                receiver, blocks, sender, tag = booking
                 t = self.blocks.book(receiver, blocks, t, latency, sender, tag)
             t += latency
         return t
@@ -211,7 +222,8 @@ def _centralized_periods(est, plan, topo, clients):
     """One training iteration at the server, on data assumed to be there."""
     task, server = plan.task, plan.server()
     macs = costs.training_macs(task.widths, task.batch_size)
-    return task.total_iterations, lambda i, t: t + est.compute(server, macs)
+    train = _Program((("compute", server, macs, "train"),))
+    return task.total_iterations, lambda i, t: est.run(train, t)
 
 
 def _federated_periods(est, plan, topo, clients):
@@ -224,20 +236,21 @@ def _federated_periods(est, plan, topo, clients):
     task = plan.task
     fl = FlLegs(topo, plan.server(), task.widths, task.batch_size, task.local_iterations)
     chains = [fl.chain(c) for c in clients]
-    aggregate = (fl.aggregate(len(clients)),)
+    aggregate = _Program((fl.aggregate(len(clients)),))
     # each master's nested period over its slaves, built once per estimate
     nested = {c: _sl_homo_period(est, topo, c, task,
                                  [s for s in topo.mastered_group(c).slaves if s in plan.roles])
               for c in clients if plan.roles[c] == "master"}
-    # what each client walks before its upload: the download, then the
+    # what each client runs before its upload: the download, then the
     # local step, which a master runs as nested SL instead
-    before = [down if c in nested else (*down, local)
+    before = [_Program(down if c in nested else (*down, local))
               for c, (down, local, _) in zip(clients, chains)]
+    uploads = [_Program(up) for _, _, up in chains]
 
     def period(rnd, t):
         ready = []
-        for c, legs in zip(clients, before):
-            got = est.walk(legs, t)
+        for c, program in zip(clients, before):
+            got = est.run(program, t)
             if c in nested:
                 sl = nested[c]
                 for i in range(task.local_iterations):
@@ -245,21 +258,27 @@ def _federated_periods(est, plan, topo, clients):
             ready.append(got)
         slowest = t
         for i in sorted(range(len(clients)), key=ready.__getitem__):
-            slowest = max(slowest, est.walk(chains[i][2], ready[i]))
-        return est.walk(aggregate, slowest)
+            slowest = max(slowest, est.run(uploads[i], ready[i]))
+        return est.run(aggregate, slowest)
     return task.rounds, period
 
 
 def _sl_homo_period(est, topo, server: str, task: TrainingTask, clients: list[str]):
     """Homogeneous SL iteration i at `server`: client i's handoff from the
-    one before it (from the server at i = 0), then the body."""
+    one before it (from the server at i = 0), then the body; one program
+    for i = 0, then one per i % n, each built when first reached."""
     legs = SlHomoLegs(topo, server, task.widths, task.cut_index, task.batch_size)
     n = len(clients)
+    programs: dict[int, _Program] = {}
 
     def period(i, t):
-        active = clients[i % n]
-        t = est.walk(legs.handoff(clients[(i - 1) % n] if i else None, active), t)
-        return est.walk(legs.body(active), t)
+        k = i % n if i else n
+        program = programs.get(k)
+        if program is None:
+            active = clients[k % n]
+            program = programs[k] = _Program(
+                legs.handoff(clients[k - 1] if i else None, active) + legs.body(active))
+        return est.run(program, t)
     return period
 
 
@@ -271,17 +290,17 @@ def _sl_homogeneous_periods(est, plan, topo, clients):
 def _sl_heterogeneous_periods(est, plan, topo, clients):
     """Labels, then the forward chain beside them, then the backward chain."""
     task = plan.task
-    labels, forward, back = sl_hetero_legs(topo, plan.server(), clients, task.widths,
-                                           task.boundaries, task.batch_size, plan.relay)
+    labels, forward, back = map(_Program, sl_hetero_legs(
+        topo, plan.server(), clients, task.widths, task.boundaries, task.batch_size, plan.relay))
 
     def period(i, t):
-        labels_done = est.walk(labels, t)
-        return est.walk(back, max(labels_done, est.walk(forward, t)))
+        labels_done = est.run(labels, t)
+        return est.run(back, max(labels_done, est.run(forward, t)))
     return task.total_iterations, period
 
 
 # each protocol's periods: (est, plan, topo, clients) -> (period count,
-# period), where period(i, t) walks period i from ready time t to its end
+# period), where period(i, t) runs period i from ready time t to its end
 _PERIODS = {
     "centralized": _centralized_periods,
     "fl": _federated_periods,
@@ -294,7 +313,7 @@ _PERIODS = {
 def estimate_cost(plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
                   client_order: list[str] | None = None) -> CostEstimate:
     """A-priori (no dropouts, mean gains) cost of executing a plan: its
-    protocol's periods walked one after another, each followed by the
+    protocol's periods run one after another, each followed by the
     server's held-out evaluation when one is due.
 
     `client_order` is the session's client sequence (FedSplit: its FL
@@ -310,12 +329,13 @@ def estimate_cost(plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
         client_order = sorted(plan.nodes_with("master")) + sorted(plan.nodes_with("client"))
     est = _Estimator(plan, topo, radio, client_order)
     count, period = periods(est, plan, topo, client_order)
-    server, t = plan.server(), 0.0
+    server, t, every = plan.server(), 0.0, task.eval_every
+    # the server's evaluation leg, as `eval_legs` gives it when one is due
+    evaluation = _Program(eval_legs(server, task.widths, task.test_size, every, every - 1))
     for i in range(count):
         t = period(i, t)
-        evals = eval_legs(server, task.widths, task.test_size, task.eval_every, i)
-        if evals:
-            t = est.walk(evals, t)
+        if every > 0 and (i + 1) % every == 0:
+            t = est.run(evaluation, t)
     total = sum(sum(b.values()) for b in est.energy.values())
     return CostEstimate(total_energy=total, wall_latency=t, breakdown=est.energy)
 
@@ -334,12 +354,12 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
     (c) the task's own protocol at each edge server over a selected UE pool.
     """
     plans: list[TrainingPlan] = []
+    # tasks are frozen, so every plan of one kind shares its task
+    solo_task, fl_task = replace(task, protocol="centralized"), replace(task, protocol="fl")
 
     for server_id in sorted(topo.servers):
-        solo = TrainingPlan(
-            task=replace(task, protocol="centralized"),
-            roles={server_id: "server"}, ma_scheme=scheme)
-        plans.append(solo)
+        plans.append(TrainingPlan(task=solo_task, roles={server_id: "server"},
+                                  ma_scheme=scheme))
 
     for server_id in sorted(topo.servers):
         children = sorted(c for c in topo.children_of(server_id) if c in topo.servers)
@@ -349,8 +369,7 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
             continue
         roles = {server_id: "server"}
         roles.update({c: "client" for c in children})
-        plans.append(TrainingPlan(task=replace(task, protocol="fl"),
-                                  roles=roles, ma_scheme=scheme))
+        plans.append(TrainingPlan(task=fl_task, roles=roles, ma_scheme=scheme))
 
     if task.protocol in PROTOCOL_KINDS:
         for ap_id in sorted(topo.servers):

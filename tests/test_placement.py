@@ -7,6 +7,7 @@ energy, since both are built from the same cost primitives.
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import strategies as st
 
 import music_sim
 from music_sim import costs, mlp, protocols
-from music_sim.engine import Engine
-from music_sim.errors import EmptyPool, NoFeasiblePlan
+from music_sim.engine import BlockLedger, Engine
+from music_sim.errors import EmptyPool, MissingBackhaulLink, NoFeasiblePlan
 from music_sim.placement import (
     CostEstimate,
     SelectionPolicy,
@@ -30,13 +31,18 @@ from music_sim.placement import (
     select_ue_pool,
 )
 from music_sim.protocols import (
+    FlLegs,
     FlSession,
+    LegCosts,
+    SlHomoLegs,
     SlSession,
     TrainingConfig,
+    eval_legs,
     run_fedsplit_nested,
     run_fl,
     run_sl_heterogeneous,
     run_sl_homogeneous,
+    sl_hetero_legs,
 )
 from music_sim.radio import AccessScheme, NomaCluster, SchemeKind
 from music_sim.scenario import parse_config, plan_of
@@ -521,3 +527,233 @@ def test_plan_doc_round_trips_through_json(topo3):
     assert doc["protocol"] in ("fl", "centralized")
     assert doc["roles"][plan.server()] == "server"
     assert doc["estimate"]["total_energy_J"] == est.total_energy
+
+
+# ------------------------------------------------ estimator programs ---- #
+# The walked estimator: each period walks its leg tuples, looks every leg's
+# price up and adds every charge as it goes. `estimate_cost` prices each leg
+# tuple once into a program instead, and must give the walked estimate bit
+# for bit, key order included, and raise the walk's first error.
+
+class _Walker:
+    def __init__(self, plan, topo, radio, clients):
+        self.legs = LegCosts(topo, radio, plan.ma_scheme, plan.task.cycles_per_mac)
+        self.legs.assign_slots(clients)
+        self.blocks = BlockLedger()
+        self.energy: dict[str, dict[str, float]] = {}
+
+    def add(self, node: str, phase: str, joules: float) -> None:
+        if joules > 0:
+            bucket = self.energy.get(node)
+            if bucket is None:
+                bucket = self.energy[node] = {}
+            bucket[phase] = bucket.get(phase, 0.0) + joules
+
+    def compute(self, node: str, macs: float) -> float:
+        latency, energy = self.legs.compute(node, macs)
+        self.add(node, "compute", energy)
+        return latency
+
+    def walk(self, legs: tuple, t: float) -> float:
+        for leg in legs:
+            if leg[0] == "compute":
+                t += self.compute(leg[1], leg[2])
+                continue
+            sender, receiver, latency, tx, rx, blocks, tag = self.legs.hop(leg)
+            self.add(sender, "tx", tx)
+            self.add(receiver, "rx", rx)
+            if blocks:
+                t = self.blocks.book(receiver, blocks, t, latency, sender, tag)
+            t += latency
+        return t
+
+
+def _walked_centralized(est, plan, topo, clients):
+    task, server = plan.task, plan.server()
+    macs = costs.training_macs(task.widths, task.batch_size)
+    return task.total_iterations, lambda i, t: t + est.compute(server, macs)
+
+
+def _walked_federated(est, plan, topo, clients):
+    task = plan.task
+    fl = FlLegs(topo, plan.server(), task.widths, task.batch_size, task.local_iterations)
+    chains = [fl.chain(c) for c in clients]
+    aggregate = (fl.aggregate(len(clients)),)
+    nested = {c: _walked_sl_homo_period(est, topo, c, task,
+                                        [s for s in topo.mastered_group(c).slaves
+                                         if s in plan.roles])
+              for c in clients if plan.roles[c] == "master"}
+    before = [down if c in nested else (*down, local)
+              for c, (down, local, _) in zip(clients, chains)]
+
+    def period(rnd, t):
+        ready = []
+        for c, legs in zip(clients, before):
+            got = est.walk(legs, t)
+            if c in nested:
+                sl = nested[c]
+                for i in range(task.local_iterations):
+                    got = sl(i, got)
+            ready.append(got)
+        slowest = t
+        for i in sorted(range(len(clients)), key=ready.__getitem__):
+            slowest = max(slowest, est.walk(chains[i][2], ready[i]))
+        return est.walk(aggregate, slowest)
+    return task.rounds, period
+
+
+def _walked_sl_homo_period(est, topo, server, task, clients):
+    legs = SlHomoLegs(topo, server, task.widths, task.cut_index, task.batch_size)
+    n = len(clients)
+
+    def period(i, t):
+        active = clients[i % n]
+        t = est.walk(legs.handoff(clients[(i - 1) % n] if i else None, active), t)
+        return est.walk(legs.body(active), t)
+    return period
+
+
+def _walked_sl_homogeneous(est, plan, topo, clients):
+    period = _walked_sl_homo_period(est, topo, plan.server(), plan.task, clients)
+    return plan.task.total_iterations, period
+
+
+def _walked_sl_heterogeneous(est, plan, topo, clients):
+    task = plan.task
+    labels, forward, back = sl_hetero_legs(topo, plan.server(), clients, task.widths,
+                                           task.boundaries, task.batch_size, plan.relay)
+
+    def period(i, t):
+        labels_done = est.walk(labels, t)
+        return est.walk(back, max(labels_done, est.walk(forward, t)))
+    return task.total_iterations, period
+
+
+_WALKED = {
+    "centralized": _walked_centralized,
+    "fl": _walked_federated,
+    "sl_homogeneous": _walked_sl_homogeneous,
+    "sl_heterogeneous": _walked_sl_heterogeneous,
+    "fedsplit_nested": _walked_federated,
+}
+
+
+def _walked_estimate(plan, topo, radio, client_order=None):
+    task = plan.task
+    if client_order is None:
+        client_order = sorted(plan.nodes_with("master")) + sorted(plan.nodes_with("client"))
+    est = _Walker(plan, topo, radio, client_order)
+    count, period = _WALKED[task.protocol](est, plan, topo, client_order)
+    server, t = plan.server(), 0.0
+    for i in range(count):
+        t = period(i, t)
+        evals = eval_legs(server, task.widths, task.test_size, task.eval_every, i)
+        if evals:
+            t = est.walk(evals, t)
+    total = sum(sum(b.values()) for b in est.energy.values())
+    return CostEstimate(total_energy=total, wall_latency=t, breakdown=est.energy)
+
+
+def _outcome(estimator, *args):
+    """An estimate as exact text (`repr` keeps every bit of a float and a
+    dict's key order), or the error it raised, as type and message."""
+    try:
+        est = estimator(*args)
+    except Exception as exc:  # the walk's first error must be raised alike
+        return type(exc), str(exc)
+    return repr((est.total_energy, est.wall_latency, est.breakdown))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(protocol=st.sampled_from(["centralized", "fl", "sl_homogeneous", "sl_heterogeneous",
+                                 "fedsplit_nested"]),
+       n_ue=st.integers(1, 6), blocks=st.integers(1, 4), periods=st.integers(1, 32),
+       local_iters=st.integers(1, 3), eval_every=st.integers(0, 5),
+       kind=st.sampled_from([k.value for k in SchemeKind]), d2d=st.booleans(),
+       test_size=st.sampled_from([0, 32]),
+       pair=st.lists(st.integers(0, 3), max_size=2, unique=True), rotate=st.integers(0, 5))
+def test_estimate_is_the_walked_estimate_bit_for_bit(protocol, n_ue, blocks, periods,
+                                                     local_iters, eval_every, kind, d2d,
+                                                     test_size, pair, rotate):
+    """Every candidate of a drawn task, server-only and server-federation
+    plans included, and its device-layer plan in a rotated client order too:
+    energy, latency and breakdown equal the walked estimate's, bit for bit
+    and in key order, or both raise the same error."""
+    doc = star_doc(n_ue, d2d=d2d and n_ue > 1)
+    if d2d and n_ue > 1:
+        doc["d2d_groups"][0]["slaves"] = [f"ue{i}" for i in range(1, min(n_ue, 3))]
+    topo = build_topology(doc)
+    cells = simple_radio(blocks).cells["ap0"]
+    indices = sorted({i % blocks for i in pair})
+    clusters = [NomaCluster(members=(("ue0", 0.2), ("ue1", 0.1)),
+                            blocks=tuple(cells[i] for i in indices))] \
+        if indices and n_ue > 1 else []
+    radio = simple_radio(blocks, clusters=clusters)
+    kind = SchemeKind(kind)
+    scheme = AccessScheme(kind=kind, signalling_delay=0.0 if kind.grant_free else 0.01)
+    sl = protocol.startswith("sl_")
+    task = TrainingTask(protocol=protocol, widths=DEEP, rounds=1 if sl else periods,
+                        local_iterations=periods if sl else local_iters, batch_size=16,
+                        eval_every=eval_every, test_size=test_size, cut_index=2,
+                        boundaries=(1, 2, 3)[:min(n_ue, 3)])
+    plans = enumerate_candidate_plans(task, topo, radio, SelectionPolicy(), scheme)
+    assert {p.task.protocol for p in plans} >= {"centralized", "fl"}
+    cases = [(plan, None) for plan in plans]
+    for plan in plans:
+        if plan.task.protocol == "sl_heterogeneous":
+            cases.append((replace(plan, relay="via_server"), None))
+        elif plan.task.protocol == protocol != "centralized":
+            order = sorted(plan.nodes_with("master")) + sorted(plan.nodes_with("client"))
+            k = rotate % len(order)
+            cases.append((plan, order[k:] + order[:k]))
+    for plan, order in cases:
+        assert (_outcome(estimate_cost, plan, topo, radio, order)
+                == _outcome(_walked_estimate, plan, topo, radio, order))
+
+
+@pytest.mark.parametrize("name", ["fl_edge", "fedsplit_nested"])
+def test_an_estimate_prices_no_more_legs_for_more_rounds(name, monkeypatch):
+    """Pricing left the period loop: the `LegCosts.hop` and `compute` calls
+    of a scenario's estimate do not grow with its rounds. The evaluation,
+    due every 2 rounds in both scenarios, is priced only once the walk
+    reaches it, so one round prices one leg fewer."""
+    calls = []
+    for method in ("hop", "compute"):
+        priced = getattr(LegCosts, method)
+        monkeypatch.setattr(LegCosts, method, lambda self, *args, _priced=priced:
+                            calls.append(args) or _priced(self, *args))
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    assert doc["ml"]["eval_every"] == 2
+    counts = {}
+    for rounds in (1, 2, 16):
+        doc["protocol"]["rounds"] = rounds
+        cfg = parse_config(doc)
+        calls.clear()
+        estimate_cost(plan_of(cfg), cfg.topo, cfg.radio_env)
+        counts[rounds] = len(calls)
+    assert counts[2] == counts[16] > 0
+    assert counts[1] == counts[16] - 1
+
+
+def test_an_sl_handoff_without_a_link_raises_when_the_walk_reaches_it():
+    """Homogeneous SL at fog0 over ue0 (on ap0) and ue1 (on ap1, which has no
+    backhaul link): iteration 0 hands the client part to ue0 and trains
+    there, and iteration 1 hands it on to ue1 through fog0, which cannot
+    reach ap1. So one iteration estimates, and two or more raise the walk's
+    error for that handoff."""
+    doc = star_doc(2, second_cell=True)
+    doc["nodes"]["ue"][1]["attached_ap"] = "ap1"
+    doc["links"] = [link for link in doc["links"] if link["dst"] != "ap1"]
+    topo = build_topology(doc)
+    radio = simple_radio(aps=("ap0", "ap1"))
+    for iterations in (1, 2, 5):
+        plan = TrainingPlan(task=_task("sl_homogeneous", local_iters=iterations, cut=2),
+                            roles={"fog0": "server", "ue0": "client", "ue1": "client"},
+                            ma_scheme=SCHEME)
+        outcome = _outcome(estimate_cost, plan, topo, radio)
+        assert outcome == _outcome(_walked_estimate, plan, topo, radio)
+        if iterations == 1:
+            assert isinstance(outcome, str)
+        else:
+            assert outcome == (MissingBackhaulLink,
+                               "no backhaul link between 'fog0' and 'ap1'")
