@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .errors import SessionAborted, SimulationError, UnsweepableParameter
-from .placement import choose_placement
+from .placement import PROTOCOL_FIELDS, choose_placement
 from .protocols import CSV_COLUMNS, MetricsTrace
 from .scenario import (
     apply_overrides,
@@ -185,9 +185,10 @@ def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
     doc = copy.deepcopy(doc)
     proto = doc.get("protocol", {})
     if axis == "cut_index":
-        if proto.get("kind") not in ("sl_homogeneous", "fedsplit_nested"):
+        cut_kinds = [k for k, fields in PROTOCOL_FIELDS.items() if "cut_index" in fields]
+        if proto.get("kind") not in cut_kinds:
             raise UnsweepableParameter(
-                "cut_index applies to sl_homogeneous or fedsplit_nested scenarios")
+                f"cut_index applies to {' or '.join(cut_kinds)} scenarios")
         proto["cut_index"] = integral(_number(axis, raw), axis)
     elif axis == "clients":
         if proto.get("kind") == "sl_heterogeneous":

@@ -2,13 +2,19 @@
 
 
 class SimulationError(Exception):
-    """Base class for all simulator errors."""
+    """Base class for all simulator errors. `constraint` is the name
+    `validate` files the error under; a type that breaks a named scenario
+    rule overrides it."""
+
+    constraint = "schema"
 
 
 # ---------------- scenario / topology ---------------- #
 
 class ScenarioParseError(SimulationError):
     """Scenario document is not valid JSON; carries line/column when known."""
+
+    constraint = "parse"
 
     def __init__(self, message, line=None, column=None):
         self.line = line
@@ -25,17 +31,25 @@ class ScenarioSchemaError(SimulationError):
 class UnknownNodeReference(SimulationError):
     """A node id referenced somewhere does not exist in the node inventory."""
 
+    constraint = "reference"
+
 
 class CycleInHierarchy(SimulationError):
     """Parent links do not form a strict one-tier-up hierarchy."""
+
+    constraint = "hierarchy"
 
 
 class D2dDepthExceeded(SimulationError):
     """A device group slave acts as a master elsewhere (multi-hop chain)."""
 
+    constraint = "D2D-depth"
+
 
 class CrossApD2dGroup(SimulationError):
     """Members of a device group attach to different access points."""
+
+    constraint = "D2D-cross-cell"
 
 
 # ---------------- radio ---------------- #
@@ -53,7 +67,7 @@ class MissingGain(SimulationError):
 
 
 class ZeroRate(SimulationError):
-    pass
+    constraint = "uplink-rate"
 
 
 # ---------------- model math ---------------- #
@@ -106,13 +120,19 @@ class SessionStalled(SessionAborted):
 class MissingD2dLink(ScenarioSchemaError):
     """Direct relaying requested between devices that share no single-hop link."""
 
+    constraint = "D2D-link"
+
 
 class MissingBackhaulLink(ScenarioSchemaError):
     """A hop between two server nodes that no configured link joins."""
 
+    constraint = "backhaul"
+
 
 class MissingRadioCell(ScenarioSchemaError):
     """An uplink through an access point that has no resource blocks."""
+
+    constraint = "radio-cell"
 
 
 class NestedServerMismatch(SimulationError):

@@ -24,9 +24,17 @@ from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
 
 ROLES = ("server", "client", "relay", "master", "slave")
 
-SL_PROTOCOLS = ("sl_homogeneous", "sl_heterogeneous")
-# the protocols a scenario can name; each trains on devices, unlike "centralized"
-PROTOCOL_KINDS = ("fl", "sl_homogeneous", "sl_heterogeneous", "fedsplit_nested")
+# the protocols a scenario can name, each with the `protocol` fields it
+# requires: its period counts, then `cut_index` if it has a cut. Each trains
+# on devices, unlike "centralized".
+PROTOCOL_FIELDS = {
+    "fl": ("rounds", "local_iterations"),
+    "sl_homogeneous": ("iterations", "cut_index"),
+    "sl_heterogeneous": ("iterations",),
+    "fedsplit_nested": ("rounds", "local_iterations", "cut_index"),
+}
+PROTOCOL_KINDS = tuple(PROTOCOL_FIELDS)
+SL_PROTOCOLS = tuple(k for k, fields in PROTOCOL_FIELDS.items() if "iterations" in fields)
 
 
 @dataclass(frozen=True)

@@ -22,21 +22,9 @@ from pathlib import Path
 from . import costs, mlp
 from .data import DataBundle, make_blobs
 from .engine import Engine
-from .errors import (
-    CrossApD2dGroup,
-    CycleInHierarchy,
-    D2dDepthExceeded,
-    MissingBackhaulLink,
-    MissingD2dLink,
-    MissingRadioCell,
-    ScenarioParseError,
-    ScenarioSchemaError,
-    SimulationError,
-    UnknownNodeReference,
-    ZeroRate,
-)
-from .placement import (PROTOCOL_KINDS, SelectionPolicy, TrainingPlan, TrainingTask,
-                        _edge_restriction_ok, session_roles)
+from .errors import ScenarioParseError, ScenarioSchemaError, SimulationError, UnknownNodeReference
+from .placement import (PROTOCOL_FIELDS, PROTOCOL_KINDS, SelectionPolicy, TrainingPlan,
+                        TrainingTask, _edge_restriction_ok, session_roles)
 from .protocols import (
     FlSession,
     LegCosts,
@@ -65,18 +53,15 @@ from .topology import (
     validate_layer_span,
 )
 
-# accepted spellings for --protocol overrides
+# accepted spellings for --protocol overrides: each kind's own, and these
 PROTOCOL_ALIASES = {
-    "fl": "fl",
+    **{kind: kind for kind in PROTOCOL_KINDS},
     "sl-homo": "sl_homogeneous",
     "sl-homogeneous": "sl_homogeneous",
-    "sl_homogeneous": "sl_homogeneous",
     "sl-hetero": "sl_heterogeneous",
     "sl-heterogeneous": "sl_heterogeneous",
-    "sl_heterogeneous": "sl_heterogeneous",
     "fedsplit": "fedsplit_nested",
     "fedsplit-nested": "fedsplit_nested",
-    "fedsplit_nested": "fedsplit_nested",
 }
 
 RELAY_ALIASES = {"server": "via_server", "via_server": "via_server", "d2d": "d2d"}
@@ -195,11 +180,11 @@ class MlSettings:
     loss: str
     learning_rate: float
     batch_size: int
-    cycles_per_mac: float = 1.0
-    eval_every: int = 0
-    test_size: int = 0
-    noise: float = 0.6
-    class_sep: float = 2.5
+    cycles_per_mac: float
+    eval_every: int
+    test_size: int
+    noise: float
+    class_sep: float
 
 
 @dataclass
@@ -208,14 +193,14 @@ class ProtocolSettings:
     server: str
     clients: tuple[str, ...]
     scheme: str
-    rounds: int = 1
-    local_iterations: int = 1
-    iterations: int = 1
-    cut_index: int | None = None
-    boundaries: tuple[int, ...] = ()
-    relay: str = "via_server"
-    dropout_slope: float = 0.0
-    round_deadline: float = math.inf
+    rounds: int
+    local_iterations: int
+    iterations: int
+    cut_index: int | None
+    boundaries: tuple[int, ...]
+    relay: str
+    dropout_slope: float
+    round_deadline: float
 
 
 @dataclass
@@ -226,9 +211,9 @@ class ScenarioConfig:
     ml: MlSettings
     protocol: ProtocolSettings
     seeds: dict[str, int]
-    policy: SelectionPolicy = field(default_factory=SelectionPolicy)
-    latency_deadline: float = math.inf
-    out_dir: str | None = None
+    policy: SelectionPolicy
+    latency_deadline: float
+    out_dir: str | None
 
     @functools.cached_property
     def hash(self) -> str:
@@ -299,14 +284,10 @@ def _parse_protocol(section: dict) -> ProtocolSettings:
     )
     if not settings.clients:
         raise ScenarioSchemaError("protocol.clients must not be empty")
-    if kind in ("fl", "fedsplit_nested"):
-        for key in ("rounds", "local_iterations"):
-            if key not in section:
-                raise ScenarioSchemaError(f"protocol.kind {kind!r} requires {key!r}")
-    if kind in ("sl_homogeneous", "sl_heterogeneous") and "iterations" not in section:
-        raise ScenarioSchemaError(f"protocol.kind {kind!r} requires 'iterations'")
-    if kind in ("sl_homogeneous", "fedsplit_nested") and settings.cut_index is None:
-        raise ScenarioSchemaError(f"protocol.kind {kind!r} requires 'cut_index'")
+    # a present count was typed above, so None means absent, or a null cut_index
+    for key in PROTOCOL_FIELDS[kind]:
+        if section.get(key) is None:
+            raise ScenarioSchemaError(f"protocol.kind {kind!r} requires {key!r}")
     return settings
 
 
@@ -393,9 +374,8 @@ WORK_CEILING = 10**7
 
 
 def _check_work(proto: ProtocolSettings) -> None:
-    keys = (("rounds", "local_iterations") if proto.kind in ("fl", "fedsplit_nested")
-            else ("iterations",))
-    factors = {f"protocol.{k}": getattr(proto, k) for k in keys}
+    factors = {f"protocol.{k}": getattr(proto, k)
+               for k in PROTOCOL_FIELDS[proto.kind] if k != "cut_index"}
     factors["protocol.clients"] = len(proto.clients)
     work = math.prod(factors.values())
     if work > WORK_CEILING:
@@ -429,26 +409,6 @@ class ValidationReport:
         return out or ["ok"]
 
 
-_ERROR_NAMES = (
-    (ScenarioParseError, "parse"),
-    (MissingBackhaulLink, "backhaul"),
-    (MissingD2dLink, "D2D-link"),
-    (MissingRadioCell, "radio-cell"),
-    (ZeroRate, "uplink-rate"),
-    (D2dDepthExceeded, "D2D-depth"),
-    (CrossApD2dGroup, "D2D-cross-cell"),
-    (CycleInHierarchy, "hierarchy"),
-    (UnknownNodeReference, "reference"),
-)
-
-
-def _constraint_name(exc: SimulationError) -> str:
-    for klass, name in _ERROR_NAMES:
-        if isinstance(exc, klass):
-            return name
-    return "schema"
-
-
 def plan_of(cfg: ScenarioConfig) -> TrainingPlan:
     """Role assignment implied by the scenario's protocol section."""
     proto = cfg.protocol
@@ -460,7 +420,7 @@ def plan_of(cfg: ScenarioConfig) -> TrainingPlan:
 
 def task_of(cfg: ScenarioConfig) -> TrainingTask:
     proto, ml_settings = cfg.protocol, cfg.ml
-    if proto.kind in ("fl", "fedsplit_nested"):
+    if "rounds" in PROTOCOL_FIELDS[proto.kind]:
         rounds, local = proto.rounds, proto.local_iterations
     else:
         rounds, local = 1, proto.iterations
@@ -484,7 +444,7 @@ def validate_document(doc_or_text) -> ValidationReport:
         cfg = parse_config(doc)
         plan = plan_of(cfg)
     except SimulationError as exc:
-        report.errors.append((_constraint_name(exc), str(exc)))
+        report.errors.append((exc.constraint, str(exc)))
         return report
 
     report.config = cfg
@@ -524,7 +484,7 @@ def _uplink_errors(cfg: ScenarioConfig, plan: TrainingPlan) -> list[tuple[str, s
             for leg in route(cfg.topo, c, server, bits, "delta"):
                 legs.hop(leg)
     except SimulationError as exc:
-        return [(_constraint_name(exc), f"client {c!r} cannot reach server {server!r}: {exc}")]
+        return [(exc.constraint, f"client {c!r} cannot reach server {server!r}: {exc}")]
     return []
 
 
@@ -615,7 +575,7 @@ def assemble(cfg: ScenarioConfig) -> Runtime:
                               eval_every=cfg.ml.eval_every),
         dropout_slope=proto.dropout_slope,
     )
-    if proto.kind in ("fl", "fedsplit_nested"):
+    if "rounds" in PROTOCOL_FIELDS[proto.kind]:
         fl = FlSession(server=proto.server, clients=list(proto.clients),
                        local_iterations=proto.local_iterations, global_rounds=proto.rounds,
                        round_deadline=proto.round_deadline, **shared)

@@ -45,7 +45,7 @@ from music_sim.protocols import (
     sl_hetero_legs,
 )
 from music_sim.radio import AccessScheme, NomaCluster, SchemeKind
-from music_sim.scenario import parse_config, plan_of
+from music_sim.scenario import parse_config, plan_of, task_of
 from music_sim.topology import UeProfile, build_topology, validate_layer_span
 
 from conftest import blob_data, simple_radio, star_doc, star_topology
@@ -757,3 +757,27 @@ def test_an_sl_handoff_without_a_link_raises_when_the_walk_reaches_it():
         else:
             assert outcome == (MissingBackhaulLink,
                                "no backhaul link between 'fog0' and 'ap1'")
+
+
+def _bundled_with_variance(name, variance):
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    for ue in doc["nodes"]["ue"]:
+        ue["channel_variance"] = variance
+    return parse_config(doc)
+
+
+@pytest.mark.parametrize("name, count", [("fl_edge", 9), ("sl_homogeneous", 9),
+                                         ("sl_heterogeneous_d2d", 8), ("fedsplit_nested", 8)])
+def test_an_estimate_prices_every_uplink_at_mean_gain(name, count):
+    """An estimate assumes mean gains, so a device's fading never reaches it:
+    the scenario's own plan and each candidate placement get the same
+    energy, latency and breakdown, or raise the same error, whether every
+    channel is static or fades with variance 0.3."""
+    static, fading = (_bundled_with_variance(name, v) for v in (0.0, 0.3))
+    plans = [plan_of(static)] + enumerate_candidate_plans(
+        task_of(static), static.topo, static.radio_env, static.policy,
+        static.radio_env.scheme(static.protocol.scheme))
+    assert len(plans) == count
+    for plan in plans:
+        assert (_outcome(estimate_cost, plan, static.topo, static.radio_env)
+                == _outcome(estimate_cost, plan, fading.topo, fading.radio_env))

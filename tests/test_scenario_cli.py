@@ -503,3 +503,115 @@ def test_the_first_of_two_faults_is_the_one_reported(faults, error):
     for (i, key), value in faults.items():
         _fl_edge_ue(doc, i)[key] = value
     assert validate_document(doc).lines() == [f"error [schema]: {error}"]
+
+
+# -------------------------------------------- one name per rule ---- #
+
+def _bundled(name):
+    return json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+
+
+def _without_the_clients_backhaul():
+    doc = _bundled("fl_edge")
+    _fog_server_without_its_ap_link(doc)
+    return doc
+
+
+def _hetero_without_d2d_groups():
+    doc = _bundled("sl_heterogeneous_d2d")
+    doc["d2d_groups"] = []
+    return doc
+
+
+def _without_the_clients_cell():
+    doc = _bundled("fl_edge")
+    _no_cell_for_the_clients_ap(doc)
+    return doc
+
+
+def _silent_client():
+    doc = _bundled("fl_edge")
+    _fl_edge_ue(doc, 1)["tx_power"] = 0
+    return doc
+
+
+def _slave_mastering_a_group():
+    doc = _bundled("fedsplit_nested")
+    doc["d2d_groups"].append({"master": "ue1", "slaves": ["ue3"], "link_rate": 8e6})
+    return doc
+
+
+def _slave_in_another_cell():
+    doc = _bundled("fedsplit_nested")
+    _fl_edge_ue(doc, 1)["attached_ap"] = "ap1"
+    return doc
+
+
+def _edge_under_the_cloud():
+    doc = _bundled("fl_edge")
+    doc["nodes"]["edge"][0]["parent"] = "cloud0"
+    return doc
+
+
+def _ghost_server():
+    doc = _bundled("fl_edge")
+    doc["protocol"]["server"] = "ghost"
+    return doc
+
+
+def _zero_noma_power():
+    doc = _bundled("fl_edge")
+    doc["radio"]["noma_clusters"][0]["powers"] = [0.25, 0]
+    return doc
+
+
+@pytest.mark.parametrize("make_doc, name, message", [
+    (lambda: '{"a": ', "parse", "Expecting value (line 1, column 7)"),
+    (_without_the_clients_backhaul, "backhaul",
+     "client 'ue0' cannot reach server 'fog0': no backhaul link between 'ap0' and 'fog0'"),
+    (_hetero_without_d2d_groups, "D2D-link",
+     "relay 'd2d' needs a link between consecutive clients 'ue1' and 'ue0'"),
+    (_without_the_clients_cell, "radio-cell",
+     "client 'ue0' cannot reach server 'ap0': no radio.cells entry for 'ap0'"),
+    (_silent_client, "uplink-rate",
+     "client 'ue1' cannot reach server 'ap0': transmission rate must be > 0, got 0.0"),
+    (_slave_mastering_a_group, "D2D-depth",
+     "device 'ue1' is both a slave and a master; groups must stay single-hop"),
+    (_slave_in_another_cell, "D2D-cross-cell",
+     "d2d group of 'ue0' spans access points ['ap0', 'ap1']"),
+    (_edge_under_the_cloud, "hierarchy", "ap0: parent 'cloud0' is at tier cloud, expected fog"),
+    (_ghost_server, "reference", "protocol.server 'ghost' does not exist"),
+    (_zero_noma_power, "schema", "cluster member powers must be > 0"),
+])
+def test_each_named_constraint_files_its_one_defect(make_doc, name, message):
+    """A document with one defect reports it under its error type's name;
+    an error type that names no rule is filed as `schema`."""
+    assert validate_document(make_doc()).errors == [(name, message)]
+
+
+@pytest.mark.parametrize("name, key", [
+    ("fl_edge", "rounds"),
+    ("fl_edge", "local_iterations"),
+    ("sl_homogeneous", "iterations"),
+    ("sl_homogeneous", "cut_index"),
+    ("sl_heterogeneous_d2d", "iterations"),
+    ("fedsplit_nested", "rounds"),
+    ("fedsplit_nested", "local_iterations"),
+    ("fedsplit_nested", "cut_index"),
+])
+def test_each_kind_requires_its_fields(name, key):
+    doc = _bundled(name)
+    del doc["protocol"][key]
+    kind = doc["protocol"]["kind"]
+    assert validate_document(doc).lines() == [
+        f"error [schema]: protocol.kind {kind!r} requires {key!r}"]
+
+
+@pytest.mark.parametrize("name", ["fl_edge", "sl_heterogeneous_d2d"])
+def test_sweep_cut_index_needs_a_kind_with_a_cut(tmp_path, capsys, name):
+    code = main(["sweep", "--scenario", str(SCENARIO_DIR / f"{name}.json"),
+                 "--axis", "cut_index", "--values", "1", "--out", str(tmp_path / "o")])
+    assert code == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "error: cut_index applies to sl_homogeneous or fedsplit_nested scenarios\n")
+    assert not (tmp_path / "o").exists()
