@@ -183,6 +183,8 @@ def _number(axis: str, raw: str) -> float:
 
 def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
     doc = copy.deepcopy(doc)
+    if not all(isinstance(doc.get(s, {}), dict) for s in ("protocol", "radio", "ml")):
+        return doc  # `validate` reports the section that is not an object
     proto = doc.get("protocol", {})
     if axis == "cut_index":
         cut_kinds = [k for k, fields in PROTOCOL_FIELDS.items() if "cut_index" in fields]

@@ -436,41 +436,47 @@ def _descend(model: MlpModel, weights: list, biases: list, steps, lr: float):
 
 
 def fed_avg(deltas: list[ParamDelta]) -> ParamDelta:
-    """Sample-count-weighted elementwise mean of parameter deltas.
-
-    Computed as first + sum(c_i * (delta_i - first)), which is the same
-    weighted mean but returns identical inputs exactly unchanged. Each layer
-    is stacked once and every term computed in one array operation; the
-    terms are then added one after another in arrival order, as
-    `np.add.accumulate` does, so the sum is bit-identical to a loop over the
-    deltas. (`np.add.reduce` may sum pairwise, and is not.)
-    """
+    """Sample-count-weighted mean of parameter deltas: `fed_avg_stacked`."""
     if not deltas:
         raise EmptyInput("nothing to aggregate")
-    widths = deltas[0].widths
-    n_params = deltas[0].param_count
+    widths, n_params = deltas[0].widths, deltas[0].param_count
     for d in deltas[1:]:
         if d.widths != widths or d.param_count != n_params:
             raise LengthMismatch(f"cannot average widths {d.widths} with {widths}")
-    total = float(sum(d.sample_count for d in deltas))
+    layers = zip(*(d.weights + d.biases for d in deltas))
+    return fed_avg_stacked(widths, [np.stack(a) for a in layers],
+                           [d.sample_count for d in deltas])
+
+
+def fed_avg_stacked(widths, layers: list, counts: list[int]) -> ParamDelta:
+    """`fed_avg` of n deltas stacked as rows: every weight (n, in, out), then
+    every bias (n, out), row i of each being delta i's, of counts[i] samples.
+    Computed as first + sum(c_i * (delta_i - first)), so identical rows come
+    back unchanged; each layer's terms are one array operation, then added
+    one after another in row order, as `np.add.accumulate` does, so the sum
+    is bit-identical to a loop over the deltas (`np.add.reduce` may sum
+    pairwise, and is not). The stacks are folded in place."""
+    if not counts:
+        raise EmptyInput("nothing to aggregate")
+    n = len(counts)
+    if [a.shape for a in layers] != ([(n, i, o) for i, o in zip(widths, widths[1:])]
+                                     + [(n, o) for o in widths[1:]]):
+        raise LengthMismatch(f"cannot average {n} rows of widths {tuple(widths)}")
+    total = float(sum(counts))
     if total <= 0:
         raise EmptyInput("all sample counts are zero")
-    shares = np.array([d.sample_count / total for d in deltas[1:]])
+    shares = np.array([c / total for c in counts[1:]])
 
-    def fold(layers: list[np.ndarray]) -> np.ndarray:
-        stack = np.stack(layers)
+    def fold(stack: np.ndarray) -> np.ndarray:
         terms = stack[1:]
         terms -= stack[0]
         terms *= shares.reshape((-1,) + (1,) * (stack.ndim - 1))
         np.add.accumulate(stack, axis=0, out=stack)
         return stack[-1].copy()
 
-    return ParamDelta(widths=widths,
-                      weights=[fold([d.weights[l] for d in deltas])
-                               for l in range(len(deltas[0].weights))],
-                      biases=[fold([d.biases[l] for d in deltas])
-                              for l in range(len(deltas[0].biases))],
-                      sample_count=int(total))
+    folded = [fold(a) for a in layers]
+    return ParamDelta(widths=tuple(widths), weights=folded[:len(widths) - 1],
+                      biases=folded[len(widths) - 1:], sample_count=int(total))
 
 
 def model_delta(new: MlpModel, old: MlpModel, sample_count: int = 1) -> ParamDelta:

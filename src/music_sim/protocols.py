@@ -3,8 +3,9 @@
 Each runner drives real numpy training through the event loop: every
 transmission and computation is scheduled, charged for energy, and debited
 against device batteries. Model updates for one global iteration are staged
-and committed together at the iteration's end, so a discarded iteration
-leaves no partial update behind.
+and committed together at its end, so a discarded iteration leaves no
+partial update behind; an FL round stages one row per participant in its
+round arrays and folds the arrived rows, gathered in arrival order.
 
 Loss bookkeeping: the recorded loss of an iteration is the batch loss
 *before* that iteration's step (training loss). Accuracy comes from a
@@ -793,10 +794,15 @@ class _RunnerBase:
 
 @dataclass
 class _FlRound(_Round):
+    """The round arrays hold one row per participant, the trainers' first:
+    each parameter's delta from the global model, losses and sample count."""
     pending: set[str] = field(default_factory=set)   # participants not back yet
-    trainers: list[str] = field(default_factory=list)
-    staged: dict[str, dict] | None = None  # local training, done at the first download
-    arrivals: list[tuple[str, dict]] = field(default_factory=list)
+    untrained: list[str] = field(default_factory=list)  # trainers, until the first download
+    rows: dict[str, int] = field(default_factory=dict)  # each participant's row
+    layers: list[np.ndarray] = field(default_factory=list)  # weight deltas, then bias deltas
+    losses: np.ndarray | None = None  # pre-step losses, (rows, local_iterations)
+    counts: list[int] = field(default_factory=list)  # sample counts
+    arrivals: list[int] = field(default_factory=list)  # rows back, in arrival order
     closed: bool = False
 
 
@@ -835,12 +841,12 @@ class _FlRunner(_RunnerBase):
         yield partial(self._boundary, client, f"round {state.index} start")
         try:
             yield self._transfer(down, "", state.index)
-            staged, tag = yield from self._local_step(client, state)
+            tag = yield from self._local_step(client, state)
             yield self._transfer(up, tag, state.index)
         except _Refused:
             self._sweep(state)
             return
-        state.arrivals.append((client, staged))
+        state.arrivals.append(state.rows[client])
         state.pending.discard(client)
         self._maybe_close(state)
 
@@ -852,9 +858,8 @@ class _FlRunner(_RunnerBase):
         return state.closed
 
     def _local_step(self, client: str, state: _FlRound):
-        """Process: train `client` locally. Returns (staged, tag): `staged`
-        holds the delta, its pre-step losses and its sample count, and `tag`
-        prefixes the upload's random-stream context.
+        """Process: train `client` locally into its row of the round arrays.
+        Returns the tag that prefixes the upload's random-stream context.
 
         A master runs its local iterations as homogeneous SL over its
         slaves, from the global model and iteration 0 each round, sharing
@@ -864,10 +869,10 @@ class _FlRunner(_RunnerBase):
         has closed. A nested abort drops the master from the FL round."""
         inner = self.nested.get(client)
         if inner is None:
-            staged = self._local_training(client, state.index)
+            self._train_clients(state)
             _, node, macs, what = self._chains[client][1]
             yield partial(self.leg_compute, node, macs, f"{what}:r{state.index}")
-            return staged, "fl"
+            return "fl"
         inner.model, inner.holder = mlp.clone(self.model), None
         yield partial(self._boundary, client, f"nested r{state.index} start")
         losses = []
@@ -884,40 +889,41 @@ class _FlRunner(_RunnerBase):
                 # not waited on: the upload starts in the event that ended
                 # the last nested leg
                 self._boundary(client, f"iter {i} done", lambda: None)
-        n = self.delta_sample_count(client)
-        return {"delta": mlp.model_delta(inner.model, self.model, sample_count=n),
-                "losses": losses, "n": n}, "fs"
+        self._fill(state, state.rows[client], inner.model.weights, inner.model.biases,
+                   losses, self.delta_sample_count(client))
+        return "fs"
 
     def _local_training(self, client: str, rnd: int) -> dict:
-        """The actual numpy training `client` performs in round `rnd`, the
-        round now open, from the global model it just downloaded. The
-        round's first download trains all of the round's trainers at once."""
+        """`client`'s training in round `rnd`, the round now open: its delta
+        (views of its row of the round arrays), pre-step losses and count."""
         state = self._current
-        if state.staged is None:
-            state.staged = self._train_clients(state.trainers, rnd)
-        return state.staged.pop(client)
+        self._train_clients(state)
+        row, cut = state.rows[client], self.model.num_layers
+        views, n = [a[row] for a in state.layers], state.counts[row]
+        return {"delta": mlp.ParamDelta(self.model.widths, views[:cut], views[cut:], n),
+                "losses": state.losses[row].tolist(), "n": n}
 
-    def _train_clients(self, clients: list[str], rnd: int) -> dict[str, dict]:
-        """Local SGD from the current global model for each client, stacked
-        _TRAIN_GROUP clients at a time."""
+    def _train_clients(self, state: _FlRound) -> None:
+        """Local SGD from the global model for every trainer of the round not
+        yet trained, _TRAIN_GROUP clients at a time, into their rows."""
         sess = self.session
-        model = self.model
-        out = {}
-        for first in range(0, len(clients), _TRAIN_GROUP):
-            group = clients[first:first + _TRAIN_GROUP]
-            shards = [sess.data.shard_of(c) for c in group]
-            steps = sess.data.stacked_batches(group, range(rnd * sess.local_iterations,
-                                                           (rnd + 1) * sess.local_iterations),
-                                              self.config.batch_size)
-            weights, biases, losses = mlp.sgd_clients(model, steps, self.config.lr)
-            dw = [w - w0 for w, w0 in zip(weights, model.weights)]
-            db = [b - b0 for b, b0 in zip(biases, model.biases)]
-            for k, (client, shard) in enumerate(zip(group, shards)):
-                delta = mlp.ParamDelta(widths=model.widths, weights=[d[k] for d in dw],
-                                       biases=[d[k] for d in db], sample_count=shard.size)
-                out[client] = {"delta": delta, "losses": losses[k].tolist(),
-                               "n": shard.size}
-        return out
+        trainers, state.untrained = state.untrained, []
+        iterations = range(state.index * sess.local_iterations,
+                           (state.index + 1) * sess.local_iterations)
+        for first in range(0, len(trainers), _TRAIN_GROUP):
+            group = trainers[first:first + _TRAIN_GROUP]
+            steps = sess.data.stacked_batches(group, iterations, self.config.batch_size)
+            weights, biases, losses = mlp.sgd_clients(self.model, steps, self.config.lr)
+            self._fill(state, slice(first, first + len(group)), weights, biases, losses,
+                       [sess.data.shard_of(c).size for c in group])
+
+    def _fill(self, state: _FlRound, rows, weights, biases, losses, counts) -> None:
+        """Write trained parameters into `rows` as deltas from the global model."""
+        for out, new, old in zip(state.layers, weights + biases,
+                                 self.model.weights + self.model.biases):
+            np.subtract(new, old, out=out[rows])
+        state.losses[rows] = losses
+        state.counts[rows] = counts
 
     def _begin(self, rnd: int) -> None:
         sess = self.session
@@ -928,9 +934,13 @@ class _FlRunner(_RunnerBase):
             raise AllClientsDropped(f"round {rnd}: no clients left")
         # whoever the last round still waits for has a chain running
         running = self._current.pending if self._current is not None else set()
-        state = self._current = self._open(_FlRound, rnd, pending=set(participants),
-                                         trainers=[c for c in participants
-                                                   if c not in self.nested])
+        order = sorted(participants, key=self.nested.__contains__)  # trainers first
+        n = len(order)
+        state = self._current = self._open(
+            _FlRound, rnd, pending=set(participants), rows={c: i for i, c in enumerate(order)},
+            untrained=[c for c in order if c not in self.nested],
+            layers=[np.empty((n,) + a.shape) for a in self.model.weights + self.model.biases],
+            losses=np.empty((n, sess.local_iterations)), counts=[0] * n)
         for client in participants:
             if client not in running:
                 self._start(client, state)
@@ -976,14 +986,14 @@ class _FlRunner(_RunnerBase):
         self._drive(self._aggregate(state))
 
     def _aggregate(self, state: _FlRound):
-        deltas = [staged["delta"] for _, staged in state.arrivals]
-        counts = [staged["n"] for _, staged in state.arrivals]
-        # every arrival ran local_iterations steps, so its losses form one row
-        means = np.mean([staged["losses"] for _, staged in state.arrivals], axis=1)
+        rows = np.array(state.arrivals)
+        counts = [state.counts[r] for r in state.arrivals]
+        means = state.losses[rows].mean(axis=1)
         state.loss = sum(n * mean for n, mean in zip(counts, means.tolist())) / sum(counts)
-        _, node, macs, what = self.plan.aggregate(len(deltas))
+        _, node, macs, what = self.plan.aggregate(len(rows))
         yield lambda done, fail: self.leg_compute(node, macs, f"{what}:r{state.index}", done)
-        self.model = mlp.apply_delta(self.model, mlp.fed_avg(deltas))
+        self.model = mlp.apply_delta(self.model, mlp.fed_avg_stacked(
+            self.model.widths, [a[rows] for a in state.layers], counts))
         yield from self._end(state, "round")
 
 

@@ -506,6 +506,8 @@ def apply_overrides(doc: dict, seed: int | None = None, protocol: str | None = N
                     relay: str | None = None) -> dict:
     """New document with command-line overrides folded in (hash-visible)."""
     doc = copy.deepcopy(doc)
+    if not all(isinstance(doc.get(s, {}), dict) for s in ("seeds", "protocol")):
+        return doc  # `validate` reports the section that is not an object
     if seed is not None:
         doc.setdefault("seeds", {})["root"] = int(seed)
     if protocol is not None:

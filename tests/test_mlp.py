@@ -421,6 +421,66 @@ def test_fed_avg_equals_the_sequential_fold_bit_for_bit(clients, widths, seed, a
     assert merged.sample_count == sum(d.sample_count for d in deltas)
 
 
+def _stacked(deltas):
+    """Every layer of `deltas` as one array, weights then biases."""
+    return [np.stack(a) for a in zip(*(d.weights + d.biases for d in deltas))]
+
+
+def test_fed_avg_stacked_refuses_what_fed_avg_refuses():
+    model = mlp.init_model((4, 5, 3), "ce", seed=0)
+    empty = [_delta_like(model, 1.0, 0), _delta_like(model, 2.0, 0)]
+    with pytest.raises(EmptyInput, match="sample counts are zero"):
+        mlp.fed_avg(empty)
+    with pytest.raises(EmptyInput, match="sample counts are zero"):
+        mlp.fed_avg_stacked(model.widths, _stacked(empty), [0, 0])
+    with pytest.raises(EmptyInput, match="nothing to aggregate"):
+        mlp.fed_avg_stacked(model.widths, [], [])
+    wider = _delta_like(mlp.init_model((4, 6, 3), "ce", seed=0), 1.0, 1)
+    with pytest.raises(LengthMismatch):
+        mlp.fed_avg([_delta_like(model, 1.0, 1), wider])
+    with pytest.raises(LengthMismatch):
+        mlp.fed_avg_stacked(wider.widths, _stacked(empty), [1, 1])
+    with pytest.raises(LengthMismatch):  # one count more than the rows
+        mlp.fed_avg_stacked(model.widths, _stacked(empty), [1, 1, 1])
+
+
+def test_fed_avg_stacked_folds_a_gather_as_fed_avg_folds_its_rows():
+    """Rows gathered out of order, as a round gathers its arrivals, fold
+    bit for bit as `fed_avg` folds the same deltas in that order."""
+    rng = np.random.default_rng(7)
+    widths = (3, 7, 2)
+    deltas = [mlp.ParamDelta(widths,
+                             [rng.standard_normal((a, b)) for a, b in zip(widths, widths[1:])],
+                             [rng.standard_normal(b) for b in widths[1:]],
+                             int(rng.integers(1, 50))) for _ in range(6)]
+    rows = np.array([4, 0, 5, 2])
+    got = mlp.fed_avg_stacked(widths, [a[rows] for a in _stacked(deltas)],
+                              [deltas[r].sample_count for r in rows])
+    want = mlp.fed_avg([deltas[r] for r in rows])
+    assert got.sample_count == want.sample_count
+    assert all(np.array_equal(a, b) for a, b in zip(got.weights + got.biases,
+                                                    want.weights + want.biases))
+
+
+def test_fed_avg_and_the_fl_runner_reach_the_one_fold(monkeypatch):
+    """`fed_avg` stacks its deltas into the fold the FL runner gathers its
+    round's rows into: one call per aggregation, sized by its rows."""
+    rows = []
+    fold = mlp.fed_avg_stacked
+    monkeypatch.setattr(mlp, "fed_avg_stacked",
+                        lambda widths, layers, counts: rows.append(len(counts))
+                        or fold(widths, layers, counts))
+    model = mlp.init_model((4, 5, 3), "ce", seed=0)
+    mlp.fed_avg([_delta_like(model, 1.0, 1), _delta_like(model, 2.0, 2)])
+    sess = FlSession(server="ap0", clients=["ue0", "ue1", "ue2"], local_iterations=1,
+                     global_rounds=2, model=mlp.init_model([8, 16, 12, 4], "ce", seed=3),
+                     scheme=AccessScheme(SchemeKind.OMA_GRANT_BASED, 0.01),
+                     config=TrainingConfig(lr=0.05, batch_size=16, eval_every=0),
+                     data=blob_data(3))
+    run_fl(sess, star_topology(3), simple_radio(), Engine(seed=0))
+    assert rows == [2, 3, 3]
+
+
 def test_model_delta_and_apply_roundtrip():
     a = mlp.init_model((4, 5, 3), "ce", seed=0)
     b = mlp.init_model((4, 5, 3), "ce", seed=1)

@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import music_sim
-from music_sim import costs, mlp
+from music_sim import costs, mlp, protocols
 from music_sim.data import make_blobs
 from music_sim.engine import Engine
 from music_sim.errors import (
@@ -377,6 +377,101 @@ def test_devices_one_deadline_sweeps_are_listed_by_id_under_any_hash_seed():
                            text=True, timeout=60, check=True).stdout
             for seed in range(1, 5)}
     assert seen == {"[['ue0', 'ue1'], []]\n"}
+
+
+# ------------------------------------------------- round aggregation ---- #
+
+class _RoundBook(_FlRunner):
+    """An FL runner that keeps, per round, the model it started from, its
+    state, and the clients whose chain from the last round was still
+    running when it began."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.book = []
+
+    def _begin(self, rnd: int) -> None:
+        model = self.model
+        running = set(self._current.pending) if self._current is not None else set()
+        super()._begin(rnd)
+        if rnd < self.rounds:
+            self.book.append((model, self._current, running))
+
+
+def _own_delta(model, sess: FlSession, client: str, rnd: int) -> mlp.ParamDelta:
+    """`client`'s round-`rnd` update trained alone, step by step on one model."""
+    shard = sess.data.shard_of(client)
+    local = model
+    for it in range(rnd * sess.local_iterations, (rnd + 1) * sess.local_iterations):
+        x, labels = shard.batch(it, sess.config.batch_size)
+        _, cache = mlp.forward(local, x)
+        local = mlp.sgd_step(local, mlp.backward(local, cache, labels), sess.config.lr)
+    return mlp.model_delta(local, model, sample_count=shard.size)
+
+
+def _run_book(sess: FlSession, topo, radio=None, eng=None) -> tuple[_RoundBook, list]:
+    """Run `sess` and check every round: its model is the model it started
+    from plus `fed_avg` of its arrivals' own deltas in arrival order, bit
+    for bit. Returns the runner and each round's arrivals."""
+    eng = eng or Engine(seed=0)
+    runner = _RoundBook(sess, topo, radio or simple_radio(), eng)
+    trace = runner.run()
+    assert trace.status == "completed" and len(runner.book) == sess.global_rounds
+    ends = [model for model, _, _ in runner.book[1:]] + [trace.final_model]
+    arrivals = []
+    for (model, state, _), end in zip(runner.book, ends):
+        client_of = {row: client for client, row in state.rows.items()}
+        arrived = [client_of[row] for row in state.arrivals]
+        want = mlp.apply_delta(model, mlp.fed_avg(
+            [_own_delta(model, sess, c, state.index) for c in arrived]))
+        for got, expected in zip(end.weights + end.biases, want.weights + want.biases):
+            assert np.array_equal(got, expected)
+        arrivals.append(arrived)
+    return runner, arrivals
+
+
+def test_a_round_of_two_training_groups_folds_its_rows_in_arrival_order():
+    """Faster devices upload first, so the arrival order of more clients
+    than one stacked pass trains is not their training order (their rows)."""
+    n = protocols._TRAIN_GROUP + 1
+    clients = [f"ue{i}" for i in range(n)]
+    eng = Engine(seed=0)
+    _, (arrived,) = _run_book(_fl_session(clients, blob_data(n), rounds=1),
+                              star_topology(n), eng=eng)
+    assert arrived == [r["node"] for r in eng.event_log if r["detail"] == "ul:delta"]
+    assert sorted(arrived) == sorted(clients) and arrived != clients
+
+
+def test_a_round_closed_by_its_deadline_folds_only_its_arrivals():
+    doc = star_doc(3)
+    doc["nodes"]["ue"][0]["compute_rate"] = 1e5
+    sess = _fl_session(["ue0", "ue1", "ue2"], blob_data(3), rounds=1, local_iters=1,
+                       round_deadline=0.05)
+    _, arrivals = _run_book(sess, build_topology(doc))
+    assert arrivals == [["ue2", "ue1"]]
+
+
+def test_a_round_with_a_battery_dropout_folds_the_others():
+    """ue1 affords its download but not its local compute: its row is
+    trained with the round's others, but it drops and is never gathered."""
+    eng = Engine(seed=0)
+    eng.batteries["ue1"] = 1e-6
+    runner, arrivals = _run_book(_fl_session(["ue0", "ue1", "ue2"], blob_data(3)),
+                                 star_topology(3), eng=eng)
+    assert arrivals == [["ue2", "ue0"], ["ue2", "ue0"]]
+    assert runner.book[0][1].dropouts == ["ue1"] and "ue1" in eng.dropped
+
+
+def test_a_rejoining_straggler_folds_the_row_its_next_round_trained():
+    """Faded uploads miss round 0's deadline; ue0 and ue1 are still running
+    when round 1 begins, rejoin it when their stale chains stop, and their
+    round-1 deltas, trained from round 1's model, arrive in time."""
+    doc = star_doc(3, variance=1.0, gain_step=1e-11)
+    sess = _fl_session(["ue0", "ue1", "ue2"], blob_data(3), rounds=2, local_iters=1,
+                       round_deadline=0.0185)
+    runner, arrivals = _run_book(sess, build_topology(doc), eng=Engine(seed=2))
+    assert arrivals == [["ue2"], ["ue2", "ue1", "ue0"]]
+    assert runner.book[1][2] == {"ue0", "ue1"}
 
 
 # ----------------------------------------------------- homogeneous SL ---- #

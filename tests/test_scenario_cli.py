@@ -387,6 +387,28 @@ def test_protocol_override_runs_other_family(tmp_path, capsys):
     assert "fl: completed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("section, value, command", [
+    ("protocol", 5, ["run", "--protocol", "fl"]),
+    ("protocol", 5, ["sweep", "--axis", "scheme", "--values", "oma_grant_based"]),
+    ("protocol", 5, ["sweep", "--axis", "cut_index", "--values", "1"]),
+    ("seeds", 5, ["run", "--seed", "3"]),
+    ("ml", [1], ["sweep", "--axis", "learning_rate", "--values", "0.1"]),
+])
+def test_an_override_into_a_section_that_is_not_an_object_prints_validates_error(
+        tmp_path, capsys, section, value, command):
+    """The command writes nothing into the section and exits 1 with the
+    line `validate` prints, not a traceback."""
+    doc = json.loads((SCENARIO_DIR / "fl_edge.json").read_text())
+    doc[section] = value
+    path = write_doc(tmp_path, doc)
+    line = f"error [schema]: {section} must be an object"
+    assert main(["validate", "--scenario", path]) == EXIT_INVALID
+    assert capsys.readouterr().out == line + "\n"
+    assert main([command[0], "--scenario", path, "--out", str(tmp_path / "o"),
+                 *command[1:]]) == EXIT_INVALID
+    assert line in capsys.readouterr().err
+
+
 def test_relay_override_switches_transport(tmp_path, capsys):
     path = str(SCENARIO_DIR / "sl_heterogeneous_d2d.json")
     latencies = {}
