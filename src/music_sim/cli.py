@@ -34,7 +34,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_ABORT = 2
 
-SWEEP_AXES = ("cut_index", "clients", "scheme", "signalling_delay", "learning_rate")
+SWEEP_AXES = ("cut_index", "clients", "scheme", "relay", "signalling_delay", "learning_rate")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,6 +204,10 @@ def _apply_axis(doc: dict, axis: str, raw: str) -> dict:
         proto["clients"] = clients[:n]
     elif axis == "scheme":
         proto["scheme"] = raw
+    elif axis == "relay":
+        if proto.get("kind") != "sl_heterogeneous":  # the only kind that relays
+            raise UnsweepableParameter("relay applies to sl_heterogeneous scenarios")
+        proto["relay"] = raw
     elif axis == "signalling_delay":
         doc.setdefault("radio", {})["signalling_delay"] = _number(axis, raw)
     elif axis == "learning_rate":

@@ -1,11 +1,12 @@
 """Event-driven training protocols: FL, split learning, nested FedSplit.
 
-Each runner drives real numpy training through the event loop: every
-transmission and computation is scheduled, charged for energy, and debited
-against device batteries. Model updates for one global iteration are staged
-and committed together at its end, so a discarded iteration leaves no
-partial update behind; an FL round stages one row per participant in its
-round arrays and folds the arrived rows, gathered in arrival order.
+Each runner drives real numpy training through the event loop, walking its
+protocol's leg tuples with cursors (`_Cursor`): every transmission and
+computation is scheduled, charged for energy and debited against device
+batteries. An iteration's model update is committed at its end, so a
+discarded iteration leaves no partial update behind; an FL round stages one
+row per participant in its round arrays and folds the arrived rows in
+arrival order.
 
 Loss bookkeeping: the recorded loss of an iteration is the batch loss
 *before* that iteration's step (training loss). Accuracy comes from a
@@ -115,15 +116,14 @@ class IterationRecord:
 @dataclass
 class _Round:
     """A round (or iteration) in flight, with the clock, energy ledger and
-    byte counters as they stood when it opened; `_RunnerBase._end` turns it
-    into an IterationRecord. Each runner extends it with its own state."""
+    byte counters as they stood when it opened; `_RunnerBase._record` turns
+    it into an IterationRecord. FL extends it with its round's state."""
     index: int
     start: float
     before: dict[str, dict[str, float]]
     bytes_up: int
     bytes_down: int
     dropouts: list[str] = field(default_factory=list)
-    loss: float = 0.0
 
 
 CSV_COLUMNS = ("protocol", "iteration", "wall_latency_s", "total_compute_J",
@@ -333,7 +333,7 @@ class LegCosts:
 # two servers, and ("d2d", src, dst, bits, payload) between two devices.
 # `route` turns one transfer into its hops; the protocols' leg builders below
 # string those together with compute legs. The runners walk the tuples with
-# `_RunnerBase._legs`, and the placement estimator walks the same tuples in
+# cursors (`_Cursor`), and the placement estimator walks the same tuples in
 # closed form.
 
 def route(topo: NetworkTopology, src: str, dst: str, bits: int, payload: str,
@@ -495,91 +495,147 @@ def eval_legs(owner: str, widths, test_size: int, every: int, index: int) -> tup
     return (("compute", owner, costs.forward_macs(widths, test_size), "eval"),)
 
 
-class _Refused(Exception):
-    """Thrown into a process when a node refuses its leg (the node dropped)."""
+# each hop kind's event-detail prefix, and where its leg tuple names the payload
+_HOP_DETAIL = {"up": ("ul:", 3), "down": ("dl:", 3), "backhaul": ("bh:", 4), "d2d": ("d2d:", 4)}
 
 
-class _Process:
-    """Drives a process: a generator that yields legs. A leg is a callable
-    `(done, fail)` that starts one leg, or a tuple of processes that run
-    side by side. The process resumes inside the event that completes its
-    leg, and `_Refused` is thrown into it inside the DROPOUT event of a
-    refusal. `done(value)` receives what it returns; `fail()` runs when a
-    refusal escapes it (without `fail`, the refusal propagates). `guard()`
-    is asked before every resume: once it answers true, the process stops
-    there. Legs hold this object's bound methods and nothing it holds points
-    back at it, so it is freed once its last leg has run."""
+class _Cursor:
+    """Walks tuples of leg tuples for a runner, one leg at a time.
 
-    __slots__ = ("gen", "done", "fail", "guard")
+    `walk(legs, what, ctx)` starts a tuple: compute legs' event details get
+    the suffix `what` and uplinks' random-stream contexts the prefix `ctx`,
+    so both name the iteration or round. The bound `step` is the callback of
+    every leg: inside the event that completes a leg it pays for the leg
+    (charges, battery debits, byte counts), stops there if `guard()` answers
+    true, and starts the next leg, or calls `ended()` when none is left. A
+    device that cannot afford its share of a leg as it starts (or whose
+    uplink is lost to an outage) refuses it: it drops out at the current
+    clock, nothing is charged, and `refused()` runs in the DROPOUT event.
+    By default `ended()` calls `then()`, and `refused()` calls `fail()` or,
+    without `fail`, skips the leg. `runner` owns the prices, batteries,
+    outage draws and byte counters the legs use."""
 
-    def __init__(self, gen, done, fail, guard):
-        self.gen, self.done, self.fail, self.guard = gen, done, fail, guard
+    __slots__ = ("runner", "then", "fail", "guard", "legs", "at", "what", "ctx", "paying",
+                 "bill")
 
-    def resume(self, value=None, error=None) -> None:
-        if self.guard is not None and self.guard():
+    def __init__(self, runner, then=None, fail=None, guard=None):
+        self.runner, self.then, self.fail, self.guard = runner, then, fail, guard
+        self.legs, self.at, self.paying = (), 0, None
+
+    def walk(self, legs: tuple, what: str = "", ctx: str = "") -> None:
+        self.legs, self.at, self.what, self.ctx = legs, 0, what, ctx
+        self.step()
+
+    def step(self) -> None:
+        leg = self.paying
+        if leg is not None:  # billed the compute joules, or the hop's price
+            self.paying = None
+            runner, bill, charge = self.runner, self.bill, self.runner.eng.charge
+            kind = leg[0]
+            if kind == "compute":
+                charge(leg[1], "compute", bill)
+            else:
+                if bill[3] > 0:
+                    charge(bill[0], "tx", bill[3])
+                if bill[4] > 0:
+                    charge(bill[1], "rx", bill[4])
+                if kind == "up":
+                    runner.bytes_up += leg[2] // 8
+                elif kind == "down":
+                    runner.bytes_down += leg[2] // 8
+        guard = self.guard
+        if guard is not None and guard():
             return
-        try:
-            leg = self.gen.send(value) if error is None else self.gen.throw(error)
-        except StopIteration as stop:
-            if self.done is not None:
-                self.done(stop.value)
-            return
-        except _Refused:
-            if self.fail is None:
-                raise
-            self.fail()
-            return
-        if type(leg) is tuple:
-            _join(leg, self.resume, self.refused)
+        legs, at = self.legs, self.at
+        if at < len(legs):
+            self.at = at + 1
+            self._start(legs[at])
         else:
-            leg(self.resume, self.refused)
+            self.ended()
+
+    def ended(self) -> None:
+        self.then()
 
     def refused(self) -> None:
-        self.resume(None, _Refused())
+        (self.fail or self.step)()
 
+    def _start(self, leg: tuple) -> None:
+        """Schedule one leg, or refuse it. An uplink may be lost to a channel
+        outage and waits for its blocks; every other leg starts at once."""
+        runner = self.runner
+        eng, ues = runner.eng, runner.topo.ues
+        kind = leg[0]
+        if kind == "compute":
+            node = leg[1]
+            latency, energy = runner.legs.compute(node, leg[2])
+            if node in ues and not self._battery_ok(node, energy):
+                return
+            self.paying, self.bill = leg, energy
+            eng.schedule(eng.clock + latency, EventKind.COMPUTE_DONE, self.step, node,
+                         leg[3] + self.what)
+            return
+        context = ""
+        if kind == "up":
+            context = self.ctx + leg[4]
+            if self._outage(leg[1], context):
+                return
+        try:
+            price = runner.legs.hop(leg, context)
+        except ZeroRate:  # validation priced the mean gain; this fade carries no bits
+            self._refuse(leg[1], "channel outage")
+            return
+        sender, receiver, latency, tx, rx, blocks, tag = price
+        if (sender in ues and not self._battery_ok(sender, tx)
+                or receiver in ues and not self._battery_ok(receiver, rx)):
+            return
+        start = eng.clock
+        if blocks:
+            start = eng.blocks.book(receiver, blocks, start, latency, sender, tag)
+        self.paying, self.bill = leg, price
+        prefix, payload = _HOP_DETAIL[kind]
+        eng.schedule(start + latency, EventKind.TX_DONE, self.step, leg[1],
+                     prefix + leg[payload])
 
-def _join(processes: tuple, done, fail) -> None:
-    """Run `processes` side by side: `done()` once all have returned, or
-    `fail()` when the first refusal escapes one of them."""
-    left = [len(processes)]
+    def _refuse(self, node: str, reason: str) -> None:
+        """`node` cannot run the leg: it drops at the current clock, then
+        `refused()` runs (also when it had already dropped, so the refusal is
+        never lost)."""
+        eng = self.runner.eng
+        if node in eng.dropped:
+            eng.schedule(eng.clock, EventKind.DROPOUT, self.refused, node=node, detail=reason)
+        else:
+            eng.mark_dropped(node, reason, callback=self.refused)
 
-    def returned(_):
-        left[0] -= 1
-        if left[0] == 0:
-            done()
+    def _battery_ok(self, node: str, joules: float) -> bool:
+        """Whether `node` can pay `joules` now; if not, it refuses the leg."""
+        eng = self.runner.eng
+        if node in eng.dropped:
+            self._refuse(node, "already dropped")
+        elif not eng.can_afford(node, joules):
+            self._refuse(node, "insufficient battery")
+        else:
+            return True
+        return False
 
-    def failed():
-        if left[0] > 0:
-            left[0] = -1  # the others finish unheard
-            fail()
-
-    for process in processes:
-        _Process(process, returned, failed, None).resume()
-
-
-# each hop kind's event-detail prefix, and where its leg tuple names the payload
-_HOP_DETAIL = {"up": ("ul:", 3), "down": ("dl:", 3), "backhaul": ("bh:", 4),
-               "d2d": ("d2d:", 4)}
+    def _outage(self, ue_id: str, context: str) -> bool:
+        """Per-transmission channel outage draw, which refuses the leg; static
+        channels never fail and consume no randomness."""
+        runner = self.runner
+        variance, slope = runner.topo.ues[ue_id].channel_variance, runner.session.dropout_slope
+        if slope <= 0.0 or variance <= 0.0:
+            return False
+        draw = runner.eng.rng.stream(f"drop:{ue_id}:{context}").uniform()
+        if draw >= min(1.0, slope * variance):
+            return False
+        self._refuse(ue_id, "channel outage")
+        return True
 
 
 class _RunnerBase:
-    """Transmission/computation legs shared by all protocol runners, and the
-    driver that runs a protocol's legs in order.
-
-    Every leg is scheduled on the engine and calls `done()` (or `fail()`)
-    from inside the completion event, after charging energy and debiting
-    batteries. Battery sufficiency is checked when a leg starts: a device
-    that cannot afford a leg refuses it and drops out at the current clock,
-    spending nothing.
-
-    Each protocol writes its legs top-down as processes (see `_Process`)
-    that `_drive` runs.
-
-    A runner records one entry per round (or iteration) of `rounds`.
-    `_begin(index)` starts round `index` (by default the process
-    `_round(index)`, which opens its `_Round` with `_open`); `_end` records
-    the round and begins the next.
-    """
+    """What all protocol runners share. A runner walks its protocol's leg
+    tuples with cursors (see `_Cursor`) and records one entry per round (or
+    iteration) of `rounds`: `_begin(index)` starts round `index`, opening its
+    `_Round` with `_open`, and `_end` records it and begins the next."""
 
     def __init__(self, protocol: str, session, topo: NetworkTopology,
                  radio_env: RadioEnv, eng: Engine, rounds: int):
@@ -613,89 +669,15 @@ class _RunnerBase:
             self.trace.final_model = self.model
         return self.trace
 
-    # ---- processes ----
-
-    def _drive(self, process, guard=None) -> None:
-        """Run `process` to its end, or until `guard()` answers true."""
-        _Process(process, None, None, guard).resume()
-
-    def _boundary(self, node: str, detail: str, done, fail=None) -> None:
-        """A zero-delay ROUND_BOUNDARY leg; nothing refuses it."""
+    def _boundary(self, node: str, detail: str, done) -> None:
+        """A zero-delay ROUND_BOUNDARY event; nothing refuses it."""
         self.eng.schedule_after(0.0, EventKind.ROUND_BOUNDARY, done, node=node,
                                 detail=detail)
 
-    def _begin(self, index: int) -> None:
-        if index < self.rounds:
-            self._drive(self._round(index))
-
-    def _leg(self, leg: tuple, tag: str, index: int):
-        """The leg that runs one leg tuple of iteration `index`. Its `what`
-        gets `:i{index}` and an uplink's `ctx` the prefix `{tag}{index}`, so
-        event details and random-stream names name the iteration."""
-        if leg[0] == "compute":
-            return partial(self.leg_compute, leg[1], leg[2], f"{leg[3]}:i{index}")
-        return partial(self.leg_hop, leg, f"{tag}{index}{leg[4]}" if leg[0] == "up" else "")
-
-    def _legs(self, legs: tuple, tag: str, index: int):
-        """Process: run the leg tuples of iteration `index` in order."""
-        for leg in legs:
-            yield self._leg(leg, tag, index)
-
-    def _transfer(self, legs: tuple, tag: str, index: int):
-        """One leg that runs a route's `legs` whole: a process of its own,
-        which resumes without the caller's guard, so a guard never stops a
-        transfer between its hops. A route of one hop has no hop to guard
-        and is the hop itself; a process per transfer would cost `fl_wide`,
-        whose every route is one hop, about an eighth of its run time."""
-        if len(legs) == 1:
-            return self._leg(legs[0], tag, index)
-        return (self._legs(legs, tag, index),)
-
-    # ---- failure plumbing ----
-
-    def _refuse(self, node: str, reason: str, fail) -> None:
-        """Node cannot run a leg: drop it at the current clock, then `fail`
-        (also when it had already dropped, so the refusal is never lost)."""
-        if node in self.eng.dropped:
-            self.eng.schedule(self.eng.clock, EventKind.DROPOUT, fail, node=node,
-                              detail=reason)
-        else:
-            self.eng.mark_dropped(node, reason, callback=fail)
-
-    def _battery_ok(self, node: str, joules: float, fail) -> bool:
-        if node in self.eng.dropped:
-            self._refuse(node, "already dropped", fail)
-            return False
-        if self.eng.can_afford(node, joules):
-            return True
-        self._refuse(node, "insufficient battery", fail)
-        return False
-
-    def _outage(self, ue_id: str, context: str, fail) -> bool:
-        """Per-transmission channel outage draw; static channels never fail
-        and consume no randomness."""
-        ue = self.topo.ues[ue_id]
-        slope = self.session.dropout_slope
-        if slope <= 0.0 or ue.channel_variance <= 0.0:
-            return False
-        p = min(1.0, slope * ue.channel_variance)
-        draw = self.eng.rng.stream(f"drop:{ue_id}:{context}").uniform()
-        if draw >= p:
-            return False
-        self._refuse(ue_id, "channel outage", fail)
-        return True
-
-    # ---- legs ----
-
     def leg_compute(self, node: str, macs: float, what: str, done, fail=None) -> None:
-        latency, energy = self.legs.compute(node, macs)
-        if node in self.topo.ues and not self._battery_ok(node, energy, fail or done):
-            return
-        def finish():
-            self.eng.charge(node, "compute", energy)
-            done()
-        self.eng.schedule_after(latency, EventKind.COMPUTE_DONE, finish,
-                                node=node, detail=what)
+        """One compute leg at `node`: `done()` once it has run; if `node`
+        refuses it, `fail()`, or without `fail`, `done()` all the same."""
+        _Cursor(self, done, fail).walk((("compute", node, macs, what),))
 
     def _gain(self, ue_id: str, context: str) -> float:
         """Channel gain of one uplink. The `gain:` stream is built only for a
@@ -704,42 +686,6 @@ class _RunnerBase:
         rng = (self.eng.rng.stream(f"gain:{ue_id}:{context}")
                if ue.channel_variance != 0.0 else None)
         return draw_channel_gain(ue, rng)
-
-    def leg_hop(self, leg: tuple, context: str, done, fail) -> None:
-        """One transfer leg, priced and billed by `LegCosts.hop`: the sender
-        pays its transmit joules and the receiver its receive joules, and a
-        device end must afford its share when the hop starts. An uplink may
-        be lost to a channel outage and waits for its blocks; every other
-        hop starts at once."""
-        kind = leg[0]
-        if kind == "up" and self._outage(leg[1], context, fail):
-            return
-        try:
-            sender, receiver, latency, tx, rx, blocks, tag = self.legs.hop(leg, context)
-        except ZeroRate:  # validation priced the mean gain; this fade carries no bits
-            self._refuse(leg[1], "channel outage", fail)
-            return
-        ues = self.topo.ues
-        if sender in ues and not self._battery_ok(sender, tx, fail):
-            return
-        if receiver in ues and not self._battery_ok(receiver, rx, fail):
-            return
-        start = self.eng.clock
-        if blocks:
-            start = self.eng.blocks.book(receiver, blocks, start, latency, sender, tag)
-        def finish():
-            if tx > 0:
-                self.eng.charge(sender, "tx", tx)
-            if rx > 0:
-                self.eng.charge(receiver, "rx", rx)
-            if kind == "up":
-                self.bytes_up += leg[2] // 8
-            elif kind == "down":
-                self.bytes_down += leg[2] // 8
-            done()
-        prefix, payload = _HOP_DETAIL[kind]
-        self.eng.schedule(start + latency, EventKind.TX_DONE, finish, node=leg[1],
-                          detail=prefix + leg[payload])
 
     # ---- metrics plumbing ----
 
@@ -757,35 +703,33 @@ class _RunnerBase:
                 out[node] = delta
         return out
 
-    def _end(self, state: _Round, what: str):
-        """Process: evaluate when due, record the round, begin the next."""
-        accuracy = yield from self._eval(state.index)
+    def _end(self, state: _Round, what: str, loss: float) -> None:
+        """Evaluate when due (as compute at the loss owner, run even if
+        refused), then record the round with its `loss` and begin the next."""
+        data = self.session.data
+        legs = eval_legs(self.session.server, self.model.widths, data.test_x.shape[0],
+                         self.config.eval_every, state.index)
+        if not legs:
+            self._record(state, what, loss, False)
+            return
+        _, node, macs, evaluation = legs[0]
+        self.leg_compute(node, macs, evaluation, partial(self._record, state, what, loss, True))
+
+    def _record(self, state: _Round, what: str, loss: float, evaluated: bool) -> None:
+        """Record the round, with its held-out accuracy if evaluated; begin the next."""
+        data = self.session.data
+        accuracy = mlp.evaluate(self.model, data.test_x, data.test_labels)[1] if evaluated \
+            else None
         self.trace.records.append(IterationRecord(
-            index=state.index,
-            wall_latency=self.eng.clock - state.start,
+            index=state.index, wall_latency=self.eng.clock - state.start,
             compute_energy=self._category_diff(state.before, "compute"),
             tx_energy=self._category_diff(state.before, "tx"),
             rx_energy=self._category_diff(state.before, "rx"),
             bytes_up=self.bytes_up - state.bytes_up,
             bytes_down=self.bytes_down - state.bytes_down,
-            loss=state.loss,
-            accuracy=accuracy,
-            dropouts=state.dropouts,
-        ))
-        yield partial(self._boundary, self.session.server, f"{what} {state.index} done")
-        self._begin(state.index + 1)
-
-    def _eval(self, global_iter: int):
-        """Process: held-out evaluation at the loss owner, charged as compute
-        there (and run even if refused); the accuracy, or None if not due."""
-        data = self.session.data
-        legs = eval_legs(self.session.server, self.model.widths, data.test_x.shape[0],
-                         self.config.eval_every, global_iter)
-        if not legs:
-            return None
-        _, node, macs, what = legs[0]
-        yield lambda done, fail: self.leg_compute(node, macs, what, done)
-        return mlp.evaluate(self.model, data.test_x, data.test_labels)[1]
+            loss=loss, accuracy=accuracy, dropouts=state.dropouts))
+        self._boundary(self.session.server, f"{what} {state.index} done",
+                       partial(self._begin, state.index + 1))
 
 
 # ====================================================================== #
@@ -807,19 +751,17 @@ class _FlRound(_Round):
 
 
 class _FlRunner(_RunnerBase):
-    """Federated averaging. In each round every participant runs one chain:
-    download the global model, train through `_local_step`, upload the
+    """Federated averaging. In each round every participant runs one chain
+    (see `_FlChain`): download the global model, train locally, upload the
     delta. The round closes when every participant is back or has dropped,
     or at its deadline. A client with a runner in `nested` (a FedSplit
     master; none under FL) trains through that runner's split learning.
 
-    Stragglers: a chain's guard looks at its round whenever the chain
-    resumes, and stops the chain there once the round has closed; its delta
-    never counts. A client whose chain is still running when a round begins
-    is not started with the others: it joins that round when the chain
-    stops, if the round is still open, and the next round otherwise. So no
-    client trains two rounds at once, and every local step starts from the
-    model of the round it belongs to.
+    Stragglers: once its round has closed, a chain stops at its next step
+    and its delta never counts. A client whose chain is still running when
+    a round begins joins that round when the chain stops, if the round is
+    still open, and the next round otherwise. So no client trains two rounds
+    at once, and every local step starts from the model of its round.
     """
 
     def __init__(self, session: FlSession, topo, radio_env, eng,
@@ -832,66 +774,6 @@ class _FlRunner(_RunnerBase):
                            session.config.batch_size, session.local_iterations)
         # each client's chain, the same every round
         self._chains = {c: self.plan.chain(c) for c in session.clients}
-
-    def _chain(self, client: str, state: _FlRound):
-        """`client`'s round: download the model, train, upload the delta.
-        Each transfer is one leg of the chain, so its guard stops the chain
-        between transfers, never between a transfer's hops."""
-        down, _, up = self._chains[client]
-        yield partial(self._boundary, client, f"round {state.index} start")
-        try:
-            yield self._transfer(down, "", state.index)
-            tag = yield from self._local_step(client, state)
-            yield self._transfer(up, tag, state.index)
-        except _Refused:
-            self._sweep(state)
-            return
-        state.arrivals.append(state.rows[client])
-        state.pending.discard(client)
-        self._maybe_close(state)
-
-    def _closed(self, client: str, state: _FlRound) -> bool:
-        """Guard of `client`'s chain: once `state` has closed, the chain
-        stops and the client rejoins."""
-        if state.closed:
-            self._rejoin(client)
-        return state.closed
-
-    def _local_step(self, client: str, state: _FlRound):
-        """Process: train `client` locally into its row of the round arrays.
-        Returns the tag that prefixes the upload's random-stream context.
-
-        A master runs its local iterations as homogeneous SL over its
-        slaves, from the global model and iteration 0 each round, sharing
-        this engine and clock; its records stay out of the FL trace, and it
-        never evaluates. The phase is part of the master's FL chain, so the
-        chain's guard stops it at its next leg boundary once the FL round
-        has closed. A nested abort drops the master from the FL round."""
-        inner = self.nested.get(client)
-        if inner is None:
-            self._train_clients(state)
-            _, node, macs, what = self._chains[client][1]
-            yield partial(self.leg_compute, node, macs, f"{what}:r{state.index}")
-            return "fl"
-        inner.model, inner.holder = mlp.clone(self.model), None
-        yield partial(self._boundary, client, f"nested r{state.index} start")
-        losses = []
-        for i in range(inner.rounds):
-            slave = inner._client_for(i)
-            try:
-                losses.append((yield from inner._iteration(slave, i, [])))
-            except SessionAborted as exc:
-                reason = f"nested split aborted: {exc.reason}"
-                yield lambda done, fail: self._refuse(client, reason, fail)
-            if i + 1 < inner.rounds:
-                yield partial(self._boundary, client, f"iter {i} done")
-            else:
-                # not waited on: the upload starts in the event that ended
-                # the last nested leg
-                self._boundary(client, f"iter {i} done", lambda: None)
-        self._fill(state, state.rows[client], inner.model.weights, inner.model.biases,
-                   losses, self.delta_sample_count(client))
-        return "fs"
 
     def _local_training(self, client: str, rnd: int) -> dict:
         """`client`'s training in round `rnd`, the round now open: its delta
@@ -943,15 +825,12 @@ class _FlRunner(_RunnerBase):
             losses=np.empty((n, sess.local_iterations)), counts=[0] * n)
         for client in participants:
             if client not in running:
-                self._start(client, state)
+                _FlChain(self, client, state)
         if sess.round_deadline != float("inf"):
             self.eng.schedule(state.start + sess.round_deadline,
                               EventKind.ROUND_BOUNDARY,
                               lambda: self._sweep(state, deadline=True),
                               node=sess.server, detail=f"round {rnd} deadline")
-
-    def _start(self, client: str, state: _FlRound) -> None:
-        self._drive(self._chain(client, state), guard=partial(self._closed, client, state))
 
     def _rejoin(self, client: str) -> None:
         """`client`'s chain stopped after its round closed: it joins the
@@ -964,7 +843,7 @@ class _FlRunner(_RunnerBase):
         elif client in self.eng.dropped:
             self._sweep(state)
         else:
-            self._start(client, state)
+            _FlChain(self, client, state)
 
     def _sweep(self, state: _FlRound, deadline=False) -> None:
         """A chain failed, or the round's deadline came: every pending
@@ -976,25 +855,108 @@ class _FlRunner(_RunnerBase):
         self._maybe_close(state, deadline)
 
     def _maybe_close(self, state: _FlRound, deadline=False) -> None:
-        """Close the round once nobody is pending (or at its deadline) and
+        """Close the round once nobody is pending (or at its deadline), and
         aggregate the deltas that arrived."""
         if state.closed or (state.pending and not deadline):
             return
         state.closed = True
         if not state.arrivals:
             raise AllClientsDropped(f"round {state.index}: zero surviving uploads")
-        self._drive(self._aggregate(state))
+        _, node, macs, what = self.plan.aggregate(len(state.arrivals))
+        self.leg_compute(node, macs, f"{what}:r{state.index}", partial(self._aggregate, state))
 
-    def _aggregate(self, state: _FlRound):
+    def _aggregate(self, state: _FlRound) -> None:
+        """Fold the arrived rows, in arrival order, into the global model."""
         rows = np.array(state.arrivals)
         counts = [state.counts[r] for r in state.arrivals]
         means = state.losses[rows].mean(axis=1)
-        state.loss = sum(n * mean for n, mean in zip(counts, means.tolist())) / sum(counts)
-        _, node, macs, what = self.plan.aggregate(len(rows))
-        yield lambda done, fail: self.leg_compute(node, macs, f"{what}:r{state.index}", done)
+        loss = sum(n * mean for n, mean in zip(counts, means.tolist())) / sum(counts)
         self.model = mlp.apply_delta(self.model, mlp.fed_avg_stacked(
             self.model.widths, [a[rows] for a in state.layers], counts))
-        yield from self._end(state, "round")
+        self._end(state, "round", loss)
+
+
+class _FlChain(_Cursor):
+    """`client`'s part of FL round `round`, one step after another: the
+    round-start boundary, the download route, local training, the upload
+    route, the arrival; `phase` is the next. `closed` is the guard, read as
+    each step starts and at each refusal, never between a route's hops.
+
+    A master trains by its nested runner's iterations, from the global model
+    and iteration 0 each round, on this engine and clock; their records stay
+    out of the FL trace, and they never evaluate. `closed` guards each one at
+    every nested leg. A nested abort drops the master from the FL round."""
+
+    __slots__ = ("client", "round", "phase", "losses")
+
+    def __init__(self, runner: _FlRunner, client: str, state: _FlRound):
+        super().__init__(runner)
+        self.client, self.round, self.phase = client, state, _FlChain._download
+        runner._boundary(client, f"round {state.index} start", self.step)
+
+    def closed(self) -> bool:
+        """Once the round has closed, the chain stops and the client rejoins."""
+        if self.round.closed:
+            self.runner._rejoin(self.client)
+        return self.round.closed
+
+    def ended(self) -> None:
+        if not self.closed():
+            self.phase(self)
+
+    def refused(self) -> None:
+        if not self.closed():
+            self.runner._sweep(self.round)
+
+    def _download(self) -> None:
+        self.phase = _FlChain._train
+        self.walk(self.runner._chains[self.client][0])
+
+    def _train(self) -> None:
+        runner, state, client = self.runner, self.round, self.client
+        inner = runner.nested.get(client)
+        if inner is None:
+            runner._train_clients(state)
+            self.phase = _FlChain._upload
+            self.walk(runner._chains[client][1:2], f":r{state.index}")
+            return
+        inner.model, inner.holder = mlp.clone(runner.model), None
+        self.losses, self.phase = [], _FlChain._iterate
+        runner._boundary(client, f"nested r{state.index} start", self.step)
+
+    def _iterate(self) -> None:
+        inner = self.runner.nested[self.client]
+        index = len(self.losses)
+        _SlIteration(inner, inner._client_for(index), index, [], self._iterated,
+                     self._aborted, self.closed)
+
+    def _iterated(self, loss: float) -> None:
+        runner, state, client, losses = self.runner, self.round, self.client, self.losses
+        losses.append(loss)
+        inner = runner.nested[client]
+        done = f"iter {len(losses) - 1} done"
+        if len(losses) < inner.rounds:
+            runner._boundary(client, done, self.step)
+            return
+        # not waited on: the upload starts in the event that ended the last nested leg
+        runner._boundary(client, done, lambda: None)
+        runner._fill(state, state.rows[client], inner.model.weights, inner.model.biases,
+                     losses, runner.delta_sample_count(client))
+        self._upload()
+
+    def _aborted(self, exc: SessionAborted) -> None:
+        self._refuse(self.client, f"nested split aborted: {exc.reason}")
+
+    def _upload(self) -> None:
+        self.phase = _FlChain._arrive
+        tag = "fs" if self.client in self.runner.nested else "fl"
+        self.walk(self.runner._chains[self.client][2], "", f"{tag}{self.round.index}")
+
+    def _arrive(self) -> None:
+        state = self.round
+        state.arrivals.append(state.rows[self.client])
+        state.pending.discard(self.client)
+        self.runner._maybe_close(state)
 
 
 def run_fl(session: FlSession, topo: NetworkTopology, radio_env: RadioEnv,
@@ -1024,41 +986,11 @@ class _SlHomoRunner(_RunnerBase):
             raise AllClientsDropped(f"iteration {iteration}: no clients left")
         return alive[iteration % len(alive)]
 
-    def _round(self, index: int):
-        client = self._client_for(index)
-        state = self._open(_Round, index)
-        state.loss = yield from self._iteration(client, index, state.dropouts)
-        yield from self._end(state, "iter")
-
-    def _iteration(self, client: str, index: int, dropouts: list[str]):
-        """Process: iteration `index` on `client`; returns its loss. After a
-        refused leg the staged work is discarded and the iteration retried
-        once with the next surviving client; a second failure aborts."""
-        for retry in (False, True):
-            try:
-                return (yield from self._attempt(client, index))
-            except _Refused:
-                if retry:
-                    raise SessionAborted("two consecutive client failures")
-            nxt = self._next_after(client)
-            if nxt is None:
-                raise AllClientsDropped(f"iteration {index}: no clients left")
-            if client in self.eng.dropped and client not in dropouts:
-                dropouts.append(client)
-            client = nxt
-
-    def _attempt(self, client: str, index: int):
-        """Deliver the client part, then the iteration's body; returns the
-        loss."""
-        prev = self.holder
-        yield from self._legs(self.plan.handoff(prev, client, prev in self.eng.dropped),
-                              "slh", index)
-        self.holder = client
-        yield from self._legs(self.plan.body(client), "slh", index)
-        x, labels = self.session.data.shard_of(client).batch(index, self.config.batch_size)
-        self.model, loss = mlp.split_step(self.model, self.segments, x, labels,
-                                          self.config.lr)
-        return loss
+    def _begin(self, index: int) -> None:
+        if index < self.rounds:
+            client = self._client_for(index)
+            state = self._open(_Round, index)
+            _SlIteration(self, client, index, state.dropouts, partial(self._end, state, "iter"))
 
     def _next_after(self, client: str) -> str | None:
         order = self.session.clients
@@ -1068,6 +1000,58 @@ class _SlHomoRunner(_RunnerBase):
             if candidate not in self.eng.dropped:
                 return candidate
         return None
+
+
+class _SlIteration(_Cursor):
+    """Homogeneous split-learning iteration `index` on `client`, in two
+    steps: the handoff of the client part to `client`, then the body;
+    `then(loss)` gets the loss of its split step. After a refused leg (once
+    the guard, if set, lets it through) the staged work is discarded and the
+    iteration retried once with the next surviving client. A second refusal,
+    or no client left, aborts it: `fail(exc)` gets the abort, or without
+    `fail` it is raised."""
+
+    __slots__ = ("client", "index", "dropouts", "retried", "handed")
+
+    def __init__(self, runner, client, index, dropouts, then, fail=None, guard=None):
+        super().__init__(runner, then, fail, guard)
+        self.client, self.index, self.dropouts, self.retried = client, index, dropouts, False
+        self._attempt()
+
+    def _attempt(self) -> None:
+        runner, index = self.runner, self.index
+        prev, self.handed = runner.holder, False
+        self.walk(runner.plan.handoff(prev, self.client, prev in runner.eng.dropped),
+                  f":i{index}", f"slh{index}")
+
+    def ended(self) -> None:
+        runner = self.runner
+        if not self.handed:
+            self.handed = True
+            runner.holder = self.client
+            self.walk(runner.plan.body(self.client), self.what, self.ctx)
+            return
+        config = runner.config
+        x, labels = runner.session.data.shard_of(self.client).batch(self.index, config.batch_size)
+        runner.model, loss = mlp.split_step(runner.model, runner.segments, x, labels, config.lr)
+        self.then(loss)
+
+    def refused(self) -> None:
+        if self.guard is not None and self.guard():
+            return
+        runner, client = self.runner, self.client
+        nxt = None if self.retried else runner._next_after(client)
+        if nxt is None:
+            exc = (SessionAborted("two consecutive client failures") if self.retried
+                   else AllClientsDropped(f"iteration {self.index}: no clients left"))
+            if self.fail is None:
+                raise exc
+            self.fail(exc)
+            return
+        if client in runner.eng.dropped and client not in self.dropouts:
+            self.dropouts.append(client)
+        self.client, self.retried = nxt, True
+        self._attempt()
 
 
 def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,
@@ -1097,25 +1081,35 @@ class _SlHeteroRunner(_RunnerBase):
             session.config.batch_size, session.relay)
         # one segment per client, then the server's
         self.segments = mlp.contiguous_cuts(self.model.num_layers, session.boundaries)
+        # the iteration in flight, and how many of its labels and forward cursors run
+        self._state: _Round | None = None
+        self._left = 0
 
-    def _round(self, index: int):
-        sess = self.session
-        state = self._open(_Round, index)
-        try:
+    def _begin(self, index: int) -> None:
+        if index < self.rounds:
+            self._state, self._left = self._open(_Round, index), 2
             # labels go straight to the loss owner while the forward chain runs
-            yield (self._legs(self.labels, "slx", index),
-                   self._legs(self.forward, "slx", index))
-            yield from self._legs(self.back, "slx", index)
-        except _Refused:
-            # every client owns exactly one segment, so no spare can take its place
-            survivors = [c for c in sess.clients if c not in self.eng.dropped]
-            raise SessionAborted(
-                f"iteration {index}: {len(survivors)} clients left for "
-                f"{len(sess.boundaries)} segments")
-        x, labels = sess.data.shard_of(sess.clients[0]).batch(index, self.config.batch_size)
-        self.model, state.loss = mlp.split_step(self.model, self.segments, x, labels,
-                                                self.config.lr)
-        yield from self._end(state, "iter")
+            for legs in (self.labels, self.forward):
+                _Cursor(self, self._joined, self._lost).walk(legs, f":i{index}", f"slx{index}")
+
+    def _joined(self) -> None:
+        self._left -= 1
+        if not self._left:
+            index = self._state.index
+            _Cursor(self, self._trained, self._lost).walk(self.back, f":i{index}", f"slx{index}")
+
+    def _lost(self) -> None:
+        # every client owns exactly one segment, so no spare can take its place
+        sess = self.session
+        survivors = sum(c not in self.eng.dropped for c in sess.clients)
+        raise SessionAborted(f"iteration {self._state.index}: {survivors} clients left for "
+                             f"{len(sess.boundaries)} segments")
+
+    def _trained(self) -> None:
+        sess, state = self.session, self._state
+        x, labels = sess.data.shard_of(sess.clients[0]).batch(state.index, self.config.batch_size)
+        self.model, loss = mlp.split_step(self.model, self.segments, x, labels, self.config.lr)
+        self._end(state, "iter", loss)
 
 
 def run_sl_heterogeneous(session: SlSession, topo: NetworkTopology,

@@ -637,3 +637,25 @@ def test_sweep_cut_index_needs_a_kind_with_a_cut(tmp_path, capsys, name):
     assert capsys.readouterr().err == (
         "error: cut_index applies to sl_homogeneous or fedsplit_nested scenarios\n")
     assert not (tmp_path / "o").exists()
+
+
+def test_sweep_relay_d2d_spends_less_than_bouncing_through_the_server(tmp_path, capsys):
+    path = str(SCENARIO_DIR / "sl_heterogeneous_d2d.json")
+    out = tmp_path / "o"
+    assert main(["sweep", "--scenario", path, "--axis", "relay", "--values", "d2d,server",
+                 "--out", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    rows = [line for line in printed if line.startswith("relay=")]
+    assert [row.split(":")[0] for row in rows] == ["relay=d2d", "relay=server"]
+    energy = {row.split(":")[0]: float(row.split("total_energy_J=")[1].split()[0])
+              for row in rows}
+    assert energy["relay=d2d"] < energy["relay=server"]
+
+
+def test_sweep_relay_needs_a_kind_that_relays(tmp_path, capsys):
+    code = main(["sweep", "--scenario", str(SCENARIO_DIR / "fl_edge.json"),
+                 "--axis", "relay", "--values", "d2d,server", "--out", str(tmp_path / "o")])
+    assert code == EXIT_INVALID
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "relay" in err[0]
+    assert not (tmp_path / "o").exists()
