@@ -706,14 +706,9 @@ class _RunnerBase:
     def _end(self, state: _Round, what: str, loss: float) -> None:
         """Evaluate when due (as compute at the loss owner, run even if
         refused), then record the round with its `loss` and begin the next."""
-        data = self.session.data
-        legs = eval_legs(self.session.server, self.model.widths, data.test_x.shape[0],
-                         self.config.eval_every, state.index)
-        if not legs:
-            self._record(state, what, loss, False)
-            return
-        _, node, macs, evaluation = legs[0]
-        self.leg_compute(node, macs, evaluation, partial(self._record, state, what, loss, True))
+        legs = eval_legs(self.session.server, self.model.widths,
+                         self.session.data.test_x.shape[0], self.config.eval_every, state.index)
+        _Cursor(self, partial(self._record, state, what, loss, bool(legs))).walk(legs)
 
     def _record(self, state: _Round, what: str, loss: float, evaluated: bool) -> None:
         """Record the round, with its held-out accuracy if evaluated; begin the next."""
@@ -741,7 +736,6 @@ class _FlRound(_Round):
     """The round arrays hold one row per participant, the trainers' first:
     each parameter's delta from the global model, losses and sample count."""
     pending: set[str] = field(default_factory=set)   # participants not back yet
-    untrained: list[str] = field(default_factory=list)  # trainers, until the first download
     rows: dict[str, int] = field(default_factory=dict)  # each participant's row
     layers: list[np.ndarray] = field(default_factory=list)  # weight deltas, then bias deltas
     losses: np.ndarray | None = None  # pre-step losses, (rows, local_iterations)
@@ -776,20 +770,20 @@ class _FlRunner(_RunnerBase):
         self._chains = {c: self.plan.chain(c) for c in session.clients}
 
     def _local_training(self, client: str, rnd: int) -> dict:
-        """`client`'s training in round `rnd`, the round now open: its delta
-        (views of its row of the round arrays), pre-step losses and count."""
+        """`client`'s row of the round now open (`rnd`), trained when the
+        round opened: its delta (views of the row), pre-step losses and count."""
         state = self._current
-        self._train_clients(state)
         row, cut = state.rows[client], self.model.num_layers
         views, n = [a[row] for a in state.layers], state.counts[row]
         return {"delta": mlp.ParamDelta(self.model.widths, views[:cut], views[cut:], n),
                 "losses": state.losses[row].tolist(), "n": n}
 
-    def _train_clients(self, state: _FlRound) -> None:
-        """Local SGD from the global model for every trainer of the round not
-        yet trained, _TRAIN_GROUP clients at a time, into their rows."""
+    def _train_clients(self, state: _FlRound, trainers: list[str]) -> None:
+        """Local SGD from the global model for the round's `trainers`, which
+        hold its first rows, _TRAIN_GROUP clients at a time, into their rows.
+        A local step reads only the round's model and the client's own shard,
+        so the round trains them all as it opens."""
         sess = self.session
-        trainers, state.untrained = state.untrained, []
         iterations = range(state.index * sess.local_iterations,
                            (state.index + 1) * sess.local_iterations)
         for first in range(0, len(trainers), _TRAIN_GROUP):
@@ -820,9 +814,9 @@ class _FlRunner(_RunnerBase):
         n = len(order)
         state = self._current = self._open(
             _FlRound, rnd, pending=set(participants), rows={c: i for i, c in enumerate(order)},
-            untrained=[c for c in order if c not in self.nested],
             layers=[np.empty((n,) + a.shape) for a in self.model.weights + self.model.biases],
             losses=np.empty((n, sess.local_iterations)), counts=[0] * n)
+        self._train_clients(state, [c for c in order if c not in self.nested])
         for client in participants:
             if client not in running:
                 _FlChain(self, client, state)
@@ -916,7 +910,6 @@ class _FlChain(_Cursor):
         runner, state, client = self.runner, self.round, self.client
         inner = runner.nested.get(client)
         if inner is None:
-            runner._train_clients(state)
             self.phase = _FlChain._upload
             self.walk(runner._chains[client][1:2], f":r{state.index}")
             return
@@ -927,8 +920,7 @@ class _FlChain(_Cursor):
     def _iterate(self) -> None:
         inner = self.runner.nested[self.client]
         index = len(self.losses)
-        _SlIteration(inner, inner._client_for(index), index, [], self._iterated,
-                     self._aborted, self.closed)
+        _SlIteration(inner, index, [], self._iterated, self._aborted, self.closed)
 
     def _iterated(self, loss: float) -> None:
         runner, state, client, losses = self.runner, self.round, self.client, self.losses
@@ -980,17 +972,10 @@ class _SlHomoRunner(_RunnerBase):
                                session.config.batch_size)
         self.segments = mlp.contiguous_cuts(self.model.num_layers, (session.cut_index,))
 
-    def _client_for(self, iteration: int) -> str:
-        alive = [c for c in self.session.clients if c not in self.eng.dropped]
-        if not alive:
-            raise AllClientsDropped(f"iteration {iteration}: no clients left")
-        return alive[iteration % len(alive)]
-
     def _begin(self, index: int) -> None:
         if index < self.rounds:
-            client = self._client_for(index)
             state = self._open(_Round, index)
-            _SlIteration(self, client, index, state.dropouts, partial(self._end, state, "iter"))
+            _SlIteration(self, index, state.dropouts, partial(self._end, state, "iter"))
 
     def _next_after(self, client: str) -> str | None:
         order = self.session.clients
@@ -1003,26 +988,36 @@ class _SlHomoRunner(_RunnerBase):
 
 
 class _SlIteration(_Cursor):
-    """Homogeneous split-learning iteration `index` on `client`, in two
-    steps: the handoff of the client part to `client`, then the body;
-    `then(loss)` gets the loss of its split step. After a refused leg (once
-    the guard, if set, lets it through) the staged work is discarded and the
-    iteration retried once with the next surviving client. A second refusal,
-    or no client left, aborts it: `fail(exc)` gets the abort, or without
-    `fail` it is raised."""
+    """Homogeneous split-learning iteration `index`, in two steps: the
+    handoff of the client part to its client, then the body; `then(loss)`
+    gets the loss of its split step. It picks its own client: the surviving
+    client at `index` modulo their count. After a refused leg (once the
+    guard, if set, lets it through) the staged work is discarded and the
+    iteration retried once with the next surviving client. A second
+    refusal, or no client left to run it, aborts it: `fail(exc)` gets the
+    abort, or without `fail` it is raised."""
 
     __slots__ = ("client", "index", "dropouts", "retried", "handed")
 
-    def __init__(self, runner, client, index, dropouts, then, fail=None, guard=None):
+    def __init__(self, runner, index, dropouts, then, fail=None, guard=None):
         super().__init__(runner, then, fail, guard)
-        self.client, self.index, self.dropouts, self.retried = client, index, dropouts, False
-        self._attempt()
+        self.index, self.dropouts, self.retried = index, dropouts, False
+        alive = [c for c in runner.session.clients if c not in runner.eng.dropped]
+        self._attempt(alive[index % len(alive)] if alive else None)
 
-    def _attempt(self) -> None:
+    def _attempt(self, client: str | None) -> None:
         runner, index = self.runner, self.index
-        prev, self.handed = runner.holder, False
-        self.walk(runner.plan.handoff(prev, self.client, prev in runner.eng.dropped),
+        if client is None:
+            self._abort(AllClientsDropped(f"iteration {index}: no clients left"))
+            return
+        prev, self.client, self.handed = runner.holder, client, False
+        self.walk(runner.plan.handoff(prev, client, prev in runner.eng.dropped),
                   f":i{index}", f"slh{index}")
+
+    def _abort(self, exc: SessionAborted) -> None:
+        if self.fail is None:
+            raise exc
+        self.fail(exc)
 
     def ended(self) -> None:
         runner = self.runner
@@ -1039,19 +1034,14 @@ class _SlIteration(_Cursor):
     def refused(self) -> None:
         if self.guard is not None and self.guard():
             return
-        runner, client = self.runner, self.client
-        nxt = None if self.retried else runner._next_after(client)
-        if nxt is None:
-            exc = (SessionAborted("two consecutive client failures") if self.retried
-                   else AllClientsDropped(f"iteration {self.index}: no clients left"))
-            if self.fail is None:
-                raise exc
-            self.fail(exc)
+        if self.retried:
+            self._abort(SessionAborted("two consecutive client failures"))
             return
+        runner, client = self.runner, self.client
         if client in runner.eng.dropped and client not in self.dropouts:
             self.dropouts.append(client)
-        self.client, self.retried = nxt, True
-        self._attempt()
+        self.retried = True
+        self._attempt(runner._next_after(client))
 
 
 def run_sl_homogeneous(session: SlSession, topo: NetworkTopology,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import music_sim
 from music_sim import costs, mlp, protocols
 from music_sim.data import make_blobs
-from music_sim.engine import Engine
+from music_sim.engine import Engine, EventKind
 from music_sim.errors import (
     AllClientsDropped,
     MissingBackhaulLink,
@@ -968,6 +968,45 @@ def test_bundled_scenario_with_a_drained_device_does_not_stall(
     """Batteries that once ended these runs `completed` with zero records."""
     runtime, trace = _run_bundled(name, {device: battery})
     _assert_live(runtime, trace, records)
+
+
+def test_fedsplit_master_with_no_live_slave_drops_from_its_round():
+    """ue0's slaves ue1 and ue2, FL clients here as well, refuse their
+    downloads at the start, so no slave is left for ue0's first nested
+    iteration: ue0 drops from round 0, as after any nested abort, and ue3
+    carries the run."""
+    runtime, trace = _run_bundled("fedsplit_nested", {"ue1": 1e-9, "ue2": 1e-9},
+                                  clients=["ue0", "ue1", "ue2", "ue3"])
+    assert trace.status == "completed"
+    assert len(trace.records) == 8
+    assert trace.records[0].dropouts == ["ue1", "ue2", "ue0"]
+    assert ("ue0", "nested split aborted: iteration 0: no clients left") in [
+        (r["node"], r["detail"]) for r in runtime.engine.event_log if r["kind"] == "DROPOUT"]
+
+
+@pytest.mark.parametrize("run, session, records, reason", [
+    (run_fl, _fl_session, 1, "round 1: no clients left"),
+    (run_sl_homogeneous, _homo_session, 1, "iteration 1: no clients left"),
+    (run_sl_homogeneous, _homo_session, 2, "iteration 2: no clients left"),
+], ids=["fl-round-1", "homo-iteration-1", "homo-iteration-2"])
+def test_a_period_opened_after_every_client_dropped_aborts(run, session, records, reason):
+    """Every client drops at the instant the period before ends, as an
+    unconstrained run times it, so the next period opens with no client
+    left and the run aborts after the periods before it."""
+    clients = ["ue0", "ue1"]
+    full = Engine(seed=0)
+    trace = run(session(clients, blob_data(2)), star_topology(2), simple_radio(), full)
+    done = [r["time"] for r in full.event_log
+            if r["kind"] == "ROUND_BOUNDARY" and r["detail"].endswith(" done")]
+    assert len(done) == len(trace.records) > records
+    eng = Engine(seed=0)
+    for c in clients:
+        eng.schedule(done[records - 1], EventKind.DROPOUT,
+                     functools.partial(eng.dropped.add, c), node=c, detail="switched off")
+    with pytest.raises(AllClientsDropped, match=f"^{reason}$") as info:
+        run(session(clients, blob_data(2)), star_topology(2), simple_radio(), eng)
+    assert info.value.trace.status == f"aborted: {reason}"
+    assert len(info.value.trace.records) == records
 
 
 _FULL_RUN_SPEND: dict[str, tuple[int, dict[str, float]]] = {}
