@@ -43,6 +43,13 @@ CASES = {
         "aborted: iteration 14: 1 clients left for 2 segments", 14,
         "98ab85b0425a0eb6f70ff149e2e90e90c192b9e523383e10d6bd39142b52950f",
         "dc11c97ac6833c2c0fba04348c2f4b670378917c90d8acd27dac6fa73cd23ff0"),
+    # iteration 5's back-pass D2D hop ue0 -> ue1 finds both ends short, ue0
+    # of its tx and ue1 of its rx: the sender, checked first, refuses
+    "hetero-both-ends-short": (
+        "sl_heterogeneous_d2d", {"ue0": 0.249796, "ue1": 0.234285}, None,
+        "aborted: iteration 5: 1 clients left for 2 segments", 5,
+        "d7acea80c3345e45a4286cec2f27bb78846e66bd4643172267cd5a50c1051d13",
+        "b8518a3a2a65dbfa03af420f20fd955b40c569d52ed128469c060ac78b142ae6"),
     "homo-retry": (
         "sl_homogeneous", {"ue2": 0.5}, None,
         "completed", 24,
