@@ -369,7 +369,7 @@ class Engine:
         if joules == 0.0:
             return self.batteries[node]
         remaining = self.batteries[node] - joules
-        self.batteries[node] = max(0.0, remaining)
+        self.batteries[node] = remaining if remaining > 0.0 else 0.0
         if remaining <= 0.0:
             self.mark_dropped(node, "battery exhausted")
         return self.batteries[node]

@@ -1,12 +1,12 @@
 """Event-driven training protocols: FL, split learning, nested FedSplit.
 
 Each runner drives real numpy training through the event loop, walking its
-protocol's leg tuples with cursors (`_Cursor`): every transmission and
-computation is scheduled, charged for energy and debited against device
-batteries. An iteration's model update is committed at its end, so a
-discarded iteration leaves no partial update behind; an FL round stages one
-row per participant in its round arrays and folds the arrived rows in
-arrival order.
+protocol's legs with cursors (`_Cursor`) that price each leg once a run:
+every transmission and computation is scheduled, charged for energy and
+debited against device batteries. An iteration's model update is committed
+at its end, so a discarded iteration leaves no partial update behind; an FL
+round stages one row per participant in its round arrays and folds the
+arrived rows in arrival order.
 
 Loss bookkeeping: the recorded loss of an iteration is the batch loss
 *before* that iteration's step (training loss). Accuracy comes from a
@@ -40,6 +40,7 @@ from .topology import NetworkTopology
 # FL clients trained per stacked numpy pass: large enough to amortise the
 # per-call overhead, small enough to keep the stacked activations small
 _TRAIN_GROUP = 32
+_INF = float("inf")
 
 
 @dataclass
@@ -200,14 +201,9 @@ class LegCosts:
     `gain(ue_id, context)` is the channel gain of one uplink; by default the
     device's mean gain, which is what the estimator prices.
 
-    Each instance prices a distinct leg once: `compute` keeps its price by
-    argument, and `hop` by the leg tuple, since both depend only on it and
-    the static topology and radio. An uplink is kept at mean gain, and also
-    under a runner's own `gain` when it draws no fading: the device's
-    channel is static and, under NOMA, so is every channel of its cluster.
-    A runner's `gain` draws a fresh fading sample per context, so a fading
-    uplink is priced anew each time. A leg that cannot be priced raises,
-    and nothing is kept for it.
+    Nothing is kept but a NOMA cluster's rates, drawn once per cluster and
+    payload round (see `_rates`); the runners keep each leg's price in its
+    record (`_Leg`). A leg that cannot be priced raises.
     """
 
     def __init__(self, topo: NetworkTopology, radio_env: RadioEnv,
@@ -218,11 +214,8 @@ class LegCosts:
         self.cycles_per_mac = cycles_per_mac
         self.gain = gain or (lambda ue_id, context: topo.ues[ue_id].channel_gain)
         self._noma = scheme.kind.noma
-        self._keep_up = gain is None
         self._slot: dict[str, int] = {}
         self._cluster_rates: dict[tuple, dict[str, float]] = {}
-        self._compute: dict[tuple, tuple] = {}
-        self._hops: dict[tuple, tuple] = {}
 
     def assign_slots(self, ues) -> None:
         """Pin each device to a stable uplink block slot (first come, first
@@ -234,38 +227,26 @@ class LegCosts:
         return self._slot.setdefault(ue_id, len(self._slot))
 
     def compute(self, node: str, macs: float) -> tuple[float, float]:
-        price = self._compute.get((node, macs))
-        if price is None:
-            spec = self.topo.servers.get(node)
-            if spec is None:
-                spec = self.topo.ues[node]
-            price = self._compute[node, macs] = costs.compute_cost(
-                macs, self.cycles_per_mac, spec.compute_rate, spec.energy_per_cycle)
-        return price
+        spec = self.topo.servers.get(node) or self.topo.ues[node]
+        return costs.compute_cost(macs, self.cycles_per_mac, spec.compute_rate,
+                                  spec.energy_per_cycle)
 
     def hop(self, leg: tuple, context: str = "") -> tuple:
         """(sender, receiver, latency, tx, rx, blocks, tag) of one transfer
         leg (see `route`): the sender pays `tx` and the receiver `rx`. A
         radio hop's other end is the device's access point, and only an
         uplink books blocks. `context` names an uplink's random streams."""
-        price = self._hops.get(leg)
-        if price is None:
-            kind, a, b = leg[0], leg[1], leg[2]
-            if kind == "up":
-                blocks, tag, latency, tx, rx = self.up(a, b, context)
-                price = (a, self.topo.ues[a].attached_ap, latency, tx, rx, blocks, tag)
-                if not (self._keep_up or self._static(a)):
-                    return price
-            elif kind == "down":
-                price = (self.topo.ues[a].attached_ap, a, *self.down(b), (), None)
-            elif kind == "backhaul":
-                price = (a, b, *self.backhaul(a, b, leg[3]), (), None)
-            else:
-                price = (a, b, *self.d2d(a, b, leg[3]), (), None)
-            self._hops[leg] = price
-        return price
+        kind, a, b = leg[0], leg[1], leg[2]
+        if kind == "up":
+            blocks, tag, latency, tx, rx = self.up(a, b, context)
+            return (a, self.topo.ues[a].attached_ap, latency, tx, rx, blocks, tag)
+        if kind == "down":
+            return (self.topo.ues[a].attached_ap, a, *self.down(b), (), None)
+        if kind == "backhaul":
+            return (a, b, *self.backhaul(a, b, leg[3]), (), None)
+        return (a, b, *self.d2d(a, b, leg[3]), (), None)
 
-    def _static(self, ue_id: str) -> bool:
+    def static(self, ue_id: str) -> bool:
         """Whether an uplink of `ue_id` draws no fading, so its price never
         changes: its channel is static and, under NOMA, so is every channel
         of its cluster."""
@@ -332,9 +313,9 @@ class LegCosts:
 # device and its access point, ("backhaul", src, dst, bits, payload) between
 # two servers, and ("d2d", src, dst, bits, payload) between two devices.
 # `route` turns one transfer into its hops; the protocols' leg builders below
-# string those together with compute legs. The runners walk the tuples with
-# cursors (`_Cursor`), and the placement estimator walks the same tuples in
-# closed form.
+# string those together with compute legs. The runners keep them in lists,
+# which their cursors (`_Cursor`) walk and price in place, and the placement
+# estimator walks the same tuples in closed form.
 
 def route(topo: NetworkTopology, src: str, dst: str, bits: int, payload: str,
           ctx: str = "") -> tuple:
@@ -499,10 +480,37 @@ def eval_legs(owner: str, widths, test_size: int, every: int, index: int) -> tup
 _HOP_DETAIL = {"up": ("ul:", 3), "down": ("dl:", 3), "backhaul": ("bh:", 4), "d2d": ("d2d:", 4)}
 
 
-class _Cursor:
-    """Walks tuples of leg tuples for a runner, one leg at a time.
+@dataclass(slots=True)
+class _Leg:
+    """A leg priced for the cursors: the event that ends it `latency` after
+    it starts (a compute leg's detail still gets the cursor's `what`). Its
+    `payer` (the compute node, or the sender) pays `joules` and its `payee`
+    (a hop's receiver) `rx`; a device's battery must cover its share as the
+    leg starts. An uplink books `blocks` under `tag`; `up` and `down` are
+    the bytes a hop adds to the runner's counts."""
+    kind: EventKind
+    node: str
+    detail: str
+    latency: float
+    payer: str
+    joules: float
+    payer_ue: bool
+    payee: str | None = None
+    rx: float = 0.0
+    payee_ue: bool = False
+    blocks: tuple = ()
+    tag: str | None = None
+    up: int = 0
+    down: int = 0
 
-    `walk(legs, what, ctx)` starts a tuple: compute legs' event details get
+
+class _Cursor:
+    """Walks a runner's lists of legs, one leg at a time. A runner keeps each
+    list for its whole run, and a leg tuple is priced into its record
+    (`_Leg`), which takes its place, as a cursor first starts it; a fading
+    uplink keeps its place and is priced at every start.
+
+    `walk(legs, what, ctx)` starts a list: compute legs' event details get
     the suffix `what` and uplinks' random-stream contexts the prefix `ctx`,
     so both name the iteration or round. The bound `step` is the callback of
     every leg: inside the event that completes a leg it pays for the leg
@@ -515,41 +523,41 @@ class _Cursor:
     without `fail`, skips the leg. `runner` owns the prices, batteries,
     outage draws and byte counters the legs use."""
 
-    __slots__ = ("runner", "then", "fail", "guard", "legs", "at", "what", "ctx", "paying",
-                 "bill")
+    __slots__ = ("runner", "then", "fail", "guard", "legs", "at", "what", "ctx", "paying")
 
     def __init__(self, runner, then=None, fail=None, guard=None):
         self.runner, self.then, self.fail, self.guard = runner, then, fail, guard
         self.legs, self.at, self.paying = (), 0, None
 
-    def walk(self, legs: tuple, what: str = "", ctx: str = "") -> None:
+    def walk(self, legs, what: str = "", ctx: str = "") -> None:
         self.legs, self.at, self.what, self.ctx = legs, 0, what, ctx
         self.step()
 
     def step(self) -> None:
         leg = self.paying
-        if leg is not None:  # billed the compute joules, or the hop's price
+        if leg is not None:  # the leg this event completes
             self.paying = None
-            runner, bill, charge = self.runner, self.bill, self.runner.eng.charge
-            kind = leg[0]
-            if kind == "compute":
-                charge(leg[1], "compute", bill)
+            runner, charge = self.runner, self.runner.eng.charge
+            if leg.payee is None:  # a compute leg is charged even when it costs nothing
+                charge(leg.payer, "compute", leg.joules)
             else:
-                if bill[3] > 0:
-                    charge(bill[0], "tx", bill[3])
-                if bill[4] > 0:
-                    charge(bill[1], "rx", bill[4])
-                if kind == "up":
-                    runner.bytes_up += leg[2] // 8
-                elif kind == "down":
-                    runner.bytes_down += leg[2] // 8
+                if leg.joules > 0:
+                    charge(leg.payer, "tx", leg.joules)
+                if leg.rx > 0:
+                    charge(leg.payee, "rx", leg.rx)
+                runner.bytes_up += leg.up
+                runner.bytes_down += leg.down
         guard = self.guard
         if guard is not None and guard():
             return
         legs, at = self.legs, self.at
         if at < len(legs):
             self.at = at + 1
-            self._start(legs[at])
+            leg = legs[at]
+            if leg.__class__ is tuple:
+                self._price(legs, at)
+            else:
+                self._start(leg)
         else:
             self.ended()
 
@@ -559,42 +567,50 @@ class _Cursor:
     def refused(self) -> None:
         (self.fail or self.step)()
 
-    def _start(self, leg: tuple) -> None:
-        """Schedule one leg, or refuse it. An uplink may be lost to a channel
-        outage and waits for its blocks; every other leg starts at once."""
-        runner = self.runner
-        eng, ues = runner.eng, runner.topo.ues
-        kind = leg[0]
+    def _price(self, legs: list, at: int) -> None:
+        """Price leg tuple `legs[at]` into its record, put in its place unless
+        it is a fading uplink, and start it. An uplink may be lost to a
+        channel outage, drawn before it is priced, which refuses it."""
+        runner, leg = self.runner, legs[at]
+        prices, ues, kind, node = runner.legs, runner.topo.ues, leg[0], leg[1]
         if kind == "compute":
-            node = leg[1]
-            latency, energy = runner.legs.compute(node, leg[2])
-            if node in ues and not self._battery_ok(node, energy):
-                return
-            self.paying, self.bill = leg, energy
-            eng.schedule(eng.clock + latency, EventKind.COMPUTE_DONE, self.step, node,
-                         leg[3] + self.what)
+            latency, joules = prices.compute(node, leg[2])
+            legs[at] = record = _Leg(EventKind.COMPUTE_DONE, node, leg[3], latency, node,
+                                     joules, node in ues)
+            self._start(record)
             return
         context = ""
         if kind == "up":
             context = self.ctx + leg[4]
-            if self._outage(leg[1], context):
+            if self._outage(node, context):
                 return
         try:
-            price = runner.legs.hop(leg, context)
+            sender, receiver, latency, tx, rx, blocks, tag = prices.hop(leg, context)
         except ZeroRate:  # validation priced the mean gain; this fade carries no bits
-            self._refuse(leg[1], "channel outage")
+            self._refuse(node, "channel outage")
             return
-        sender, receiver, latency, tx, rx, blocks, tag = price
-        if (sender in ues and not self._battery_ok(sender, tx)
-                or receiver in ues and not self._battery_ok(receiver, rx)):
-            return
-        start = eng.clock
-        if blocks:
-            start = eng.blocks.book(receiver, blocks, start, latency, sender, tag)
-        self.paying, self.bill = leg, price
         prefix, payload = _HOP_DETAIL[kind]
-        eng.schedule(start + latency, EventKind.TX_DONE, self.step, leg[1],
-                     prefix + leg[payload])
+        record = _Leg(EventKind.TX_DONE, node, prefix + leg[payload], latency, sender, tx,
+                      sender in ues, receiver, rx, receiver in ues, blocks, tag,
+                      leg[2] // 8 if kind == "up" else 0, leg[2] // 8 if kind == "down" else 0)
+        if kind != "up" or prices.static(node):
+            legs[at] = record
+        self._start(record)
+
+    def _start(self, leg: _Leg) -> None:
+        """Schedule one priced leg, or refuse it; an uplink waits for its
+        blocks, every other leg starts at once."""
+        if (leg.payer_ue and not self._payable(leg.payer, leg.joules)
+                or leg.payee_ue and not self._payable(leg.payee, leg.rx)):
+            return
+        eng = self.runner.eng
+        start = eng.clock
+        if leg.blocks:
+            start = eng.blocks.book(leg.payee, leg.blocks, start, leg.latency, leg.payer,
+                                    leg.tag)
+        self.paying = leg
+        eng.schedule(start + leg.latency, leg.kind, self.step, leg.node,
+                     leg.detail + self.what if leg.payee is None else leg.detail)
 
     def _refuse(self, node: str, reason: str) -> None:
         """`node` cannot run the leg: it drops at the current clock, then
@@ -606,15 +622,12 @@ class _Cursor:
         else:
             eng.mark_dropped(node, reason, callback=self.refused)
 
-    def _battery_ok(self, node: str, joules: float) -> bool:
-        """Whether `node` can pay `joules` now; if not, it refuses the leg."""
+    def _payable(self, node: str, joules: float) -> bool:
+        """Whether device `node` can pay `joules` now; if not, it refuses the leg."""
         eng = self.runner.eng
-        if node in eng.dropped:
-            self._refuse(node, "already dropped")
-        elif not eng.can_afford(node, joules):
-            self._refuse(node, "insufficient battery")
-        else:
+        if node not in eng.dropped and eng.batteries.get(node, _INF) >= joules:
             return True
+        self._refuse(node, "already dropped" if node in eng.dropped else "insufficient battery")
         return False
 
     def _outage(self, ue_id: str, context: str) -> bool:
@@ -632,10 +645,11 @@ class _Cursor:
 
 
 class _RunnerBase:
-    """What all protocol runners share. A runner walks its protocol's leg
-    tuples with cursors (see `_Cursor`) and records one entry per round (or
-    iteration) of `rounds`: `_begin(index)` starts round `index`, opening its
-    `_Round` with `_open`, and `_end` records it and begins the next."""
+    """What all protocol runners share. A runner keeps its legs (the
+    evaluation leg too) in lists for the run, which its cursors walk and
+    price in place (see `_Cursor`). It records one entry per round (or
+    iteration) of `rounds`: `_begin(index)` starts round `index`, opening
+    its `_Round` with `_open`, and `_end` records it and begins the next."""
 
     def __init__(self, protocol: str, session, topo: NetworkTopology,
                  radio_env: RadioEnv, eng: Engine, rounds: int):
@@ -652,6 +666,7 @@ class _RunnerBase:
         self.legs.assign_slots(session.clients)
         self.bytes_up = 0
         self.bytes_down = 0
+        self._eval: list = []  # the evaluation leg, once one is due
 
     def run(self) -> MetricsTrace:
         self._boundary(self.session.server, "session start", partial(self._begin, 0))
@@ -677,7 +692,7 @@ class _RunnerBase:
     def leg_compute(self, node: str, macs: float, what: str, done, fail=None) -> None:
         """One compute leg at `node`: `done()` once it has run; if `node`
         refuses it, `fail()`, or without `fail`, `done()` all the same."""
-        _Cursor(self, done, fail).walk((("compute", node, macs, what),))
+        _Cursor(self, done, fail).walk([("compute", node, macs, what)])
 
     def _gain(self, ue_id: str, context: str) -> float:
         """Channel gain of one uplink. The `gain:` stream is built only for a
@@ -695,19 +710,24 @@ class _RunnerBase:
         return round_type(index, self.eng.clock, before, self.bytes_up, self.bytes_down,
                           **state)
 
-    def _category_diff(self, before: dict, category: str) -> dict[str, float]:
-        out = {}
+    def _spent(self, before: dict) -> dict[str, dict[str, float]]:
+        """Each category's spend per node since the books `before`, in one walk."""
+        spent = {"compute": {}, "tx": {}, "rx": {}}
         for node, cats in self.eng.energy_ledger.items():
-            delta = cats.get(category, 0.0) - before.get(node, {}).get(category, 0.0)
-            if delta > 0:
-                out[node] = delta
-        return out
+            was = before.get(node, {})
+            for category, out in spent.items():
+                delta = cats.get(category, 0.0) - was.get(category, 0.0)
+                if delta > 0:
+                    out[node] = delta
+        return spent
 
     def _end(self, state: _Round, what: str, loss: float) -> None:
         """Evaluate when due (as compute at the loss owner, run even if
         refused), then record the round with its `loss` and begin the next."""
         legs = eval_legs(self.session.server, self.model.widths,
                          self.session.data.test_x.shape[0], self.config.eval_every, state.index)
+        if legs:
+            legs = self._eval = self._eval or list(legs)
         _Cursor(self, partial(self._record, state, what, loss, bool(legs))).walk(legs)
 
     def _record(self, state: _Round, what: str, loss: float, evaluated: bool) -> None:
@@ -715,11 +735,10 @@ class _RunnerBase:
         data = self.session.data
         accuracy = mlp.evaluate(self.model, data.test_x, data.test_labels)[1] if evaluated \
             else None
+        spent = self._spent(state.before)
         self.trace.records.append(IterationRecord(
             index=state.index, wall_latency=self.eng.clock - state.start,
-            compute_energy=self._category_diff(state.before, "compute"),
-            tx_energy=self._category_diff(state.before, "tx"),
-            rx_energy=self._category_diff(state.before, "rx"),
+            compute_energy=spent["compute"], tx_energy=spent["tx"], rx_energy=spent["rx"],
             bytes_up=self.bytes_up - state.bytes_up,
             bytes_down=self.bytes_down - state.bytes_down,
             loss=loss, accuracy=accuracy, dropouts=state.dropouts))
@@ -766,8 +785,9 @@ class _FlRunner(_RunnerBase):
         self.nested: dict[str, _SlHomoRunner] = {}
         self.plan = FlLegs(topo, session.server, self.model.widths,
                            session.config.batch_size, session.local_iterations)
-        # each client's chain, the same every round
-        self._chains = {c: self.plan.chain(c) for c in session.clients}
+        # each client's chain, the same every round: download, local training, upload
+        self._chains = {c: (list(down), [local], list(up)) for c, (down, local, up)
+                        in zip(session.clients, map(self.plan.chain, session.clients))}
 
     def _local_training(self, client: str, rnd: int) -> dict:
         """`client`'s row of the round now open (`rnd`), trained when the
@@ -911,7 +931,7 @@ class _FlChain(_Cursor):
         inner = runner.nested.get(client)
         if inner is None:
             self.phase = _FlChain._upload
-            self.walk(runner._chains[client][1:2], f":r{state.index}")
+            self.walk(runner._chains[client][1], f":r{state.index}")
             return
         inner.model, inner.holder = mlp.clone(runner.model), None
         self.losses, self.phase = [], _FlChain._iterate
@@ -971,6 +991,14 @@ class _SlHomoRunner(_RunnerBase):
         self.plan = SlHomoLegs(topo, session.server, self.model.widths, session.cut_index,
                                session.config.batch_size)
         self.segments = mlp.contiguous_cuts(self.model.num_layers, (session.cut_index,))
+        self._kept: dict = {}  # each client's body, and each handoff
+
+    def kept(self, build, *args) -> list:
+        """The legs `build(*args)`, kept by builder and arguments for the run."""
+        key = (build.__name__, *args)
+        if key not in self._kept:
+            self._kept[key] = list(build(*args))
+        return self._kept[key]
 
     def _begin(self, index: int) -> None:
         if index < self.rounds:
@@ -1011,7 +1039,7 @@ class _SlIteration(_Cursor):
             self._abort(AllClientsDropped(f"iteration {index}: no clients left"))
             return
         prev, self.client, self.handed = runner.holder, client, False
-        self.walk(runner.plan.handoff(prev, client, prev in runner.eng.dropped),
+        self.walk(runner.kept(runner.plan.handoff, prev, client, prev in runner.eng.dropped),
                   f":i{index}", f"slh{index}")
 
     def _abort(self, exc: SessionAborted) -> None:
@@ -1024,7 +1052,7 @@ class _SlIteration(_Cursor):
         if not self.handed:
             self.handed = True
             runner.holder = self.client
-            self.walk(runner.plan.body(self.client), self.what, self.ctx)
+            self.walk(runner.kept(runner.plan.body, self.client), self.what, self.ctx)
             return
         config = runner.config
         x, labels = runner.session.data.shard_of(self.client).batch(self.index, config.batch_size)
@@ -1066,9 +1094,9 @@ class _SlHeteroRunner(_RunnerBase):
     def __init__(self, session: SlSession, topo, radio_env, eng):
         super().__init__("sl_heterogeneous", session, topo, radio_env, eng,
                          session.iterations)
-        self.labels, self.forward, self.back = sl_hetero_legs(
+        self.labels, self.forward, self.back = map(list, sl_hetero_legs(
             topo, session.server, session.clients, self.model.widths, session.boundaries,
-            session.config.batch_size, session.relay)
+            session.config.batch_size, session.relay))
         # one segment per client, then the server's
         self.segments = mlp.contiguous_cuts(self.model.num_layers, session.boundaries)
         # the iteration in flight, and how many of its labels and forward cursors run
@@ -1132,8 +1160,8 @@ class _FedSplitRunner(_FlRunner):
             if stray:
                 raise NestedServerMismatch(
                     f"nested clients {sorted(stray)} are not slaves of {master!r}")
-            # one runner per run: every nested leg is a compute or a D2D hop
-            # (no uplink, block or fading draw), so its kept prices never change
+            # one runner per run, which keeps its priced legs for every round:
+            # each is a compute or a D2D hop (no uplink, block or fading draw)
             self.nested[master] = _SlHomoRunner(
                 replace(sub, iterations=session.local_iterations), topo, radio_env, eng)
 

@@ -497,8 +497,8 @@ def test_round_snapshot_is_not_the_live_ledger():
     eng.charge("ue0", "tx", 0.5)
     eng.charge("ue1", "rx", 0.25)
     assert state.before == {"ue0": {"compute": 1.0}}
-    assert runner._category_diff(state.before, "compute") == {"ue0": 2.0}
-    assert runner._category_diff(state.before, "rx") == {"ue1": 0.25}
+    assert runner._spent(state.before)["compute"] == {"ue0": 2.0}
+    assert runner._spent(state.before)["rx"] == {"ue1": 0.25}
 
 
 def test_homo_rotates_one_active_client_per_iteration():
@@ -1232,7 +1232,7 @@ def test_a_static_uplink_is_priced_once_per_leg(monkeypatch):
     """On static channels a runner prices each distinct uplink leg once:
     its gain is the mean and draws nothing, so the price cannot change."""
     legs, priced, oma, noma = _uplink_pricing(monkeypatch, "sl_homogeneous")
-    assert len(legs) > 2 * len(set(legs)) and oma == len(priced) == len(set(legs))
+    assert len(legs) == len(set(legs)) and oma == len(priced) == len(set(legs))
     assert noma == 0
 
 
@@ -1254,3 +1254,30 @@ def test_a_noma_uplink_is_kept_only_when_its_whole_cluster_is_static(monkeypatch
     legs, priced, oma_fading, noma = _uplink_pricing(monkeypatch, "fl_edge", fading=("ue3",))
     assert priced.count("ue4") == sum(leg[1] == "ue4" for leg in legs) == rounds
     assert noma == rounds and oma_fading == oma
+
+
+@pytest.mark.parametrize("fading", [(), ("ue0",)])
+def test_a_run_prices_each_leg_once(monkeypatch, fading):
+    """A runner prices a leg as a cursor first starts it and keeps the
+    price: sl_heterogeneous_d2d asks `LegCosts` for as many prices over 24
+    iterations as over 4. A fading uplink (ue0's smashed activations to the
+    server) is priced at every start, so its count grows by one an
+    iteration."""
+    calls = []
+    for method in ("compute", "hop"):
+        priced = getattr(LegCosts, method)
+        monkeypatch.setattr(LegCosts, method, lambda self, *args, _priced=priced:
+                            calls.append(args) or _priced(self, *args))
+    doc = json.loads((SCENARIO_DIR / "sl_heterogeneous_d2d.json").read_text())
+    for ue in doc["nodes"]["ue"]:
+        if ue["id"] in fading:
+            ue["channel_variance"] = 0.3
+    counts = []
+    for iterations in (4, 24):
+        doc["protocol"]["iterations"] = iterations
+        runtime = assemble(parse_config(doc))
+        calls.clear()
+        assert runtime.execute().status == "completed"
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[1] - counts[0] == (20 if fading else 0)
