@@ -8,11 +8,16 @@ virtual; nothing here reads the wall clock.
 Money trails are kept twice on purpose: an energy ledger mutated as events
 dispatch, and the charges in the event log, each on the event that made it.
 Summing the log must reproduce the ledger exactly, which makes silent
-double-charging detectable. `Engine.charge` is the one call that pays a
-joule: it books the ledger, the log and the node's battery.
+double-charging detectable. `Engine.pay` is the one implementation that pays
+a joule: it books the ledger, the log and the node's battery; `charge` pays
+through it.
 
 The log is kept lean: one tuple per event and one per charge, which hold
-only strings and numbers, so the garbage collector stops tracking them.
+only strings and small numbers, so the garbage collector stops tracking
+them. A charge is logged as the (node, category, joules) tuple it was paid
+with, so a price paid again and again (a static leg's) is one object for
+the whole run, and an event stores how many charges were logged since the
+event before it, a small cached int, not an absolute index.
 `events.jsonl` lines are formatted straight from the tuples, and
 `Engine.event_log` builds dict records from them only when read.
 """
@@ -265,9 +270,13 @@ class Engine:
     """Event loop plus batteries, energy ledger, block ledger and event log.
 
     The log is two flat lists: `_events` holds one (time, kind name, node,
-    detail, first charge) tuple per event, and `_charges` one (node,
-    category, joules) tuple per charge, in charge order. An event's charges
-    run from its first charge to the next event's. `event_log` reads both
+    detail, count) tuple per event, and `_charges` one (node, category,
+    joules) tuple per charge, in charge order, each the tuple it was paid
+    with. An event's count is the number of charges logged since the event
+    before it, so the running sum of counts up to an event is the index of
+    its first charge, and its charges run to the next event's first.
+    `_mark` is the number of charges logged before the last event; `run`
+    keeps it in a local while it dispatches. `event_log` reads both lists
     as dict records."""
 
     def __init__(self, seed: int):
@@ -279,6 +288,7 @@ class Engine:
         self.energy_ledger: dict[str, dict[str, float]] = {}
         self._events: list[tuple] = []
         self._charges: list[tuple[str, str, float]] = []
+        self._mark = 0
         # records appended through `event_log`, by the number of events before them
         self._foreign: dict[int, list[dict]] = {}
         # (time, kind, seq, node, detail, callback); seq makes every key unique
@@ -301,38 +311,51 @@ class Engine:
     def run(self) -> None:
         """Dispatch events until the heap is empty, logging each as it fires."""
         heap, events, charges = self._heap, self._events, self._charges
-        pop, names = heapq.heappop, _KIND_NAMES
+        pop, names, mark = heapq.heappop, _KIND_NAMES, self._mark
         self._dispatching = True
         try:
             while heap:
                 at, kind, _, node, detail, callback = pop(heap)
                 self.clock = at
-                events.append((at, names[kind], node, detail, len(charges)))
+                logged = len(charges)
+                events.append((at, names[kind], node, detail, logged - mark))
+                mark = logged
                 callback()
         finally:
+            self._mark = mark
             self._dispatching = False
 
     # ---- energy accounting ----
 
-    def charge(self, node: str, category: str, joules: float) -> None:
-        """Record energy spent by a node under a category (compute, uplink,
-        ...) and take it out of the node's battery, if it has one (see
-        `debit_battery`).
+    def pay(self, entry: tuple[str, str, float]) -> None:
+        """Pay one (node, category, joules) entry: record the energy a node
+        spent under a category (compute, tx, rx) and take it out of the
+        node's battery, if it has one (see `debit_battery`).
 
         The charge lands both in the running ledger and in the log, on the
         event being dispatched (outside dispatch, on a CHARGE record of its
-        own), so the log stays a complete replayable trail.
+        own), so the log stays a complete replayable trail. The log keeps
+        `entry` itself, so a caller that pays one price many times passes
+        one tuple.
         """
+        node, category, joules = entry
         if joules < 0:
             raise ValueError(f"negative charge {joules} for {node}/{category}")
         bucket = self.energy_ledger.setdefault(node, {})
         bucket[category] = bucket.get(category, 0.0) + joules
+        charges = self._charges
         if not self._dispatching:
+            logged = len(charges)
             self._events.append((self.clock, "CHARGE", node, f"out-of-band {category}",
-                                 len(self._charges)))
-        self._charges.append((node, category, joules))
+                                 logged - self._mark))
+            self._mark = logged
+        charges.append(entry)
         if node in self.batteries:
             self.debit_battery(node, joules)
+
+    def charge(self, node: str, category: str, joules: float) -> None:
+        """Pay `joules` spent by `node` under `category` (see `pay`)."""
+        self.pay((node, category, joules))
 
     def recount_from_log(self) -> dict[str, dict[str, float]]:
         """Rebuild the energy ledger purely from the event log, summing its
@@ -393,14 +416,15 @@ class Engine:
     def _entries(self):
         """(record, first, end) for each record of the log, in order: an
         event tuple with the bounds of its charges in `_charges`, or a record
-        appended from outside with (None, None)."""
+        appended from outside with (None, None). Each event's first charge
+        is the running sum of the counts up to it."""
         events, foreign = self._events, self._foreign
-        ends = itertools.chain(map(itemgetter(4), itertools.islice(events, 1, None)),
-                               (len(self._charges),))
-        for position, (event, end) in enumerate(zip(events, ends)):
+        firsts = itertools.accumulate(map(itemgetter(4), events))
+        bounds = itertools.pairwise(itertools.chain(firsts, (len(self._charges),)))
+        for position, (event, (first, end)) in enumerate(zip(events, bounds)):
             if foreign:
                 yield from ((record, None, None) for record in foreign.get(position, ()))
-            yield event, event[4], end
+            yield event, first, end
         yield from ((record, None, None) for record in foreign.get(len(events), ()))
 
     def write_event_log(self, path, meta: dict | None = None) -> None:

@@ -97,7 +97,7 @@ class SlSession:
             raise ScenarioSchemaError(f"unknown relay mode {self.relay!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     index: int
     wall_latency: float
@@ -358,7 +358,6 @@ class SlHomoLegs:
         self.server_macs = 3 * costs.forward_macs(widths, batch, cut, len(widths) - 1)
         self.grad_bits = costs.activation_bits(batch, widths[cut])
         self.smash_bits = self.grad_bits + costs.label_bits(batch)
-        self._bodies: dict[str, tuple] = {}
 
     def handoff(self, prev: str | None, client: str, reseed: bool = False) -> tuple:
         """Legs that bring the client part from its holder `prev` to
@@ -376,17 +375,13 @@ class SlHomoLegs:
                 + route(topo, server, client, bits, "client_part"))
 
     def body(self, client: str) -> tuple:
-        legs = self._bodies.get(client)
-        if legs is None:
-            topo, server = self.topo, self.server
-            legs = self._bodies[client] = (
-                ("compute", client, self.client_macs, "fwd"),
+        topo, server = self.topo, self.server
+        return (("compute", client, self.client_macs, "fwd"),
                 *route(topo, client, server, self.smash_bits, "smashed+labels",
                        f":{client}:up"),
                 ("compute", server, self.server_macs, "srv"),
                 *route(topo, server, client, self.grad_bits, "smashed_grad"),
                 ("compute", client, 2 * self.client_macs, "bwd"))
-        return legs
 
 
 def sl_hetero_legs(topo: NetworkTopology, server: str, clients, widths, boundaries,
@@ -486,12 +481,16 @@ class _Leg:
     it starts (a compute leg's detail still gets the cursor's `what`). Its
     `payer` (the compute node, or the sender) pays `joules` and its `payee`
     (a hop's receiver) `rx`; a device's battery must cover its share as the
-    leg starts. An uplink books `blocks` under `tag`; `up` and `down` are
+    leg starts. `paid` holds the (node, category, joules) entries the leg
+    pays as it ends, the same tuples every time it runs: a compute leg's
+    charge, even at zero; a hop's `tx`, then its `rx`, each only above
+    zero. An uplink books `blocks` under `tag`; `up` and `down` are
     the bytes a hop adds to the runner's counts."""
     kind: EventKind
     node: str
     detail: str
     latency: float
+    paid: tuple
     payer: str
     joules: float
     payer_ue: bool
@@ -537,16 +536,12 @@ class _Cursor:
         leg = self.paying
         if leg is not None:  # the leg this event completes
             self.paying = None
-            runner, charge = self.runner, self.runner.eng.charge
-            if leg.payee is None:  # a compute leg is charged even when it costs nothing
-                charge(leg.payer, "compute", leg.joules)
-            else:
-                if leg.joules > 0:
-                    charge(leg.payer, "tx", leg.joules)
-                if leg.rx > 0:
-                    charge(leg.payee, "rx", leg.rx)
-                runner.bytes_up += leg.up
-                runner.bytes_down += leg.down
+            runner = self.runner
+            pay = runner.eng.pay
+            for entry in leg.paid:
+                pay(entry)
+            runner.bytes_up += leg.up
+            runner.bytes_down += leg.down
         guard = self.guard
         if guard is not None and guard():
             return
@@ -575,8 +570,8 @@ class _Cursor:
         prices, ues, kind, node = runner.legs, runner.topo.ues, leg[0], leg[1]
         if kind == "compute":
             latency, joules = prices.compute(node, leg[2])
-            legs[at] = record = _Leg(EventKind.COMPUTE_DONE, node, leg[3], latency, node,
-                                     joules, node in ues)
+            legs[at] = record = _Leg(EventKind.COMPUTE_DONE, node, leg[3], latency,
+                                     ((node, "compute", joules),), node, joules, node in ues)
             self._start(record)
             return
         context = ""
@@ -590,8 +585,11 @@ class _Cursor:
             self._refuse(node, "channel outage")
             return
         prefix, payload = _HOP_DETAIL[kind]
-        record = _Leg(EventKind.TX_DONE, node, prefix + leg[payload], latency, sender, tx,
-                      sender in ues, receiver, rx, receiver in ues, blocks, tag,
+        paid = ((sender, "tx", tx),) if tx > 0 else ()
+        if rx > 0:
+            paid += ((receiver, "rx", rx),)
+        record = _Leg(EventKind.TX_DONE, node, prefix + leg[payload], latency, paid, sender,
+                      tx, sender in ues, receiver, rx, receiver in ues, blocks, tag,
                       leg[2] // 8 if kind == "up" else 0, leg[2] // 8 if kind == "down" else 0)
         if kind != "up" or prices.static(node):
             legs[at] = record
@@ -761,6 +759,7 @@ class _FlRound(_Round):
     counts: list[int] = field(default_factory=list)  # sample counts
     arrivals: list[int] = field(default_factory=list)  # rows back, in arrival order
     closed: bool = False
+    opening: str = ""  # the detail of each chain's round-start boundary
 
 
 class _FlRunner(_RunnerBase):
@@ -835,7 +834,8 @@ class _FlRunner(_RunnerBase):
         state = self._current = self._open(
             _FlRound, rnd, pending=set(participants), rows={c: i for i, c in enumerate(order)},
             layers=[np.empty((n,) + a.shape) for a in self.model.weights + self.model.biases],
-            losses=np.empty((n, sess.local_iterations)), counts=[0] * n)
+            losses=np.empty((n, sess.local_iterations)), counts=[0] * n,
+            opening=f"round {rnd} start")
         self._train_clients(state, [c for c in order if c not in self.nested])
         for client in participants:
             if client not in running:
@@ -906,7 +906,7 @@ class _FlChain(_Cursor):
     def __init__(self, runner: _FlRunner, client: str, state: _FlRound):
         super().__init__(runner)
         self.client, self.round, self.phase = client, state, _FlChain._download
-        runner._boundary(client, f"round {state.index} start", self.step)
+        runner._boundary(client, state.opening, self.step)
 
     def closed(self) -> bool:
         """Once the round has closed, the chain stops and the client rejoins."""

@@ -4,6 +4,8 @@ import copy
 import gc
 import json
 import math
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +189,75 @@ def test_every_event_log_line_is_json_dumps_of_its_record(tmp_path_factory, reco
     lines = path.read_text().split("\n")
     assert lines.pop() == ""
     assert lines == [json.dumps(record, sort_keys=True) for record in eng.event_log]
+
+
+# charge entries paid inside events, shared between them as a leg's are
+_paid = st.sampled_from([("ue0", "tx", 0.5), ("ue0", "compute", 0.0), ("ap0", "rx", 1e-9),
+                         ("ue1", "rx", 0.25), ("ue1", "compute", 3.0)])
+_note = st.fixed_dictionaries({
+    "time": st.integers(0, 9), "kind": st.just("NOTE"), "node": st.none(),
+    "detail": st.text(max_size=3), "charges": st.lists(_paid.map(list), max_size=2)})
+_log_steps = st.lists(st.one_of(
+    # a dispatched event: its charges, and where among them a foreign record goes
+    st.tuples(st.just("event"), st.lists(_paid, max_size=3),
+              st.none() | st.tuples(st.integers(0, 3), _note)),
+    st.tuples(st.just("charge"), _paid),  # out of band
+    st.tuples(st.just("note"), _note),  # appended outside dispatch
+), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=_log_steps)
+def test_the_log_equals_a_naive_model_of_events_charges_and_foreign_records(
+        tmp_path_factory, steps):
+    """Events paying 0-3 charges, out-of-band charges and foreign records,
+    appended inside and outside dispatch, read back, write and recount as a
+    plain list of the records made in that order. Consecutive events run in
+    one dispatch loop; any other step runs after it returns."""
+    eng, model, scheduled = Engine(seed=0), [], []
+
+    def pay_in_order(charges, note):
+        cut = len(charges) if note is None else min(note[0], len(charges))
+        for entry in charges[:cut]:
+            eng.pay(entry)
+        if note is not None:
+            eng.event_log.append(note[1])
+        for entry in charges[cut:]:
+            eng.pay(entry)
+
+    for kind, *args in steps + [("end",)]:
+        if kind == "event":
+            charges, note = args
+            at = float(len(scheduled) + 1)
+            scheduled.append(at)
+            eng.schedule(at, EventKind.TX_DONE, partial(pay_in_order, charges, note),
+                         node="ue0", detail="ul")
+            model.append({"time": at, "kind": "TX_DONE", "node": "ue0", "detail": "ul",
+                          "charges": [list(entry) for entry in charges]})
+            if note is not None:
+                model.append(note[1])
+            continue
+        eng.run()
+        if kind == "charge":
+            node, category, joules = args[0]
+            eng.charge(node, category, joules)
+            model.append({"time": scheduled[-1] if scheduled else 0.0, "kind": "CHARGE",
+                          "node": node, "detail": f"out-of-band {category}",
+                          "charges": [[node, category, joules]]})
+        elif kind == "note":
+            eng.event_log.append(args[0])
+            model.append(args[0])
+
+    assert len(eng.event_log) == len(model) and eng.event_log == model
+    path = tmp_path_factory.mktemp("log") / "events.jsonl"
+    eng.write_event_log(path)
+    assert path.read_text().splitlines() == [json.dumps(r, sort_keys=True) for r in model]
+    recount: dict[str, dict[str, float]] = {}
+    for record in model:
+        for node, category, joules in record["charges"]:
+            bucket = recount.setdefault(node, {})
+            bucket[category] = bucket.get(category, 0.0) + joules
+    assert eng.recount_from_log() == recount
 
 
 def test_identical_seeds_produce_identical_logs():
@@ -477,6 +548,44 @@ def test_the_collector_tracks_no_event_or_charge_record():
     assert eng._events and eng._charges
     for records in (eng._events, eng._charges):
         assert all(type(r) is tuple and not gc.is_tracked(r) for r in records)
+
+
+def test_a_static_leg_pays_with_one_shared_charge_tuple():
+    """`sl_heterogeneous_d2d` has static channels, so every leg is priced
+    once and logs the same charge tuples at every iteration: a few dozen
+    charge objects for hundreds of charges."""
+    eng = _bundled_run("sl_heterogeneous_d2d")
+    assert len(eng._charges) >= 300
+    assert len({id(charge) for charge in eng._charges}) <= 48
+
+
+def _kept_after_execute(name: str, periods: int) -> tuple[int, int]:
+    """Bytes still allocated after a bundled run of `periods` rounds (or
+    iterations) once the collector has run, and the events it logged."""
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    protocol = doc["protocol"]
+    protocol["rounds" if "rounds" in protocol else "iterations"] = periods
+    runtime = assemble(parse_config(doc))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        runtime.execute()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return kept, len(runtime.engine._events)
+
+
+@pytest.mark.parametrize("name", ["fl_edge", "sl_homogeneous", "sl_heterogeneous_d2d"])
+def test_a_logged_event_keeps_at_most_190_bytes(name):
+    """The bytes a run keeps grow by at most 190 per logged event, measured
+    as the slope from 200 to 800 periods. The longer run goes first, so an
+    allocation made once per process can only raise the reading."""
+    long_kept, long_events = _kept_after_execute(name, 800)
+    short_kept, short_events = _kept_after_execute(name, 200)
+    assert long_events > 3 * short_events
+    assert (long_kept - short_kept) / (long_events - short_events) <= 190
 
 
 def test_the_event_log_view_counts_without_building_records(monkeypatch):
