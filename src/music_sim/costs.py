@@ -13,10 +13,19 @@ forward plus backward (three forward-equivalents). Values on the wire are
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 from .errors import ZeroRate
 from .topology import LinkSpec
 
 BITS_PER_VALUE = 32
+
+
+def fold_sum(values):
+    """`values` added left to right from 0, as `sum` adds floats before
+    Python 3.12, which compensates their rounding, so totals keep their bits."""
+    return reduce(add, values, 0)
 
 
 # ---------------- work sizes ---------------- #

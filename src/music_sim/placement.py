@@ -344,7 +344,7 @@ def estimate_cost(plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
         t = period(i, t)
         if every > 0 and (i + 1) % every == 0:
             t = est.run(evaluation, t)
-    total = sum(sum(b.values()) for b in est.energy.values())
+    total = costs.fold_sum(costs.fold_sum(b.values()) for b in est.energy.values())
     return CostEstimate(total_energy=total, wall_latency=t, breakdown=est.energy)
 
 

@@ -111,7 +111,7 @@ class IterationRecord:
     dropouts: list[str]
 
     def total(self, which: str) -> float:
-        return sum(getattr(self, which + "_energy").values())
+        return costs.fold_sum(getattr(self, which + "_energy").values())
 
 
 @dataclass
@@ -167,10 +167,10 @@ class MetricsTrace:
             "protocol": self.protocol,
             "status": self.status,
             "iterations": len(self.records),
-            "wall_latency_s": sum(r.wall_latency for r in self.records),
-            "total_compute_J": sum(r.total("compute") for r in self.records),
-            "total_tx_J": sum(r.total("tx") for r in self.records),
-            "total_rx_J": sum(r.total("rx") for r in self.records),
+            "wall_latency_s": costs.fold_sum(r.wall_latency for r in self.records),
+            "total_compute_J": costs.fold_sum(r.total("compute") for r in self.records),
+            "total_tx_J": costs.fold_sum(r.total("tx") for r in self.records),
+            "total_rx_J": costs.fold_sum(r.total("rx") for r in self.records),
             "bytes_up": sum(r.bytes_up for r in self.records),
             "bytes_down": sum(r.bytes_down for r in self.records),
             "final_loss": self.records[-1].loss if self.records else None,
@@ -787,6 +787,7 @@ class _FlRunner(_RunnerBase):
         # each client's chain, the same every round: download, local training, upload
         self._chains = {c: (list(down), [local], list(up)) for c, (down, local, up)
                         in zip(session.clients, map(self.plan.chain, session.clients))}
+        self._aggregations: dict[int, list] = {}  # the aggregation leg, by arrival count
 
     def _local_training(self, client: str, rnd: int) -> dict:
         """`client`'s row of the round now open (`rnd`), trained when the
@@ -876,15 +877,17 @@ class _FlRunner(_RunnerBase):
         state.closed = True
         if not state.arrivals:
             raise AllClientsDropped(f"round {state.index}: zero surviving uploads")
-        _, node, macs, what = self.plan.aggregate(len(state.arrivals))
-        self.leg_compute(node, macs, f"{what}:r{state.index}", partial(self._aggregate, state))
+        n, kept = len(state.arrivals), self._aggregations
+        if n not in kept:
+            kept[n] = [self.plan.aggregate(n)]
+        _Cursor(self, partial(self._aggregate, state)).walk(kept[n], f":r{state.index}")
 
     def _aggregate(self, state: _FlRound) -> None:
         """Fold the arrived rows, in arrival order, into the global model."""
         rows = np.array(state.arrivals)
         counts = [state.counts[r] for r in state.arrivals]
         means = state.losses[rows].mean(axis=1)
-        loss = sum(n * mean for n, mean in zip(counts, means.tolist())) / sum(counts)
+        loss = costs.fold_sum(n * mean for n, mean in zip(counts, means.tolist())) / sum(counts)
         self.model = mlp.apply_delta(self.model, mlp.fed_avg_stacked(
             self.model.widths, [a[rows] for a in state.layers], counts))
         self._end(state, "round", loss)

@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .costs import fold_sum
 from .errors import (
     MissingGain,
     MissingRadioCell,
@@ -115,7 +116,7 @@ class NomaCluster:
 
     @property
     def total_bandwidth(self) -> float:
-        return sum(b.bandwidth for b in self.blocks)
+        return fold_sum(b.bandwidth for b in self.blocks)
 
     def member_ids(self) -> tuple[str, ...]:
         return tuple(m for m, _ in self.members)
@@ -168,7 +169,7 @@ def noma_uplink_rates(cluster: NomaCluster, gains: dict[str, float],
                     cluster.member_ids())
     rates: dict[str, float] = {}
     for k, (member, rx) in enumerate(by_power):
-        interference = sum(p for _, p in by_power[k + 1:])
+        interference = fold_sum(p for _, p in by_power[k + 1:])
         rates[member] = shannon_rate(bandwidth, rx, noise_density, interference)
     # report in cluster member order
     return {member: rates[member] for member in cluster.member_ids()}

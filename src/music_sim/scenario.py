@@ -41,6 +41,7 @@ from .protocols import (
 )
 from .radio import RadioEnv, SchemeKind
 from .topology import (
+    UE_FIELDS,
     NetworkTopology,
     Tier,
     array,
@@ -123,9 +124,8 @@ _SCENARIO_KEYS = _keys({"nodes", "radio", "ml", "protocol", "seeds"},
                        {"links", "d2d_groups", "placement", "output"})
 _NODES_KEYS = _keys(set(), {"cloud", "fog", "edge", "ue"})
 _SERVER_ENTRY = _keys({"id", "compute_rate", "energy_per_cycle"}, {"parent"})
-_UE_ENTRY = _keys({"id", "battery", "compute_rate", "energy_per_cycle", "tx_power",
-                   "channel_gain", "attached_ap", "dataset_size"},
-                  {"channel_variance", "mobile"})
+_UE_ENTRY = _keys({"id"} | {key for key, _, _, default in UE_FIELDS if default is None},
+                  {key for key, _, _, default in UE_FIELDS if default is not None})
 _LINK_ENTRY = _keys({"src", "dst", "rate"}, {"latency", "energy_per_bit"})
 _D2D_ENTRY = _keys({"master", "slaves", "link_rate"}, {"link_energy_per_bit"})
 _RADIO_KEYS = _keys({"noise_density", "downlink_rate"},

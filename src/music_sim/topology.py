@@ -10,6 +10,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import repeat
 from math import isfinite
 from typing import NamedTuple
 
@@ -237,6 +238,47 @@ def array(value, where: str) -> list:
     return value
 
 
+# Each device field after `id`, which is also its document key: its reader,
+# the floor passed to the reader (None: none), and the default of an optional
+# key (None: required). The device read and `check_schema` both use it.
+UE_FIELDS = (("battery", real, 0, None), ("compute_rate", real, None, None),
+             ("energy_per_cycle", real, 0, None), ("tx_power", real, 0, None),
+             ("channel_gain", real, None, None), ("channel_variance", real, 0, 0.0),
+             ("mobile", boolean, None, False), ("attached_ap", identifier, None, None),
+             ("dataset_size", integral, 0, None))
+_KEPT = {real: float, integral: int, boolean: bool, identifier: str}  # returned as they are
+_UNREADABLE = (KeyError, TypeError, AttributeError)  # a missing key, an entry that is no object
+
+
+def _column(entries, key: str, default, read, as_is) -> tuple[list, Exception | None]:
+    """Field `key` of every entry (`default` for an absent optional key), as it is if
+    `as_is` accepts it, else each value `read` up to the first defect, and its error."""
+    try:
+        values = ([entry[key] for entry in entries] if default is None
+                  else [entry.get(key, default) for entry in entries])
+        if as_is(values):
+            return values, None
+    except _UNREADABLE:  # read below, up to the entry that cannot be read
+        pass
+    values = []
+    try:
+        for entry in entries:
+            values.append(read(entry[key] if default is None else entry.get(key, default)))
+    except (*_UNREADABLE, ScenarioSchemaError) as exc:
+        return values, exc
+    return values, None
+
+
+def _as_read(values: list, read, floor) -> bool:
+    """Whether `read` returns each of `values` as it is, by C-level passes: all of
+    the type it keeps, finite floats or counts up to `sys.maxsize`, none below `floor`."""
+    kept = _KEPT[read]
+    return (set(map(type, values)) == {kept}
+            and (kept is not float or all(map(isfinite, values)))
+            and (kept is not int or max(values) <= sys.maxsize)
+            and (floor is None or min(values) >= floor))
+
+
 def build_topology(doc: dict) -> NetworkTopology:
     """Build and validate a topology from a parsed scenario document.
 
@@ -246,7 +288,6 @@ def build_topology(doc: dict) -> NetworkTopology:
     """
     nodes_doc = doc.get("nodes", {})
     servers: dict[str, ServerNode] = {}
-    ues: dict[str, UeProfile] = {}
     seen: set[str] = set()
 
     def claim(node_id):
@@ -255,67 +296,60 @@ def build_topology(doc: dict) -> NetworkTopology:
         if node_id in seen:
             raise ScenarioSchemaError(f"duplicate node id {node_id!r}")
         seen.add(node_id)
+        return node_id
 
     # a node's fields are read under their bare names, and an error is
     # prefixed with the node id, so no message is built for a valid field
     for key, tier in _TIER_KEYS:
         for entry in nodes_doc.get(key, []):
-            claim(entry["id"])
+            node_id = claim(entry["id"])
             try:
-                servers[entry["id"]] = ServerNode(
-                    id=entry["id"],
-                    tier=tier,
-                    compute_rate=real(entry["compute_rate"], "compute_rate"),
-                    energy_per_cycle=real(entry["energy_per_cycle"], "energy_per_cycle", 0),
-                    parent=(None if entry.get("parent") is None
-                            else identifier(entry["parent"], "parent")),
-                )
+                servers[node_id] = ServerNode(
+                    node_id, tier, real(entry["compute_rate"], "compute_rate"),
+                    real(entry["energy_per_cycle"], "energy_per_cycle", 0),
+                    None if entry.get("parent") is None else identifier(entry["parent"], "parent"))
             except ScenarioSchemaError as exc:
-                raise ScenarioSchemaError(f"{entry['id']}: {exc}") from None
-    # devices are most of a wide topology: the readers are bound locally,
-    # `claim` runs only for an id it would refuse, and the profile's fields
-    # are passed by position (UeProfile's order), which builds it in under
-    # half the time of keywords
-    read_real, read_flag, read_id, read_count = real, boolean, identifier, integral
-    for entry in nodes_doc.get("ue", []):
-        node_id = entry["id"]
-        if type(node_id) is not str or not node_id or node_id in seen:
-            claim(node_id)
-        seen.add(node_id)
-        try:
-            ues[node_id] = UeProfile(
-                node_id,
-                read_real(entry["battery"], "battery", 0),
-                read_real(entry["compute_rate"], "compute_rate"),
-                read_real(entry["energy_per_cycle"], "energy_per_cycle", 0),
-                read_real(entry["tx_power"], "tx_power", 0),
-                read_real(entry["channel_gain"], "channel_gain"),
-                read_real(entry.get("channel_variance", 0.0), "channel_variance", 0),
-                read_flag(entry.get("mobile", False), "mobile"),
-                read_id(entry["attached_ap"], "attached_ap"),
-                read_count(entry["dataset_size"], "dataset_size", 0),
-            )
-        except ScenarioSchemaError as exc:
-            raise ScenarioSchemaError(f"{node_id}: {exc}") from None
+                raise ScenarioSchemaError(f"{node_id}: {exc}") from None
+    # devices are read a column per field, `id` then UE_FIELDS, and raise what a
+    # device-by-device read raises: the first defective device's first defect
+    entries = nodes_doc.get("ue", [])
+    ids, first = _column(entries, "id", None, claim, lambda col: set(map(type, col)) == {str}
+                         and len(set(col).difference(seen, [""])) == len(col))
+    devices, at = {"id": ids}, len(ids)
+    for key, read, floor, default in UE_FIELDS:
+        devices[key], defect = _column(
+            entries, key, default,
+            lambda value: read(value, key) if floor is None else read(value, key, floor),
+            lambda col: _as_read(col, read, floor))
+        if defect is not None and len(devices[key]) < at:
+            at = len(devices[key])
+            first = (ScenarioSchemaError(f"{ids[at]}: {defect}")
+                     if isinstance(defect, ScenarioSchemaError) else defect)
+    if first is not None:
+        raise first
+    # each profile is built from its row by position, as `UeProfile._make` does
+    ues = dict(zip(ids, map(tuple.__new__, repeat(UeProfile),
+                            zip(*map(devices.get, UeProfile._fields)))))
 
-    _check_numeric_ranges(servers, ues)
-    _check_hierarchy(servers, ues)
+    _check_numeric_ranges(servers, devices)
+    _check_hierarchy(servers, devices)
     links = _build_links(doc.get("links", []), servers)
     groups = _build_d2d_groups(doc.get("d2d_groups", []), ues)
-    warnings = _compute_warnings(servers, ues)
+    warnings = _compute_warnings(servers, devices)
     return NetworkTopology(servers, ues, groups, links, warnings)
 
 
-def _check_numeric_ranges(servers, ues):
-    for node in (*servers.values(), *ues.values()):
+def _check_numeric_ranges(servers, devices):
+    for node in servers.values():
         if node.compute_rate <= 0:
             raise ScenarioSchemaError(f"{node.id}: compute_rate must be > 0")
-    for ue in ues.values():
-        if ue.channel_gain <= 0:
-            raise ScenarioSchemaError(f"{ue.id}: channel_gain must be > 0")
+    for key in ("compute_rate", "channel_gain"):
+        if min(devices[key], default=1) <= 0:
+            at = next(i for i, value in enumerate(devices[key]) if value <= 0)
+            raise ScenarioSchemaError(f"{devices['id'][at]}: {key} must be > 0")
 
 
-def _check_hierarchy(servers, ues):
+def _check_hierarchy(servers, devices):
     for node in servers.values():
         if node.tier is Tier.CLOUD:
             if node.parent is not None:
@@ -331,14 +365,16 @@ def _check_hierarchy(servers, ues):
                 f"{node.id}: parent {node.parent!r} is at tier {parent.tier.label}, "
                 f"expected {Tier(node.tier + 1).label}"
             )
-    for ue in ues.values():
-        ap = servers.get(ue.attached_ap)
+    edges = {node.id for node in servers.values() if node.tier is Tier.EDGE}
+    if edges.issuperset(devices["attached_ap"]):
+        return
+    for ue_id, ap_id in zip(devices["id"], devices["attached_ap"]):
+        ap = servers.get(ap_id)
         if ap is None:
-            raise UnknownNodeReference(f"{ue.id}: attached_ap {ue.attached_ap!r} does not exist")
+            raise UnknownNodeReference(f"{ue_id}: attached_ap {ap_id!r} does not exist")
         if ap.tier is not Tier.EDGE:
             raise CycleInHierarchy(
-                f"{ue.id}: attached_ap {ue.attached_ap!r} is a {ap.tier.label} node, not edge"
-            )
+                f"{ue_id}: attached_ap {ap_id!r} is a {ap.tier.label} node, not edge")
 
 
 def _build_links(link_entries, servers):
@@ -410,12 +446,11 @@ def _build_d2d_groups(group_entries, ues):
     return groups
 
 
-def _compute_warnings(servers, ues):
+def _compute_warnings(servers, devices):
     warnings = []
-    by_tier: dict[Tier, list[float]] = {}
+    by_tier: dict[Tier, list[float]] = {Tier.DEVICE: devices["compute_rate"]}
     for node in servers.values():
         by_tier.setdefault(node.tier, []).append(node.compute_rate)
-    by_tier.setdefault(Tier.DEVICE, []).extend(u.compute_rate for u in ues.values())
     for tier in (Tier.CLOUD, Tier.FOG, Tier.EDGE):
         upper = by_tier.get(tier)
         lower = by_tier.get(Tier(tier - 1))

@@ -1,5 +1,7 @@
 """Topology construction, hierarchy validation, and the layer-span rule."""
 
+import math
+
 import pytest
 
 from conftest import star_doc, star_topology
@@ -12,7 +14,16 @@ from music_sim.errors import (
 )
 from music_sim.placement import TrainingPlan, TrainingTask
 from music_sim.radio import AccessScheme, SchemeKind
-from music_sim.topology import Tier, build_topology, validate_layer_span
+from music_sim.topology import (
+    Tier,
+    UeProfile,
+    boolean,
+    build_topology,
+    identifier,
+    integral,
+    real,
+    validate_layer_span,
+)
 
 
 def test_tier_ordering():
@@ -193,4 +204,92 @@ def test_a_device_id_is_claimed_like_a_server_id(node_id, message):
     doc["nodes"]["ue"][1]["id"] = node_id
     with pytest.raises(ScenarioSchemaError) as caught:
         build_topology(doc)
+    assert str(caught.value) == message
+
+
+def test_a_wide_device_list_reads_as_each_reader_reads_it():
+    """Ints for reals, integral floats for counts and absent optional fields,
+    scattered over 40 devices, give the profiles that reading each value
+    with its own reader gives, with the same value types."""
+    doc = star_doc(40, second_cell=True)
+    entries = doc["nodes"]["ue"]
+    for i, entry in enumerate(entries):
+        if i % 3 == 0:
+            entry["battery"] = 5
+        if i % 4 == 1:
+            entry["dataset_size"] = 64.0
+        if i % 5 == 2:
+            del entry["channel_variance"]
+        if i % 7 == 3:
+            entry["mobile"] = True
+        if i % 6 == 4:
+            entry["compute_rate"] = 30_000_000
+        if i % 2:
+            entry["attached_ap"] = "ap1"
+    expected = {e["id"]: UeProfile(
+        e["id"], real(e["battery"], "battery", 0), real(e["compute_rate"], "compute_rate"),
+        real(e["energy_per_cycle"], "energy_per_cycle", 0), real(e["tx_power"], "tx_power", 0),
+        real(e["channel_gain"], "channel_gain"),
+        real(e.get("channel_variance", 0.0), "channel_variance", 0),
+        boolean(e.get("mobile", False), "mobile"), identifier(e["attached_ap"], "attached_ap"),
+        integral(e["dataset_size"], "dataset_size", 0)) for e in entries}
+    ues = build_topology(doc).ues
+    assert list(ues.items()) == list(expected.items())
+    assert [tuple(map(type, ue)) for ue in ues.values()] == \
+        [tuple(map(type, ue)) for ue in expected.values()]
+    assert {type(ue.battery) for ue in ues.values()} == {float}
+    assert {type(ue.dataset_size) for ue in ues.values()} == {int}
+
+
+_ABSENT = object()  # the key is deleted from the entry
+
+
+@pytest.mark.parametrize("defects, error, message", [
+    ({3: {"battery": "x"}, 7: {"tx_power": -1}},
+     ScenarioSchemaError, "ue3: battery must be a number, got 'x'"),
+    ({1: {"dataset_size": -1}, 5: {"battery": "x"}},
+     ScenarioSchemaError, "ue1: dataset_size must be >= 0, got -1"),
+    ({2: {"dataset_size": 1.5, "tx_power": None}},
+     ScenarioSchemaError, "ue2: tx_power must be a number, got None"),
+    ({2: {"energy_per_cycle": -1.0}, 4: {"id": "ue0"}},
+     ScenarioSchemaError, "ue2: energy_per_cycle must be >= 0, got -1.0"),
+    ({2: {"id": "ue1", "battery": "x"}}, ScenarioSchemaError, "duplicate node id 'ue1'"),
+    ({1: {"battery": True}, 6: {"mobile": "yes"}},
+     ScenarioSchemaError, "ue1: battery must be a number, got True"),
+    ({1: {"compute_rate": math.nan}, 2: {"battery": -1}},
+     ScenarioSchemaError, "ue1: compute_rate must be a number, got nan"),
+    ({3: {"channel_gain": math.inf}, 4: {"channel_gain": -math.inf}},
+     ScenarioSchemaError, "ue3: channel_gain must be a number, got inf"),
+    ({1: {"tx_power": 10**400}, 2: {"tx_power": "x"}},
+     ScenarioSchemaError, "ue1: tx_power must be a number, got 1" + "0" * 400),
+    ({1: {"battery": _ABSENT}, 3: {"attached_ap": _ABSENT}}, KeyError, "'battery'"),
+    ({2: {"dataset_size": _ABSENT}, 5: {"mobile": 1}}, KeyError, "'dataset_size'"),
+    ({2: {"channel_variance": -0.5}, 5: {"id": _ABSENT}},
+     ScenarioSchemaError, "ue2: channel_variance must be >= 0, got -0.5"),
+    ({1: {"compute_rate": 0}, 5: {"battery": "x"}},
+     ScenarioSchemaError, "ue5: battery must be a number, got 'x'"),
+    ({1: {"channel_gain": 0.0}, 5: {"compute_rate": -2.0}},
+     ScenarioSchemaError, "ue5: compute_rate must be > 0"),
+    ({2: {"attached_ap": "fog0"}, 4: {"attached_ap": "nowhere"}},
+     CycleInHierarchy, "ue2: attached_ap 'fog0' is a fog node, not edge"),
+], ids=["two-bad-devices", "later-field-of-an-earlier-device", "two-bad-fields-in-one-device",
+        "bad-field-before-a-duplicate-id", "duplicate-id-before-its-own-bad-field",
+        "bool-in-a-real-field", "nan-in-a-real-field", "infinity-in-a-real-field",
+        "huge-int-in-a-real-field", "missing-required-key", "missing-key-before-a-bad-field",
+        "bad-field-before-a-missing-key", "ranges-after-every-read",
+        "compute-rate-before-channel-gain", "non-edge-ap-before-an-unknown-one"])
+def test_the_first_defective_device_reports_its_first_defect(defects, error, message):
+    """With two defects, the error is the first device's (in document
+    order), at its first defect: the id, then the fields in profile order;
+    range and hierarchy checks run only after every device has been read."""
+    doc = star_doc(8)
+    for i, fields in defects.items():
+        for key, value in fields.items():
+            if value is _ABSENT:
+                del doc["nodes"]["ue"][i][key]
+            else:
+                doc["nodes"]["ue"][i][key] = value
+    with pytest.raises(Exception) as caught:
+        build_topology(doc)
+    assert type(caught.value) is error
     assert str(caught.value) == message
