@@ -24,7 +24,8 @@ from .errors import (
     UnknownNodeReference,
     ZeroRate,
 )
-from .topology import NetworkTopology, UeProfile, array, identifiers, integral, real
+from .topology import (REQUIRED, NetworkTopology, UeProfile, array, identifiers, integral,
+                       read_fields, real)
 
 logger = logging.getLogger(__name__)
 
@@ -75,11 +76,11 @@ class CellBlocks(Sequence):
 
     __slots__ = ("_count", "_bandwidth", "_built")
 
-    def __init__(self, count: int, bandwidth: float):
-        self._count = count
-        self._bandwidth = bandwidth
+    def __init__(self, num_blocks: int, block_bandwidth: float):
+        self._count = num_blocks
+        self._bandwidth = block_bandwidth
         # block 0 is built now, so a bad bandwidth is refused while parsing
-        self._built = {0: ResourceBlock(0, bandwidth)}
+        self._built = {0: ResourceBlock(0, block_bandwidth)}
 
     def __len__(self) -> int:
         return self._count
@@ -217,6 +218,13 @@ def draw_channel_gain(ue: UeProfile, rng=None) -> float:
 
 # ---------------- scenario-level radio environment ---------------- #
 
+# The field tables of the `radio` numbers and of one cell, as `read_fields`
+# reads them; `check_schema` takes their keys from them.
+RADIO_FIELDS = (("noise_density", real, None, REQUIRED), ("downlink_rate", real, None, REQUIRED),
+                ("signalling_delay", real, None, 0.0), ("rx_energy_per_bit", real, 0, 0.0),
+                ("downlink_energy_per_bit", real, 0, 0.0))
+CELL_FIELDS = (("num_blocks", integral, 1, REQUIRED), ("block_bandwidth", real, None, REQUIRED))
+
 @dataclass
 class RadioEnv:
     """Radio parameters of one scenario: noise, per-cell blocks, clusters."""
@@ -248,9 +256,7 @@ class RadioEnv:
         for ap_id, cell in doc.get("cells", {}).items():
             if ap_id not in topo.servers:
                 raise UnknownNodeReference(f"radio cell {ap_id!r} is not a server node")
-            count = integral(cell["num_blocks"], f"cell {ap_id!r}: num_blocks", 1)
-            bw = real(cell["block_bandwidth"], f"cell {ap_id!r}: block_bandwidth")
-            cells[ap_id] = CellBlocks(count, bw)
+            cells[ap_id] = CellBlocks(**read_fields(cell, CELL_FIELDS, f"cell {ap_id!r}: "))
         clusters = []
         for i, entry in enumerate(doc.get("noma_clusters", [])):
             members = identifiers(entry["members"], f"radio.noma_clusters[{i}].members")
@@ -283,17 +289,8 @@ class RadioEnv:
                 blocks.append(cell_blocks[index])
             clusters.append(NomaCluster(members=tuple(zip(members, powers)),
                                         blocks=tuple(blocks)))
-        return cls(
-            noise_density=real(doc["noise_density"], "radio.noise_density"),
-            cells=cells,
-            downlink_rate=real(doc["downlink_rate"], "radio.downlink_rate"),
-            signalling_delay=real(doc.get("signalling_delay", 0.0), "radio.signalling_delay"),
-            rx_energy_per_bit=real(doc.get("rx_energy_per_bit", 0.0),
-                                   "radio.rx_energy_per_bit", 0),
-            downlink_energy_per_bit=real(doc.get("downlink_energy_per_bit", 0.0),
-                                         "radio.downlink_energy_per_bit", 0),
-            clusters=tuple(clusters),
-        )
+        return cls(cells=cells, clusters=tuple(clusters),
+                   **read_fields(doc, RADIO_FIELDS, "radio."))
 
     def scheme(self, kind: SchemeKind | str) -> AccessScheme:
         kind = SchemeKind(kind)

@@ -39,8 +39,12 @@ from .protocols import (
     run_sl_homogeneous,
     sl_hetero_legs,
 )
-from .radio import RadioEnv, SchemeKind
+from .radio import CELL_FIELDS, RADIO_FIELDS, RadioEnv, SchemeKind
 from .topology import (
+    D2D_FIELDS,
+    LINK_FIELDS,
+    REQUIRED,
+    SERVER_FIELDS,
     UE_FIELDS,
     NetworkTopology,
     Tier,
@@ -50,6 +54,7 @@ from .topology import (
     identifier,
     identifiers,
     integral,
+    read_fields,
     real,
     validate_layer_span,
 )
@@ -90,8 +95,11 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canonical_json(doc).encode()).hexdigest()
 
 
-def _keys(required: set[str], optional: set[str]) -> tuple[frozenset[str], ...]:
-    """An object's required keys, its optional keys, and every key it may carry."""
+def _keys(table=(), required=(), optional=()) -> tuple[frozenset[str], ...]:
+    """An object's required keys, its optional keys, and every key it may carry;
+    a field `table` row's key is required where its default is `REQUIRED`."""
+    required = {*required, *(key for key, _, _, default in table if default is REQUIRED)}
+    optional = {*optional, *(key for key, _, _, default in table if default is not REQUIRED)}
     return frozenset(required), frozenset(optional), frozenset(required | optional)
 
 
@@ -120,29 +128,72 @@ def _strict_entries(entries, keys: tuple[frozenset[str], ...], where: str) -> No
             _strict(entry, keys, f"{where}[{i}]")
 
 
-_SCENARIO_KEYS = _keys({"nodes", "radio", "ml", "protocol", "seeds"},
-                       {"links", "d2d_groups", "placement", "output"})
-_NODES_KEYS = _keys(set(), {"cloud", "fog", "edge", "ue"})
-_SERVER_ENTRY = _keys({"id", "compute_rate", "energy_per_cycle"}, {"parent"})
-_UE_ENTRY = _keys({"id"} | {key for key, _, _, default in UE_FIELDS if default is None},
-                  {key for key, _, _, default in UE_FIELDS if default is not None})
-_LINK_ENTRY = _keys({"src", "dst", "rate"}, {"latency", "energy_per_bit"})
-_D2D_ENTRY = _keys({"master", "slaves", "link_rate"}, {"link_energy_per_bit"})
-_RADIO_KEYS = _keys({"noise_density", "downlink_rate"},
-                    {"signalling_delay", "rx_energy_per_bit", "downlink_energy_per_bit",
-                     "cells", "noma_clusters"})
-_CELL_KEYS = _keys({"num_blocks", "block_bandwidth"}, set())
-_NOMA_ENTRY = _keys({"members", "powers", "blocks"}, set())
-_ML_KEYS = _keys({"widths", "loss", "learning_rate", "batch_size"},
-                 {"cycles_per_mac", "eval_every", "test_size", "noise", "class_sep"})
-_PROTOCOL_KEYS = _keys({"kind", "server", "clients", "scheme"},
-                       {"rounds", "local_iterations", "iterations", "cut_index",
-                        "boundaries", "relay", "dropout_slope", "round_deadline"})
-_SEEDS_KEYS = _keys({"root"}, {"data", "model"})
-_PLACEMENT_KEYS = _keys(set(), {"min_battery", "min_compute_rate", "min_channel_gain",
-                                "max_channel_variance", "require_immobile", "pool_size",
-                                "latency_deadline"})
-_OUTPUT_KEYS = _keys(set(), {"dir"})
+# Readers, `(value, where[, floor])` like `real`, of table fields that are no plain number.
+
+def _counts(value, where: str, floor: int | None = None) -> tuple[int, ...]:
+    return tuple(integral(count, f"{where}[{i}]", floor)
+                 for i, count in enumerate(array(value, where)))
+
+
+def _choice(names: dict[str, str], refusal: str):
+    """A reader of a name among the keys of `names`, read as what it maps to;
+    any other value is refused with `refusal`, formatted with where and value."""
+    def read(value, where: str) -> str:
+        if type(value) is not str or value not in names:
+            raise ScenarioSchemaError(refusal.format(where=where, value=value))
+        return names[value]
+    return read
+
+
+def _deadline(value, where: str, floor: float) -> float:
+    """A deadline field: null or infinite means no deadline."""
+    return math.inf if value is None or value == math.inf else real(value, where, floor)
+
+
+# The field tables of `MlSettings`, `ProtocolSettings` and the placement section, each
+# in read order, for `topology.read_fields`; `check_schema` takes their keys from them.
+_ML_SETTINGS = (("widths", _counts, 1, REQUIRED),
+                ("loss", _choice({"mse": "mse", "ce": "ce"},
+                                 "{where} must be 'mse' or 'ce', got {value!r}"), None, REQUIRED),
+                ("learning_rate", real, None, REQUIRED), ("batch_size", integral, 1, REQUIRED),
+                ("cycles_per_mac", real, 0, 1.0), ("eval_every", integral, 0, 0),
+                ("test_size", integral, 0, 0), ("noise", real, None, 0.6),
+                ("class_sep", real, None, 2.5))
+_PROTOCOL_SETTINGS = (
+    ("kind", _choice(dict(zip(PROTOCOL_KINDS, PROTOCOL_KINDS)),
+                     f"{{where}} must be one of {PROTOCOL_KINDS}, got {{value!r}}"),
+     None, REQUIRED),
+    ("scheme", _choice({kind.value: kind.value for kind in SchemeKind},
+                       "unknown access scheme {value!r}"), None, REQUIRED),
+    ("relay", _choice(RELAY_ALIASES, "{where} must be 'server' or 'd2d', got {value!r}"),
+     None, "via_server"),
+    ("server", identifier, None, REQUIRED), ("clients", identifiers, None, REQUIRED),
+    ("rounds", integral, 1, 1), ("local_iterations", integral, 1, 1),
+    ("iterations", integral, 1, 1), ("cut_index", integral, None, None),
+    ("boundaries", _counts, None, ()), ("dropout_slope", real, 0, 0.0),
+    ("round_deadline", _deadline, 0, math.inf))
+# a `SelectionPolicy`'s fields, then the plan's latency deadline
+_PLACEMENT_SETTINGS = (
+    ("min_battery", real, None, 0.0), ("min_compute_rate", real, None, 0.0),
+    ("min_channel_gain", real, None, 0.0), ("max_channel_variance", real, None, math.inf),
+    ("require_immobile", boolean, None, False), ("pool_size", integral, 1, 16),
+    ("latency_deadline", _deadline, 0, math.inf))
+
+_SCENARIO_KEYS = _keys(required={"nodes", "radio", "ml", "protocol", "seeds"},
+                       optional={"links", "d2d_groups", "placement", "output"})
+_NODES_KEYS = _keys(optional={"cloud", "fog", "edge", "ue"})
+_SERVER_ENTRY = _keys(SERVER_FIELDS, required={"id"})
+_UE_ENTRY = _keys(UE_FIELDS, required={"id"})
+_LINK_ENTRY = _keys(LINK_FIELDS, required={"src", "dst"})
+_D2D_ENTRY = _keys(D2D_FIELDS, required={"master", "slaves"})
+_RADIO_KEYS = _keys(RADIO_FIELDS, optional={"cells", "noma_clusters"})
+_CELL_KEYS = _keys(CELL_FIELDS)
+_NOMA_ENTRY = _keys(required={"members", "powers", "blocks"})
+_ML_KEYS = _keys(_ML_SETTINGS)
+_PROTOCOL_KEYS = _keys(_PROTOCOL_SETTINGS)
+_SEEDS_KEYS = _keys(required={"root"}, optional={"data", "model"})
+_PLACEMENT_KEYS = _keys(_PLACEMENT_SETTINGS)
+_OUTPUT_KEYS = _keys(optional={"dir"})
 
 
 def check_schema(doc: dict) -> None:
@@ -225,92 +276,27 @@ class ScenarioConfig:
 
 
 def _parse_ml(section: dict) -> MlSettings:
-    widths = tuple(integral(w, f"ml.widths[{i}]", 1)
-                   for i, w in enumerate(array(section["widths"], "ml.widths")))
-    loss = section["loss"]
-    if loss not in ("mse", "ce"):
-        raise ScenarioSchemaError(f"ml.loss must be 'mse' or 'ce', got {loss!r}")
-    settings = MlSettings(
-        widths=widths, loss=loss,
-        learning_rate=real(section["learning_rate"], "ml.learning_rate"),
-        batch_size=integral(section["batch_size"], "ml.batch_size", 1),
-        cycles_per_mac=real(section.get("cycles_per_mac", 1.0), "ml.cycles_per_mac", 0),
-        eval_every=integral(section.get("eval_every", 0), "ml.eval_every", 0),
-        test_size=integral(section.get("test_size", 0), "ml.test_size", 0),
-        noise=real(section.get("noise", 0.6), "ml.noise"),
-        class_sep=real(section.get("class_sep", 2.5), "ml.class_sep"),
-    )
-    if len(widths) < 2:
-        raise ScenarioSchemaError(f"ml.widths needs >= 2 entries, got {widths}")
+    settings = MlSettings(**read_fields(section, _ML_SETTINGS, "ml."))
+    if len(settings.widths) < 2:
+        raise ScenarioSchemaError(f"ml.widths needs >= 2 entries, got {settings.widths}")
     if settings.learning_rate <= 0:
         raise ScenarioSchemaError("ml.learning_rate must be > 0")
     if settings.eval_every > 0 and settings.test_size < 1:
         raise ScenarioSchemaError("ml.eval_every > 0 needs ml.test_size >= 1")
-    if widths[-1] < 2:
+    if settings.widths[-1] < 2:
         raise ScenarioSchemaError("output width must be >= 2 (one unit per class)")
     return settings
 
 
 def _parse_protocol(section: dict) -> ProtocolSettings:
-    kind = section["kind"]
-    if kind not in PROTOCOL_KINDS:
-        raise ScenarioSchemaError(
-            f"protocol.kind must be one of {PROTOCOL_KINDS}, got {kind!r}")
-    try:
-        SchemeKind(section["scheme"])
-    except ValueError:
-        raise ScenarioSchemaError(
-            f"unknown access scheme {section['scheme']!r}") from None
-    relay = section.get("relay", "server")
-    if type(relay) is not str or relay not in RELAY_ALIASES:
-        raise ScenarioSchemaError(f"protocol.relay must be 'server' or 'd2d', got {relay!r}")
-    settings = ProtocolSettings(
-        kind=kind,
-        server=identifier(section["server"], "protocol.server"),
-        clients=identifiers(section["clients"], "protocol.clients"),
-        scheme=section["scheme"],
-        rounds=integral(section.get("rounds", 1), "protocol.rounds", 1),
-        local_iterations=integral(section.get("local_iterations", 1),
-                                  "protocol.local_iterations", 1),
-        iterations=integral(section.get("iterations", 1), "protocol.iterations", 1),
-        cut_index=(None if section.get("cut_index") is None
-                   else integral(section["cut_index"], "protocol.cut_index")),
-        boundaries=tuple(integral(b, f"protocol.boundaries[{i}]")
-                         for i, b in enumerate(array(section.get("boundaries", []),
-                                                     "protocol.boundaries"))),
-        relay=RELAY_ALIASES[relay],
-        dropout_slope=real(section.get("dropout_slope", 0.0), "protocol.dropout_slope", 0),
-        round_deadline=_deadline(section.get("round_deadline"), "protocol.round_deadline"),
-    )
+    settings = ProtocolSettings(**read_fields(section, _PROTOCOL_SETTINGS, "protocol."))
     if not settings.clients:
         raise ScenarioSchemaError("protocol.clients must not be empty")
     # a present count was typed above, so None means absent, or a null cut_index
-    for key in PROTOCOL_FIELDS[kind]:
+    for key in PROTOCOL_FIELDS[settings.kind]:
         if section.get(key) is None:
-            raise ScenarioSchemaError(f"protocol.kind {kind!r} requires {key!r}")
+            raise ScenarioSchemaError(f"protocol.kind {settings.kind!r} requires {key!r}")
     return settings
-
-
-def _deadline(value, where: str) -> float:
-    """A deadline field: absent, null or infinite means no deadline."""
-    return math.inf if value is None or value == math.inf else real(value, where, 0)
-
-
-def _parse_placement(section: dict) -> tuple[SelectionPolicy, float]:
-    policy = SelectionPolicy(
-        min_battery=real(section.get("min_battery", 0.0), "placement.min_battery"),
-        min_compute_rate=real(section.get("min_compute_rate", 0.0),
-                              "placement.min_compute_rate"),
-        min_channel_gain=real(section.get("min_channel_gain", 0.0),
-                              "placement.min_channel_gain"),
-        max_channel_variance=(real(section["max_channel_variance"],
-                                   "placement.max_channel_variance")
-                              if "max_channel_variance" in section else math.inf),
-        require_immobile=boolean(section.get("require_immobile", False),
-                                 "placement.require_immobile"),
-        pool_size=integral(section.get("pool_size", 16), "placement.pool_size", 1),
-    )
-    return policy, _deadline(section.get("latency_deadline"), "placement.latency_deadline")
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -323,8 +309,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
     root = doc["seeds"]["root"]
     seeds = {key: integral(doc["seeds"].get(key, root), f"seeds.{key}", 0)
              for key in ("root", "data", "model")}
-    policy, deadline = (_parse_placement(doc["placement"])
-                        if "placement" in doc else (SelectionPolicy(), math.inf))
+    placement = doc.get("placement", {})
+    # the policy refuses a threshold before the deadline is read
+    policy = SelectionPolicy(**read_fields(placement, _PLACEMENT_SETTINGS[:-1], "placement."))
+    deadline, = read_fields(placement, _PLACEMENT_SETTINGS[-1:], "placement.").values()
     out_dir = doc.get("output", {}).get("dir")
     if out_dir is not None and type(out_dir) is not str:
         raise ScenarioSchemaError(f"output.dir must be a directory path, got {out_dir!r}")

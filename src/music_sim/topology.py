@@ -124,6 +124,7 @@ class NetworkTopology:
             for member in group.members():
                 self._group_of[member] = group
         self._mastered = {group.master: group for group in self.d2d_groups}
+        self._d2d_links: dict[tuple[str, str], LinkSpec] | None = None  # see `d2d_link`
 
     # -- lookups -------------------------------------------------------
 
@@ -155,15 +156,14 @@ class NetworkTopology:
         """Direct single-hop link between a and b, if their group has one.
 
         Direct hops exist only between a master and one of its slaves;
-        slave-to-slave traffic has to bounce through the master.
+        slave-to-slave traffic has to bounce through the master. Every hop
+        is built, in both directions, the first time any is asked for.
         """
-        group = self._group_of.get(a)
-        if group is None or self._group_of.get(b) is not group:
-            return None
-        if (group.master == a and b in group.slaves) or (group.master == b and a in group.slaves):
-            return LinkSpec(src=a, dst=b, rate=group.link_rate, latency=0.0,
-                            energy_per_bit=group.link_energy_per_bit)
-        return None
+        if self._d2d_links is None:
+            self._d2d_links = {(u, v): LinkSpec(u, v, g.link_rate, 0.0, g.link_energy_per_bit)
+                               for g in self.d2d_groups for slave in g.slaves
+                               for u, v in ((g.master, slave), (slave, g.master))}
+        return self._d2d_links.get((a, b))
 
     def link_between(self, src: str, dst: str) -> LinkSpec | None:
         return self.links.get((src, dst))
@@ -238,14 +238,43 @@ def array(value, where: str) -> list:
     return value
 
 
-# Each device field after `id`, which is also its document key: its reader,
-# the floor passed to the reader (None: none), and the default of an optional
-# key (None: required). The device read and `check_schema` both use it.
-UE_FIELDS = (("battery", real, 0, None), ("compute_rate", real, None, None),
-             ("energy_per_cycle", real, 0, None), ("tx_power", real, 0, None),
-             ("channel_gain", real, None, None), ("channel_variance", real, 0, 0.0),
-             ("mobile", boolean, None, False), ("attached_ap", identifier, None, None),
-             ("dataset_size", integral, 0, None))
+# Marks a field table row whose key the document must carry.
+REQUIRED = object()
+
+
+def read_fields(entry: dict, table, prefix: str) -> dict:
+    """The fields of one document object, keyed by name. A `table` row is
+    `(key, reader, floor, default)`. A value that is the row's default, as
+    an absent key's value is (or a null where the default is None), is taken
+    as it is; a `REQUIRED` key has none. Any other value is read, in table
+    order, as `reader(value, prefix + key[, floor])`, the floor passed only
+    if not None, so the first defect in that order is the one raised."""
+    fields = {}
+    for key, read, floor, default in table:
+        value = entry[key] if default is REQUIRED else entry.get(key, default)
+        if value is default:
+            fields[key] = value
+        elif floor is None:
+            fields[key] = read(value, prefix + key)
+        else:
+            fields[key] = read(value, prefix + key, floor)
+    return fields
+
+
+# The field tables of a server entry after its `id`, and of the numbers of a
+# link and a D2D group, each in its record's field order, so a record is built
+# from the values by position; `check_schema` takes their keys from them.
+SERVER_FIELDS = (("compute_rate", real, None, REQUIRED), ("energy_per_cycle", real, 0, REQUIRED),
+                 ("parent", identifier, None, None))
+LINK_FIELDS = (("rate", real, None, REQUIRED), ("latency", real, 0, 0.0),
+               ("energy_per_bit", real, 0, 0.0))
+D2D_FIELDS = (("link_rate", real, None, REQUIRED), ("link_energy_per_bit", real, 0, 0.0))
+# The field table of a device after its `id`; devices are read a column at a time.
+UE_FIELDS = (("battery", real, 0, REQUIRED), ("compute_rate", real, None, REQUIRED),
+             ("energy_per_cycle", real, 0, REQUIRED), ("tx_power", real, 0, REQUIRED),
+             ("channel_gain", real, None, REQUIRED), ("channel_variance", real, 0, 0.0),
+             ("mobile", boolean, None, False), ("attached_ap", identifier, None, REQUIRED),
+             ("dataset_size", integral, 0, REQUIRED))
 _KEPT = {real: float, integral: int, boolean: bool, identifier: str}  # returned as they are
 _UNREADABLE = (KeyError, TypeError, AttributeError)  # a missing key, an entry that is no object
 
@@ -254,7 +283,7 @@ def _column(entries, key: str, default, read, as_is) -> tuple[list, Exception | 
     """Field `key` of every entry (`default` for an absent optional key), as it is if
     `as_is` accepts it, else each value `read` up to the first defect, and its error."""
     try:
-        values = ([entry[key] for entry in entries] if default is None
+        values = ([entry[key] for entry in entries] if default is REQUIRED
                   else [entry.get(key, default) for entry in entries])
         if as_is(values):
             return values, None
@@ -263,7 +292,7 @@ def _column(entries, key: str, default, read, as_is) -> tuple[list, Exception | 
     values = []
     try:
         for entry in entries:
-            values.append(read(entry[key] if default is None else entry.get(key, default)))
+            values.append(read(entry[key] if default is REQUIRED else entry.get(key, default)))
     except (*_UNREADABLE, ScenarioSchemaError) as exc:
         return values, exc
     return values, None
@@ -304,16 +333,14 @@ def build_topology(doc: dict) -> NetworkTopology:
         for entry in nodes_doc.get(key, []):
             node_id = claim(entry["id"])
             try:
-                servers[node_id] = ServerNode(
-                    node_id, tier, real(entry["compute_rate"], "compute_rate"),
-                    real(entry["energy_per_cycle"], "energy_per_cycle", 0),
-                    None if entry.get("parent") is None else identifier(entry["parent"], "parent"))
+                servers[node_id] = ServerNode(node_id, tier,
+                                              *read_fields(entry, SERVER_FIELDS, "").values())
             except ScenarioSchemaError as exc:
                 raise ScenarioSchemaError(f"{node_id}: {exc}") from None
     # devices are read a column per field, `id` then UE_FIELDS, and raise what a
     # device-by-device read raises: the first defective device's first defect
     entries = nodes_doc.get("ue", [])
-    ids, first = _column(entries, "id", None, claim, lambda col: set(map(type, col)) == {str}
+    ids, first = _column(entries, "id", REQUIRED, claim, lambda col: set(map(type, col)) == {str}
                          and len(set(col).difference(seen, [""])) == len(col))
     devices, at = {"id": ids}, len(ids)
     for key, read, floor, default in UE_FIELDS:
@@ -385,16 +412,9 @@ def _build_links(link_entries, servers):
         for end in (src, dst):
             if end not in servers:
                 raise UnknownNodeReference(f"link endpoint {end!r} is not a server node")
-        where = f"link {src}-{dst}: "
-        spec = LinkSpec(
-            src=src,
-            dst=dst,
-            rate=real(entry["rate"], where + "rate"),
-            latency=real(entry.get("latency", 0.0), where + "latency", 0),
-            energy_per_bit=real(entry.get("energy_per_bit", 0.0), where + "energy_per_bit", 0),
-        )
+        spec = LinkSpec(src, dst, *read_fields(entry, LINK_FIELDS, f"link {src}-{dst}: ").values())
         if spec.rate <= 0:
-            raise ScenarioSchemaError(f"{where}rate must be > 0")
+            raise ScenarioSchemaError(f"link {src}-{dst}: rate must be > 0")
         # pipes are symmetric; register both directions
         links[(src, dst)] = spec
         links[(dst, src)] = LinkSpec(dst, src, spec.rate, spec.latency, spec.energy_per_bit)
@@ -416,13 +436,7 @@ def _build_d2d_groups(group_entries, ues):
         if master in group_slaves:
             raise ScenarioSchemaError(f"d2d group master {master!r} listed among its own slaves")
         where = f"d2d group of {master!r}: "
-        group = D2dGroup(
-            master=master,
-            slaves=group_slaves,
-            link_rate=real(entry["link_rate"], where + "link_rate"),
-            link_energy_per_bit=real(entry.get("link_energy_per_bit", 0.0),
-                                     where + "link_energy_per_bit", 0),
-        )
+        group = D2dGroup(master, group_slaves, *read_fields(entry, D2D_FIELDS, where).values())
         if group.link_rate <= 0:
             raise ScenarioSchemaError(f"{where}link_rate must be > 0")
         groups.append(group)
