@@ -399,9 +399,14 @@ class Engine:
 
     def mark_dropped(self, node: str, reason: str,
                      callback: Callable[[], None] | None = None) -> None:
+        """Drop `node` with a DROPOUT event at the current clock that carries
+        `reason` and runs `callback`. A node that has already dropped gets
+        the event only with a callback, so that a refusal is never lost."""
         if node in self.dropped:
-            return
-        self.dropped.add(node)
+            if callback is None:
+                return
+        else:
+            self.dropped.add(node)
         self.schedule(self.clock, EventKind.DROPOUT,
                       callback if callback is not None else (lambda: None),
                       node=node, detail=reason)

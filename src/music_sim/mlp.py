@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import costs
 from .errors import EmptyInput, EmptyWidths, LengthMismatch, ShapeMismatch, StaleCache
 
 LOSSES = ("ce", "mse")
@@ -44,7 +45,7 @@ class MlpModel:
 
     @property
     def payload_bits(self) -> int:
-        return 32 * self.param_count
+        return costs.model_bits(self.widths)
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,6 @@ class ParamDelta:
     @property
     def param_count(self) -> int:
         return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
-    @property
-    def payload_bits(self) -> int:
-        return 32 * self.param_count
 
 
 @dataclass

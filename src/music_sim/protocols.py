@@ -40,7 +40,6 @@ from .topology import NetworkTopology
 # FL clients trained per stacked numpy pass: large enough to amortise the
 # per-call overhead, small enough to keep the stacked activations small
 _TRAIN_GROUP = 32
-_INF = float("inf")
 
 
 @dataclass
@@ -478,25 +477,23 @@ _HOP_DETAIL = {"up": ("ul:", 3), "down": ("dl:", 3), "backhaul": ("bh:", 4), "d2
 @dataclass(slots=True)
 class _Leg:
     """A leg priced for the cursors: the event that ends it `latency` after
-    it starts (a compute leg's detail still gets the cursor's `what`). Its
-    `payer` (the compute node, or the sender) pays `joules` and its `payee`
-    (a hop's receiver) `rx`; a device's battery must cover its share as the
-    leg starts. `paid` holds the (node, category, joules) entries the leg
-    pays as it ends, the same tuples every time it runs: a compute leg's
-    charge, even at zero; a hop's `tx`, then its `rx`, each only above
-    zero. An uplink books `blocks` under `tag`; `up` and `down` are
-    the bytes a hop adds to the runner's counts."""
+    it starts (a compute leg's detail still gets the cursor's `what`).
+    `dues` lists each device it bills with its joules, payer first: its
+    `payer` (the compute node, or the sender), then its `payee` (a hop's
+    receiver); each must afford its share as the leg starts. `paid` holds
+    the (node, category, joules) entries the leg pays as it ends, the same
+    tuples every time it runs: a compute leg's charge, even at zero; a
+    hop's `tx`, then its `rx`, each only above zero. An uplink books
+    `blocks` under `tag`; `up` and `down` are the bytes a hop adds to the
+    runner's counts."""
     kind: EventKind
     node: str
     detail: str
     latency: float
     paid: tuple
+    dues: tuple
     payer: str
-    joules: float
-    payer_ue: bool
     payee: str | None = None
-    rx: float = 0.0
-    payee_ue: bool = False
     blocks: tuple = ()
     tag: str | None = None
     up: int = 0
@@ -571,7 +568,8 @@ class _Cursor:
         if kind == "compute":
             latency, joules = prices.compute(node, leg[2])
             legs[at] = record = _Leg(EventKind.COMPUTE_DONE, node, leg[3], latency,
-                                     ((node, "compute", joules),), node, joules, node in ues)
+                                     ((node, "compute", joules),),
+                                     ((node, joules),) if node in ues else (), node)
             self._start(record)
             return
         context = ""
@@ -588,8 +586,11 @@ class _Cursor:
         paid = ((sender, "tx", tx),) if tx > 0 else ()
         if rx > 0:
             paid += ((receiver, "rx", rx),)
-        record = _Leg(EventKind.TX_DONE, node, prefix + leg[payload], latency, paid, sender,
-                      tx, sender in ues, receiver, rx, receiver in ues, blocks, tag,
+        dues = ((sender, tx),) if sender in ues else ()
+        if receiver in ues:
+            dues += ((receiver, rx),)
+        record = _Leg(EventKind.TX_DONE, node, prefix + leg[payload], latency, paid, dues,
+                      sender, receiver, blocks, tag,
                       leg[2] // 8 if kind == "up" else 0, leg[2] // 8 if kind == "down" else 0)
         if kind != "up" or prices.static(node):
             legs[at] = record
@@ -597,11 +598,14 @@ class _Cursor:
 
     def _start(self, leg: _Leg) -> None:
         """Schedule one priced leg, or refuse it; an uplink waits for its
-        blocks, every other leg starts at once."""
-        if (leg.payer_ue and not self._payable(leg.payer, leg.joules)
-                or leg.payee_ue and not self._payable(leg.payee, leg.rx)):
-            return
+        blocks, every other leg starts at once. The first device of its dues
+        that cannot pay refuses it."""
         eng = self.runner.eng
+        for device, joules in leg.dues:
+            if not eng.can_afford(device, joules):
+                self._refuse(device, "already dropped" if device in eng.dropped
+                             else "insufficient battery")
+                return
         start = eng.clock
         if leg.blocks:
             start = eng.blocks.book(leg.payee, leg.blocks, start, leg.latency, leg.payer,
@@ -611,22 +615,9 @@ class _Cursor:
                      leg.detail + self.what if leg.payee is None else leg.detail)
 
     def _refuse(self, node: str, reason: str) -> None:
-        """`node` cannot run the leg: it drops at the current clock, then
-        `refused()` runs (also when it had already dropped, so the refusal is
-        never lost)."""
-        eng = self.runner.eng
-        if node in eng.dropped:
-            eng.schedule(eng.clock, EventKind.DROPOUT, self.refused, node=node, detail=reason)
-        else:
-            eng.mark_dropped(node, reason, callback=self.refused)
-
-    def _payable(self, node: str, joules: float) -> bool:
-        """Whether device `node` can pay `joules` now; if not, it refuses the leg."""
-        eng = self.runner.eng
-        if node not in eng.dropped and eng.batteries.get(node, _INF) >= joules:
-            return True
-        self._refuse(node, "already dropped" if node in eng.dropped else "insufficient battery")
-        return False
+        """`node` cannot run the leg: it drops at the current clock, and
+        `refused()` runs in its DROPOUT event (see `Engine.mark_dropped`)."""
+        self.runner.eng.mark_dropped(node, reason, self.refused)
 
     def _outage(self, ue_id: str, context: str) -> bool:
         """Per-transmission channel outage draw, which refuses the leg; static

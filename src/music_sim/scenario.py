@@ -338,6 +338,10 @@ def _check_cross_references(cfg: ScenarioConfig) -> None:
     non_ue = [c for c in proto.clients if c not in topo.ues]
     if non_ue:
         raise ScenarioSchemaError(f"{proto.kind}: clients must be devices, got {non_ue}")
+    # a client or slave role would overwrite the server's, leaving the plan without one
+    role = session_roles(topo, proto.kind, proto.server, proto.clients)[proto.server]
+    if role != "server":
+        raise ScenarioSchemaError(f"protocol.server {proto.server!r} is also a {role}")
     # the split-learning shape rules live in the leg builders the runs use
     if proto.cut_index is not None:
         SlHomoLegs(topo, proto.server, cfg.ml.widths, proto.cut_index, cfg.ml.batch_size)
