@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from . import costs
 from .engine import BlockLedger
-from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError
+from .errors import EmptyPool, NoFeasiblePlan, ScenarioSchemaError, ZeroRate
 from .protocols import FlLegs, LegCosts, SlHomoLegs, eval_legs, sl_hetero_legs
 from .radio import AccessScheme, RadioEnv
 from .topology import NetworkTopology, Tier, UeProfile, validate_layer_span
@@ -431,6 +431,33 @@ def _plan_sort_key(plan: TrainingPlan, est: CostEstimate):
             tuple(sorted(plan.roles.items())))
 
 
+def _energy_floor(plan: TrainingPlan, topo: NetworkTopology) -> float:
+    """A lower bound on the plan's estimated energy, in O(nodes): the
+    training compute its estimate must charge, every other charge being
+    >= 0. Each FL or FedSplit client and master trains `training_macs` per
+    local iteration (a master's nested SL splits them with its slaves); SL
+    trains the layers below its last cut off the server and the rest at it.
+    Off-server MACs are priced at the cheapest off-server node. 0 for
+    "centralized", or for a plan it cannot size."""
+    task, kind = plan.task, plan.task.protocol
+    try:
+        server = plan.server()
+        price = {n: (topo.servers.get(n) or topo.ues[n]).energy_per_cycle for n in plan.roles}
+        cheapest = min((p for n, p in price.items() if n != server), default=0.0)
+        per_iteration = 0.0  # "centralized"
+        if kind in SL_PROTOCOLS:
+            cut = task.cut_index if "cut_index" in PROTOCOL_FIELDS[kind] else task.boundaries[-1]
+            off, on = (costs.forward_macs(task.widths, task.batch_size, a, b)
+                       for a, b in ((0, cut), (cut, len(task.widths) - 1)))
+            per_iteration = 3 * (off * cheapest + on * price[server])
+        elif kind in PROTOCOL_FIELDS:
+            trainers = len(plan.nodes_with("client")) + len(plan.nodes_with("master"))
+            per_iteration = trainers * costs.training_macs(task.widths, task.batch_size) * cheapest
+        return task.total_iterations * task.cycles_per_mac * per_iteration
+    except (ScenarioSchemaError, LookupError, TypeError):
+        return 0.0
+
+
 def choose_placement(task: TrainingTask, topo: NetworkTopology, radio: RadioEnv,
                      policy: SelectionPolicy,
                      scheme: AccessScheme) -> tuple[TrainingPlan, CostEstimate]:
@@ -438,17 +465,25 @@ def choose_placement(task: TrainingTask, topo: NetworkTopology, radio: RadioEnv,
 
     Enumeration already puts device clients only under an edge server of
     their own, running FL/SL/FedSplit. Feasible means: layer span <= 3, an
-    estimate that raises no named error, and estimated wall latency within
-    the task's deadline. Ties break toward lower latency, then fewer nodes,
-    then a stable textual key, so enumeration order never matters.
+    estimate that raises no named error (nor `ZeroRate`, a leg that cannot
+    be priced), and estimated wall latency within the task's deadline. Ties
+    break toward lower latency, then fewer nodes, then a stable textual key,
+    so enumeration order never matters. Candidates are estimated in
+    ascending `_energy_floor` order; once a plan is feasible, a floor above
+    the best energy by a 1e-9 relative margin (for float reordering) cannot
+    win and is not estimated, so the choice is the exhaustive argmin's.
     """
     best = None
-    for plan in enumerate_candidate_plans(task, topo, radio, policy, scheme):
+    candidates = enumerate_candidate_plans(task, topo, radio, policy, scheme)
+    for floor, plan in sorted(((_energy_floor(p, topo), p) for p in candidates),
+                              key=lambda fp: fp[0]):
+        if best is not None and floor > best[0][0] * (1 + 1e-9):
+            break  # the floors ascend, so no later candidate can win either
         if validate_layer_span(plan, topo) is not None:
             continue
         try:
             est = estimate_cost(plan, topo, radio)
-        except ScenarioSchemaError:
+        except (ScenarioSchemaError, ZeroRate):
             continue
         if est.wall_latency > task.latency_deadline:
             continue

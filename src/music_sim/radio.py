@@ -8,6 +8,7 @@ all of this and are costed straight from their group parameters.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections.abc import Sequence
@@ -225,6 +226,12 @@ RADIO_FIELDS = (("noise_density", real, None, REQUIRED), ("downlink_rate", real,
                 ("downlink_energy_per_bit", real, 0, 0.0))
 CELL_FIELDS = (("num_blocks", integral, 1, REQUIRED), ("block_bandwidth", real, None, REQUIRED))
 
+@functools.cache  # schemes are frozen, so one per (kind, delay) serves every caller
+def _scheme(kind: SchemeKind | str, signalling_delay: float) -> AccessScheme:
+    kind = SchemeKind(kind)
+    return AccessScheme(kind=kind, signalling_delay=0.0 if kind.grant_free else signalling_delay)
+
+
 @dataclass
 class RadioEnv:
     """Radio parameters of one scenario: noise, per-cell blocks, clusters."""
@@ -293,9 +300,7 @@ class RadioEnv:
                    **read_fields(doc, RADIO_FIELDS, "radio."))
 
     def scheme(self, kind: SchemeKind | str) -> AccessScheme:
-        kind = SchemeKind(kind)
-        delay = 0.0 if kind.grant_free else self.signalling_delay
-        return AccessScheme(kind=kind, signalling_delay=delay)
+        return _scheme(kind, self.signalling_delay)
 
     def blocks_of(self, ap_id: str) -> Sequence[ResourceBlock]:
         blocks = self.cells.get(ap_id)

@@ -432,6 +432,22 @@ def test_plan_prints_and_writes_json(tmp_path, capsys):
     assert json.loads((out / "plan.json").read_text()) == printed
 
 
+def test_plan_skips_a_candidate_whose_uplink_cannot_be_priced(tmp_path, capsys):
+    """ue5, alone on ap1 and outside the session, cannot transmit: FL at ap1
+    is an infeasible candidate, not a reason to refuse the document."""
+    doc = _bundled("fl_edge")
+    _fl_edge_ue(doc, 5)["tx_power"] = 0.0
+    path = write_doc(tmp_path, doc)
+    assert main(["validate", "--scenario", path]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "ok"
+    assert main(["plan", "--scenario", path]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert main(["plan", "--scenario", str(SCENARIO_DIR / "fl_edge.json")]) == EXIT_OK
+    plain = json.loads(capsys.readouterr().out)
+    assert (printed["protocol"], printed["roles"]) == ("centralized", {"ap0": "server"})
+    assert (printed["protocol"], printed["roles"]) == (plain["protocol"], plain["roles"])
+
+
 def test_sweep_cut_index_moves_compute_to_devices(tmp_path, capsys):
     path = str(SCENARIO_DIR / "sl_homogeneous.json")
     out = tmp_path / "o"
