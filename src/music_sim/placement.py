@@ -12,8 +12,10 @@ mean-gain assumptions; the cheapest feasible plan wins.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from . import costs
 from .engine import BlockLedger
@@ -352,24 +354,25 @@ def estimate_cost(plan: TrainingPlan, topo: NetworkTopology, radio: RadioEnv,
 #                        plan enumeration                          #
 # ---------------------------------------------------------------- #
 
-def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
-                              radio: RadioEnv, policy: SelectionPolicy,
-                              scheme: AccessScheme) -> list[TrainingPlan]:
-    """The finite candidate space placement decides over.
+def _candidate_source(task: TrainingTask, topo: NetworkTopology, scheme: AccessScheme):
+    """The candidate space placement decides over, in enumeration order:
 
     (a) every single server training alone;
     (b) every server with server children running FL one tier down;
     (c) the task's own protocol at each edge server over a selected UE pool.
+
+    (a) and (b) come as built plans. A (c) candidate comes as its edge
+    server's id, since selecting its pool is the costly part of enumeration:
+    `_device_layer_plan` builds it, or finds that none can be built.
     """
-    plans: list[TrainingPlan] = []
     # tasks are frozen, so every plan of one kind shares its task
     solo_task, fl_task = replace(task, protocol="centralized"), replace(task, protocol="fl")
 
-    for server_id in sorted(topo.servers):
-        plans.append(TrainingPlan(task=solo_task, roles={server_id: "server"},
-                                  ma_scheme=scheme))
+    servers = sorted(topo.servers)
+    for server_id in servers:
+        yield TrainingPlan(task=solo_task, roles={server_id: "server"}, ma_scheme=scheme)
 
-    for server_id in sorted(topo.servers):
+    for server_id in servers:
         children = sorted(c for c in topo.children_of(server_id) if c in topo.servers)
         if not children:
             continue
@@ -377,28 +380,35 @@ def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
             continue
         roles = {server_id: "server"}
         roles.update({c: "client" for c in children})
-        plans.append(TrainingPlan(task=fl_task, roles=roles, ma_scheme=scheme))
+        yield TrainingPlan(task=fl_task, roles=roles, ma_scheme=scheme)
 
     if task.protocol in PROTOCOL_KINDS:
-        for ap_id in sorted(topo.servers):
-            if topo.servers[ap_id].tier != Tier.EDGE:
-                continue
-            candidates = [topo.ues[u] for u in sorted(topo.ues_of_ap(ap_id))]
-            if not candidates:
-                continue
-            try:
-                pool = select_ue_pool(candidates, policy,
-                                      for_sl=task.protocol in SL_PROTOCOLS)
-            except EmptyPool:
-                continue
-            plan = _device_layer_plan(task, topo, ap_id, pool, scheme)
-            if plan is not None:
-                plans.append(plan)
+        yield from (s for s in servers if topo.servers[s].tier == Tier.EDGE)
+
+
+def enumerate_candidate_plans(task: TrainingTask, topo: NetworkTopology,
+                              radio: RadioEnv, policy: SelectionPolicy,
+                              scheme: AccessScheme) -> list[TrainingPlan]:
+    """Every candidate plan, built, in enumeration order (see
+    `_candidate_source`)."""
+    plans = []
+    for candidate in _candidate_source(task, topo, scheme):
+        if isinstance(candidate, str):
+            candidate = _device_layer_plan(task, topo, candidate, policy, scheme)
+        if candidate is not None:
+            plans.append(candidate)
     return plans
 
 
 def _device_layer_plan(task: TrainingTask, topo: NetworkTopology, ap_id: str,
-                       pool: list[str], scheme: AccessScheme) -> TrainingPlan | None:
+                       policy: SelectionPolicy, scheme: AccessScheme) -> TrainingPlan | None:
+    """The task's own protocol at edge server `ap_id` over the pool selected
+    from its devices, or None if no pool passes or the pool cannot run it."""
+    try:
+        pool = select_ue_pool([topo.ues[u] for u in topo.ues_of_ap(ap_id)], policy,
+                              for_sl=task.protocol in SL_PROTOCOLS)
+    except EmptyPool:
+        return None
     if task.protocol == "sl_heterogeneous":
         if len(pool) < len(task.boundaries):
             return None
@@ -431,30 +441,58 @@ def _plan_sort_key(plan: TrainingPlan, est: CostEstimate):
             tuple(sorted(plan.roles.items())))
 
 
+# what a floor that cannot be computed raises; such a floor is 0
+_FLOOR_ERRORS = (ScenarioSchemaError, LookupError, TypeError)
+
+
+def _floor_rule(task: TrainingTask, trainers: int, cheapest: float,
+                server_price: float) -> float:
+    """The training compute that an estimate of a `task` plan must charge:
+    FL and FedSplit charge each of their `trainers` (clients and masters) a
+    full training step per local iteration (a master's nested SL splits it
+    with its slaves); SL trains the layers below its last cut off the server
+    and the rest at the server. Off-server MACs are priced at `cheapest`,
+    server MACs at `server_price`; 0 for "centralized". Every factor enters
+    by a product or a sum of non-negatives, so fewer trainers or a cheaper
+    price never gives a larger result, in floats too."""
+    kind = task.protocol
+    per_iteration = 0.0  # "centralized"
+    if kind in SL_PROTOCOLS:
+        cut = task.cut_index if "cut_index" in PROTOCOL_FIELDS[kind] else task.boundaries[-1]
+        off, on = (costs.forward_macs(task.widths, task.batch_size, a, b)
+                   for a, b in ((0, cut), (cut, len(task.widths) - 1)))
+        per_iteration = 3 * (off * cheapest + on * server_price)
+    elif kind in PROTOCOL_FIELDS:
+        per_iteration = trainers * costs.training_macs(task.widths, task.batch_size) * cheapest
+    return task.total_iterations * task.cycles_per_mac * per_iteration
+
+
 def _energy_floor(plan: TrainingPlan, topo: NetworkTopology) -> float:
     """A lower bound on the plan's estimated energy, in O(nodes): the
-    training compute its estimate must charge, every other charge being
-    >= 0. Each FL or FedSplit client and master trains `training_macs` per
-    local iteration (a master's nested SL splits them with its slaves); SL
-    trains the layers below its last cut off the server and the rest at it.
-    Off-server MACs are priced at the cheapest off-server node. 0 for
-    "centralized", or for a plan it cannot size."""
-    task, kind = plan.task, plan.task.protocol
+    `_floor_rule` of its trainers, at its cheapest off-server node's price
+    and its server's. Every other charge of the estimate is >= 0. 0 for a
+    plan it cannot size."""
+    if plan.task.protocol not in PROTOCOL_FIELDS:
+        return 0.0  # "centralized", whose `_floor_rule` is 0 at any prices
     try:
         server = plan.server()
         price = {n: (topo.servers.get(n) or topo.ues[n]).energy_per_cycle for n in plan.roles}
         cheapest = min((p for n, p in price.items() if n != server), default=0.0)
-        per_iteration = 0.0  # "centralized"
-        if kind in SL_PROTOCOLS:
-            cut = task.cut_index if "cut_index" in PROTOCOL_FIELDS[kind] else task.boundaries[-1]
-            off, on = (costs.forward_macs(task.widths, task.batch_size, a, b)
-                       for a, b in ((0, cut), (cut, len(task.widths) - 1)))
-            per_iteration = 3 * (off * cheapest + on * price[server])
-        elif kind in PROTOCOL_FIELDS:
-            trainers = len(plan.nodes_with("client")) + len(plan.nodes_with("master"))
-            per_iteration = trainers * costs.training_macs(task.widths, task.batch_size) * cheapest
-        return task.total_iterations * task.cycles_per_mac * per_iteration
-    except (ScenarioSchemaError, LookupError, TypeError):
+        trainers = len(plan.nodes_with("client")) + len(plan.nodes_with("master"))
+        return _floor_rule(plan.task, trainers, cheapest, price[server])
+    except _FLOOR_ERRORS:
+        return 0.0
+
+
+def _pool_floor(task: TrainingTask, topo: NetworkTopology, ap_id: str,
+                cheapest: float) -> float:
+    """A lower bound on the `_energy_floor` of the device-layer plan at edge
+    server `ap_id`, before its pool is selected: the `_floor_rule` of one
+    trainer at `cheapest`, no dearer than any device of the topology. Such a
+    plan has at least one trainer, and its off-server nodes are devices."""
+    try:
+        return _floor_rule(task, 1, cheapest, topo.servers[ap_id].energy_per_cycle)
+    except _FLOOR_ERRORS:
         return 0.0
 
 
@@ -468,17 +506,32 @@ def choose_placement(task: TrainingTask, topo: NetworkTopology, radio: RadioEnv,
     estimate that raises no named error (nor `ZeroRate`, a leg that cannot
     be priced), and estimated wall latency within the task's deadline. Ties
     break toward lower latency, then fewer nodes, then a stable textual key,
-    so enumeration order never matters. Candidates are estimated in
-    ascending `_energy_floor` order; once a plan is feasible, a floor above
-    the best energy by a 1e-9 relative margin (for float reordering) cannot
-    win and is not estimated, so the choice is the exhaustive argmin's.
+    so enumeration order never matters.
+
+    Candidates are visited in ascending order of a lower bound on their
+    energy, ties in enumeration order: a plan's `_energy_floor`, and for a
+    device-layer candidate whose pool is not yet selected its `_pool_floor`.
+    Such a candidate is built only when it is visited, and then comes back
+    at its plan's floor. Once a plan is feasible, a bound above the best
+    energy by a 1e-9 relative margin (for float reordering) cannot win, and
+    nor can any later one, so the walk stops there. Plans are estimated in
+    the order a sort by floor gives, up to the same stop, so the choice is
+    the exhaustive argmin's.
     """
+    cheapest = min(map(attrgetter("energy_per_cycle"), topo.ues.values()), default=0.0)
+    heap = [(_pool_floor(task, topo, c, cheapest) if isinstance(c, str) else _energy_floor(c, topo),
+             i, c) for i, c in enumerate(_candidate_source(task, topo, scheme))]
+    heapq.heapify(heap)
     best = None
-    candidates = enumerate_candidate_plans(task, topo, radio, policy, scheme)
-    for floor, plan in sorted(((_energy_floor(p, topo), p) for p in candidates),
-                              key=lambda fp: fp[0]):
+    while heap:
+        floor, i, plan = heapq.heappop(heap)
         if best is not None and floor > best[0][0] * (1 + 1e-9):
-            break  # the floors ascend, so no later candidate can win either
+            break  # the bounds ascend, so no later candidate can win either
+        if isinstance(plan, str):
+            plan = _device_layer_plan(task, topo, plan, policy, scheme)
+            if plan is not None:
+                heapq.heappush(heap, (_energy_floor(plan, topo), i, plan))
+            continue
         if validate_layer_span(plan, topo) is not None:
             continue
         try:
